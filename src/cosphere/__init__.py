@@ -32,7 +32,7 @@ from .poset import (
     transitive_closure,
     validate,
 )
-from .reeb import Trajectory, flow_exact, flow_invariants_closed, flow_rk4, reeb_field
+from .reeb import Trajectory, flow_exact, flow_invariants_closed, flow_rk4
 from .strata import (
     StratificationResult,
     Stratum,
@@ -44,14 +44,12 @@ from .strata import (
     semifree_decomposition,
     single_type_reduce,
     starred_lattice,
-    zero_level_types,
 )
 from .torus import (
     SupportStabilizer,
     TorusActionSpec,
     build_isotropy_poset,
     is_almost_semifree,
-    lifted_action_is_free,
     spec_from_json,
     spec_to_json,
     stabilizer_of_support,
@@ -89,13 +87,11 @@ __all__ = [
     "is_almost_semifree",
     "is_subconjugate",
     "k0_project",
-    "lifted_action_is_free",
     "momentum",
     "poset_from_json",
     "poset_to_dot",
     "poset_to_json",
     "principal_type",
-    "reeb_field",
     "s1_on_r2",
     "sample_zero_level",
     "secondary_strata",
@@ -108,5 +104,4 @@ __all__ = [
     "t2_on_r4",
     "transitive_closure",
     "validate",
-    "zero_level_types",
 ]

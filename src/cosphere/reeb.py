@@ -54,11 +54,6 @@ class Trajectory:
         return int(self.times.size)
 
 
-def reeb_field(point: PhasePoint) -> tuple[np.ndarray, np.ndarray]:
-    """(xdot, udot) of the Reeb field at the point."""
-    return point.u.copy(), np.zeros_like(point.u)
-
-
 def flow_exact(point: PhasePoint, t: float) -> PhasePoint:
     """Exact time-t Reeb flow: a straight line in the base."""
     return PhasePoint(point.x + float(t) * point.u, point.u)

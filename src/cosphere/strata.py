@@ -129,16 +129,6 @@ def starred_lattice(poset: IsotropyPoset) -> frozenset[str]:
     )
 
 
-def zero_level_types(poset: IsotropyPoset) -> frozenset[str]:
-    """Orbit types realized on the zero momentum level away from the zero section.
-
-    These are exactly the starred types: a type contributes a covector
-    annihilating its orbit directions precisely when its quotient stratum
-    has positive dimension.
-    """
-    return starred_lattice(poset)
-
-
 def contact_name(label: str) -> str:
     return f"Contact({label})"
 
@@ -154,9 +144,13 @@ def seam_name(upper: str, lower: str) -> str:
 def contact_strata(poset: IsotropyPoset) -> tuple[Stratum, ...]:
     """The contact stratification of C_0, one stratum per starred type."""
     _require_valid(poset)
+    return _contact_strata(poset, starred_lattice(poset))
+
+
+def _contact_strata(poset: IsotropyPoset, starred: frozenset[str]) -> tuple[Stratum, ...]:
     out = []
     for t in poset.types:
-        if t.label not in starred_lattice(poset):
+        if t.label not in starred:
             continue
         d = stratum_quotient_dim(poset, t.label)
         out.append(
@@ -189,7 +183,12 @@ def classify_seam(poset: IsotropyPoset, upper: str, lower: str) -> Stratum:
     Coisotropic seams are those whose upper type is starred; otherwise the
     seam is Legendrian of exactly half-boundary dimension.
     """
-    starred = starred_lattice(poset)
+    return _classify_seam(poset, upper, lower, starred_lattice(poset))
+
+
+def _classify_seam(
+    poset: IsotropyPoset, upper: str, lower: str, starred: frozenset[str]
+) -> Stratum:
     if lower not in starred:
         raise NotStarredTypeError(
             f"({lower}) is not starred: its quotient stratum has dimension "
@@ -238,10 +237,16 @@ def classify_seam(poset: IsotropyPoset, upper: str, lower: str) -> Stratum:
 def secondary_strata(poset: IsotropyPoset, lower: str) -> tuple[Stratum, ...]:
     """The secondary decomposition of Contact(lower): CC piece plus seams."""
     _require_valid(poset)
-    pieces = [classify_seam(poset, lower, lower)]
+    return _secondary_strata(poset, lower, starred_lattice(poset))
+
+
+def _secondary_strata(
+    poset: IsotropyPoset, lower: str, starred: frozenset[str]
+) -> tuple[Stratum, ...]:
+    pieces = [_classify_seam(poset, lower, lower, starred)]
     uppers = sorted(h for (l, h) in poset.order if l == lower)
     for h in uppers:
-        pieces.append(classify_seam(poset, h, lower))
+        pieces.append(_classify_seam(poset, h, lower, starred))
     cc = pieces[0]
     pieces[0] = replace(cc, open_dense=True)
     return tuple(pieces)
@@ -295,7 +300,7 @@ def cl_stratification(
     pieces: list[Stratum] = []
     for t in sorted(poset.types, key=lambda t: t.label):
         if t.label in starred:
-            pieces.extend(secondary_strata(poset, t.label))
+            pieces.extend(_secondary_strata(poset, t.label, starred))
 
     open_label: str | None = None
     if quotient_connected:
@@ -314,7 +319,7 @@ def cl_stratification(
     closed = transitive_closure(generated)
     return StratificationResult(
         cl_strata=tuple(sorted(pieces, key=lambda s: (-s.dim, s.name))),
-        contact_strata=contact_strata(poset),
+        contact_strata=_contact_strata(poset, starred),
         frontier=closed,
         hasse=tuple(sorted(hasse_edges(closed))),
         closure_only=frozenset(closed - generated),
@@ -322,13 +327,6 @@ def cl_stratification(
         total_types=len(poset.types),
         quotient_connected=quotient_connected,
     )
-
-
-def is_finer_than_contact(result: StratificationResult) -> tuple[bool, bool]:
-    """(finer, strictly finer): the C-L pieces always refine the contact
-    strata; the refinement is strict exactly when the lattice has more
-    than one orbit type."""
-    return (True, result.total_types > 1)
 
 
 def bundle_targets(result: StratificationResult) -> dict[str, str]:
@@ -424,7 +422,6 @@ def result_to_json(result: StratificationResult) -> dict:
             entry["seam_upper"] = s.seam_upper
         return entry
 
-    finer, strict = is_finer_than_contact(result)
     return {
         "cl_strata": [stratum_entry(s) for s in sorted(result.cl_strata, key=lambda s: s.name)],
         "contact_strata": [
@@ -435,7 +432,9 @@ def result_to_json(result: StratificationResult) -> dict:
         "closure_only": sorted([a, b] for a, b in result.closure_only),
         "starred": sorted(result.starred),
         "piece_count": result.piece_count,
-        "finer_than_contact": {"finer": finer, "strict": strict},
+        # the C-L pieces always refine the contact strata, strictly exactly
+        # when the lattice has more than one orbit type
+        "finer_than_contact": {"finer": True, "strict": result.total_types > 1},
         "smooth_total_space": result.smooth_total_space,
         "bundle_targets": dict(sorted(bundle_targets(result).items())),
     }

@@ -10,14 +10,16 @@ point with plane support S is the joint kernel
 so it is determined by the sublattice Lambda_S of Z^k spanned by the
 support's weight columns.  Two supports give the same stabilizer exactly
 when those column lattices coincide, and containment of stabilizers is
-reverse containment of lattices.  Both questions are decided exactly with
-Hermite normal forms over Z (sympy); nothing here is floating point.
+reverse containment of lattices.  Each support's lattice gets one Hermite
+normal form over Z (sympy), its canonical basis.  Containment needs no
+further normal form: Lambda_S + Lambda_T = Lambda_(S u T), so Lambda_T lies
+in Lambda_S exactly when the support table gives S u T the basis of S.
+Nothing here is floating point.
 """
 
 from __future__ import annotations
 
 import itertools
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -33,14 +35,6 @@ MAX_PLANES = 12
 
 
 class ActionSpecError(ValueError):
-    pass
-
-
-class EqualDimensionAssumptionViolated(RuntimeError):
-    """A stabilizer class covers orbit-type cells of different top dimension."""
-
-
-class EqualDimensionWarning(UserWarning):
     pass
 
 
@@ -103,32 +97,12 @@ def _lattice_hnf(columns: Sequence[tuple[int, ...]], k: int) -> tuple[tuple[int,
     return tuple(tuple(int(h[i, j]) for i in range(k)) for j in range(h.cols))
 
 
-def _lattice_contains(
-    basis: tuple[tuple[int, ...], ...], vectors: Iterable[tuple[int, ...]], k: int
-) -> bool:
-    """Whether every vector lies in the lattice with the given canonical basis."""
-    vecs = [v for v in vectors if any(v)]
-    if not vecs:
-        return True
-    joined = _lattice_hnf(tuple(basis) + tuple(vecs), k)
-    return joined == basis
-
-
 def _nontrivial_divisors(columns: Sequence[tuple[int, ...]], k: int) -> tuple[int, ...]:
     cols = [c for c in columns if any(c)]
     if not cols:
         return ()
     m = Matrix([[c[i] for c in cols] for i in range(k)])
     return tuple(int(d) for d in invariant_factors(m) if int(d) not in (0, 1))
-
-
-def _snf_chain(columns: Sequence[tuple[int, ...]], k: int) -> tuple[int, ...]:
-    """Nonzero invariant factor chain d_1 | d_2 | ... of the column matrix."""
-    cols = [c for c in columns if any(c)]
-    if not cols:
-        return ()
-    m = Matrix([[c[i] for c in cols] for i in range(k)])
-    return tuple(int(d) for d in invariant_factors(m) if int(d) != 0)
 
 
 def class_label(k: int, basis: tuple[tuple[int, ...], ...]) -> str:
@@ -204,78 +178,62 @@ def _stabilizer_cached(
     )
 
 
-def _support_classes(
+def _support_lattices(
     spec: TorusActionSpec,
-) -> dict[tuple[tuple[int, ...], ...], list[tuple[int, ...]]]:
-    classes: dict[tuple[tuple[int, ...], ...], list[tuple[int, ...]]] = {}
-    for r in range(spec.n + 1):
-        for s in itertools.combinations(range(spec.n), r):
-            basis = _lattice_hnf([spec.column(j) for j in s], spec.k)
-            classes.setdefault(basis, []).append(s)
-    return classes
+) -> dict[frozenset[int], tuple[tuple[int, ...], ...]]:
+    """Canonical basis of Lambda_S for every plane support S, by increasing |S|."""
+    return {
+        frozenset(s): _lattice_hnf([spec.column(j) for j in s], spec.k)
+        for r in range(spec.n + 1)
+        for s in itertools.combinations(range(spec.n), r)
+    }
 
 
-def build_isotropy_poset(
-    spec: TorusActionSpec, on_mixed_dims: str = "warn"
-) -> IsotropyPoset:
+def build_isotropy_poset(spec: TorusActionSpec) -> IsotropyPoset:
     """Isotropy lattice of the lifted action, from exhaustive support classes.
 
-    Each stabilizer class contributes one orbit type; dim_Q_of is twice the
-    size of the class's largest support (the orbit-type manifold is the
-    union of its support cells, and the union of two same-class supports is
-    again in the class, so there is a unique top cell).  ``on_mixed_dims``
-    ("warn" or "raise") governs the response if inclusion-maximal supports
-    of one class ever disagree in size; for these linear actions that is
-    impossible, but the guard is kept for defense.
+    HNF runs once per support; everything else is read off that support
+    table.  Each stabilizer class contributes one orbit type.  The union of
+    two supports of one class is again in the class (Lambda_(S u T) =
+    Lambda_S + Lambda_T), so the class has a unique top support, the union
+    of all its supports, and dim_Q_of is twice its size.  Containment is the
+    same union lookup: (a) < (b) exactly when the lattice of b lies strictly
+    inside that of a, i.e. basis[S_a u S_b] == basis[S_a] != basis[S_b].
     """
-    if on_mixed_dims not in ("warn", "raise"):
-        raise ActionSpecError(f"on_mixed_dims must be 'warn' or 'raise', got {on_mixed_dims!r}")
-    classes = _support_classes(spec)
+    basis_of = _support_lattices(spec)
+    # supports come by increasing size, so the last one seen in a class is
+    # its largest, which is the union of the class
+    top = {basis: s for s, basis in basis_of.items()}
+    label_of = {basis: class_label(spec.k, basis) for basis in top}
 
     types: list[OrbitType] = []
     dim_q_of: dict[str, int] = {}
-    info: dict[str, tuple[tuple[int, ...], ...]] = {}
-    for basis, supports in classes.items():
-        label = class_label(spec.k, basis)
-        maximal = [
-            s for s in supports
-            if not any(s != t and set(s) <= set(t) for t in supports)
-        ]
-        sizes = {len(s) for s in maximal}
-        if len(sizes) > 1:
-            msg = (
-                f"stabilizer class {label!r} has inclusion-maximal supports of sizes "
-                f"{sorted(sizes)}: orbit-type cells are not equidimensional"
-            )
-            if on_mixed_dims == "raise":
-                raise EqualDimensionAssumptionViolated(msg)
-            warnings.warn(msg, EqualDimensionWarning)
-        divisors = _nontrivial_divisors([spec.column(j) for j in supports[-1]], spec.k)
+    for basis, support in top.items():
+        divisors = _nontrivial_divisors([spec.column(j) for j in sorted(support)], spec.k)
         dim_stab = spec.k - len(basis)
         types.append(
             OrbitType(
-                label=label,
+                label=label_of[basis],
                 dim_H=dim_stab,
                 is_identity=(dim_stab == 0 and not divisors),
                 finite_tag=",".join(str(d) for d in divisors) or None,
             )
         )
-        dim_q_of[label] = 2 * max(sizes)
-        info[label] = basis
+        dim_q_of[label_of[basis]] = 2 * len(support)
 
     # (L) < (H) iff the subgroup L is strictly contained in H, i.e. the
-    # lattice of H is strictly contained in the lattice of L
-    order: set[tuple[str, str]] = set()
-    labels = sorted(info)
-    for la, lb in itertools.permutations(labels, 2):
-        ba, bb = info[la], info[lb]
-        if ba != bb and _lattice_contains(ba, bb, spec.k):
-            order.add((la, lb))
+    # lattice of H is strictly contained in the lattice of L; distinct
+    # classes have distinct bases, so the containment is strict
+    order = frozenset(
+        (label_of[ba], label_of[bb])
+        for (ba, sa), (bb, sb) in itertools.permutations(top.items(), 2)
+        if basis_of[sa | sb] == ba
+    )
 
     types.sort(key=lambda t: (t.dim_H, t.label))
     return IsotropyPoset(
         types=tuple(types),
-        order=frozenset(order),
+        order=order,
         dim_Q_of=dim_q_of,
         dim_G=spec.k,
         dim_Q=2 * spec.n,
@@ -319,11 +277,3 @@ def is_almost_semifree(spec: TorusActionSpec) -> tuple[bool, tuple[str, ...]]:
             )
     return (not diagnostics, tuple(diagnostics))
 
-
-def lifted_action_is_free(spec: TorusActionSpec) -> bool:
-    """Freeness of the lifted action away from the zero section.
-
-    For abelian groups this is equivalent to the action being almost
-    semifree, so this is a thin wrapper over :func:`is_almost_semifree`.
-    """
-    return is_almost_semifree(spec)[0]

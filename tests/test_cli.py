@@ -1,12 +1,16 @@
 """End-to-end CLI behaviour: exit codes, determinism, file formats."""
 
 import csv
+import functools
 import io
 import json
+import sys
 
 import pytest
 
-from cosphere.cli import API_REGISTRY, cmd_examples, main
+import cosphere
+from cosphere import phase, poset as poset_mod, reeb, strata, torus
+from cosphere.cli import main
 from cosphere.poset import poset_to_json
 from cosphere.torus import TorusActionSpec, build_isotropy_poset, spec_to_json
 
@@ -180,7 +184,88 @@ def test_flow_stdout_matches_file_output(tmp_path, capsys):
     assert out == target.read_text()
 
 
-def test_examples_runs_the_full_battery_and_covers_the_api(tmp_path, capsys):
+def record_public_calls(monkeypatch) -> tuple[set[str], set[str]]:
+    """Wrap every function of ``cosphere.__all__`` wherever a cosphere module
+    bound it.  Returns (public function names, names called so far); the
+    second set fills as the wrappers run."""
+    called: set[str] = set()
+    public = {
+        id(obj): (name, obj)
+        for name in cosphere.__all__
+        if callable(obj := getattr(cosphere, name)) and not isinstance(obj, type)
+    }
+
+    def recorder(name, fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            called.add(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name != "cosphere" and not mod_name.startswith("cosphere."):
+            continue
+        for attr, obj in list(vars(mod).items()):
+            if id(obj) in public:
+                monkeypatch.setattr(mod, attr, recorder(*public[id(obj)]))
+    return {name for name, _ in public.values()}, called
+
+
+def exercise_api(fixture, seed):
+    """Call every public operation of the package once on the fixture."""
+    spec = fixture.spec
+    cosphere.s1_on_r2()
+    cosphere.t2_on_r4()
+    poset = torus.build_isotropy_poset(spec)
+    result = strata.cl_stratification(poset)
+
+    poset_mod.validate(poset)
+    labels = poset.labels()
+    poset_mod.is_subconjugate(poset, labels[0], labels[-1])
+    poset_mod.hasse_edges(poset.order)
+    poset_mod.transitive_closure(poset.order)
+    principal = poset_mod.principal_type(poset)
+    back = poset_mod.poset_from_json(poset_mod.poset_to_json(poset))
+    assert back == poset
+    poset_mod.poset_to_dot(poset)
+
+    torus.stabilizer_of_support(spec, range(spec.n))
+    torus.is_almost_semifree(spec)
+    assert torus.spec_from_json(torus.spec_to_json(spec)) == spec
+
+    strata.contact_strata(poset)
+    strata.secondary_strata(poset, principal.label)
+    strata.classify_seam(poset, principal.label, principal.label)
+    strata.bundle_targets(result)
+    try:
+        strata.semifree_decomposition(poset)
+    except strata.NotAlmostSemifreeError:
+        pass
+    one_type = poset_mod.IsotropyPoset(
+        types=(poset_mod.OrbitType("e", 0, is_identity=True),),
+        order=frozenset(),
+        dim_Q_of={"e": 3},
+        dim_G=0,
+        dim_Q=3,
+    )
+    strata.single_type_reduce(one_type)
+
+    points = phase.sample_zero_level(spec, seed=seed, count=4)
+    p = points[0]
+    phase.momentum(spec, p)
+    inv = phase.invariants(p)
+    image = phase.hilbert_map(spec, p)
+    phase.classify_point(spec, p)
+    phase.check_reduced_membership(fixture, image)
+    phase.k0_project(inv, fixture.k0_offsets)
+
+    reeb.flow_exact(p, 0.5)
+    reeb.flow_invariants_closed(inv, 0.5)
+    reeb.flow_rk4(p, t_end=0.1, step=0.01)
+
+
+def test_examples_runs_the_full_battery_and_covers_the_api(tmp_path, capsys, monkeypatch):
+    public, called = record_public_calls(monkeypatch)
     code, out, _ = run(
         capsys, "examples", "--count", "150",
         "--t-end", "0.5", "--step", "0.01",
@@ -189,8 +274,9 @@ def test_examples_runs_the_full_battery_and_covers_the_api(tmp_path, capsys):
     assert code == 0
     assert "examples: PASS" in out
     assert "s1-on-r2" in out and "t2-on-r4" in out
-    covered = cmd_examples.last_coverage
-    assert covered == API_REGISTRY
+    for name in ("s1-on-r2", "t2-on-r4"):
+        exercise_api(cosphere.get_fixture(name), seed=0)
+    assert called == public
     # every artifact the battery promises actually exists
     for name in ("s1-on-r2", "t2-on-r4"):
         base = tmp_path / "artifacts" / name

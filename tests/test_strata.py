@@ -19,7 +19,6 @@ from cosphere.strata import (
     classify_seam,
     contact_frontier,
     contact_strata,
-    is_finer_than_contact,
     result_to_dot,
     result_to_json,
     seam_name,
@@ -28,7 +27,6 @@ from cosphere.strata import (
     single_type_reduce,
     starred_lattice,
     stratum_quotient_dim,
-    zero_level_types,
 )
 from cosphere.torus import TorusActionSpec, build_isotropy_poset
 
@@ -46,7 +44,6 @@ def one_plane_poset():
 def test_starred_lattice_of_the_two_plane_action():
     poset = two_plane_poset()
     assert starred_lattice(poset) == {"e", "S^1×e", "e×S^1"}
-    assert zero_level_types(poset) == starred_lattice(poset)
     assert stratum_quotient_dim(poset, "e") == 2
     assert stratum_quotient_dim(poset, "S^1×e") == 1
     assert stratum_quotient_dim(poset, "T^2") == 0
@@ -332,7 +329,10 @@ def test_unstarred_middle_type_emits_no_ghost_seam():
 
 
 def test_finer_than_contact():
-    assert is_finer_than_contact(cl_stratification(two_plane_poset())) == (True, True)
+    def finer(poset):
+        return result_to_json(cl_stratification(poset))["finer_than_contact"]
+
+    assert finer(two_plane_poset()) == {"finer": True, "strict": True}
     single = IsotropyPoset(
         (OrbitType("e", 0, is_identity=True),),
         frozenset(),
@@ -340,7 +340,7 @@ def test_finer_than_contact():
         0,
         3,
     )
-    assert is_finer_than_contact(cl_stratification(single)) == (True, False)
+    assert finer(single) == {"finer": True, "strict": False}
 
 
 def test_bundle_targets_are_single_orbit_type_strata():
