@@ -13,6 +13,8 @@ with sorted keys so repeated runs are byte-identical.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 
 from . import phase, reeb, strata, torus
@@ -22,24 +24,28 @@ from .phase import (
     MEMBERSHIP_BAND,
     SUPPORT_TOL,
     check_reduced_membership,
-    classify_point,
-    hilbert_map,
-    invariants,
+    cone_residuals,
+    cosphere_sums,
+    invariant_tables,
     k0_project,
-    momentum,
-    sample_zero_level,
+    locate_rows,
+    momenta,
+    orbit_labels,
+    reduced_images,
+    support_masks,
+    zero_level_arrays,
 )
 
 PROBE_SEED_STRIDE = 1000003
+MAX_REPORTED_FAILURES = 10
 
 
 def _probe_seed(seed: int, probe_index: int) -> int:
     return int(seed) + PROBE_SEED_STRIDE * (probe_index + 1)
 
 
-def _cone_rel_errors(inv: phase.InvariantVector) -> np.ndarray:
-    scale = np.maximum(1.0, inv.p1**2)
-    return np.abs(inv.cone_residuals()) / scale
+def _max(values: np.ndarray) -> float:
+    return float(np.max(values, initial=0.0))
 
 
 def parent_cc_name(stratum: strata.Stratum) -> str:
@@ -67,65 +73,65 @@ def verify_fixture(
     result = strata.cl_stratification(poset)
     principal_cc = strata.cc_name(strata.principal_type(poset).label)
 
+    names = np.array([p.name for p in fixture.pieces], dtype=object)
     probe_reports = []
     all_passed = True
     for idx, probe in enumerate(fixture.probes):
         n_samples = count if probe.support_pattern is None and probe.covector_pattern is None \
             else max(200, count // 10)
-        points = sample_zero_level(
+        x, u = zero_level_arrays(
             spec,
             seed=_probe_seed(seed, idx),
             count=n_samples,
             support_pattern=probe.support_pattern,
             covector_pattern=probe.covector_pattern,
         )
+        tables = invariant_tables(x, u)
+        images = reduced_images(tables)
+        labels = orbit_labels(spec, support_masks(tables))
+        is_starred = np.isin(labels, list(starred))
+        piece, residual = locate_rows(fixture, images, band)
+        located = is_starred & (piece >= 0)
+
         failures: list[str] = []
-        max_j = 0.0
-        max_cosphere = 0.0
-        max_cone = 0.0
-        max_residual = 0.0
-        class_counts: dict[str, int] = {}
-        piece_counts: dict[str, int] = {}
-        k0_err = 0.0
-        for p in points:
-            max_j = max(max_j, float(np.max(np.abs(momentum(spec, p)))))
-            inv = invariants(p)
-            max_cosphere = max(max_cosphere, abs(inv.cosphere_sum() - 2.0))
-            max_cone = max(max_cone, float(np.max(_cone_rel_errors(inv))))
-            label = classify_point(spec, p)
-            class_counts[label] = class_counts.get(label, 0) + 1
-            if label not in starred:
-                failures.append(f"classified into unstarred type ({label})")
+        for i in np.flatnonzero(~located)[:MAX_REPORTED_FAILURES]:
+            if not is_starred[i]:
+                failures.append(f"classified into unstarred type ({labels[i]})")
                 continue
             try:
-                name, residual = check_reduced_membership(
-                    fixture, inv.hilbert_image(), band=band
-                )
+                check_reduced_membership(fixture, images[i], band=band)
             except phase.PhaseError as exc:
                 failures.append(str(exc))
-                continue
-            piece_counts[name] = piece_counts.get(name, 0) + 1
-            max_residual = max(max_residual, residual)
-            if fixture.k0_geometric:
-                xs = p.x.reshape(-1, 2)
-                t_planes = np.sum(xs * xs, axis=1)
-                base = np.zeros(3 * spec.n)
-                base[0::3] = t_planes
-                base[2::3] = -t_planes
-                k0 = k0_project(inv.hilbert_image(), fixture.k0_offsets)
-                k0_err = max(k0_err, float(np.max(np.abs(k0 - base))))
 
+        scale = np.maximum(1.0, tables[..., 0] ** 2)
+        max_j = _max(np.abs(momenta(spec, tables)))
+        max_cosphere = _max(np.abs(cosphere_sums(tables) - 2.0))
+        max_cone = _max(np.abs(cone_residuals(tables)) / scale)
+        max_residual = _max(residual[located])
+        class_counts = Counter(labels.tolist())
+        piece_counts = Counter(names[piece[located]].tolist())
+        k0_err = 0.0
+        if fixture.k0_geometric:
+            xs = x[located].reshape(-1, spec.n, 2)
+            t_planes = np.sum(xs * xs, axis=-1)
+            k0 = k0_project(images[located], fixture.k0_offsets)
+            base = np.zeros(k0.shape)
+            base[:, 0::3] = t_planes
+            base[:, 2::3] = -t_planes
+            k0_err = _max(np.abs(k0 - base))
+
+        n_points = len(x)
         expected = sum(piece_counts.get(name, 0) for name in probe.expect_pieces)
-        fraction = expected / len(points) if points else 0.0
+        fraction = expected / n_points if n_points else 0.0
         class_fraction = (
-            class_counts.get(probe.expect_class, 0) / len(points) if points else 0.0
+            class_counts.get(probe.expect_class, 0) / n_points if n_points else 0.0
         )
         checks = {
             "momentum_zero": max_j <= SUPPORT_TOL,
             "cosphere_sum": max_cosphere <= IDENTITY_TOL,
             "cone_identity": max_cone <= IDENTITY_TOL,
-            "classification_starred": not any("unstarred" in f for f in failures),
-            "membership_total": len(failures) == 0,
+            "classification_starred": bool(is_starred.all()),
+            "membership_total": bool(located.all()),
             "membership_residual": max_residual < band,
             "expected_pieces": fraction >= probe.min_fraction,
             "expected_class": class_fraction >= probe.min_fraction,
@@ -137,7 +143,7 @@ def verify_fixture(
         probe_reports.append(
             {
                 "name": probe.name,
-                "count": len(points),
+                "count": n_points,
                 "max_momentum": max_j,
                 "max_cosphere_error": max_cosphere,
                 "max_cone_rel_error": max_cone,
@@ -147,7 +153,7 @@ def verify_fixture(
                 "piece_counts": dict(sorted(piece_counts.items())),
                 "expected_fraction": fraction,
                 "checks": checks,
-                "failures": failures[:10],
+                "failures": failures,
                 "passed": passed,
             }
         )
@@ -190,18 +196,18 @@ def flow_checks(
     """Reeb-flow verification: closed form vs exact flow vs RK4, plus the
     seam-to-cosphere dynamical check at t = 0.5."""
     spec = fixture.spec
-    points = sample_zero_level(spec, seed=seed, count=starts)
+    x, u = zero_level_arrays(spec, seed=seed, count=starts)
+    tables = invariant_tables(x, u)
 
     closed_vs_exact = 0.0
-    for p in points:
-        inv0 = invariants(p)
-        for t in t_grid:
-            lhs = invariants(reeb.flow_exact(p, t)).table
-            rhs = reeb.flow_invariants_closed(inv0, t).table
-            closed_vs_exact = max(closed_vs_exact, float(np.max(np.abs(lhs - rhs))))
+    for t in t_grid:
+        lhs = invariant_tables(reeb.flowed_base(x, u, t), u)
+        rhs = reeb.flowed_tables(tables, t)
+        closed_vs_exact = max(closed_vs_exact, _max(np.abs(lhs - rhs)))
 
-    traj = reeb.flow_rk4(points[0], t_end=t_end, step=step)
-    endpoint = reeb.flow_exact(points[0], t_end)
+    start = phase.PhasePoint(x[0], u[0])
+    traj = reeb.flow_rk4(start, t_end=t_end, step=step)
+    endpoint = reeb.flow_exact(start, t_end)
     rk4_endpoint_err = max(
         float(np.max(np.abs(traj.xs[-1] - endpoint.x))),
         float(np.max(np.abs(traj.us[-1] - endpoint.u))),
@@ -215,26 +221,37 @@ def flow_checks(
     ]
     result = strata.cl_stratification(torus.build_isotropy_poset(spec))
     by_name = {s.name: s for s in result.cl_strata}
+    names = [p.name for p in fixture.pieces]
+    is_seam = np.array([name.startswith("Seam(") for name in names])
+    piece_stratum = np.array([stratum_of(name) for name in names], dtype=object)
+    expected_cc = np.array([
+        parent_cc_name(by_name[stratum_of(name)]) if seam else None
+        for name, seam in zip(names, is_seam)
+    ], dtype=object)
     for idx, probe in seam_probes:
-        seam_points = sample_zero_level(
+        sx, su = zero_level_arrays(
             spec,
             seed=_probe_seed(seed, idx) + 17,
             count=200,
             support_pattern=probe.support_pattern,
             covector_pattern=probe.covector_pattern,
         )
-        for p in seam_points:
-            start_piece, _ = check_reduced_membership(fixture, invariants(p))
-            start_stratum = by_name[stratum_of(start_piece)]
-            if not start_piece.startswith("Seam("):
-                continue
-            flowed = reeb.flow_exact(p, 0.5)
-            end_piece, _ = check_reduced_membership(fixture, invariants(flowed))
-            expected_cc = parent_cc_name(start_stratum)
-            if stratum_of(end_piece) != expected_cc:
-                seam_flow_failures.append(
-                    f"{start_piece} flowed to {end_piece}, expected {expected_cc}"
-                )
+        start_images = reduced_images(invariant_tables(sx, su))
+        end_images = reduced_images(invariant_tables(reeb.flowed_base(sx, su, 0.5), su))
+        start_piece, _ = locate_rows(fixture, start_images)
+        end_piece, _ = locate_rows(fixture, end_images)
+        from_seam = (start_piece >= 0) & is_seam[start_piece]
+        unlocated = np.flatnonzero((start_piece < 0) | (from_seam & (end_piece < 0)))
+        if unlocated.size:
+            # raise what the first unlocated row raises, start before end
+            check_reduced_membership(fixture, start_images[unlocated[0]])
+            check_reduced_membership(fixture, end_images[unlocated[0]])
+        wrong = from_seam & (piece_stratum[end_piece] != expected_cc[start_piece])
+        seam_flow_failures += [
+            f"{names[start_piece[i]]} flowed to {names[end_piece[i]]}, "
+            f"expected {expected_cc[start_piece[i]]}"
+            for i in np.flatnonzero(wrong)
+        ]
 
     checks = {
         "closed_form_matches_exact": closed_vs_exact <= IDENTITY_TOL,

@@ -142,53 +142,71 @@ def cmd_reduce(cfg: RunConfig) -> int:
 SNAP_BAND = 1e-4
 
 
-def _label_row(fixture: Fixture, inv, band: float) -> tuple[str, float]:
-    """Piece label for a CSV row, snapping shell-straddling points.
+def _label_rows(
+    fixture: Fixture, tables: np.ndarray, band: float
+) -> tuple[list[str], np.ndarray]:
+    """Piece label and residual per CSV row, snapping shell-straddling points.
 
     A trajectory step can land in the thin shell around a lower stratum
     where some defining equalities hold within the band but derived
-    quantities (cone cross terms) do not.  Such rows snap to the most
-    constrained piece matching at a coarser band instead of aborting the
-    export.  Verification paths use the strict checker, never this one.
+    quantities (cone cross terms) do not.  A row with no match at ``band``
+    takes the matches at the coarser ``SNAP_BAND`` instead of aborting the
+    export; of several matches the most constrained piece wins (ties by
+    name).  Verification paths use the strict checker, never this one.
     """
-    matches, _ = phase.membership_candidates(fixture, inv, band=band)
-    if len(matches) == 1:
-        return matches[0]
-    if not matches:
-        matches, _ = phase.membership_candidates(fixture, inv, band=SNAP_BAND)
-    if not matches:
-        return "(unresolved)", float("nan")
-    eq_count = {
-        p.name: sum(c.kind == "eq" for c in p.constraints) for p in fixture.pieces
-    }
-    matches.sort(key=lambda m: (-eq_count[m[0]], m[0]))
-    return matches[0]
+    images = phase.reduced_images(tables)
+    strict = phase.membership_table(fixture, images, band)
+    snapped = phase.membership_table(fixture, images, SNAP_BAND)
+    unmatched = ~strict.matched.any(axis=1, keepdims=True)
+    matched = np.where(unmatched, snapped.matched, strict.matched)
+    residual = np.where(unmatched, snapped.residual, strict.residual)
+    rank = sorted(
+        range(len(fixture.pieces)),
+        key=lambda p: (
+            -sum(c.kind == "eq" for c in fixture.pieces[p].constraints),
+            fixture.pieces[p].name,
+        ),
+    )
+    pick = np.array(rank)[np.argmax(matched[:, rank], axis=1)]
+    found = matched.any(axis=1)
+    names = [fixture.pieces[p].name if ok else "(unresolved)" for p, ok in zip(pick, found)]
+    rows = np.arange(len(pick))
+    return names, np.where(found, residual[rows, pick], np.nan)
 
 
-def _samples_csv(fixture: Fixture, seed: int, count: int, band: float) -> str:
-    spec = fixture.spec
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    header = (
+def _csv_rows(
+    fixture: Fixture, x: np.ndarray, u: np.ndarray, band: float
+) -> list[list[str]]:
+    """x, u, J, the invariant table, the piece label and its residual per row."""
+    tables = phase.invariant_tables(x, u)
+    names, residuals = _label_rows(fixture, tables, band)
+    numbers = np.concatenate(
+        [x, u, phase.momenta(fixture.spec, tables), tables.reshape(len(x), -1),
+         residuals[:, None]],
+        axis=1,
+    )
+    return [
+        [repr(v) for v in row[:-1]] + [name, repr(row[-1])]
+        for row, name in zip(numbers.tolist(), names)
+    ]
+
+
+def _csv_header(spec: TorusActionSpec) -> list[str]:
+    return (
         [f"x_{i+1}" for i in range(2 * spec.n)]
         + [f"u_{i+1}" for i in range(2 * spec.n)]
         + [f"J_{i+1}" for i in range(spec.k)]
         + [f"p{c}_{j+1}" for j in range(spec.n) for c in (1, 2, 3, 4)]
         + ["stratum", "residual"]
     )
-    writer.writerow(header)
-    points = phase.sample_zero_level(spec, seed=seed, count=count)
-    for p in points:
-        inv = phase.invariants(p)
-        name, residual = _label_row(fixture, inv, band)
-        row = (
-            [repr(float(v)) for v in p.x]
-            + [repr(float(v)) for v in p.u]
-            + [repr(float(v)) for v in phase.momentum(spec, p)]
-            + [repr(float(v)) for v in inv.table.reshape(-1)]
-            + [name, repr(float(residual))]
-        )
-        writer.writerow(row)
+
+
+def _samples_csv(fixture: Fixture, seed: int, count: int, band: float) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(_csv_header(fixture.spec))
+    x, u = phase.zero_level_arrays(fixture.spec, seed=seed, count=count)
+    writer.writerows(_csv_rows(fixture, x, u, band))
     return buf.getvalue()
 
 
@@ -244,32 +262,13 @@ def cmd_flow(cfg: RunConfig) -> int:
         point = phase.sample_zero_level(spec, seed=cfg.seed, count=1)[0]
 
     traj = reeb.flow_rk4(point, t_end=cfg.t_end, step=cfg.step)
-    tables = reeb.trajectory_invariants(traj)
-    weights = np.array(spec.weights, dtype=float)
-
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    header = (
-        ["t"]
-        + [f"x_{i+1}" for i in range(2 * spec.n)]
-        + [f"u_{i+1}" for i in range(2 * spec.n)]
-        + [f"J_{i+1}" for i in range(spec.k)]
-        + [f"p{c}_{j+1}" for j in range(spec.n) for c in (1, 2, 3, 4)]
-        + ["stratum", "residual"]
+    writer.writerow(["t"] + _csv_header(spec))
+    rows = _csv_rows(fixture, traj.xs, traj.us, cfg.tolerance)
+    writer.writerows(
+        [repr(t)] + row for t, row in zip(traj.times.tolist(), rows)
     )
-    writer.writerow(header)
-    for i in range(len(traj)):
-        inv = phase.InvariantVector(tables[i])
-        name, residual = _label_row(fixture, inv, cfg.tolerance)
-        j = weights @ inv.p4
-        writer.writerow(
-            [repr(float(traj.times[i]))]
-            + [repr(float(v)) for v in traj.xs[i]]
-            + [repr(float(v)) for v in traj.us[i]]
-            + [repr(float(v)) for v in j]
-            + [repr(float(v)) for v in tables[i].reshape(-1)]
-            + [name, repr(float(residual))]
-        )
     text = buf.getvalue()
 
     drift = reeb.conservation_report(traj)

@@ -34,13 +34,14 @@ class Poly:
     linear: tuple[tuple[float, int], ...] = ()
     quad: tuple[tuple[float, int, int], ...] = ()
 
-    def __call__(self, image: np.ndarray) -> float:
-        val = self.const
+    def __call__(self, image: np.ndarray) -> float | np.ndarray:
+        """Value at one flattened image, or per row of (N, 3n) images."""
+        val = np.full(np.shape(image)[:-1], self.const)
         for c, i in self.linear:
-            val += c * image[i]
+            val += c * image[..., i]
         for c, i, j in self.quad:
-            val += c * image[i] * image[j]
-        return float(val)
+            val += c * image[..., i] * image[..., j]
+        return float(val) if val.ndim == 0 else val
 
 
 @dataclass(frozen=True)

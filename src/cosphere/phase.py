@@ -12,19 +12,27 @@ weight matrix A is J_i = sum_j A[i][j] p4_j.  On the zero level the
 reduced-space coordinates drop the momentum components, keeping
 (p1, p2, p3) per plane in plane order.
 
+Everything is computed on arrays: ``x`` and ``u`` of shape (N, 2n), one
+point per row, give invariant tables of shape (N, n, 4) and reduced images
+of shape (N, 3n).  The per-point functions (:func:`invariants`,
+:func:`momentum`, :func:`classify_point`, :func:`membership_candidates`,
+...) are the same code applied to one point.
+
 The zero-level sampler solves J = 0 exactly in the covector: for fixed x
-the momentum is linear, J = M(x) u, so covectors are drawn inside an
-orthonormal kernel basis of M(x).  Singular strata are reached by forcing
-exact zeros through support patterns, never by thresholding noise.
+the momentum is linear, J = M(x) u, so a Gaussian covector is projected
+onto an orthonormal basis of ker M(x), taken from one batched SVD.  One
+call draws all its base points and covectors as one row-major block from
+one generator seeded with ``seed``, so sample i depends only on
+(seed, i), not on the count.  Singular strata are reached by forcing exact
+zeros through support patterns, never by thresholding noise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.linalg import null_space
 
 from .torus import TorusActionSpec, stabilizer_of_support
 
@@ -32,6 +40,7 @@ SUPPORT_TOL = 1e-10
 IDENTITY_TOL = 1e-9
 MEMBERSHIP_BAND = 1e-8
 UNIT_TOL = 1e-12
+MIN_COVECTOR_NORM = 1e-8
 
 
 class PhaseError(ValueError):
@@ -93,10 +102,6 @@ class PhasePoint:
     def n(self) -> int:
         return self.x.size // 2
 
-    def planes(self) -> tuple[np.ndarray, np.ndarray]:
-        """(x, u) reshaped to (n, 2): one row per plane."""
-        return self.x.reshape(-1, 2), self.u.reshape(-1, 2)
-
 
 @dataclass(frozen=True, eq=False)
 class InvariantVector:
@@ -133,37 +138,68 @@ class InvariantVector:
 
     def hilbert_image(self) -> np.ndarray:
         """(p1, p2, p3) per plane, flattened in plane order."""
-        return self.table[:, :3].reshape(-1).copy()
+        return reduced_images(self.table).copy()
 
     def cone_residuals(self) -> np.ndarray:
         """Per-plane residual of p1^2 - p2^2 - p3^2 - 4 p4^2 (an identity)."""
-        return self.p1**2 - self.p2**2 - self.p3**2 - 4.0 * self.p4**2
+        return cone_residuals(self.table)
 
     def cosphere_sum(self) -> float:
         """sum of (p1 + p3) over planes; equals 2 on the unit cosphere."""
-        return float(np.sum(self.p1 + self.p3))
+        return float(cosphere_sums(self.table))
+
+
+def _planes(v: np.ndarray) -> np.ndarray:
+    """(..., 2n) coordinates as (..., n, 2): one row per plane."""
+    v = np.asarray(v, dtype=float)
+    return v.reshape(v.shape[:-1] + (-1, 2))
+
+
+def invariant_tables(x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Invariant tables (..., n, 4) of one point (2n,) or of (N, 2n) rows."""
+    xs, us = _planes(x), _planes(u)
+    xx = np.sum(xs * xs, axis=-1)
+    uu = np.sum(us * us, axis=-1)
+    return np.stack([
+        xx + uu,
+        2.0 * np.sum(xs * us, axis=-1),
+        uu - xx,
+        xs[..., 0] * us[..., 1] - xs[..., 1] * us[..., 0],
+    ], axis=-1)
+
+
+def reduced_images(tables: np.ndarray) -> np.ndarray:
+    """(p1, p2, p3) per plane of (..., n, 4) tables, flattened to (..., 3n)."""
+    return tables[..., :3].reshape(tables.shape[:-2] + (-1,))
+
+
+def cone_residuals(tables: np.ndarray) -> np.ndarray:
+    """p1^2 - p2^2 - p3^2 - 4 p4^2 per plane of (..., n, 4) tables."""
+    p1, p2, p3, p4 = np.moveaxis(tables, -1, 0)
+    return p1**2 - p2**2 - p3**2 - 4.0 * p4**2
+
+
+def cosphere_sums(tables: np.ndarray) -> np.ndarray:
+    """Sum of p1 + p3 over the planes of (..., n, 4) tables."""
+    return np.sum(tables[..., 0] + tables[..., 2], axis=-1)
 
 
 def invariants(point: PhasePoint) -> InvariantVector:
     """The per-plane Hilbert generators of the phase point."""
-    xs, us = point.planes()
-    xx = np.sum(xs * xs, axis=1)
-    uu = np.sum(us * us, axis=1)
-    table = np.column_stack([
-        xx + uu,
-        2.0 * np.sum(xs * us, axis=1),
-        uu - xx,
-        xs[:, 0] * us[:, 1] - xs[:, 1] * us[:, 0],
-    ])
-    return InvariantVector(table)
+    return InvariantVector(invariant_tables(point.x, point.u))
+
+
+def momenta(spec: TorusActionSpec, tables: np.ndarray) -> np.ndarray:
+    """J = A p4 of (..., n, 4) invariant tables, shape (..., k)."""
+    weights = np.array(spec.weights, dtype=float)
+    return (weights @ tables[..., 3, None])[..., 0]
 
 
 def momentum(spec: TorusActionSpec, point: PhasePoint) -> np.ndarray:
     """The contact momentum J(x, u) = A p4 of the lifted action."""
     if point.n != spec.n:
         raise PhaseError(f"point has {point.n} planes, spec has {spec.n}")
-    weights = np.array(spec.weights, dtype=float)
-    return weights @ invariants(point).p4
+    return momenta(spec, invariants(point).table)
 
 
 def hilbert_map(
@@ -181,27 +217,47 @@ def hilbert_map(
     return invariants(point).hilbert_image()
 
 
+def support_masks(tables: np.ndarray, tol: float = SUPPORT_TOL) -> np.ndarray:
+    """(..., n) mask of the planes where (x_j, u_j) is nonzero beyond ``tol``,
+    read off (..., n, 4) invariant tables: |(x_j, u_j)| = sqrt(p1_j)."""
+    return np.sqrt(tables[..., 0]) > tol
+
+
 def support_of(point: PhasePoint, tol: float = SUPPORT_TOL) -> tuple[int, ...]:
     """Planes where (x_j, u_j) is nonzero beyond ``tol``."""
-    xs, us = point.planes()
-    mass = np.sqrt(np.sum(xs * xs, axis=1) + np.sum(us * us, axis=1))
-    return tuple(int(j) for j in np.nonzero(mass > tol)[0])
+    return tuple(int(j) for j in np.flatnonzero(support_masks(invariants(point).table, tol)))
+
+
+def orbit_labels(spec: TorusActionSpec, masks: np.ndarray) -> np.ndarray:
+    """Orbit-type label of each (N, n) support row, as an object array.
+
+    The stabilizer is looked up once per distinct support.
+    """
+    rows, inverse = np.unique(masks, axis=0, return_inverse=True)
+    labels = np.array(
+        [stabilizer_of_support(spec, np.flatnonzero(r)).label for r in rows],
+        dtype=object,
+    )
+    return labels[inverse.reshape(-1)]
 
 
 def classify_point(
     spec: TorusActionSpec, point: PhasePoint, tol: float = SUPPORT_TOL
 ) -> str:
     """Orbit-type label of the point in the lifted action."""
-    return stabilizer_of_support(spec, support_of(point, tol)).label
+    return orbit_labels(spec, support_masks(invariants(point).table, tol)[None, :])[0]
 
 
 def momentum_matrix(spec: TorusActionSpec, x: np.ndarray) -> np.ndarray:
-    """The k x 2n matrix M(x) with J(x, u) = M(x) u (momentum is linear in u)."""
+    """The k x 2n matrix M(x) with J(x, u) = M(x) u (momentum is linear in u).
+
+    For (N, 2n) rows of base points the result has shape (N, k, 2n).
+    """
     weights = np.array(spec.weights, dtype=float)
-    m = np.zeros((spec.k, 2 * spec.n))
-    xs = np.asarray(x, dtype=float).reshape(-1, 2)
-    m[:, 0::2] = -weights * xs[:, 1]
-    m[:, 1::2] = weights * xs[:, 0]
+    xs = _planes(x)
+    m = np.zeros(xs.shape[:-2] + (spec.k, 2 * spec.n))
+    m[..., 0::2] = -weights * xs[..., None, :, 1]
+    m[..., 1::2] = weights * xs[..., None, :, 0]
     return m
 
 
@@ -212,6 +268,71 @@ def _as_plane_set(pattern: Iterable[int] | None, n: int) -> tuple[int, ...]:
     if any(j < 0 or j >= n for j in planes):
         raise PhaseError(f"support pattern {planes} outside 0..{n - 1}")
     return planes
+
+
+def _plane_columns(planes: tuple[int, ...]) -> np.ndarray:
+    return np.array([c for j in planes for c in (2 * j, 2 * j + 1)], dtype=int)
+
+
+def _zero_level_rows(
+    spec: TorusActionSpec, xcols: np.ndarray, ucols: np.ndarray, draws: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Zero-level points from (N, |xcols| + |ucols|) standard normal draws.
+
+    The first columns of a row are the base coordinates on ``xcols``, the
+    rest a Gaussian covector on ``ucols``, projected onto ker M(x)
+    restricted to ``ucols``.  Returns (x, u, ok); rows whose projection is
+    shorter than ``MIN_COVECTOR_NORM`` have ok false and must be redrawn.
+    """
+    x = np.zeros((len(draws), 2 * spec.n))
+    x[:, xcols] = draws[:, : xcols.size]
+    g = draws[:, xcols.size :]
+    m = momentum_matrix(spec, x)[:, :, ucols]
+    _, s, vt = np.linalg.svd(m)
+    # numerical rank: singular values above max(k, |ucols|) * eps times
+    # the largest one
+    cut = max(m.shape[1:]) * np.finfo(float).eps * s[:, :1]
+    rank = np.sum(s > cut, axis=1)
+    in_kernel = np.arange(ucols.size) >= rank[:, None]
+    coeff = np.where(in_kernel, (vt @ g[:, :, None])[:, :, 0], 0.0)
+    u_active = (coeff[:, None, :] @ vt)[:, 0, :]
+    norm = np.linalg.norm(u_active, axis=1)
+    ok = norm >= MIN_COVECTOR_NORM
+    u = np.zeros_like(x)
+    u[:, ucols] = u_active / np.where(ok, norm, 1.0)[:, None]
+    return x, u, ok
+
+
+def zero_level_arrays(
+    spec: TorusActionSpec,
+    seed: int,
+    count: int,
+    support_pattern: Iterable[int] | None = None,
+    covector_pattern: Iterable[int] | None = None,
+    max_retries: int = 64,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The points of :func:`sample_zero_level` as (count, 2n) arrays (x, u)."""
+    xcols = _plane_columns(_as_plane_set(support_pattern, spec.n))
+    ucols = _plane_columns(_as_plane_set(covector_pattern, spec.n))
+    if not ucols.size:
+        raise EmptyKernelError("empty covector pattern leaves no unit covector")
+    width = xcols.size + ucols.size
+    block = np.random.default_rng(int(seed)).standard_normal((int(count), width))
+    x, u, ok = _zero_level_rows(spec, xcols, ucols, block)
+    for index in np.flatnonzero(~ok):
+        for attempt in range(1, max_retries):
+            redraw = np.random.default_rng([int(seed), int(index), attempt])
+            rx, ru, rok = _zero_level_rows(
+                spec, xcols, ucols, redraw.standard_normal((1, width))
+            )
+            if rok[0]:
+                x[index], u[index] = rx[0], ru[0]
+                break
+        else:
+            raise RetriesExhaustedError(
+                f"no admissible covector after {max_retries} draws for sample {index}"
+            )
+    return x, u
 
 
 def sample_zero_level(
@@ -225,44 +346,78 @@ def sample_zero_level(
     """Draw exact zero-level cosphere points, deterministically from the seed.
 
     Base coordinates are Gaussian on the planes of ``support_pattern`` and
-    exactly zero elsewhere; the covector is drawn in an orthonormal basis
-    of ker M(x) restricted to ``covector_pattern`` planes, then normalized,
-    so |J| vanishes to machine precision.  Each sample depends only on
-    (seed, index), so batches can be evaluated concurrently and merged in
-    index order.
+    exactly zero elsewhere; the covector is a Gaussian on the
+    ``covector_pattern`` planes projected onto an orthonormal basis of
+    ker M(x) restricted to those planes, then normalized, so |J| vanishes
+    to machine precision.  All draws of one call come as one row-major
+    block from ``default_rng(seed)``, one row per sample, so sample i is
+    the same for every ``count`` above i.  A row whose projected covector
+    is shorter than 1e-8 is redrawn from ``default_rng([seed, i, attempt])``
+    for attempt = 1, 2, ...; after ``max_retries`` draws in all,
+    :class:`RetriesExhaustedError` is raised.
     """
-    xp = _as_plane_set(support_pattern, spec.n)
-    up = _as_plane_set(covector_pattern, spec.n)
-    if not up:
-        raise EmptyKernelError("empty covector pattern leaves no unit covector")
-    ucols = np.array([c for j in up for c in (2 * j, 2 * j + 1)], dtype=int)
+    x, u = zero_level_arrays(
+        spec, seed, count, support_pattern, covector_pattern, max_retries
+    )
+    return [PhasePoint(xi, ui) for xi, ui in zip(x, u)]
 
-    out: list[PhasePoint] = []
-    for index in range(count):
-        rng = np.random.default_rng([int(seed), int(index)])
-        point: PhasePoint | None = None
-        for _ in range(max_retries):
-            x = np.zeros(2 * spec.n)
-            for j in xp:
-                x[2 * j : 2 * j + 2] = rng.normal(size=2)
-            kernel = null_space(momentum_matrix(spec, x)[:, ucols])
-            if kernel.shape[1] == 0:
-                continue
-            coeff = rng.normal(size=kernel.shape[1])
-            u_active = kernel @ coeff
-            norm = float(np.linalg.norm(u_active))
-            if norm < 1e-8:
-                continue
-            u = np.zeros(2 * spec.n)
-            u[ucols] = u_active / norm
-            point = PhasePoint(x, u)
-            break
-        if point is None:
-            raise RetriesExhaustedError(
-                f"no admissible covector after {max_retries} draws for sample {index}"
-            )
-        out.append(point)
-    return out
+
+class MembershipTable(NamedTuple):
+    """Membership of N reduced images in the P pieces of a fixture."""
+
+    matched: np.ndarray   # (N, P) bool: every constraint of the piece holds
+    residual: np.ndarray  # (N, P) worst equality residual
+    violated: np.ndarray  # (N, P) index of the first violated constraint, -1 if none
+    value: np.ndarray     # (N, P) its value (absolute for an equality)
+
+
+def membership_table(
+    fixture, images: np.ndarray, band: float = MEMBERSHIP_BAND
+) -> MembershipTable:
+    """Every constraint of every piece evaluated on (N, 3n) reduced images.
+
+    Equalities accept residuals up to ``band``; strict inequalities and
+    disequalities demand clearance beyond the same band.
+    """
+    images = np.asarray(images, dtype=float)
+    shape = (images.shape[0], len(fixture.pieces))
+    residual = np.zeros(shape)
+    violated = np.full(shape, -1)
+    value = np.zeros(shape)
+    for p, piece in enumerate(fixture.pieces):
+        for i, c in enumerate(piece.constraints):
+            val = c.poly(images)
+            if c.kind == "eq":
+                val = np.abs(val)
+                fails = val > band
+                residual[:, p] = np.fmax(residual[:, p], val)
+            elif c.kind == "gt":
+                fails = val <= band
+            elif c.kind == "lt":
+                fails = val >= -band
+            elif c.kind == "ne":
+                fails = np.abs(val) <= band
+            else:
+                raise PhaseError(f"unknown constraint kind {c.kind!r}")
+            first = fails & (violated[:, p] < 0)
+            violated[first, p] = i
+            value[first, p] = val[first]
+    return MembershipTable(violated < 0, residual, violated, value)
+
+
+def locate_rows(
+    fixture, images: np.ndarray, band: float = MEMBERSHIP_BAND
+) -> tuple[np.ndarray, np.ndarray]:
+    """Index of the one matching piece per image row (-1 for zero or several
+    matches) and that piece's worst equality residual.
+
+    :func:`check_reduced_membership` on a row marked -1 raises the error
+    that explains it.
+    """
+    table = membership_table(fixture, images, band)
+    piece = np.where(table.matched.sum(axis=1) == 1, table.matched.argmax(axis=1), -1)
+    rows = np.arange(piece.size)
+    return piece, np.where(piece >= 0, table.residual[rows, piece], 0.0)
 
 
 def membership_candidates(
@@ -271,47 +426,20 @@ def membership_candidates(
     """All pieces matching the image at the given band.
 
     Returns (matches, near_misses): matches as (piece name, worst equality
-    residual), near misses as (piece name, violated constraint, value).
+    residual), near misses as (piece name, first violated constraint,
+    value).
     """
     if isinstance(image, InvariantVector):
         image = image.hilbert_image()
-    image = np.asarray(image, dtype=float)
-
+    table = membership_table(fixture, np.asarray(image, dtype=float)[None, :], band)
     matches: list[tuple[str, float]] = []
     near_misses: list[tuple[str, str, float]] = []
-    for piece in fixture.pieces:
-        ok = True
-        residual = 0.0
-        worst: tuple[str, float] | None = None
-        for c in piece.constraints:
-            val = c.poly(image)
-            if c.kind == "eq":
-                if abs(val) > band:
-                    ok = False
-                    worst = (c.text, abs(val))
-                    break
-                residual = max(residual, abs(val))
-            elif c.kind == "gt":
-                if val <= band:
-                    ok = False
-                    worst = (c.text, val)
-                    break
-            elif c.kind == "lt":
-                if val >= -band:
-                    ok = False
-                    worst = (c.text, val)
-                    break
-            elif c.kind == "ne":
-                if abs(val) <= band:
-                    ok = False
-                    worst = (c.text, val)
-                    break
-            else:
-                raise PhaseError(f"unknown constraint kind {c.kind!r}")
-        if ok:
-            matches.append((piece.name, residual))
-        elif worst is not None:
-            near_misses.append((piece.name, worst[0], worst[1]))
+    for p, piece in enumerate(fixture.pieces):
+        if table.matched[0, p]:
+            matches.append((piece.name, float(table.residual[0, p])))
+        else:
+            text = piece.constraints[table.violated[0, p]].text
+            near_misses.append((piece.name, text, float(table.value[0, p])))
     return matches, near_misses
 
 
@@ -345,20 +473,20 @@ def k0_project(
     Per plane j the image is (p1_j - c_j, 0, c_j - p1_j) where c_j is the
     plane's covector-mass offset, 1 by default (the value for which the
     example charts split the cosphere constraint evenly).  Accepts an
-    invariant table or a flattened reduced image.
+    invariant table, a flattened reduced image, or (N, 3n) rows of them.
     """
     if isinstance(inv, InvariantVector):
         p1 = np.array(inv.p1, dtype=float)
     else:
         arr = np.asarray(inv, dtype=float)
-        if arr.ndim != 1 or arr.size % 3:
+        if arr.ndim not in (1, 2) or arr.shape[-1] % 3:
             raise PhaseError("expected a flattened (p1, p2, p3)-per-plane image")
-        p1 = arr[0::3].copy()
-    n = p1.size
+        p1 = arr[..., 0::3].copy()
+    n = p1.shape[-1]
     c = np.ones(n) if offsets is None else np.asarray(offsets, dtype=float)
     if c.shape != (n,):
         raise PhaseError(f"need one offset per plane, got shape {c.shape}")
-    out = np.zeros(3 * n)
-    out[0::3] = p1 - c
-    out[2::3] = c - p1
+    out = np.zeros(p1.shape[:-1] + (3 * n,))
+    out[..., 0::3] = p1 - c
+    out[..., 2::3] = c - p1
     return out

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .phase import InvariantVector, PhasePoint, invariants
+from .phase import InvariantVector, PhasePoint, invariant_tables
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,22 +54,32 @@ class Trajectory:
         return int(self.times.size)
 
 
+def flowed_base(x: np.ndarray, u: np.ndarray, t: float) -> np.ndarray:
+    """Base points after the exact time-t flow, of one point or (N, 2n) rows."""
+    return x + float(t) * u
+
+
 def flow_exact(point: PhasePoint, t: float) -> PhasePoint:
     """Exact time-t Reeb flow: a straight line in the base."""
-    return PhasePoint(point.x + float(t) * point.u, point.u)
+    return PhasePoint(flowed_base(point.x, point.u, t), point.u)
+
+
+def flowed_tables(tables: np.ndarray, t: float) -> np.ndarray:
+    """Closed-form invariants after time t of (..., n, 4) invariant tables."""
+    t = float(t)
+    p1, p2, p3, p4 = np.moveaxis(tables, -1, 0)
+    w = 0.5 * (p1 + p3)
+    return np.stack([
+        p1 + p2 * t + w * t * t,
+        p2 + 2.0 * w * t,
+        p3 - p2 * t - w * t * t,
+        p4,
+    ], axis=-1)
 
 
 def flow_invariants_closed(inv: InvariantVector, t: float) -> InvariantVector:
     """Closed-form invariants of the flowed point (exact, per plane)."""
-    t = float(t)
-    w = 0.5 * (inv.p1 + inv.p3)
-    table = np.column_stack([
-        inv.p1 + inv.p2 * t + w * t * t,
-        inv.p2 + 2.0 * w * t,
-        inv.p3 - inv.p2 * t - w * t * t,
-        inv.p4.copy(),
-    ])
-    return InvariantVector(table)
+    return InvariantVector(flowed_tables(inv.table, t))
 
 
 def flow_rk4(point: PhasePoint, t_end: float, step: float) -> Trajectory:
@@ -111,10 +121,7 @@ def flow_rk4(point: PhasePoint, t_end: float, step: float) -> Trajectory:
 
 def trajectory_invariants(traj: Trajectory) -> np.ndarray:
     """Invariant tables along the trajectory, shape (len, n, 4)."""
-    out = np.empty((len(traj), traj.xs.shape[1] // 2, 4))
-    for i in range(len(traj)):
-        out[i] = invariants(traj.point(i)).table
-    return out
+    return invariant_tables(traj.xs, traj.us)
 
 
 def conservation_report(traj: Trajectory) -> dict[str, float]:

@@ -28,7 +28,7 @@ from enum import Enum
 from .poset import (
     IsotropyPoset,
     NoUniqueMinimumError,
-    hasse_edges,
+    _covering_pairs,
     principal_type,
     transitive_closure,
     validate,
@@ -321,7 +321,7 @@ def cl_stratification(
         cl_strata=tuple(sorted(pieces, key=lambda s: (-s.dim, s.name))),
         contact_strata=_contact_strata(poset, starred),
         frontier=closed,
-        hasse=tuple(sorted(hasse_edges(closed))),
+        hasse=tuple(sorted(_covering_pairs(closed))),
         closure_only=frozenset(closed - generated),
         starred=tuple(sorted(starred)),
         total_types=len(poset.types),

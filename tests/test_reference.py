@@ -1,0 +1,407 @@
+"""The array pipeline against the per-point loop it replaced.
+
+The functions below are the per-point implementations of invariants,
+momentum, classification, membership, CSV row labelling and the two
+batteries as they stood before the zero level was computed on arrays.
+They are kept here as the reference: on the same sampled points the array
+code must give bitwise-equal tables, the same labels, piece counts and
+residuals, and the same failure texts.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from cosphere import checks, cli, phase, reeb, strata, torus
+from cosphere.fixtures import get_fixture, stratum_of, t2_on_r4
+from cosphere.phase import (
+    IDENTITY_TOL,
+    MEMBERSHIP_BAND,
+    SUPPORT_TOL,
+    PhaseError,
+    PhasePoint,
+    sample_zero_level,
+)
+
+FIXTURES = ("s1-on-r2", "t2-on-r4")
+
+
+# ------------------------------------------------------ per-point reference
+
+def ref_table(p: PhasePoint) -> np.ndarray:
+    xs, us = p.x.reshape(-1, 2), p.u.reshape(-1, 2)
+    xx = np.sum(xs * xs, axis=1)
+    uu = np.sum(us * us, axis=1)
+    return np.column_stack([
+        xx + uu,
+        2.0 * np.sum(xs * us, axis=1),
+        uu - xx,
+        xs[:, 0] * us[:, 1] - xs[:, 1] * us[:, 0],
+    ])
+
+
+def ref_momentum(spec, p: PhasePoint) -> np.ndarray:
+    return np.array(spec.weights, dtype=float) @ ref_table(p)[:, 3]
+
+
+def ref_classify(spec, p: PhasePoint, tol: float = SUPPORT_TOL) -> str:
+    xs, us = p.x.reshape(-1, 2), p.u.reshape(-1, 2)
+    mass = np.sqrt(np.sum(xs * xs, axis=1) + np.sum(us * us, axis=1))
+    support = tuple(int(j) for j in np.nonzero(mass > tol)[0])
+    return torus.stabilizer_of_support(spec, support).label
+
+
+def ref_image(table: np.ndarray) -> np.ndarray:
+    return table[:, :3].reshape(-1).copy()
+
+
+def ref_poly(poly, image: np.ndarray) -> float:
+    val = poly.const
+    for c, i in poly.linear:
+        val += c * image[i]
+    for c, i, j in poly.quad:
+        val += c * image[i] * image[j]
+    return float(val)
+
+
+def ref_candidates(fixture, image: np.ndarray, band: float = MEMBERSHIP_BAND):
+    matches, near_misses = [], []
+    for piece in fixture.pieces:
+        ok = True
+        residual = 0.0
+        worst = None
+        for c in piece.constraints:
+            val = ref_poly(c.poly, image)
+            if c.kind == "eq":
+                if abs(val) > band:
+                    ok = False
+                    worst = (c.text, abs(val))
+                    break
+                residual = max(residual, abs(val))
+            elif c.kind == "gt":
+                if val <= band:
+                    ok = False
+                    worst = (c.text, val)
+                    break
+            elif c.kind == "lt":
+                if val >= -band:
+                    ok = False
+                    worst = (c.text, val)
+                    break
+            elif c.kind == "ne":
+                if abs(val) <= band:
+                    ok = False
+                    worst = (c.text, val)
+                    break
+        if ok:
+            matches.append((piece.name, residual))
+        else:
+            near_misses.append((piece.name, worst[0], worst[1]))
+    return matches, near_misses
+
+
+def ref_check(fixture, image: np.ndarray, band: float = MEMBERSHIP_BAND):
+    matches, near_misses = ref_candidates(fixture, image, band)
+    if not matches:
+        detail = "; ".join(f"{n}: {t} = {v:.3e}" for n, t, v in near_misses[:4])
+        raise phase.NoMatchingStratumError(f"no stratum matches the image ({detail})")
+    if len(matches) > 1:
+        raise phase.AmbiguousMembershipError(
+            f"image matches {[m[0] for m in matches]}: pieces are not disjoint"
+        )
+    return matches[0]
+
+
+def ref_label_row(fixture, table: np.ndarray, band: float):
+    image = ref_image(table)
+    matches, _ = ref_candidates(fixture, image, band)
+    if len(matches) == 1:
+        return matches[0]
+    if not matches:
+        matches, _ = ref_candidates(fixture, image, cli.SNAP_BAND)
+    if not matches:
+        return "(unresolved)", float("nan")
+    eq_count = {
+        p.name: sum(c.kind == "eq" for c in p.constraints) for p in fixture.pieces
+    }
+    matches.sort(key=lambda m: (-eq_count[m[0]], m[0]))
+    return matches[0]
+
+
+def ref_verify(fixture, seed: int, count: int, band: float = MEMBERSHIP_BAND) -> dict:
+    spec = fixture.spec
+    poset = torus.build_isotropy_poset(spec)
+    starred = strata.starred_lattice(poset)
+    result = strata.cl_stratification(poset)
+    principal_cc = strata.cc_name(strata.principal_type(poset).label)
+    probe_reports = []
+    all_passed = True
+    for idx, probe in enumerate(fixture.probes):
+        n_samples = count if probe.support_pattern is None and probe.covector_pattern is None \
+            else max(200, count // 10)
+        points = sample_zero_level(
+            spec,
+            seed=checks._probe_seed(seed, idx),
+            count=n_samples,
+            support_pattern=probe.support_pattern,
+            covector_pattern=probe.covector_pattern,
+        )
+        failures = []
+        max_j = max_cosphere = max_cone = max_residual = k0_err = 0.0
+        class_counts, piece_counts = {}, {}
+        for p in points:
+            max_j = max(max_j, float(np.max(np.abs(ref_momentum(spec, p)))))
+            table = ref_table(p)
+            p1, p2, p3, p4 = table.T
+            max_cosphere = max(max_cosphere, abs(float(np.sum(p1 + p3)) - 2.0))
+            cone = np.abs(p1**2 - p2**2 - p3**2 - 4.0 * p4**2) / np.maximum(1.0, p1**2)
+            max_cone = max(max_cone, float(np.max(cone)))
+            label = ref_classify(spec, p)
+            class_counts[label] = class_counts.get(label, 0) + 1
+            if label not in starred:
+                failures.append(f"classified into unstarred type ({label})")
+                continue
+            try:
+                name, residual = ref_check(fixture, ref_image(table), band=band)
+            except PhaseError as exc:
+                failures.append(str(exc))
+                continue
+            piece_counts[name] = piece_counts.get(name, 0) + 1
+            max_residual = max(max_residual, residual)
+            if fixture.k0_geometric:
+                xs = p.x.reshape(-1, 2)
+                t_planes = np.sum(xs * xs, axis=1)
+                base = np.zeros(3 * spec.n)
+                base[0::3] = t_planes
+                base[2::3] = -t_planes
+                c = np.asarray(fixture.k0_offsets, dtype=float)
+                k0 = np.zeros(3 * spec.n)
+                k0[0::3] = p1 - c
+                k0[2::3] = c - p1
+                k0_err = max(k0_err, float(np.max(np.abs(k0 - base))))
+        expected = sum(piece_counts.get(name, 0) for name in probe.expect_pieces)
+        fraction = expected / len(points) if points else 0.0
+        class_fraction = (
+            class_counts.get(probe.expect_class, 0) / len(points) if points else 0.0
+        )
+        report_checks = {
+            "momentum_zero": max_j <= SUPPORT_TOL,
+            "cosphere_sum": max_cosphere <= IDENTITY_TOL,
+            "cone_identity": max_cone <= IDENTITY_TOL,
+            "classification_starred": not any("unstarred" in f for f in failures),
+            "membership_total": len(failures) == 0,
+            "membership_residual": max_residual < band,
+            "expected_pieces": fraction >= probe.min_fraction,
+            "expected_class": class_fraction >= probe.min_fraction,
+        }
+        if fixture.k0_geometric:
+            report_checks["k0_geometric"] = k0_err <= IDENTITY_TOL
+        passed = all(report_checks.values())
+        all_passed = all_passed and passed
+        probe_reports.append({
+            "name": probe.name,
+            "count": len(points),
+            "max_momentum": max_j,
+            "max_cosphere_error": max_cosphere,
+            "max_cone_rel_error": max_cone,
+            "max_membership_residual": max_residual,
+            "k0_max_error": k0_err if fixture.k0_geometric else None,
+            "class_counts": dict(sorted(class_counts.items())),
+            "piece_counts": dict(sorted(piece_counts.items())),
+            "expected_fraction": fraction,
+            "checks": report_checks,
+            "failures": failures[:10],
+            "passed": passed,
+        })
+    generic = probe_reports[0]
+    principal_fraction = sum(
+        v for k, v in generic["piece_counts"].items() if stratum_of(k) == principal_cc
+    ) / generic["count"]
+    principal_ok = principal_fraction >= 0.99
+    return {
+        "fixture": fixture.name,
+        "seed": seed,
+        "count": count,
+        "band": band,
+        "starred": sorted(starred),
+        "pieces": sorted(p.name for p in fixture.pieces),
+        "cl_strata": sorted(s.name for s in result.cl_strata),
+        "principal_cc": principal_cc,
+        "principal_fraction": principal_fraction,
+        "principal_fraction_ok": principal_ok,
+        "probes": probe_reports,
+        "passed": all_passed and principal_ok,
+    }
+
+
+def ref_flow_checks(fixture, seed: int, starts: int) -> dict:
+    spec = fixture.spec
+    points = sample_zero_level(spec, seed=seed, count=starts)
+    closed_vs_exact = 0.0
+    for p in points:
+        table = ref_table(p)
+        p1, p2, p3, p4 = table.T
+        w = 0.5 * (p1 + p3)
+        for t in (0.1, 0.5, 1.0, 2.0):
+            lhs = ref_table(PhasePoint(p.x + t * p.u, p.u))
+            rhs = np.column_stack([
+                p1 + p2 * t + w * t * t, p2 + 2.0 * w * t, p3 - p2 * t - w * t * t, p4,
+            ])
+            closed_vs_exact = max(closed_vs_exact, float(np.max(np.abs(lhs - rhs))))
+    traj = reeb.flow_rk4(points[0], t_end=2.0, step=1e-3)
+    endpoint = reeb.flow_exact(points[0], 2.0)
+    rk4_endpoint_err = max(
+        float(np.max(np.abs(traj.xs[-1] - endpoint.x))),
+        float(np.max(np.abs(traj.us[-1] - endpoint.u))),
+    )
+    tables = np.array([ref_table(traj.point(i)) for i in range(len(traj))])
+    p4, mass = tables[:, :, 3], tables[:, :, 0] + tables[:, :, 2]
+    drift = {
+        "p4_drift": float(np.max(np.abs(p4 - p4[0]))),
+        "plane_mass_drift": float(np.max(np.abs(mass - mass[0]))),
+        "cosphere_sum_drift": float(np.max(np.abs(mass.sum(axis=1) - 2.0))),
+    }
+    failures = []
+    by_name = {
+        s.name: s for s in strata.cl_stratification(torus.build_isotropy_poset(spec)).cl_strata
+    }
+    for idx, probe in enumerate(fixture.probes):
+        if not all(name.startswith("Seam(") for name in probe.expect_pieces):
+            continue
+        for p in sample_zero_level(
+            spec,
+            seed=checks._probe_seed(seed, idx) + 17,
+            count=200,
+            support_pattern=probe.support_pattern,
+            covector_pattern=probe.covector_pattern,
+        ):
+            start_piece, _ = ref_check(fixture, ref_image(ref_table(p)))
+            start_stratum = by_name[stratum_of(start_piece)]
+            if not start_piece.startswith("Seam("):
+                continue
+            end_piece, _ = ref_check(
+                fixture, ref_image(ref_table(PhasePoint(p.x + 0.5 * p.u, p.u)))
+            )
+            expected_cc = checks.parent_cc_name(start_stratum)
+            if stratum_of(end_piece) != expected_cc:
+                failures.append(f"{start_piece} flowed to {end_piece}, expected {expected_cc}")
+    report_checks = {
+        "closed_form_matches_exact": closed_vs_exact <= IDENTITY_TOL,
+        "rk4_endpoint": rk4_endpoint_err <= IDENTITY_TOL,
+        "rk4_drift": max(drift.values()) <= IDENTITY_TOL,
+        "seam_flow_lands_in_cc": not failures,
+    }
+    return {
+        "fixture": fixture.name,
+        "seed": seed,
+        "starts": starts,
+        "t_grid": [0.1, 0.5, 1.0, 2.0],
+        "closed_vs_exact_max": closed_vs_exact,
+        "rk4_endpoint_error": rk4_endpoint_err,
+        "drift": drift,
+        "seam_flow_failures": failures[:10],
+        "checks": report_checks,
+        "passed": all(report_checks.values()),
+    }
+
+
+def outcome(fn, *args, **kwargs):
+    """The result of the call, or the type and text of the PhaseError it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except PhaseError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# ------------------------------------------------------------------- tests
+
+@pytest.mark.parametrize("fixture_name", FIXTURES)
+def test_every_probe_matches_the_per_point_reference(fixture_name):
+    fx = get_fixture(fixture_name)
+    spec = fx.spec
+    for idx, probe in enumerate(fx.probes):
+        x, u = phase.zero_level_arrays(
+            spec, seed=checks._probe_seed(4, idx), count=300,
+            support_pattern=probe.support_pattern,
+            covector_pattern=probe.covector_pattern,
+        )
+        points = [PhasePoint(xi, ui) for xi, ui in zip(x, u)]
+        tables = phase.invariant_tables(x, u)
+        images = phase.reduced_images(tables)
+        assert same_bits(tables, [ref_table(p) for p in points])
+        assert same_bits(phase.momenta(spec, tables), [ref_momentum(spec, p) for p in points])
+        labels = phase.orbit_labels(spec, phase.support_masks(tables))
+        assert labels.tolist() == [ref_classify(spec, p) for p in points]
+        piece, residual = phase.locate_rows(fx, images)
+        names = [fx.pieces[i].name for i in piece]
+        ref = [ref_check(fx, ref_image(ref_table(p))) for p in points]
+        assert names == [name for name, _ in ref]
+        assert same_bits(residual, [r for _, r in ref])
+
+
+@pytest.mark.parametrize("fixture_name", FIXTURES)
+def test_verify_report_matches_the_per_point_reference(fixture_name):
+    fx = get_fixture(fixture_name)
+    assert checks.verify_fixture(fx, seed=9, count=2000) == ref_verify(fx, 9, 2000)
+
+
+def test_verify_failure_texts_match_the_per_point_reference():
+    # without CC(e) the generic samples fall outside every piece
+    fx = t2_on_r4()
+    broken = dataclasses.replace(fx, pieces=fx.pieces[1:])
+    report = checks.verify_fixture(broken, seed=2, count=300)
+    assert report["probes"][0]["failures"]
+    assert report == ref_verify(broken, 2, 300)
+
+
+@pytest.mark.parametrize("fixture_name", FIXTURES)
+@pytest.mark.parametrize("seed", [0, 140, 180])
+def test_flow_checks_match_the_per_point_reference(fixture_name, seed):
+    # on t2-on-r4 seed 180 meets the band-gap defect and raises
+    fx = get_fixture(fixture_name)
+    assert outcome(checks.flow_checks, fx, seed=seed, starts=50) == \
+        outcome(ref_flow_checks, fx, seed, 50)
+
+
+@pytest.mark.parametrize("fixture_name", FIXTURES)
+@pytest.mark.parametrize("scale", [1e-9, 1e-8, 3e-8, 1e-5, 1e-3])
+def test_membership_and_row_labels_match_near_the_bands(fixture_name, scale):
+    fx = get_fixture(fixture_name)
+    rng = np.random.default_rng(17)
+    tables = []
+    for probe in fx.probes:
+        x, u = phase.zero_level_arrays(
+            fx.spec, seed=5, count=20,
+            support_pattern=probe.support_pattern,
+            covector_pattern=probe.covector_pattern,
+        )
+        tables.append(phase.invariant_tables(x, u))
+    tables = np.concatenate(tables)
+    tables = tables + scale * rng.standard_normal(tables.shape)
+    images = phase.reduced_images(tables)
+    piece, residual = phase.locate_rows(fx, images)
+    for i, image in enumerate(images):
+        assert phase.membership_candidates(fx, image) == ref_candidates(fx, image)
+        expected = outcome(ref_check, fx, image)
+        assert outcome(phase.check_reduced_membership, fx, image) == expected
+        if piece[i] >= 0:
+            assert (fx.pieces[piece[i]].name, residual[i]) == expected
+        else:
+            assert isinstance(expected[1], str)
+    names, residuals = cli._label_rows(fx, tables, MEMBERSHIP_BAND)
+    ref = [ref_label_row(fx, t, MEMBERSHIP_BAND) for t in tables]
+    assert names == [name for name, _ in ref]
+    assert same_bits(residuals, [r for _, r in ref])
+
+
+def test_trajectory_tables_match_the_per_point_reference():
+    p = sample_zero_level(t2_on_r4().spec, seed=3, count=1)[0]
+    traj = reeb.flow_rk4(p, t_end=1.0, step=0.01)
+    ref = [ref_table(traj.point(i)) for i in range(len(traj))]
+    assert same_bits(reeb.trajectory_invariants(traj), ref)
