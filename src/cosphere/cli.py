@@ -234,7 +234,10 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def _parse_start(fixture: Fixture, text: str) -> phase.PhasePoint:
-    values = [float(v) for v in text.split(",")]
+    try:
+        values = [float(v) for v in text.split(",")]
+    except ValueError as exc:
+        raise CliInputError(f"--start: {exc}") from exc
     dim = 2 * fixture.spec.n
     if len(values) != 2 * dim:
         raise CliInputError(

@@ -71,8 +71,8 @@ class AmbiguousMembershipError(PhaseError):
 class PhasePoint:
     """A point of the unit cosphere bundle of R^{2n}.
 
-    The covector must be normalized: |u| = 1 within 1e-12.  Use
-    :meth:`normalized` to build one from raw data.
+    Both vectors must be finite and the covector normalized: |u| = 1
+    within 1e-12.  Use :meth:`normalized` to build one from raw data.
     """
 
     x: np.ndarray
@@ -83,6 +83,8 @@ class PhasePoint:
         u = np.array(self.u, dtype=float)
         if x.ndim != 1 or x.shape != u.shape or x.size % 2 or x.size == 0:
             raise PhaseError("x and u must be equal-length even-dimensional vectors")
+        if not (np.isfinite(x).all() and np.isfinite(u).all()):
+            raise PhaseError("x and u must be finite")
         if abs(float(np.linalg.norm(u)) - 1.0) > UNIT_TOL:
             raise PhaseError(f"|u| = {np.linalg.norm(u)} is not 1 within {UNIT_TOL}")
         x.setflags(write=False)
@@ -316,6 +318,8 @@ def zero_level_arrays(
     ucols = _plane_columns(_as_plane_set(covector_pattern, spec.n))
     if not ucols.size:
         raise EmptyKernelError("empty covector pattern leaves no unit covector")
+    if int(count) < 0:
+        raise PhaseError(f"sample count must be nonnegative, got {count}")
     width = xcols.size + ucols.size
     block = np.random.default_rng(int(seed)).standard_normal((int(count), width))
     x, u, ok = _zero_level_rows(spec, xcols, ucols, block)
@@ -377,7 +381,8 @@ def membership_table(
     """Every constraint of every piece evaluated on (N, 3n) reduced images.
 
     Equalities accept residuals up to ``band``; strict inequalities and
-    disequalities demand clearance beyond the same band.
+    disequalities demand clearance beyond the same band.  A NaN value
+    violates every constraint, so a NaN image matches no piece.
     """
     images = np.asarray(images, dtype=float)
     shape = (images.shape[0], len(fixture.pieces))
@@ -387,16 +392,17 @@ def membership_table(
     for p, piece in enumerate(fixture.pieces):
         for i, c in enumerate(piece.constraints):
             val = c.poly(images)
+            # each test in complement form, so that a NaN fails every one
             if c.kind == "eq":
                 val = np.abs(val)
-                fails = val > band
+                fails = ~(val <= band)
                 residual[:, p] = np.fmax(residual[:, p], val)
             elif c.kind == "gt":
-                fails = val <= band
+                fails = ~(val > band)
             elif c.kind == "lt":
-                fails = val >= -band
+                fails = ~(val < -band)
             elif c.kind == "ne":
-                fails = np.abs(val) <= band
+                fails = ~(np.abs(val) > band)
             else:
                 raise PhaseError(f"unknown constraint kind {c.kind!r}")
             first = fails & (violated[:, p] < 0)

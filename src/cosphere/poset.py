@@ -63,16 +63,11 @@ def hasse_edges(pairs: Iterable[tuple[str, str]]) -> frozenset[tuple[str, str]]:
     if the generated relation is not a strict order.  Re-taking the
     transitive closure of the result recovers the closure of the input.
     """
-    return _covering_pairs(transitive_closure(pairs))
-
-
-def _covering_pairs(closed: frozenset[tuple[str, str]]) -> frozenset[tuple[str, str]]:
-    """Covering pairs of a transitively closed relation; see :func:`hasse_edges`."""
+    closed = transitive_closure(pairs)
+    succ: dict[str, set[str]] = defaultdict(set)
     for a, b in closed:
         if a == b:
             raise CyclicRelationError(f"relation has a cycle through {a!r}")
-    succ: dict[str, set[str]] = defaultdict(set)
-    for a, b in closed:
         succ[a].add(b)
     return frozenset(
         (a, b)

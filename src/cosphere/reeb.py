@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .phase import InvariantVector, PhasePoint, invariant_tables
+from .phase import InvariantVector, PhaseError, PhasePoint, invariant_tables
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,8 +91,8 @@ def flow_rk4(point: PhasePoint, t_end: float, step: float) -> Trajectory:
     """
     t_end = float(t_end)
     step = float(step)
-    if t_end <= 0 or step <= 0:
-        raise ValueError("need positive t_end and step")
+    if not (0 < t_end < np.inf and 0 < step < np.inf):
+        raise PhaseError(f"need finite positive t_end and step, got {t_end} and {step}")
     grid = [0.0]
     while grid[-1] + step < t_end - 1e-15:
         grid.append(grid[-1] + step)

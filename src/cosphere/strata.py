@@ -8,8 +8,9 @@ an isotropy lattice alone:
 * the secondary decomposition of each Contact(L) into a cosphere-like open
   dense piece CC(L) and one seam Seam(H > L) per type H strictly above L;
 * the coisotropic-or-Legendrian (C-L) stratification, the union of those
-  pieces over all starred L, with a frontier relation generated by five
-  combinatorial rules and closed transitively.
+  pieces over all starred L.  Naming CC(L) by the pair (L, L) and
+  Seam(H > L) by (H, L), its frontier is the product order on the pairs,
+  the transitive closure of the paper's five combinatorial rules.
 
 A seam is coisotropic when its upper type is itself starred and Legendrian
 otherwise; the dimension identity
@@ -28,9 +29,8 @@ from enum import Enum
 from .poset import (
     IsotropyPoset,
     NoUniqueMinimumError,
-    _covering_pairs,
+    hasse_edges,
     principal_type,
-    transitive_closure,
     validate,
 )
 
@@ -90,7 +90,8 @@ class StratificationResult:
     """C-L pieces with their frontier.
 
     ``frontier`` holds pairs (A, B) meaning A is contained in the boundary
-    of B; it is the transitive closure of the five generation rules, and
+    of B; it is the product order on the (upper, lower) type pairs of the
+    pieces, which is the transitive closure of the five generation rules.
     ``closure_only`` flags the pairs supplied by closure rather than by a
     rule directly.  ``hasse`` is the covering relation of the frontier.
     """
@@ -237,51 +238,10 @@ def _classify_seam(
 def secondary_strata(poset: IsotropyPoset, lower: str) -> tuple[Stratum, ...]:
     """The secondary decomposition of Contact(lower): CC piece plus seams."""
     _require_valid(poset)
-    return _secondary_strata(poset, lower, starred_lattice(poset))
-
-
-def _secondary_strata(
-    poset: IsotropyPoset, lower: str, starred: frozenset[str]
-) -> tuple[Stratum, ...]:
-    pieces = [_classify_seam(poset, lower, lower, starred)]
+    starred = starred_lattice(poset)
+    cc = replace(_classify_seam(poset, lower, lower, starred), open_dense=True)
     uppers = sorted(h for (l, h) in poset.order if l == lower)
-    for h in uppers:
-        pieces.append(_classify_seam(poset, h, lower, starred))
-    cc = pieces[0]
-    pieces[0] = replace(cc, open_dense=True)
-    return tuple(pieces)
-
-
-def _frontier_rules(
-    poset: IsotropyPoset, starred: frozenset[str]
-) -> frozenset[tuple[str, str]]:
-    """The five frontier generation rules, as pairs (A, B): A subset of bd(B).
-
-    (i)   CC(K)        < CC(H)        iff H < K        (both starred)
-    (ii)  Seam(K>H)    < CC(H)        iff H < K
-    (iii) CC(K)        < Seam(K>H)    iff H < K        (K starred)
-    (iv)  Seam(K'>H)   < Seam(K>H)    iff H < K < K'
-    (v)   Seam(K>H')   < Seam(K>H)    iff H < H' < K
-    """
-    lt = poset.order
-    pairs: set[tuple[str, str]] = set()
-    for h, k in lt:
-        if h in starred and k in starred:
-            pairs.add((cc_name(k), cc_name(h)))            # (i)
-        if h in starred:
-            pairs.add((seam_name(k, h), cc_name(h)))       # (ii)
-            if k in starred:
-                pairs.add((cc_name(k), seam_name(k, h)))   # (iii)
-    for h, k in lt:
-        if h not in starred:
-            continue
-        for k2 in (b for (a, b) in lt if a == k):
-            pairs.add((seam_name(k2, h), seam_name(k, h)))  # (iv)
-        for h2 in (b for (a, b) in lt if a == h):
-            # Seam(k > h2) is a piece only when h2 is starred
-            if h2 in starred and (h2, k) in lt:
-                pairs.add((seam_name(k, h2), seam_name(k, h)))  # (v)
-    return frozenset(pairs)
+    return (cc, *(_classify_seam(poset, h, lower, starred) for h in uppers))
 
 
 def cl_stratification(
@@ -289,40 +249,62 @@ def cl_stratification(
 ) -> StratificationResult:
     """The full C-L stratification with its frontier poset.
 
-    The frontier is the transitive closure of the five rules; pairs that
-    appear only through closure (never directly from a rule) are flagged
-    in ``closure_only``.  With a connected quotient the cosphere-like piece
-    over the principal type is the unique open dense stratum.
+    Each piece is a pair (K, H) of types with H starred and H <= K: CC(H)
+    is (H, H) and Seam(K>H) is (K, H).  The frontier is the product order
+    on these pairs, (K', H') in bd (K, H) iff the pairs differ, H <= H' and
+    K <= K'.  It equals the transitive closure of the paper's five rules,
+    which supply exactly the pairs where one coordinate moves, plus
+    CC(K) < CC(H); the pairs where both coordinates move are the
+    ``closure_only`` ones.  A cover moves one coordinate by one cover: K in
+    the lattice, H among the starred types.  With a connected quotient the
+    cosphere-like piece over the principal type is the unique open dense
+    stratum.
     """
     _require_valid(poset)
     starred = starred_lattice(poset)
-
-    pieces: list[Stratum] = []
-    for t in sorted(poset.types, key=lambda t: t.label):
-        if t.label in starred:
-            pieces.extend(_secondary_strata(poset, t.label, starred))
-
-    open_label: str | None = None
+    above = {t.label: {t.label} for t in poset.types}  # L and every type over it
+    for low, high in poset.order:
+        above[low].add(high)
+    pieces = {
+        (k, h): _classify_seam(poset, k, h, starred)
+        for h in sorted(starred)
+        for k in sorted(above[h])
+    }
     if quotient_connected:
         try:
-            principal = principal_type(poset)
+            principal = principal_type(poset).label
         except NoUniqueMinimumError:
             principal = None
-        if principal is not None and principal.label in starred:
-            open_label = cc_name(principal.label)
-    pieces = [
-        replace(p, open_dense=(p.name == open_label))
-        for p in pieces
-    ]
+        if principal in starred:
+            cc = pieces[principal, principal]
+            pieces[principal, principal] = replace(cc, open_dense=True)
 
-    generated = _frontier_rules(poset, starred)
-    closed = transitive_closure(generated)
+    upper_covers = hasse_edges(poset.order)
+    lower_covers = hasse_edges(
+        (a, b) for a, b in poset.order if a in starred and b in starred
+    )
+    frontier: set[tuple[str, str]] = set()
+    hasse: list[tuple[str, str]] = []
+    closure_only: set[tuple[str, str]] = set()
+    for (k, h), piece in pieces.items():
+        for h2 in above[h] & starred:
+            for k2 in above[k] & above[h2]:
+                if (k2, h2) == (k, h):
+                    continue
+                edge = (pieces[k2, h2].name, piece.name)
+                frontier.add(edge)
+                if k2 != k and h2 != h:
+                    if not (k == h and k2 == h2):  # rule (i): CC(K) < CC(H)
+                        closure_only.add(edge)
+                elif (k, k2) in upper_covers or (h, h2) in lower_covers:
+                    hasse.append(edge)
+
     return StratificationResult(
-        cl_strata=tuple(sorted(pieces, key=lambda s: (-s.dim, s.name))),
+        cl_strata=tuple(sorted(pieces.values(), key=lambda s: (-s.dim, s.name))),
         contact_strata=_contact_strata(poset, starred),
-        frontier=closed,
-        hasse=tuple(sorted(_covering_pairs(closed))),
-        closure_only=frozenset(closed - generated),
+        frontier=frozenset(frontier),
+        hasse=tuple(sorted(hasse)),
+        closure_only=frozenset(closure_only),
         starred=tuple(sorted(starred)),
         total_types=len(poset.types),
         quotient_connected=quotient_connected,

@@ -81,7 +81,7 @@ def spec_from_json(data: dict) -> TorusActionSpec:
             n=int(data["n"]),
             weights=tuple(tuple(int(a) for a in row) for row in data["weights"]),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ActionSpecError(f"malformed action spec JSON: {exc}") from exc
 
 

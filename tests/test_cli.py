@@ -83,6 +83,21 @@ def test_bad_inputs_exit_2(tmp_path, capsys):
     }))
     assert run(capsys, "reduce", "--action", str(broken))[0] == 2
 
+    # fields that do not parse as integers
+    for bad in ({"k": "x", "n": 1, "weights": [[1]]},
+                {"k": 1, "n": 1, "weights": [["1.5"]]}):
+        spec = tmp_path / "bad_spec.json"
+        spec.write_text(json.dumps(bad))
+        code, _, err = run(capsys, "reduce", "--action", str(spec))
+        assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
+
+    for args in (["verify", "--fixture", "s1-on-r2", "--count", "-5"],
+                 ["flow", "--fixture", "s1-on-r2", "--step", "0"],
+                 ["flow", "--fixture", "s1-on-r2", "--t-end", "-1"],
+                 ["flow", "--fixture", "s1-on-r2", "--t-end", "nan"]):
+        code, _, err = run(capsys, *args)
+        assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
+
 
 def test_argparse_rejects_unknown_subcommands():
     with pytest.raises(SystemExit) as exc:
@@ -171,6 +186,10 @@ def test_flow_rejects_bad_starts(capsys):
         capsys, "flow", "--fixture", "t2-on-r4", "--start", "0,0,0,0,2,0,0,0"
     )
     assert code == 2
+    # not a number, and numbers that are not finite
+    for start in ("a,b,c,d", "nan,nan,nan,nan", "nan,0,1,0", "0,0,inf,0"):
+        code, _, err = run(capsys, "flow", "--fixture", "s1-on-r2", "--start", start)
+        assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_flow_stdout_matches_file_output(tmp_path, capsys):

@@ -55,6 +55,10 @@ def test_phase_point_rejects_bad_shapes():
         PhasePoint(np.array([1.0, 0.0]), np.array([1.0, 0.0, 0.0, 0.0]))
     with pytest.raises(PhaseError):
         PhasePoint(np.array([]), np.array([]))
+    with pytest.raises(PhaseError):
+        PhasePoint(np.array([np.nan, 0.0]), np.array([1.0, 0.0]))
+    with pytest.raises(PhaseError):
+        PhasePoint(np.zeros(2), np.array([np.inf, 0.0]))
 
 
 def test_phase_point_requires_a_unit_covector():
@@ -271,6 +275,9 @@ def test_membership_rejects_points_off_every_piece():
     with pytest.raises(NoMatchingStratumError) as err:
         check_reduced_membership(t2_on_r4(), np.array([-1.0, 0.0, 0.0, 0.0, 0.0, 0.0]))
     assert "no stratum matches" in str(err.value)
+    # a NaN fails every constraint, so it matches no piece instead of all
+    with pytest.raises(NoMatchingStratumError):
+        check_reduced_membership(s1_on_r2(), np.full(3, np.nan))
 
 
 def test_membership_flags_overlapping_pieces():

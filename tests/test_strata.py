@@ -1,11 +1,20 @@
 """Stratification layer: starred types, seam classification, C-L frontier."""
 
+import hashlib
 import itertools
+import json
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from cosphere.poset import IsotropyPoset, OrbitType, transitive_closure
+from cosphere.poset import (
+    MAX_TYPES,
+    IsotropyPoset,
+    OrbitType,
+    hasse_edges,
+    transitive_closure,
+)
 from cosphere.strata import (
     InvalidPosetError,
     MultipleOrbitTypesError,
@@ -29,8 +38,10 @@ from cosphere.strata import (
     stratum_quotient_dim,
 )
 from cosphere.torus import TorusActionSpec, build_isotropy_poset
+from test_torus import weight_specs
 
 LABELS = "ABCDEFGH"
+GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "lattice_golden.json"
 
 
 def two_plane_poset():
@@ -149,7 +160,9 @@ def test_two_plane_frontier_closure_and_hasse():
 
 
 def frontier_oracle(poset):
-    """Re-derivation of the five generation rules by triple enumeration."""
+    """The frontier, its closure-only pairs and its covers, re-derived from
+    the five generation rules by triple enumeration, transitive closure and
+    transitive reduction."""
     starred = starred_lattice(poset)
     order = poset.order
     labels = poset.labels()
@@ -171,12 +184,20 @@ def frontier_oracle(poset):
             and (h2, k) in order
         ):
             pairs.add((seam_name(k, h2), seam_name(k, h)))
-    return transitive_closure(pairs)
+    closed = transitive_closure(pairs)
+    return closed, closed - pairs, hasse_edges(closed)
+
+
+def assert_matches_oracle(poset):
+    result = cl_stratification(poset)
+    frontier, closure_only, hasse = frontier_oracle(poset)
+    assert result.frontier == frontier
+    assert result.closure_only == closure_only
+    assert set(result.hasse) == hasse
 
 
 def test_two_plane_frontier_matches_the_rule_oracle():
-    poset = two_plane_poset()
-    assert cl_stratification(poset).frontier == frontier_oracle(poset)
+    assert_matches_oracle(two_plane_poset())
 
 
 def test_one_plane_inventory():
@@ -232,9 +253,22 @@ def valid_posets(draw):
     )
 
 
-@given(valid_posets())
-def test_fuzz_frontier_matches_oracle(poset):
-    assert cl_stratification(poset).frontier == frontier_oracle(poset)
+# abstract posets, and torus lattices up to k=3, n=6 with the k=2, n=8 and
+# k=3, n=6 reference specs of the benchmark ladder (38 and 47 orbit types)
+@given(st.one_of(valid_posets(), weight_specs(max_n=6)))
+@example(TorusActionSpec(k=2, n=8, weights=(
+    (-4, 0, 0, -3, -2, -5, -1, 1),
+    (2, -3, -1, 5, -3, 0, 5, -4),
+)))
+@example(TorusActionSpec(k=3, n=6, weights=(
+    (4, 4, 4, -4, -1, -3),
+    (-5, 4, -4, 2, -3, 3),
+    (4, -2, 1, 3, 4, -2),
+)))
+def test_fuzz_frontier_matches_oracle(source):
+    if isinstance(source, TorusActionSpec):
+        source = build_isotropy_poset(source)
+    assert_matches_oracle(source)
 
 
 @given(valid_posets())
@@ -304,6 +338,35 @@ def test_fuzz_open_dense_piece(poset):
     if has_min and principal.label in starred_lattice(poset):
         assert [s.name for s in opens] == [cc_name(principal.label)]
     assert len(opens) <= 1
+
+
+def content_digest(report):
+    """sha256 of the sorted [name, dim, kind] list and the sorted frontier."""
+    content = {
+        "strata": sorted([s["name"], s["dim"], s["kind"]] for s in report["cl_strata"]),
+        "frontier": sorted(report["frontier"]),
+    }
+    blob = json.dumps(content, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def test_golden_lattice_reports():
+    refused = 0
+    for ref in json.loads(GOLDEN.read_text()):
+        spec = TorusActionSpec(k=ref["k"], n=ref["n"],
+                               weights=tuple(map(tuple, ref["weights"])))
+        poset = build_isotropy_poset(spec)
+        assert len(poset.types) == ref["types"]
+        if ref["types"] > MAX_TYPES:
+            with pytest.raises(InvalidPosetError):
+                cl_stratification(poset)
+            refused += 1
+            continue
+        report = result_to_json(cl_stratification(poset))
+        assert (report["piece_count"], len(report["frontier"])) == (
+            ref["pieces"], ref["frontier_pairs"])
+        assert content_digest(report) == ref["digest"]
+    assert refused == 1
 
 
 def test_unstarred_middle_type_emits_no_ghost_seam():
