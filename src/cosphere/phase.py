@@ -382,16 +382,21 @@ def membership_table(
 
     Equalities accept residuals up to ``band``; strict inequalities and
     disequalities demand clearance beyond the same band.  A NaN value
-    violates every constraint, so a NaN image matches no piece.
+    violates every constraint, so a NaN image matches no piece.  Pieces
+    share constraints (the cone and cosphere equations above all), so each
+    distinct polynomial is evaluated once.
     """
     images = np.asarray(images, dtype=float)
     shape = (images.shape[0], len(fixture.pieces))
     residual = np.zeros(shape)
     violated = np.full(shape, -1)
     value = np.zeros(shape)
+    values = {}  # Poly -> its values on the images
     for p, piece in enumerate(fixture.pieces):
         for i, c in enumerate(piece.constraints):
-            val = c.poly(images)
+            val = values.get(c.poly)
+            if val is None:
+                val = values[c.poly] = c.poly(images)
             # each test in complement form, so that a NaN fails every one
             if c.kind == "eq":
                 val = np.abs(val)

@@ -11,21 +11,24 @@ so it is determined by the sublattice Lambda_S of Z^k spanned by the
 support's weight columns.  Two supports give the same stabilizer exactly
 when those column lattices coincide, and containment of stabilizers is
 reverse containment of lattices.  Each support's lattice gets one Hermite
-normal form over Z (sympy), its canonical basis.  Containment needs no
-further normal form: Lambda_S + Lambda_T = Lambda_(S u T), so Lambda_T lies
-in Lambda_S exactly when the support table gives S u T the basis of S.
-Nothing here is floating point.
+normal form over Z, its canonical basis, computed in Python ints by the
+column reduction of Cohen, *A Course in Computational Algebraic Number
+Theory*, GTM 138, Algorithm 2.4.5: bottom row up, extended-gcd column
+operations, positive pivots, entries right of a pivot reduced into
+[0, pivot).  Containment needs no further normal form:
+Lambda_S + Lambda_T = Lambda_(S u T), so Lambda_T lies in Lambda_S exactly
+when the support table gives S u T the basis of S.  The finite part of a
+stabilizer comes from a Smith elimination of the canonical basis.  Nothing
+here is floating point.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
-
-from sympy import Matrix
-from sympy.matrices.normalforms import hermite_normal_form, invariant_factors
 
 from .poset import IsotropyPoset, OrbitType
 from .poset import principal_type as poset_principal_type
@@ -38,6 +41,16 @@ class ActionSpecError(ValueError):
     pass
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as an int; a float, bool or string is refused, not truncated."""
+    if isinstance(value, bool):
+        raise ActionSpecError(f"{name} must be an integer, not {value!r}")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ActionSpecError(f"{name} must be an integer, not {value!r}") from None
+
+
 @dataclass(frozen=True)
 class TorusActionSpec:
     """Weight data of a T^k action on R^{2n}; rows index torus circles."""
@@ -47,8 +60,12 @@ class TorusActionSpec:
     weights: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "k", _integer(self.k, "k"))
+        object.__setattr__(self, "n", _integer(self.n, "n"))
         object.__setattr__(
-            self, "weights", tuple(tuple(int(a) for a in row) for row in self.weights)
+            self,
+            "weights",
+            tuple(tuple(_integer(a, "weight") for a in row) for row in self.weights),
         )
         if self.k < 1 or self.n < 1:
             raise ActionSpecError("need k >= 1 torus factors and n >= 1 planes")
@@ -76,33 +93,103 @@ def spec_to_json(spec: TorusActionSpec) -> dict:
 
 def spec_from_json(data: dict) -> TorusActionSpec:
     try:
-        return TorusActionSpec(
-            k=int(data["k"]),
-            n=int(data["n"]),
-            weights=tuple(tuple(int(a) for a in row) for row in data["weights"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        return TorusActionSpec(k=data["k"], n=data["n"], weights=data["weights"])
+    except (KeyError, TypeError) as exc:
         raise ActionSpecError(f"malformed action spec JSON: {exc}") from exc
 
 
 # -- exact lattice algebra ---------------------------------------------------
 
+def _gcdex(a: int, b: int) -> tuple[int, int, int]:
+    """(x, y, g) with x a + y b = g = gcd(a, b) >= 0, and y = 0 when a | b."""
+    if a and b % a == 0:
+        return (1 if a > 0 else -1), 0, abs(a)
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q = a // b
+        a, b = b, a - q * b
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    return (x0, y0, a) if a > 0 else (-x0, -y0, -a)
+
+
 def _lattice_hnf(columns: Sequence[tuple[int, ...]], k: int) -> tuple[tuple[int, ...], ...]:
-    """Canonical basis (HNF columns) of the sublattice of Z^k the columns span."""
-    cols = [c for c in columns if any(c)]
-    if not cols:
-        return ()
-    m = Matrix([[c[i] for c in cols] for i in range(k)])
-    h = hermite_normal_form(m)
-    return tuple(tuple(int(h[i, j]) for i in range(k)) for j in range(h.cols))
+    """Canonical basis (HNF columns) of the sublattice of Z^k the columns span.
+
+    Cohen's Algorithm 2.4.5 on the k x r matrix of the columns: row i, from
+    the bottom up, gets its pivot in the rightmost column not yet used; the
+    extended gcd folds every column to its left into the pivot column, which
+    leaves zeros there; the pivot is made positive and the entries to its
+    right are reduced into [0, pivot).  A row whose entries left of the
+    pivot column are all zero gets no pivot.  The pivot columns are returned
+    left to right, so the first has the topmost pivot.
+    """
+    cols = [list(c) for c in columns if any(c)]
+    pivot = len(cols)
+    for i in range(k - 1, -1, -1):
+        if pivot == 0:
+            break
+        pivot -= 1
+        a = cols[pivot]
+        for j in range(pivot - 1, -1, -1):
+            b = cols[j]
+            if b[i]:
+                u, v, d = _gcdex(a[i], b[i])
+                r, s = a[i] // d, b[i] // d
+                a, cols[j] = (
+                    [u * x + v * y for x, y in zip(a, b)],
+                    [r * y - s * x for x, y in zip(a, b)],
+                )
+                cols[pivot] = a
+        if a[i] < 0:
+            a = cols[pivot] = [-x for x in a]
+        p = a[i]
+        if p == 0:
+            pivot += 1
+            continue
+        for j in range(pivot + 1, len(cols)):
+            q = cols[j][i] // p
+            if q:
+                cols[j] = [y - q * x for x, y in zip(a, cols[j])]
+    return tuple(tuple(c) for c in cols[pivot:])
 
 
 def _nontrivial_divisors(columns: Sequence[tuple[int, ...]], k: int) -> tuple[int, ...]:
-    cols = [c for c in columns if any(c)]
-    if not cols:
-        return ()
-    m = Matrix([[c[i] for c in cols] for i in range(k)])
-    return tuple(int(d) for d in invariant_factors(m) if int(d) not in (0, 1))
+    """Invariant factors other than 0 and 1 of the k x r matrix of the columns.
+
+    Smith elimination over Z on the transpose, which has the same invariant
+    factors: an entry of least absolute value goes to the corner and
+    reduces its row and column; a nonzero remainder is smaller, so the step
+    repeats.  Once the corner is alone in its row and column, a row it does
+    not divide is added to its row, and the step repeats; otherwise the
+    corner is the next invariant factor and is struck out.
+    """
+    m = [list(c) for c in columns if any(c)]
+    divisors = []
+    while m:
+        _, i, j = min((abs(v), i, j) for i, row in enumerate(m) for j, v in enumerate(row) if v)
+        m[0], m[i] = m[i], m[0]
+        for row in m:
+            row[0], row[j] = row[j], row[0]
+        p = m[0][0]
+        for row in m[1:]:
+            q = row[0] // p
+            if q:
+                row[:] = [y - q * x for x, y in zip(m[0], row)]
+        for j in range(1, len(m[0])):
+            q = m[0][j] // p
+            if q:
+                for row in m:
+                    row[j] -= q * row[0]
+        if any(row[0] for row in m[1:]) or any(m[0][1:]):
+            continue
+        rest = next((row for row in m[1:] if any(v % p for v in row)), None)
+        if rest is not None:
+            m[0] = [x + y for x, y in zip(m[0], rest)]
+            continue
+        divisors.append(abs(p))
+        m = [row[1:] for row in m[1:] if any(row)]
+    return tuple(d for d in divisors if d != 1)
 
 
 def class_label(k: int, basis: tuple[tuple[int, ...], ...]) -> str:
@@ -167,38 +254,47 @@ def _stabilizer_cached(
     weights: tuple[tuple[int, ...], ...], k: int, s: tuple[int, ...]
 ) -> SupportStabilizer:
     # per-sample classification hits the same few supports over and over
-    cols = [tuple(row[j] for row in weights) for j in s]
-    basis = _lattice_hnf(cols, k)
+    basis = _lattice_hnf([tuple(row[j] for row in weights) for j in s], k)
     return SupportStabilizer(
         support=s,
         dim_stab=k - len(basis),
-        finite_invariants=_nontrivial_divisors(cols, k),
+        finite_invariants=_nontrivial_divisors(basis, k),
         lattice_basis=basis,
         label=class_label(k, basis),
     )
 
 
-def _support_lattices(
-    spec: TorusActionSpec,
-) -> dict[frozenset[int], tuple[tuple[int, ...], ...]]:
-    """Canonical basis of Lambda_S for every plane support S, by increasing |S|."""
-    return {
-        frozenset(s): _lattice_hnf([spec.column(j) for j in s], spec.k)
-        for r in range(spec.n + 1)
-        for s in itertools.combinations(range(spec.n), r)
-    }
+def _support_lattices(spec: TorusActionSpec) -> dict[int, tuple[tuple[int, ...], ...]]:
+    """Canonical basis of Lambda_S for every plane support S, by increasing |S|.
+
+    A support is keyed by its bitmask, the sum of 1 << j over its planes, so
+    a union of supports is an ``|``.  The table is built incrementally:
+    combinations come by increasing size, so S minus its last plane j is
+    already in the table, and HNF(S) is the HNF of that basis plus column
+    j, at most k + 1 columns whatever |S| is.
+    """
+    basis_of = {0: ()}
+    for r in range(1, spec.n + 1):
+        for planes in itertools.combinations(range(spec.n), r):
+            j = planes[-1]
+            mask = sum(1 << i for i in planes)
+            basis_of[mask] = _lattice_hnf(basis_of[mask ^ (1 << j)] + (spec.column(j),), spec.k)
+    return basis_of
 
 
 def build_isotropy_poset(spec: TorusActionSpec) -> IsotropyPoset:
     """Isotropy lattice of the lifted action, from exhaustive support classes.
 
-    HNF runs once per support; everything else is read off that support
-    table.  Each stabilizer class contributes one orbit type.  The union of
-    two supports of one class is again in the class (Lambda_(S u T) =
-    Lambda_S + Lambda_T), so the class has a unique top support, the union
-    of all its supports, and dim_Q_of is twice its size.  Containment is the
-    same union lookup: (a) < (b) exactly when the lattice of b lies strictly
-    inside that of a, i.e. basis[S_a u S_b] == basis[S_a] != basis[S_b].
+    HNF runs once per support, incrementally on the basis of the support
+    minus one plane (see :func:`_support_lattices`); everything else is read
+    off that support table.  Each stabilizer class contributes one orbit
+    type, whose finite part is one Smith elimination of the class basis.
+    The union of two supports of one class is again in the class
+    (Lambda_(S u T) = Lambda_S + Lambda_T), so the class has a unique top
+    support, the union of all its supports, and dim_Q_of is twice its size.
+    Containment is the same union lookup: (a) < (b) exactly when the lattice
+    of b lies strictly inside that of a, i.e.
+    basis[S_a u S_b] == basis[S_a] != basis[S_b].
     """
     basis_of = _support_lattices(spec)
     # supports come by increasing size, so the last one seen in a class is
@@ -209,7 +305,7 @@ def build_isotropy_poset(spec: TorusActionSpec) -> IsotropyPoset:
     types: list[OrbitType] = []
     dim_q_of: dict[str, int] = {}
     for basis, support in top.items():
-        divisors = _nontrivial_divisors([spec.column(j) for j in sorted(support)], spec.k)
+        divisors = _nontrivial_divisors(basis, spec.k)
         dim_stab = spec.k - len(basis)
         types.append(
             OrbitType(
@@ -219,7 +315,7 @@ def build_isotropy_poset(spec: TorusActionSpec) -> IsotropyPoset:
                 finite_tag=",".join(str(d) for d in divisors) or None,
             )
         )
-        dim_q_of[label_of[basis]] = 2 * len(support)
+        dim_q_of[label_of[basis]] = 2 * support.bit_count()
 
     # (L) < (H) iff the subgroup L is strictly contained in H, i.e. the
     # lattice of H is strictly contained in the lattice of L; distinct

@@ -83,9 +83,13 @@ def test_bad_inputs_exit_2(tmp_path, capsys):
     }))
     assert run(capsys, "reduce", "--action", str(broken))[0] == 2
 
-    # fields that do not parse as integers
+    # fields that are not integers, including floats and bools, which must
+    # not be truncated to the report of another spec
     for bad in ({"k": "x", "n": 1, "weights": [[1]]},
-                {"k": 1, "n": 1, "weights": [["1.5"]]}):
+                {"k": 1, "n": 1, "weights": [["1.5"]]},
+                {"k": 1, "n": 1, "weights": [[1.5]]},
+                {"k": 1.9, "n": 1, "weights": [[1]]},
+                {"k": 1, "n": 1, "weights": [[True]]}):
         spec = tmp_path / "bad_spec.json"
         spec.write_text(json.dumps(bad))
         code, _, err = run(capsys, "reduce", "--action", str(spec))

@@ -1,22 +1,32 @@
 """Torus weight matrices: stabilizers, class grouping, lattice order.
 
-The oracle here is an independent integer solver: membership of a vector
-in the column span over Z is decided by hand-rolled Euclidean column
-reduction, with no Hermite or Smith normal form involved.  Class grouping
-and the subconjugation order produced by the builder must agree with it.
+Two oracles.  An independent integer solver decides membership of a vector
+in the column span over Z by hand-rolled Euclidean column reduction, with
+no Hermite or Smith normal form involved; class grouping and the
+subconjugation order produced by the builder must agree with it.  sympy's
+``hermite_normal_form`` and ``invariant_factors`` check the normal forms
+themselves, support by support; the library does not import sympy.
 """
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, strategies as st
+from sympy import Matrix
+from sympy.matrices.normalforms import hermite_normal_form, invariant_factors
 
+import cosphere
 from cosphere.poset import principal_type, validate
 from cosphere.torus import (
     ActionSpecError,
     TorusActionSpec,
     _lattice_hnf,
     _nontrivial_divisors,
+    _support_lattices,
     build_isotropy_poset,
     class_label,
     is_almost_semifree,
@@ -100,6 +110,11 @@ def test_spec_rejects_bad_shapes():
         TorusActionSpec(k=1, n=1, weights=((17,),))
     with pytest.raises(ActionSpecError):
         TorusActionSpec(k=1, n=13, weights=((1,) * 13,))
+    # a float or a bool is refused, not truncated to an integer weight
+    with pytest.raises(ActionSpecError):
+        TorusActionSpec(k=1, n=1, weights=((1.5,),))
+    with pytest.raises(ActionSpecError):
+        TorusActionSpec(k=1, n=1, weights=((True,),))
 
 
 def test_spec_rejects_inactive_planes():
@@ -237,16 +252,64 @@ def all_supports(n):
 
 # two reference specs of the benchmark ladder, beyond the n <= 4 the
 # strategy draws: the k=2, n=8 and k=3, n=6 rungs (38 and 47 orbit types)
-@given(weight_specs())
-@example(TorusActionSpec(k=2, n=8, weights=(
+LADDER_K2_N8 = TorusActionSpec(k=2, n=8, weights=(
     (-4, 0, 0, -3, -2, -5, -1, 1),
     (2, -3, -1, 5, -3, 0, 5, -4),
-)))
-@example(TorusActionSpec(k=3, n=6, weights=(
+))
+LADDER_K3_N6 = TorusActionSpec(k=3, n=6, weights=(
     (4, 4, 4, -4, -1, -3),
     (-5, 4, -4, 2, -3, 3),
     (4, -2, 1, 3, 4, -2),
-)))
+))
+
+
+@given(weight_specs())
+@example(LADDER_K2_N8)
+@example(LADDER_K3_N6)
+def test_normal_forms_match_sympy(spec):
+    # every support, from scratch and through the incremental support
+    # table; the Smith form of the raw columns and of the canonical basis
+    table = _support_lattices(spec)
+    for s in all_supports(spec.n):
+        if not s:
+            continue
+        cols = [spec.column(j) for j in s]
+        m = Matrix([[c[i] for c in cols] for i in range(spec.k)])
+        h = hermite_normal_form(m)
+        basis = tuple(tuple(int(h[i, j]) for i in range(spec.k)) for j in range(h.cols))
+        assert _lattice_hnf(cols, spec.k) == basis, s
+        assert table[sum(1 << j for j in s)] == basis, s
+        divisors = tuple(int(d) for d in invariant_factors(m) if d not in (0, 1))
+        assert _nontrivial_divisors(cols, spec.k) == divisors, s
+        assert _nontrivial_divisors(basis, spec.k) == divisors, s
+
+
+def test_runtime_needs_no_sympy(tmp_path):
+    # a None entry in sys.modules makes every import of sympy fail
+    script = (
+        "import sys\n"
+        "sys.modules['sympy'] = None\n"
+        "from cosphere import cli\n"
+        f"out = {str(tmp_path)!r}\n"
+        "for args in (['reduce', '--fixture', 't2-on-r4', '--out', out + '/t2.json'],\n"
+        "             ['lattice', '--fixture', 't2-on-r4', '--out', out + '/t2'],\n"
+        "             ['verify', '--fixture', 's1-on-r2', '--count', '200']):\n"
+        "    code = cli.main(args)\n"
+        "    if code:\n"
+        "        sys.exit(f'{args[0]} exited {code}')\n"
+    )
+    src = str(Path(cosphere.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    result = subprocess.run([sys.executable, "-c", script], env=env,
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    assert (tmp_path / "t2.json").is_file() and (tmp_path / "t2").is_dir()
+
+
+@given(weight_specs())
+@example(LADDER_K2_N8)
+@example(LADDER_K3_N6)
 def test_class_grouping_matches_the_integer_oracle(spec):
     poset = build_isotropy_poset(spec)
     supports = list(all_supports(spec.n))
