@@ -139,47 +139,17 @@ def cmd_reduce(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-SNAP_BAND = 1e-4
-
-
-def _label_rows(
-    fixture: Fixture, tables: np.ndarray, band: float
-) -> tuple[list[str], np.ndarray]:
-    """Piece label and residual per CSV row, snapping shell-straddling points.
-
-    A trajectory step can land in the thin shell around a lower stratum
-    where some defining equalities hold within the band but derived
-    quantities (cone cross terms) do not.  A row with no match at ``band``
-    takes the matches at the coarser ``SNAP_BAND`` instead of aborting the
-    export; of several matches the most constrained piece wins (ties by
-    name).  Verification paths use the strict checker, never this one.
-    """
-    images = phase.reduced_images(tables)
-    strict = phase.membership_table(fixture, images, band)
-    snapped = phase.membership_table(fixture, images, SNAP_BAND)
-    unmatched = ~strict.matched.any(axis=1, keepdims=True)
-    matched = np.where(unmatched, snapped.matched, strict.matched)
-    residual = np.where(unmatched, snapped.residual, strict.residual)
-    rank = sorted(
-        range(len(fixture.pieces)),
-        key=lambda p: (
-            -sum(c.kind == "eq" for c in fixture.pieces[p].constraints),
-            fixture.pieces[p].name,
-        ),
-    )
-    pick = np.array(rank)[np.argmax(matched[:, rank], axis=1)]
-    found = matched.any(axis=1)
-    names = [fixture.pieces[p].name if ok else "(unresolved)" for p, ok in zip(pick, found)]
-    rows = np.arange(len(pick))
-    return names, np.where(found, residual[rows, pick], np.nan)
-
-
 def _csv_rows(
     fixture: Fixture, x: np.ndarray, u: np.ndarray, band: float
 ) -> list[list[str]]:
-    """x, u, J, the invariant table, the piece label and its residual per row."""
+    """x, u, J, the invariant table, the piece label and its residual per row.
+
+    Labels come from :func:`phase.locate_rows` at ``band``, the call the
+    batteries use; a row with no single match is ``(unresolved)``, NaN.
+    """
     tables = phase.invariant_tables(x, u)
-    names, residuals = _label_rows(fixture, tables, band)
+    piece, residuals = phase.locate_rows(fixture, phase.reduced_images(tables), band)
+    names = [fixture.pieces[p].name if p >= 0 else "(unresolved)" for p in piece]
     numbers = np.concatenate(
         [x, u, phase.momenta(fixture.spec, tables), tables.reshape(len(x), -1),
          residuals[:, None]],
@@ -402,18 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = RunConfig(
-        command=args.command,
-        action=getattr(args, "action", None),
-        fixture=getattr(args, "fixture", None),
-        seed=getattr(args, "seed", 0),
-        count=getattr(args, "count", 10000),
-        t_end=getattr(args, "t_end", 2.0),
-        step=getattr(args, "step", 1e-3),
-        out=getattr(args, "out", None),
-        tolerance=getattr(args, "tolerance", phase.MEMBERSHIP_BAND),
-        start=getattr(args, "start", None),
-    )
+    cfg = RunConfig(**vars(args))
     commands = {
         "lattice": cmd_lattice,
         "reduce": cmd_reduce,

@@ -14,6 +14,13 @@ two open branches L (s2 > 0) and R (s2 < 0) joined across the vertex
 ``t2-on-r4``: the 2-torus rotating two planes independently.  Eight C-L
 pieces: three cosphere-like pieces, two coisotropic seams, three
 Legendrian seams (two of which are points).
+
+The pieces are complementary at one band: every zero-level image matches
+exactly one of them.  So a piece that needs p1 = p3 on a plane states
+``eq(p1 - p3)`` plus that plane's cone equation, never the implied
+``eq(p2)``: on the cone p1 - p3 = e forces |p2| ~ sqrt(2 p1 e), so an
+image with e inside the band would fail both ``eq(p2)`` and the
+neighbour's ``ne(p1 - p3)``.
 """
 
 from __future__ import annotations
@@ -213,7 +220,7 @@ def t2_on_r4() -> Fixture:
                 gt("sig1", Poly(linear=(_v(s1),))),
                 ne("rho1 - rho3", dr),
                 eq("sig1 - sig3", ds),
-                eq("sig2", Poly(linear=(_v(s2),))),
+                eq("sig1^2 - sig2^2 - sig3^2", cone_s),
                 eq("rho1 + rho3 + 2 sig1 - 2",
                    Poly(const=-2.0, linear=(_v(r1), _v(r3), _v(s1, 2.0)))),
                 eq("rho1^2 - rho2^2 - rho3^2", cone_r),
@@ -225,7 +232,7 @@ def t2_on_r4() -> Fixture:
                 gt("rho1", Poly(linear=(_v(r1),))),
                 gt("sig1", Poly(linear=(_v(s1),))),
                 eq("rho1 - rho3", dr),
-                eq("rho2", Poly(linear=(_v(r2),))),
+                eq("rho1^2 - rho2^2 - rho3^2", cone_r),
                 ne("sig1 - sig3", ds),
                 eq("2 rho1 + sig1 + sig3 - 2",
                    Poly(const=-2.0, linear=(_v(r1, 2.0), _v(s1), _v(s3)))),
@@ -238,9 +245,9 @@ def t2_on_r4() -> Fixture:
                 gt("rho1", Poly(linear=(_v(r1),))),
                 gt("sig1", Poly(linear=(_v(s1),))),
                 eq("rho1 - rho3", dr),
-                eq("rho2", Poly(linear=(_v(r2),))),
+                eq("rho1^2 - rho2^2 - rho3^2", cone_r),
                 eq("sig1 - sig3", ds),
-                eq("sig2", Poly(linear=(_v(s2),))),
+                eq("sig1^2 - sig2^2 - sig3^2", cone_s),
                 eq("rho1 + sig1 - 1", Poly(const=-1.0, linear=(_v(r1), _v(s1)))),
             ),
         ),
@@ -271,9 +278,9 @@ def t2_on_r4() -> Fixture:
         MembershipPiece(
             "Seam(T^2>e×S^1)",
             (
-                eq("rho1 - 1", Poly(const=-1.0, linear=(_v(r1),))),
-                eq("rho2", Poly(linear=(_v(r2),))),
-                eq("rho3 - 1", Poly(const=-1.0, linear=(_v(r3),))),
+                eq("rho1 + rho3 - 2", Poly(const=-2.0, linear=(_v(r1), _v(r3)))),
+                eq("rho1 - rho3", dr),
+                eq("rho1^2 - rho2^2 - rho3^2", cone_r),
                 eq("sig1", Poly(linear=(_v(s1),))),
                 eq("sig2", Poly(linear=(_v(s2),))),
                 eq("sig3", Poly(linear=(_v(s3),))),
@@ -285,9 +292,9 @@ def t2_on_r4() -> Fixture:
                 eq("rho1", Poly(linear=(_v(r1),))),
                 eq("rho2", Poly(linear=(_v(r2),))),
                 eq("rho3", Poly(linear=(_v(r3),))),
-                eq("sig1 - 1", Poly(const=-1.0, linear=(_v(s1),))),
-                eq("sig2", Poly(linear=(_v(s2),))),
-                eq("sig3 - 1", Poly(const=-1.0, linear=(_v(s3),))),
+                eq("sig1 + sig3 - 2", Poly(const=-2.0, linear=(_v(s1), _v(s3)))),
+                eq("sig1 - sig3", ds),
+                eq("sig1^2 - sig2^2 - sig3^2", cone_s),
             ),
         ),
     )

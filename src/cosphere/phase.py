@@ -59,6 +59,11 @@ class RetriesExhaustedError(PhaseError):
     pass
 
 
+class RankDeficientError(PhaseError):
+    """The weight matrix has rank below n: per-plane invariants do not
+    separate the orbits, so the reduced coordinates are not a chart."""
+
+
 class NoMatchingStratumError(PhaseError):
     pass
 
@@ -209,9 +214,16 @@ def hilbert_map(
 ) -> np.ndarray:
     """Reduced-space coordinates of a zero-level point.
 
-    Raises :class:`NotOnZeroLevelError` when |J| exceeds ``tol``; the
+    Raises :class:`RankDeficientError` when the weight matrix has rank
+    below n, and :class:`NotOnZeroLevelError` when |J| exceeds ``tol``; the
     momentum components are dropped from the output.
     """
+    rank = spec.k - stabilizer_of_support(spec, range(spec.n)).dim_stab
+    if rank < spec.n:
+        raise RankDeficientError(
+            f"weight matrix has rank {rank} < n = {spec.n}: "
+            "per-plane invariants do not separate orbits"
+        )
     j = momentum(spec, point)
     norm = float(np.max(np.abs(j)))
     if norm > tol:
@@ -420,7 +432,7 @@ def locate_rows(
     fixture, images: np.ndarray, band: float = MEMBERSHIP_BAND
 ) -> tuple[np.ndarray, np.ndarray]:
     """Index of the one matching piece per image row (-1 for zero or several
-    matches) and that piece's worst equality residual.
+    matches) and that piece's worst equality residual (NaN on a -1 row).
 
     :func:`check_reduced_membership` on a row marked -1 raises the error
     that explains it.
@@ -428,7 +440,7 @@ def locate_rows(
     table = membership_table(fixture, images, band)
     piece = np.where(table.matched.sum(axis=1) == 1, table.matched.argmax(axis=1), -1)
     rows = np.arange(piece.size)
-    return piece, np.where(piece >= 0, table.residual[rows, piece], 0.0)
+    return piece, np.where(piece >= 0, table.residual[rows, piece], np.nan)
 
 
 def membership_candidates(

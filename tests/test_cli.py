@@ -178,6 +178,26 @@ def test_flow_csv_from_a_seam_start(tmp_path, capsys):
     assert all(r[col] == "CC(e×S^1)" for r in rows[2:])
 
 
+@pytest.mark.parametrize("start, row, label", [
+    ("0.30003,0,0,0,-1,0,0,0", 300, "Seam(T^2>e×S^1)"),
+    ("0.30003,0,0.2,0,-0.6,0,0.8,0", 500, "Seam(S^1×e>e)"),
+    ("0,0,0.40002,0,0,0,-1,0", 400, "Seam(T^2>S^1×e)"),
+])
+def test_flow_csv_labels_every_row_within_the_band(capsys, start, row, label):
+    # on that row each line passes 2e-5 to 3e-5 from the origin of one
+    # plane, where p1 - p3 = 2 |x_j|^2 is inside the band but p2 = 2 x_j . u_j
+    # is not
+    code, out, _ = run(
+        capsys, "flow", "--fixture", "t2-on-r4", "--start", start, "--t-end", "1"
+    )
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) == 1001
+    assert rows[row]["stratum"] == label
+    assert all(r["stratum"] != "(unresolved)" for r in rows)
+    assert all(float(r["residual"]) < phase.MEMBERSHIP_BAND for r in rows)
+
+
 def test_flow_rejects_bad_starts(capsys):
     # off the zero level: u has angular mass
     code, _, err = run(

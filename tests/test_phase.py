@@ -24,6 +24,7 @@ from cosphere.phase import (
     NotOnZeroLevelError,
     PhaseError,
     PhasePoint,
+    RankDeficientError,
     RetriesExhaustedError,
     check_reduced_membership,
     classify_point,
@@ -31,15 +32,17 @@ from cosphere.phase import (
     invariant_tables,
     invariants,
     k0_project,
+    locate_rows,
     membership_candidates,
     momenta,
     momentum,
     momentum_matrix,
+    reduced_images,
     sample_zero_level,
     support_of,
     zero_level_arrays,
 )
-from cosphere.reeb import flow_exact
+from cosphere.reeb import flow_exact, flowed_base
 from cosphere.torus import TorusActionSpec
 
 T2 = TorusActionSpec(k=2, n=2, weights=((1, 0), (0, 1)))
@@ -149,6 +152,20 @@ def test_hilbert_map_requires_zero_momentum():
     off = PhasePoint(np.array([1.0, 0.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0, 0.0]))
     with pytest.raises(NotOnZeroLevelError):
         hilbert_map(T2, off)
+
+
+def test_hilbert_map_refuses_weights_of_rank_below_n():
+    # the diagonal circle on two planes: (z1, z2) and (z1, -z2) lie in
+    # different orbits but share every per-plane invariant
+    spec = TorusActionSpec(k=1, n=2, weights=((1, 1),))
+    x, u = np.array([1.0, 0.0, 1.0, 0.0]), np.array([0.6, 0.0, 0.8, 0.0])
+    flip = np.array([1.0, 1.0, -1.0, -1.0])
+    p, q = PhasePoint(x, u), PhasePoint(x * flip, u * flip)
+    assert momentum(spec, p).tolist() == momentum(spec, q).tolist() == [0.0]
+    assert invariants(p).table.tolist() == invariants(q).table.tolist()
+    for point in (p, q):
+        with pytest.raises(RankDeficientError, match="rank 1 < n = 2"):
+            hilbert_map(spec, point)
 
 
 def test_support_and_classification():
@@ -295,15 +312,15 @@ def test_membership_flags_overlapping_pieces():
         check_reduced_membership(toy, np.array([1.0, 0.0, 0.0]))
 
 
-def test_membership_candidates_widen_near_a_seam():
-    # just off the sig seam: the ne clearance fails strictly but the point
-    # snaps to the seam at a coarser band
+def test_membership_matches_the_seam_strictly_just_off_it():
+    # just off the sig seam: sig1 - sig3 = 5e-9 lies inside the band, so the
+    # ne clearance of CC(e) fails while the seam's cone equation, unlike the
+    # implied eq("sig2") with sig2 = 1e-5, still holds
     image = np.array([0.625, 0.5, 0.375, 0.5 + 2.5e-9, 1e-5, 0.5 - 2.5e-9])
-    strict, misses = membership_candidates(t2_on_r4(), image, MEMBERSHIP_BAND)
-    assert strict == []
-    assert misses
-    coarse, _ = membership_candidates(t2_on_r4(), image, 1e-4)
-    assert [name for name, _ in coarse] == ["Seam(e×S^1>e)"]
+    matches, misses = membership_candidates(t2_on_r4(), image, MEMBERSHIP_BAND)
+    assert [name for name, _ in matches] == ["Seam(e×S^1>e)"]
+    assert matches[0][1] <= MEMBERSHIP_BAND
+    assert ("CC(e)", "sig1 - sig3", pytest.approx(5e-9)) in misses
 
 
 def test_membership_band_hands_off_without_gaps_or_overlap():
@@ -315,20 +332,41 @@ def test_membership_band_hands_off_without_gaps_or_overlap():
         assert [name for name, _ in matches] == [expect]
 
 
-# Known defect, pinned until piece labels come from supports rather than
-# from the semialgebraic bands.  This start on Seam(e×S^1>e) flowed to
-# t = 0.5 lands at rho1 - rho3 = 9.99e-9, inside the 1e-8 band, with
-# rho2 = 1.1e-4: the ne constraint of CC(e) and the eq("rho2") constraint
-# of the seams both refuse it, so no piece matches.  checks.flow_checks
-# meets such starts on about one seed in a few hundred.
-@pytest.mark.xfail(strict=True, raises=NoMatchingStratumError)
+# This start on Seam(e×S^1>e) flowed to t = 0.5 lands at
+# rho1 - rho3 = 9.99e-9, inside the 1e-8 band, with rho2 = -1.1e-4.  The
+# seam states rho1 = rho3 by eq("rho1 - rho3") and the rho cone equation,
+# not by the implied eq("rho2"), so it claims the point that the ne
+# constraint of CC(e) refuses.
 def test_seam_flow_start_in_the_band_gap_matches_a_piece():
     start = PhasePoint(
         (-0.0711453707959346, 0.38236702400407135, 0.0, 0.0),
         (0.14226488487490266, -0.7645950824534425, -0.3395173180554032,
          0.5290397462951251),
     )
-    check_reduced_membership(t2_on_r4(), invariants(flow_exact(start, 0.5)))
+    name, residual = check_reduced_membership(
+        t2_on_r4(), invariants(flow_exact(start, 0.5))
+    )
+    assert name == "Seam(S^1×e>e)"
+    assert residual <= MEMBERSHIP_BAND
+
+
+@pytest.mark.parametrize("fixture_name", ["s1-on-r2", "t2-on-r4"])
+def test_flowed_probe_samples_match_exactly_one_piece(fixture_name):
+    # the exact Reeb flow moves each sample along a line in the base; on
+    # t2-on-r4 a few lines per seed cross a seam within the band on the grid
+    fx = get_fixture(fixture_name)
+    times = np.linspace(0.0, 2.0, 101)
+    for seed in range(4):
+        for probe in fx.probes:
+            x, u = zero_level_arrays(
+                fx.spec, seed=seed, count=200,
+                support_pattern=probe.support_pattern,
+                covector_pattern=probe.covector_pattern,
+            )
+            xs = np.concatenate([flowed_base(x, u, t) for t in times])
+            us = np.tile(u, (times.size, 1))
+            piece, _ = locate_rows(fx, reduced_images(invariant_tables(xs, us)))
+            assert (piece >= 0).all(), (seed, probe.name, int(np.sum(piece < 0)))
 
 
 @pytest.mark.parametrize("fixture_name", ["s1-on-r2", "t2-on-r4"])
