@@ -22,6 +22,8 @@ import json
 import sys
 import tempfile
 from dataclasses import dataclass
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -108,8 +110,80 @@ def _write_text(path: Path, text: str) -> None:
     path.write_text(text)
 
 
+_FLOAT_SPELLING = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+class _QuotedStrings(dict):
+    """str -> its JSON text; a report repeats a few hundred labels."""
+
+    def __missing__(self, text: str) -> str:
+        quoted = self[text] = encode_basestring_ascii(text)
+        return quoted
+
+
+def _json_float(value: float) -> str:
+    text = float.__repr__(value)
+    return _FLOAT_SPELLING.get(text, text)
+
+
 def _dump_json(data: dict) -> str:
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+    """The bytes of ``json.dumps(data, indent=2, sort_keys=True) + "\\n"``.
+
+    With ``indent`` set, :mod:`json` runs its pure-Python encoder, one
+    generator step per token.  This writer builds the same text with joins
+    instead: strings go through the C ``encode_basestring_ascii`` once each,
+    and a list of equal-length rows of strings (the frontier pairs) is
+    formatted with one template.  Dict keys must be str and scalars exactly
+    str, int, float, bool or None (``TypeError`` otherwise); NaN and the
+    infinities are spelled as :mod:`json` spells them.
+    """
+    quoted = _QuotedStrings().__getitem__
+    scalars = {
+        str: quoted,
+        int: int.__repr__,
+        float: _json_float,
+        bool: {True: "true", False: "false"}.__getitem__,
+        type(None): lambda _: "null",
+    }
+
+    def string_rows(items: list | tuple, indent: str) -> str | None:
+        """Rows of one nonzero width, every cell a str, as one template each."""
+        if not set(map(type, items)) <= {list, tuple}:
+            return None
+        widths = set(map(len, items))
+        if len(widths) != 1:
+            return None
+        cells = list(chain.from_iterable(items))
+        if set(map(type, cells)) != {str}:  # also refuses rows of width 0
+            return None
+        (width,) = widths
+        cells = list(map(quoted, cells))
+        inner = indent + "  "
+        row = "[\n" + inner + (",\n" + inner).join(["{}"] * width) + "\n" + indent + "]"
+        return (",\n" + indent).join(map(row.format, *(cells[i::width] for i in range(width))))
+
+    def encode(value, indent: str) -> str:
+        scalar = scalars.get(type(value))
+        if scalar is not None:
+            return scalar(value)
+        inner = indent + "  "
+        if isinstance(value, (list, tuple)):
+            if not value:
+                return "[]"
+            body = string_rows(value, inner)
+            if body is None:
+                body = (",\n" + inner).join([encode(v, inner) for v in value])
+            return "[\n" + inner + body + "\n" + indent + "]"
+        if isinstance(value, dict):
+            if not value:
+                return "{}"
+            body = (",\n" + inner).join(
+                [quoted(k) + ": " + encode(v, inner) for k, v in sorted(value.items())]
+            )
+            return "{\n" + inner + body + "\n" + indent + "}"
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+    return encode(data, "") + "\n"
 
 
 def cmd_lattice(cfg: RunConfig) -> int:

@@ -23,6 +23,9 @@ import numpy as np
 
 from .phase import InvariantVector, PhaseError, PhasePoint, invariant_tables
 
+# a final RK4 step shorter than this fraction of the step is grid roundoff
+SLIVER = 1e-3
+
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
@@ -85,37 +88,41 @@ def flow_invariants_closed(inv: InvariantVector, t: float) -> InvariantVector:
 def flow_rk4(point: PhasePoint, t_end: float, step: float) -> Trajectory:
     """Classical fourth-order Runge-Kutta integration of the Reeb field.
 
-    The time grid is uniform with a final partial step landing exactly on
-    ``t_end``.  Exists as the independent numerical route against the
+    The time grid is uniform, built by repeated addition of ``step``, with a
+    final partial step landing exactly on ``t_end``.  When that final step
+    would be shorter than ``SLIVER * step`` it is roundoff of the repeated
+    addition, not a step, and the last grid point moves to ``t_end``
+    instead.  Exists as the independent numerical route against the
     closed-form flow; the two must agree to roundoff.
+
+    The field (u, 0) does not depend on x, so the steps run as array
+    operations: the u chain first, then the four stages of every step at
+    once, each chain summed along the time axis by ``np.add.accumulate``.
+    These are the operations of the per-step loop in its order, so the
+    states are bitwise those of the loop.
     """
     t_end = float(t_end)
     step = float(step)
     if not (0 < t_end < np.inf and 0 < step < np.inf):
         raise PhaseError(f"need finite positive t_end and step, got {t_end} and {step}")
     grid = [0.0]
-    while grid[-1] + step < t_end - 1e-15:
+    stop = t_end - max(SLIVER * step, 1e-15)
+    while grid[-1] + step < stop:
         grid.append(grid[-1] + step)
     if t_end - grid[-1] > 1e-15:
         grid.append(t_end)
     times = np.array(grid)
 
-    def field(x: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return u, np.zeros_like(u)
-
-    xs = np.empty((times.size, point.x.size))
-    us = np.empty_like(xs)
-    x, u = point.x.copy(), point.u.copy()
-    xs[0], us[0] = x, u
-    for i in range(1, times.size):
-        h = times[i] - times[i - 1]
-        k1x, k1u = field(x, u)
-        k2x, k2u = field(x + 0.5 * h * k1x, u + 0.5 * h * k1u)
-        k3x, k3u = field(x + 0.5 * h * k2x, u + 0.5 * h * k2u)
-        k4x, k4u = field(x + h * k3x, u + h * k3u)
-        x = x + (h / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
-        u = u + (h / 6.0) * (k1u + 2 * k2u + 2 * k3u + k4u)
-        xs[i], us[i] = x, u
+    h = np.diff(times)[:, None]
+    k_u = np.zeros((h.size, point.u.size))  # every stage's du/dt
+    # adding the +0.0 increments turns a -0.0 in u into +0.0 at step 1
+    us = np.add.accumulate(np.concatenate([point.u[None], (h / 6.0) * k_u]))
+    k1 = us[:-1]
+    k2 = k1 + 0.5 * h * k_u
+    k3 = k1 + 0.5 * h * k_u
+    k4 = k1 + h * k_u
+    dx = (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    xs = np.add.accumulate(np.concatenate([point.x[None], dx]))
     return Trajectory(times=times, xs=xs, us=us, method="rk4")
 
 

@@ -404,14 +404,15 @@ def result_to_json(result: StratificationResult) -> dict:
             entry["seam_upper"] = s.seam_upper
         return entry
 
+    frontier = sorted(result.frontier)  # closure_only is a subset, read off in order
     return {
         "cl_strata": [stratum_entry(s) for s in sorted(result.cl_strata, key=lambda s: s.name)],
         "contact_strata": [
             stratum_entry(s) for s in sorted(result.contact_strata, key=lambda s: s.name)
         ],
-        "frontier": sorted([a, b] for a, b in result.frontier),
-        "hasse": sorted([a, b] for a, b in result.hasse),
-        "closure_only": sorted([a, b] for a, b in result.closure_only),
+        "frontier": frontier,
+        "hasse": sorted(result.hasse),
+        "closure_only": list(filter(result.closure_only.__contains__, frontier)),
         "starred": sorted(result.starred),
         "piece_count": result.piece_count,
         # the C-L pieces always refine the contact strata, strictly exactly

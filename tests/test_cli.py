@@ -5,11 +5,13 @@ import functools
 import io
 import json
 import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 import cosphere
-from cosphere import phase, poset as poset_mod, reeb, strata, torus
+from cosphere import checks, cli, phase, poset as poset_mod, reeb, strata, torus
 from cosphere.cli import main
 from cosphere.poset import poset_to_json
 from cosphere.torus import TorusActionSpec, build_isotropy_poset, spec_to_json
@@ -326,3 +328,74 @@ def test_examples_runs_the_full_battery_and_covers_the_api(tmp_path, capsys, mon
         for artifact in ("isotropy.dot", "cl_strata.dot", "reduce.json",
                          "report.json", "samples.csv", "trajectory.csv"):
             assert (base / artifact).exists()
+
+
+# ------------------------------------------------------- the JSON writer
+
+GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "lattice_golden.json"
+
+
+def json_oracle(value) -> str:
+    return json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+json_texts = st.text(st.sampled_from('a"\\/\n\t\x00\x1f\x7f×\u2028\U0001f600') | st.characters(),
+                     max_size=6)
+json_scalars = (
+    st.none() | st.booleans() | st.integers() | st.integers(-2 ** 200, 2 ** 200)
+    | st.floats() | st.sampled_from([-0.0, 1e-300, float("nan"), float("inf"), -float("inf")])
+    | json_texts
+)
+# equal-width rows of strings (the frontier shape), including width 0 and 1
+json_string_rows = st.integers(0, 3).flatmap(lambda width: st.lists(
+    st.lists(json_texts, min_size=width, max_size=width) | st.tuples(*[json_texts] * width),
+    max_size=5,
+))
+json_values = st.recursive(
+    json_scalars | json_string_rows,
+    lambda inner: (
+        st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(json_texts, inner, max_size=4)
+    ),
+    max_leaves=30,
+)
+
+
+@given(json_values)
+@example({"frontier": [("CC(e)", "Seam(T^2>e)"), ("a", "b")], "hasse": [], "starred": ["e"]})
+@example([["×"], ["\"\\"]])                       # width-1 rows
+@example([["a", "b"], ["c"], [], ("d", "e")])     # ragged rows
+@example([["a", 1], ["b", None], ["c", 0.5]])     # str mixed with non-str
+@example([[], []])
+@example({"x": [-0.0, 1e-300, float("nan"), float("inf"), -float("inf"), 2 ** 70, True]})
+def test_dump_json_matches_the_json_module(value):
+    assert cli._dump_json(value) == json_oracle(value)
+
+
+def test_dump_json_refuses_what_no_report_holds():
+    # json.dumps would write the key 1 as "1" and a str subclass as a str
+    class Label(str):
+        pass
+
+    for value in ({1: "a"}, {"a": [{None: 0}]}, {"a": Label("b")}):
+        with pytest.raises(TypeError):
+            cli._dump_json(value)
+
+
+def test_reports_match_the_json_module(tmp_path, capsys):
+    for ref in json.loads(GOLDEN.read_text()):
+        if ref["types"] > poset_mod.MAX_TYPES:
+            continue
+        spec = TorusActionSpec(k=ref["k"], n=ref["n"],
+                               weights=tuple(map(tuple, ref["weights"])))
+        report = strata.result_to_json(strata.cl_stratification(build_isotropy_poset(spec)))
+        report["poset_valid"] = True
+        assert cli._dump_json(report) == json_oracle(report)
+    report = checks.verify_fixture(cosphere.get_fixture("t2-on-r4"), seed=0, count=200)
+    assert cli._dump_json(report) == json_oracle(report)
+    code, out, _ = run(
+        capsys, "flow", "--fixture", "s1-on-r2", "--t-end", "0.5",
+        "--out", str(tmp_path / "flow.csv"),
+    )
+    summary = out[: out.index("wrote")]
+    assert code == 0 and summary == json_oracle(json.loads(summary))

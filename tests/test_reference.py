@@ -5,7 +5,8 @@ momentum, classification, membership, CSV row labelling and the two
 batteries as they stood before the zero level was computed on arrays.
 They are kept here as the reference: on the same sampled points the array
 code must give bitwise-equal tables, the same labels, piece counts and
-residuals, and the same failure texts.
+residuals, and the same failure texts.  The per-step RK4 loop is kept the
+same way: the array integrator must give bitwise-equal times and states.
 """
 
 import dataclasses
@@ -295,6 +296,41 @@ def ref_flow_checks(fixture, seed: int, starts: int) -> dict:
     }
 
 
+def ref_rk4_grid(t_end: float, step: float) -> list[float]:
+    """Repeated addition of step; a final sliver step moves its start to t_end."""
+    grid = [0.0]
+    while grid[-1] + step < t_end - 1e-15:
+        grid.append(grid[-1] + step)
+    if len(grid) > 1 and t_end - grid[-1] < reeb.SLIVER * step:
+        grid[-1] = t_end
+    elif t_end - grid[-1] > 1e-15:
+        grid.append(t_end)
+    return grid
+
+
+def ref_flow_rk4(point: PhasePoint, t_end: float, step: float):
+    """One RK4 step of the field (u, 0) per loop iteration."""
+    times = np.array(ref_rk4_grid(t_end, step))
+
+    def field(x, u):
+        return u, np.zeros_like(u)
+
+    xs = np.empty((times.size, point.x.size))
+    us = np.empty_like(xs)
+    x, u = point.x.copy(), point.u.copy()
+    xs[0], us[0] = x, u
+    for i in range(1, times.size):
+        h = times[i] - times[i - 1]
+        k1x, k1u = field(x, u)
+        k2x, k2u = field(x + 0.5 * h * k1x, u + 0.5 * h * k1u)
+        k3x, k3u = field(x + 0.5 * h * k2x, u + 0.5 * h * k2u)
+        k4x, k4u = field(x + h * k3x, u + h * k3u)
+        x = x + (h / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
+        u = u + (h / 6.0) * (k1u + 2 * k2u + 2 * k3u + k4u)
+        xs[i], us[i] = x, u
+    return times, xs, us
+
+
 def outcome(fn, *args, **kwargs):
     """The result of the call, or the type and text of the PhaseError it raised."""
     try:
@@ -402,3 +438,44 @@ def test_trajectory_tables_match_the_per_point_reference():
     traj = reeb.flow_rk4(p, t_end=1.0, step=0.01)
     ref = [ref_table(traj.point(i)) for i in range(len(traj))]
     assert same_bits(reeb.trajectory_invariants(traj), ref)
+
+
+def random_phase_point(rng, n: int) -> PhasePoint:
+    """A unit covector and a base point, each with some entries set to -0.0."""
+    x = rng.standard_normal(2 * n)
+    u = rng.standard_normal(2 * n)
+    x[rng.random(2 * n) < 0.3] = -0.0
+    u[:: 2] = -0.0
+    return PhasePoint(x, u / np.linalg.norm(u))
+
+
+@pytest.mark.parametrize("t_end, step", [
+    (2.0, 1e-3),   # the CLI default: repeated addition ends 1.1e-13 short of 2
+    (1.0, 1e-3),
+    (0.25, 0.1),   # final partial steps
+    (1.0, 0.3),
+    (0.05, 0.1),   # step > t_end
+    (0.5, 0.01),
+])
+def test_rk4_matches_the_per_step_loop(t_end, step):
+    rng = np.random.default_rng(int(1e6 * t_end + 1e3 * step))
+    for n in (1, 2, 4):
+        p = random_phase_point(rng, n)
+        traj = reeb.flow_rk4(p, t_end=t_end, step=step)
+        times, xs, us = ref_flow_rk4(p, t_end, step)
+        assert same_bits(traj.times, times)
+        assert same_bits(traj.xs, xs)
+        assert same_bits(traj.us, us)
+        # the loop's first step turns each -0.0 of u into +0.0
+        assert np.signbit(traj.us[0, ::2]).all() and not np.signbit(traj.us[1:, ::2]).any()
+
+
+def test_rk4_grid_has_no_sliver_step():
+    grid = [0.0]
+    for _ in range(2000):
+        grid.append(grid[-1] + 1e-3)
+    assert 0 < 2.0 - grid[-1] < 1e-12  # repeated addition falls short of 2
+    point = PhasePoint(np.zeros(2), np.array([1.0, 0.0]))
+    traj = reeb.flow_rk4(point, t_end=2.0, step=1e-3)
+    assert traj.times.tolist() == grid[:-1] + [2.0]
+    assert len(reeb.flow_rk4(point, t_end=1.0, step=1e-3)) == 1001
