@@ -35,13 +35,14 @@ def demo(fixture_name: str, seed: int, t_end: float, step: float) -> int:
     print(f"== {fx.name}: {fx.title}")
     failures = 0
     for probe in seam_probes:
-        point = phase.sample_zero_level(
+        x, u = phase.zero_level_arrays(
             fx.spec,
             seed=seed,
             count=1,
             support_pattern=probe.support_pattern,
             covector_pattern=probe.covector_pattern,
-        )[0]
+        )
+        point = phase.PhasePoint(x[0], u[0])
         start_piece, _ = phase.check_reduced_membership(
             fx, phase.hilbert_map(fx.spec, point)
         )
@@ -49,7 +50,7 @@ def demo(fixture_name: str, seed: int, t_end: float, step: float) -> int:
         for t in grid:
             flowed = reeb.flow_exact(point, t) if t else point
             name, residual = phase.check_reduced_membership(
-                fx, phase.invariants(flowed).hilbert_image()
+                fx, phase.hilbert_map(fx.spec, flowed)
             )
             print(f"     t = {t:6.3f}  ->  {name:<18} residual {residual:.1e}")
             if t > 0 and stratum_of(name).startswith("Seam("):

@@ -9,15 +9,11 @@ combinatorial answers numerically on the builtin fixtures.
 
 from .fixtures import BUILTIN_FIXTURES, Fixture, get_fixture, s1_on_r2, t2_on_r4
 from .phase import (
-    InvariantVector,
     PhasePoint,
     check_reduced_membership,
-    classify_point,
     hilbert_map,
-    invariants,
     k0_project,
-    momentum,
-    sample_zero_level,
+    zero_level_arrays,
 )
 from .poset import (
     IsotropyPoset,
@@ -32,7 +28,7 @@ from .poset import (
     transitive_closure,
     validate,
 )
-from .reeb import Trajectory, flow_exact, flow_invariants_closed, flow_rk4
+from .reeb import Trajectory, flow_exact, flow_rk4
 from .strata import (
     StratificationResult,
     Stratum,
@@ -60,7 +56,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BUILTIN_FIXTURES",
     "Fixture",
-    "InvariantVector",
     "IsotropyPoset",
     "OrbitType",
     "PhasePoint",
@@ -74,26 +69,21 @@ __all__ = [
     "build_isotropy_poset",
     "check_reduced_membership",
     "cl_stratification",
-    "classify_point",
     "classify_seam",
     "contact_strata",
     "flow_exact",
-    "flow_invariants_closed",
     "flow_rk4",
     "get_fixture",
     "hasse_edges",
     "hilbert_map",
-    "invariants",
     "is_almost_semifree",
     "is_subconjugate",
     "k0_project",
-    "momentum",
     "poset_from_json",
     "poset_to_dot",
     "poset_to_json",
     "principal_type",
     "s1_on_r2",
-    "sample_zero_level",
     "secondary_strata",
     "semifree_decomposition",
     "single_type_reduce",
@@ -104,4 +94,5 @@ __all__ = [
     "t2_on_r4",
     "transitive_closure",
     "validate",
+    "zero_level_arrays",
 ]

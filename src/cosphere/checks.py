@@ -66,7 +66,10 @@ def verify_fixture(
     each (at least 200).  Every sample must sit on the zero level within
     1e-10, satisfy the cosphere and cone identities within 1e-9, classify
     into a starred orbit type, and land in exactly one semialgebraic piece.
+    A negative seed is refused with :class:`phase.PhaseError`.
     """
+    if int(seed) < 0:
+        raise phase.PhaseError(f"seed must be nonnegative, got {seed}")
     spec = fixture.spec
     poset = torus.build_isotropy_poset(spec)
     starred = strata.starred_lattice(poset)

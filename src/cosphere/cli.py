@@ -225,8 +225,8 @@ def _csv_rows(
     piece, residuals = phase.locate_rows(fixture, phase.reduced_images(tables), band)
     names = [fixture.pieces[p].name if p >= 0 else "(unresolved)" for p in piece]
     numbers = np.concatenate(
-        [x, u, phase.momenta(fixture.spec, tables), tables.reshape(len(x), -1),
-         residuals[:, None]],
+        [x, u, phase.momenta(fixture.spec, tables),
+         tables.reshape(len(x), 4 * fixture.spec.n), residuals[:, None]],
         axis=1,
     )
     return [
@@ -291,7 +291,7 @@ def _parse_start(fixture: Fixture, text: str) -> phase.PhasePoint:
         point = phase.PhasePoint(np.array(values[:dim]), np.array(values[dim:]))
     except phase.PhaseError as exc:
         raise CliInputError(str(exc)) from exc
-    j = phase.momentum(fixture.spec, point)
+    j = phase.momenta(fixture.spec, phase.invariant_tables(point.x, point.u))
     if float(np.max(np.abs(j))) > phase.SUPPORT_TOL:
         raise phase.NotOnZeroLevelError(
             f"start point has |J| = {float(np.max(np.abs(j)))}, not on the zero level"
@@ -306,7 +306,8 @@ def cmd_flow(cfg: RunConfig) -> int:
     if cfg.start is not None:
         point = _parse_start(fixture, cfg.start)
     else:
-        point = phase.sample_zero_level(spec, seed=cfg.seed, count=1)[0]
+        x, u = phase.zero_level_arrays(spec, seed=cfg.seed, count=1)
+        point = phase.PhasePoint(x[0], u[0])
 
     traj = reeb.flow_rk4(point, t_end=cfg.t_end, step=cfg.step)
     buf = io.StringIO()

@@ -13,10 +13,14 @@ reduced-space coordinates drop the momentum components, keeping
 (p1, p2, p3) per plane in plane order.
 
 Everything is computed on arrays: ``x`` and ``u`` of shape (N, 2n), one
-point per row, give invariant tables of shape (N, n, 4) and reduced images
-of shape (N, 3n).  The per-point functions (:func:`invariants`,
-:func:`momentum`, :func:`classify_point`, :func:`membership_candidates`,
-...) are the same code applied to one point.
+point per row, give invariant tables of shape (N, n, 4)
+(:func:`invariant_tables`), momenta of shape (N, k) (:func:`momenta`),
+orbit-type labels (:func:`orbit_labels`) and reduced images of shape
+(N, 3n) (:func:`reduced_images`), located in the fixture pieces by
+:func:`locate_rows`.  :func:`check_reduced_membership` takes one image and
+explains a row that :func:`locate_rows` leaves unlocated.
+:class:`PhasePoint` is the validated type of a single point given from
+outside (:func:`hilbert_map`, the Reeb flows).
 
 The zero-level sampler solves J = 0 exactly in the covector: for fixed x
 the momentum is linear, J = M(x) u, so a Gaussian covector is projected
@@ -110,56 +114,10 @@ class PhasePoint:
         return self.x.size // 2
 
 
-@dataclass(frozen=True, eq=False)
-class InvariantVector:
-    """Per-plane invariant table of shape (n, 4), columns (p1, p2, p3, p4)."""
-
-    table: np.ndarray
-
-    def __post_init__(self) -> None:
-        t = np.array(self.table, dtype=float)
-        if t.ndim != 2 or t.shape[1] != 4:
-            raise PhaseError("invariant table must have shape (n, 4)")
-        t.setflags(write=False)
-        object.__setattr__(self, "table", t)
-
-    @property
-    def n(self) -> int:
-        return self.table.shape[0]
-
-    @property
-    def p1(self) -> np.ndarray:
-        return self.table[:, 0]
-
-    @property
-    def p2(self) -> np.ndarray:
-        return self.table[:, 1]
-
-    @property
-    def p3(self) -> np.ndarray:
-        return self.table[:, 2]
-
-    @property
-    def p4(self) -> np.ndarray:
-        return self.table[:, 3]
-
-    def hilbert_image(self) -> np.ndarray:
-        """(p1, p2, p3) per plane, flattened in plane order."""
-        return reduced_images(self.table).copy()
-
-    def cone_residuals(self) -> np.ndarray:
-        """Per-plane residual of p1^2 - p2^2 - p3^2 - 4 p4^2 (an identity)."""
-        return cone_residuals(self.table)
-
-    def cosphere_sum(self) -> float:
-        """sum of (p1 + p3) over planes; equals 2 on the unit cosphere."""
-        return float(cosphere_sums(self.table))
-
-
 def _planes(v: np.ndarray) -> np.ndarray:
     """(..., 2n) coordinates as (..., n, 2): one row per plane."""
     v = np.asarray(v, dtype=float)
-    return v.reshape(v.shape[:-1] + (-1, 2))
+    return v.reshape(v.shape[:-1] + (v.shape[-1] // 2, 2))
 
 
 def invariant_tables(x: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -177,7 +135,7 @@ def invariant_tables(x: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 def reduced_images(tables: np.ndarray) -> np.ndarray:
     """(p1, p2, p3) per plane of (..., n, 4) tables, flattened to (..., 3n)."""
-    return tables[..., :3].reshape(tables.shape[:-2] + (-1,))
+    return tables[..., :3].reshape(tables.shape[:-2] + (3 * tables.shape[-2],))
 
 
 def cone_residuals(tables: np.ndarray) -> np.ndarray:
@@ -191,22 +149,10 @@ def cosphere_sums(tables: np.ndarray) -> np.ndarray:
     return np.sum(tables[..., 0] + tables[..., 2], axis=-1)
 
 
-def invariants(point: PhasePoint) -> InvariantVector:
-    """The per-plane Hilbert generators of the phase point."""
-    return InvariantVector(invariant_tables(point.x, point.u))
-
-
 def momenta(spec: TorusActionSpec, tables: np.ndarray) -> np.ndarray:
     """J = A p4 of (..., n, 4) invariant tables, shape (..., k)."""
     weights = np.array(spec.weights, dtype=float)
     return (weights @ tables[..., 3, None])[..., 0]
-
-
-def momentum(spec: TorusActionSpec, point: PhasePoint) -> np.ndarray:
-    """The contact momentum J(x, u) = A p4 of the lifted action."""
-    if point.n != spec.n:
-        raise PhaseError(f"point has {point.n} planes, spec has {spec.n}")
-    return momenta(spec, invariants(point).table)
 
 
 def hilbert_map(
@@ -214,32 +160,30 @@ def hilbert_map(
 ) -> np.ndarray:
     """Reduced-space coordinates of a zero-level point.
 
-    Raises :class:`RankDeficientError` when the weight matrix has rank
-    below n, and :class:`NotOnZeroLevelError` when |J| exceeds ``tol``; the
-    momentum components are dropped from the output.
+    Raises :class:`PhaseError` when the point and the spec differ in their
+    number of planes, :class:`RankDeficientError` when the weight matrix
+    has rank below n, and :class:`NotOnZeroLevelError` when |J| exceeds
+    ``tol``; the momentum components are dropped from the output.
     """
+    if point.n != spec.n:
+        raise PhaseError(f"point has {point.n} planes, spec has {spec.n}")
     rank = spec.k - stabilizer_of_support(spec, range(spec.n)).dim_stab
     if rank < spec.n:
         raise RankDeficientError(
             f"weight matrix has rank {rank} < n = {spec.n}: "
             "per-plane invariants do not separate orbits"
         )
-    j = momentum(spec, point)
-    norm = float(np.max(np.abs(j)))
+    tables = invariant_tables(point.x, point.u)
+    norm = float(np.max(np.abs(momenta(spec, tables))))
     if norm > tol:
         raise NotOnZeroLevelError(f"|J| = {norm} exceeds {tol}")
-    return invariants(point).hilbert_image()
+    return reduced_images(tables)
 
 
 def support_masks(tables: np.ndarray, tol: float = SUPPORT_TOL) -> np.ndarray:
     """(..., n) mask of the planes where (x_j, u_j) is nonzero beyond ``tol``,
     read off (..., n, 4) invariant tables: |(x_j, u_j)| = sqrt(p1_j)."""
     return np.sqrt(tables[..., 0]) > tol
-
-
-def support_of(point: PhasePoint, tol: float = SUPPORT_TOL) -> tuple[int, ...]:
-    """Planes where (x_j, u_j) is nonzero beyond ``tol``."""
-    return tuple(int(j) for j in np.flatnonzero(support_masks(invariants(point).table, tol)))
 
 
 def orbit_labels(spec: TorusActionSpec, masks: np.ndarray) -> np.ndarray:
@@ -253,13 +197,6 @@ def orbit_labels(spec: TorusActionSpec, masks: np.ndarray) -> np.ndarray:
         dtype=object,
     )
     return labels[inverse.reshape(-1)]
-
-
-def classify_point(
-    spec: TorusActionSpec, point: PhasePoint, tol: float = SUPPORT_TOL
-) -> str:
-    """Orbit-type label of the point in the lifted action."""
-    return orbit_labels(spec, support_masks(invariants(point).table, tol)[None, :])[0]
 
 
 def momentum_matrix(spec: TorusActionSpec, x: np.ndarray) -> np.ndarray:
@@ -325,13 +262,29 @@ def zero_level_arrays(
     covector_pattern: Iterable[int] | None = None,
     max_retries: int = 64,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The points of :func:`sample_zero_level` as (count, 2n) arrays (x, u)."""
+    """Draw exact zero-level cosphere points as (count, 2n) arrays (x, u),
+    deterministically from the seed.
+
+    Base coordinates are Gaussian on the planes of ``support_pattern`` and
+    exactly zero elsewhere; the covector is a Gaussian on the
+    ``covector_pattern`` planes projected onto an orthonormal basis of
+    ker M(x) restricted to those planes, then normalized, so |J| vanishes
+    to machine precision.  All draws of one call come as one row-major
+    block from ``default_rng(seed)``, one row per sample, so sample i is
+    the same for every ``count`` above i.  A row whose projected covector
+    is shorter than 1e-8 is redrawn from ``default_rng([seed, i, attempt])``
+    for attempt = 1, 2, ...; after ``max_retries`` draws in all,
+    :class:`RetriesExhaustedError` is raised.  A negative seed or count is
+    refused with :class:`PhaseError`.
+    """
     xcols = _plane_columns(_as_plane_set(support_pattern, spec.n))
     ucols = _plane_columns(_as_plane_set(covector_pattern, spec.n))
     if not ucols.size:
         raise EmptyKernelError("empty covector pattern leaves no unit covector")
     if int(count) < 0:
         raise PhaseError(f"sample count must be nonnegative, got {count}")
+    if int(seed) < 0:
+        raise PhaseError(f"seed must be nonnegative, got {seed}")
     width = xcols.size + ucols.size
     block = np.random.default_rng(int(seed)).standard_normal((int(count), width))
     x, u, ok = _zero_level_rows(spec, xcols, ucols, block)
@@ -349,33 +302,6 @@ def zero_level_arrays(
                 f"no admissible covector after {max_retries} draws for sample {index}"
             )
     return x, u
-
-
-def sample_zero_level(
-    spec: TorusActionSpec,
-    seed: int,
-    count: int,
-    support_pattern: Iterable[int] | None = None,
-    covector_pattern: Iterable[int] | None = None,
-    max_retries: int = 64,
-) -> list[PhasePoint]:
-    """Draw exact zero-level cosphere points, deterministically from the seed.
-
-    Base coordinates are Gaussian on the planes of ``support_pattern`` and
-    exactly zero elsewhere; the covector is a Gaussian on the
-    ``covector_pattern`` planes projected onto an orthonormal basis of
-    ker M(x) restricted to those planes, then normalized, so |J| vanishes
-    to machine precision.  All draws of one call come as one row-major
-    block from ``default_rng(seed)``, one row per sample, so sample i is
-    the same for every ``count`` above i.  A row whose projected covector
-    is shorter than 1e-8 is redrawn from ``default_rng([seed, i, attempt])``
-    for attempt = 1, 2, ...; after ``max_retries`` draws in all,
-    :class:`RetriesExhaustedError` is raised.
-    """
-    x, u = zero_level_arrays(
-        spec, seed, count, support_pattern, covector_pattern, max_retries
-    )
-    return [PhasePoint(xi, ui) for xi, ui in zip(x, u)]
 
 
 class MembershipTable(NamedTuple):
@@ -396,8 +322,11 @@ def membership_table(
     disequalities demand clearance beyond the same band.  A NaN value
     violates every constraint, so a NaN image matches no piece.  Pieces
     share constraints (the cone and cosphere equations above all), so each
-    distinct polynomial is evaluated once.
+    distinct polynomial is evaluated once.  A band that is not finite and
+    positive is refused with :class:`PhaseError`.
     """
+    if not 0 < band < np.inf:
+        raise PhaseError(f"membership band must be finite and positive, got {band}")
     images = np.asarray(images, dtype=float)
     shape = (images.shape[0], len(fixture.pieces))
     residual = np.zeros(shape)
@@ -443,68 +372,49 @@ def locate_rows(
     return piece, np.where(piece >= 0, table.residual[rows, piece], np.nan)
 
 
-def membership_candidates(
-    fixture, image: np.ndarray | InvariantVector, band: float = MEMBERSHIP_BAND
-) -> tuple[list[tuple[str, float]], list[tuple[str, str, float]]]:
-    """All pieces matching the image at the given band.
-
-    Returns (matches, near_misses): matches as (piece name, worst equality
-    residual), near misses as (piece name, first violated constraint,
-    value).
-    """
-    if isinstance(image, InvariantVector):
-        image = image.hilbert_image()
-    table = membership_table(fixture, np.asarray(image, dtype=float)[None, :], band)
-    matches: list[tuple[str, float]] = []
-    near_misses: list[tuple[str, str, float]] = []
-    for p, piece in enumerate(fixture.pieces):
-        if table.matched[0, p]:
-            matches.append((piece.name, float(table.residual[0, p])))
-        else:
-            text = piece.constraints[table.violated[0, p]].text
-            near_misses.append((piece.name, text, float(table.value[0, p])))
-    return matches, near_misses
-
-
 def check_reduced_membership(
-    fixture, image: np.ndarray | InvariantVector, band: float = MEMBERSHIP_BAND
+    fixture, image: np.ndarray, band: float = MEMBERSHIP_BAND
 ) -> tuple[str, float]:
-    """Locate a reduced point inside the fixture's semialgebraic pieces.
+    """Locate a (3n,) reduced image inside the fixture's semialgebraic pieces.
 
     Equalities accept residuals up to ``band``; strict inequalities and
     disequalities demand clearance beyond the same band, so the pieces
     stay complementary.  Returns the unique matching piece name and its
-    worst equality residual.  Raises :class:`NoMatchingStratumError` or
+    worst equality residual.  Raises :class:`NoMatchingStratumError`,
+    naming the first violated constraint of the first four pieces, or
     :class:`AmbiguousMembershipError` otherwise.
     """
-    matches, near_misses = membership_candidates(fixture, image, band)
-    if not matches:
-        detail = "; ".join(f"{n}: {t} = {v:.3e}" for n, t, v in near_misses[:4])
-        raise NoMatchingStratumError(f"no stratum matches the image ({detail})")
-    if len(matches) > 1:
-        raise AmbiguousMembershipError(
-            f"image matches {[m[0] for m in matches]}: pieces are not disjoint"
+    table = membership_table(fixture, np.asarray(image, dtype=float)[None, :], band)
+    matched = np.flatnonzero(table.matched[0])
+    if not matched.size:
+        detail = "; ".join(
+            f"{piece.name}: {piece.constraints[i].text} = {v:.3e}"
+            for piece, i, v in zip(fixture.pieces[:4], table.violated[0], table.value[0])
         )
-    return matches[0]
+        raise NoMatchingStratumError(f"no stratum matches the image ({detail})")
+    if matched.size > 1:
+        raise AmbiguousMembershipError(
+            f"image matches {[fixture.pieces[p].name for p in matched]}: "
+            "pieces are not disjoint"
+        )
+    p = matched[0]
+    return fixture.pieces[p].name, float(table.residual[0, p])
 
 
 def k0_project(
-    inv: InvariantVector | np.ndarray, offsets: Sequence[float] | None = None
+    image: np.ndarray, offsets: Sequence[float] | None = None
 ) -> np.ndarray:
     """Project reduced coordinates to the singular base chart.
 
     Per plane j the image is (p1_j - c_j, 0, c_j - p1_j) where c_j is the
     plane's covector-mass offset, 1 by default (the value for which the
-    example charts split the cosphere constraint evenly).  Accepts an
-    invariant table, a flattened reduced image, or (N, 3n) rows of them.
+    example charts split the cosphere constraint evenly).  Accepts a
+    flattened (3n,) reduced image or (N, 3n) rows of them.
     """
-    if isinstance(inv, InvariantVector):
-        p1 = np.array(inv.p1, dtype=float)
-    else:
-        arr = np.asarray(inv, dtype=float)
-        if arr.ndim not in (1, 2) or arr.shape[-1] % 3:
-            raise PhaseError("expected a flattened (p1, p2, p3)-per-plane image")
-        p1 = arr[..., 0::3].copy()
+    arr = np.asarray(image, dtype=float)
+    if arr.ndim not in (1, 2) or arr.shape[-1] % 3:
+        raise PhaseError("expected a flattened (p1, p2, p3)-per-plane image")
+    p1 = arr[..., 0::3]
     n = p1.shape[-1]
     c = np.ones(n) if offsets is None else np.asarray(offsets, dtype=float)
     if c.shape != (n,):

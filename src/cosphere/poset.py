@@ -14,6 +14,7 @@ contains reflexive pairs).
 
 from __future__ import annotations
 
+import operator
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Mapping
@@ -35,6 +36,17 @@ class CyclicRelationError(PosetError):
 
 class NoUniqueMinimumError(PosetError):
     """No unique minimal orbit type: quotient disconnected or input invalid."""
+
+
+def _integer(value, name: str, error: type[ValueError] = PosetError) -> int:
+    """``value`` as an int; a float, bool or string is refused as ``error``,
+    not truncated."""
+    if isinstance(value, bool):
+        raise error(f"{name} must be an integer, not {value!r}")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{name} must be an integer, not {value!r}") from None
 
 
 def transitive_closure(pairs: Iterable[tuple[str, str]]) -> frozenset[tuple[str, str]]:
@@ -261,23 +273,20 @@ def poset_from_json(data: dict) -> IsotropyPoset:
     carry a ``finite_tag``.
     """
     try:
-        types = tuple(
-            OrbitType(
-                label=str(t["label"]),
-                dim_H=int(t["dim_H"]),
-                is_identity=(int(t["dim_H"]) == 0 and t.get("finite_tag") is None),
-                finite_tag=(None if t.get("finite_tag") is None else str(t["finite_tag"])),
-            )
-            for t in data["types"]
-        )
-        dim_q_of = {str(t["label"]): int(t["dim_Q_of"]) for t in data["types"]}
+        types, dim_q_of = [], {}
+        for t in data["types"]:
+            dim_h = _integer(t["dim_H"], "dim_H")
+            tag = None if t.get("finite_tag") is None else str(t["finite_tag"])
+            types.append(OrbitType(label=str(t["label"]), dim_H=dim_h,
+                                   is_identity=(dim_h == 0 and tag is None), finite_tag=tag))
+            dim_q_of[str(t["label"])] = _integer(t["dim_Q_of"], "dim_Q_of")
         order = frozenset((str(a), str(b)) for a, b in data["order"])
         return IsotropyPoset(
-            types=types,
+            types=tuple(types),
             order=order,
             dim_Q_of=dim_q_of,
-            dim_G=int(data["dim_G"]),
-            dim_Q=int(data["dim_Q"]),
+            dim_G=_integer(data["dim_G"], "dim_G"),
+            dim_Q=_integer(data["dim_Q"], "dim_Q"),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise PosetError(f"malformed isotropy poset JSON: {exc}") from exc

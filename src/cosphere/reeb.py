@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .phase import InvariantVector, PhaseError, PhasePoint, invariant_tables
+from .phase import PhaseError, PhasePoint, invariant_tables
 
 # a final RK4 step shorter than this fraction of the step is grid roundoff
 SLIVER = 1e-3
@@ -34,7 +34,6 @@ class Trajectory:
     times: np.ndarray
     xs: np.ndarray
     us: np.ndarray
-    method: str
 
     def __post_init__(self) -> None:
         t = np.array(self.times, dtype=float)
@@ -49,9 +48,6 @@ class Trajectory:
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "us", us)
-
-    def point(self, i: int) -> PhasePoint:
-        return PhasePoint(self.xs[i], self.us[i])
 
     def __len__(self) -> int:
         return int(self.times.size)
@@ -78,11 +74,6 @@ def flowed_tables(tables: np.ndarray, t: float) -> np.ndarray:
         p3 - p2 * t - w * t * t,
         p4,
     ], axis=-1)
-
-
-def flow_invariants_closed(inv: InvariantVector, t: float) -> InvariantVector:
-    """Closed-form invariants of the flowed point (exact, per plane)."""
-    return InvariantVector(flowed_tables(inv.table, t))
 
 
 def flow_rk4(point: PhasePoint, t_end: float, step: float) -> Trajectory:
@@ -123,12 +114,7 @@ def flow_rk4(point: PhasePoint, t_end: float, step: float) -> Trajectory:
     k4 = k1 + h * k_u
     dx = (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
     xs = np.add.accumulate(np.concatenate([point.x[None], dx]))
-    return Trajectory(times=times, xs=xs, us=us, method="rk4")
-
-
-def trajectory_invariants(traj: Trajectory) -> np.ndarray:
-    """Invariant tables along the trajectory, shape (len, n, 4)."""
-    return invariant_tables(traj.xs, traj.us)
+    return Trajectory(times=times, xs=xs, us=us)
 
 
 def conservation_report(traj: Trajectory) -> dict[str, float]:
@@ -137,7 +123,7 @@ def conservation_report(traj: Trajectory) -> dict[str, float]:
     Reports the max deviation of per-plane p4 and p1 + p3 from their
     initial values, and of the cosphere sum from 2.
     """
-    tables = trajectory_invariants(traj)
+    tables = invariant_tables(traj.xs, traj.us)
     p4 = tables[:, :, 3]
     mass = tables[:, :, 0] + tables[:, :, 2]
     return {

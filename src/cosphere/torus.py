@@ -25,12 +25,11 @@ here is floating point.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .poset import IsotropyPoset, OrbitType
+from .poset import IsotropyPoset, OrbitType, _integer
 from .poset import principal_type as poset_principal_type
 
 MAX_WEIGHT = 16
@@ -39,16 +38,6 @@ MAX_PLANES = 12
 
 class ActionSpecError(ValueError):
     pass
-
-
-def _integer(value, name: str) -> int:
-    """``value`` as an int; a float, bool or string is refused, not truncated."""
-    if isinstance(value, bool):
-        raise ActionSpecError(f"{name} must be an integer, not {value!r}")
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ActionSpecError(f"{name} must be an integer, not {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -60,12 +49,15 @@ class TorusActionSpec:
     weights: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "k", _integer(self.k, "k"))
-        object.__setattr__(self, "n", _integer(self.n, "n"))
+        object.__setattr__(self, "k", _integer(self.k, "k", ActionSpecError))
+        object.__setattr__(self, "n", _integer(self.n, "n", ActionSpecError))
         object.__setattr__(
             self,
             "weights",
-            tuple(tuple(_integer(a, "weight") for a in row) for row in self.weights),
+            tuple(
+                tuple(_integer(a, "weight", ActionSpecError) for a in row)
+                for row in self.weights
+            ),
         )
         if self.k < 1 or self.n < 1:
             raise ActionSpecError("need k >= 1 torus factors and n >= 1 planes")

@@ -126,12 +126,9 @@ def test_criterion_5_reeb_flow_battery():
     with gate(5):
         t0 = time.perf_counter()
         # frozen start: the fiber point reaches (2, 2, 0) at t = 1
-        p0 = phase.PhasePoint(np.zeros(2), np.array([1.0, 0.0]))
-        inv0 = phase.invariants(p0)
-        assert inv0.table.tolist() == [[1.0, 0.0, 1.0, 0.0]]
-        assert reeb.flow_invariants_closed(inv0, 1.0).table.tolist() == [
-            [2.0, 2.0, 0.0, 0.0]
-        ]
+        table0 = phase.invariant_tables(np.zeros(2), np.array([1.0, 0.0]))
+        assert table0.tolist() == [[1.0, 0.0, 1.0, 0.0]]
+        assert reeb.flowed_tables(table0, 1.0).tolist() == [[2.0, 2.0, 0.0, 0.0]]
         for name in ("s1-on-r2", "t2-on-r4"):
             report = checks.flow_checks(
                 get_fixture(name),
@@ -236,9 +233,9 @@ def test_criterion_6_randomized_robustness():
                 failures.append(f"weights {i}: {report.violations}")
                 continue
             _structural_properties(poset, f"weights {i}", failures)
-            pts = phase.sample_zero_level(spec, seed=i, count=2)
-            for p in pts:
-                if float(np.max(np.abs(phase.momentum(spec, p)))) > MOMENTUM_TOL:
-                    failures.append(f"weights {i}: sample off the zero level")
+            x, u = phase.zero_level_arrays(spec, seed=i, count=2)
+            j = phase.momenta(spec, phase.invariant_tables(x, u))
+            if float(np.max(np.abs(j))) > MOMENTUM_TOL:
+                failures.append(f"weights {i}: sample off the zero level")
 
         assert failures == [], failures[:10]

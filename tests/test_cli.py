@@ -97,10 +97,39 @@ def test_bad_inputs_exit_2(tmp_path, capsys):
         code, _, err = run(capsys, "reduce", "--action", str(spec))
         assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
 
+    # poset fields that are not integers are refused, not truncated
+    good = poset_to_json(build_isotropy_poset(TorusActionSpec(k=1, n=2, weights=((1, 1),))))
+    for field, value in (("dim_G", 2.9), ("dim_Q", 4.5), ("dim_H", "1"),
+                         ("dim_Q_of", 2.5), ("dim_H", True)):
+        bad = json.loads(json.dumps(good))
+        if field in bad:
+            bad[field] = value
+        else:
+            bad["types"][-1][field] = value
+        poset_file = tmp_path / "bad_poset.json"
+        poset_file.write_text(json.dumps(bad))
+        code, _, err = run(capsys, "reduce", "--action", str(poset_file))
+        assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
+        assert f"{field} must be an integer, not {value!r}" in err
+
     for args in (["verify", "--fixture", "s1-on-r2", "--count", "-5"],
                  ["flow", "--fixture", "s1-on-r2", "--step", "0"],
                  ["flow", "--fixture", "s1-on-r2", "--t-end", "-1"],
-                 ["flow", "--fixture", "s1-on-r2", "--t-end", "nan"]):
+                 ["flow", "--fixture", "s1-on-r2", "--t-end", "nan"],
+                 # negative seeds, also where every probe seed would be positive
+                 ["flow", "--fixture", "s1-on-r2", "--seed", "-1"],
+                 ["verify", "--fixture", "s1-on-r2", "--count", "10", "--seed", "-1"],
+                 ["verify", "--fixture", "s1-on-r2", "--count", "10", "--seed", "-5000000"],
+                 ["examples", "--count", "10", "--seed", "-1",
+                  "--out", str(tmp_path / "examples")],
+                 # membership bands that are not finite and positive
+                 ["flow", "--fixture", "s1-on-r2", "--t-end", "0.1", "--tolerance", "nan"],
+                 ["verify", "--fixture", "s1-on-r2", "--count", "10", "--tolerance", "nan"],
+                 ["verify", "--fixture", "t2-on-r4", "--count", "10", "--tolerance", "-1"],
+                 ["verify", "--fixture", "s1-on-r2", "--count", "10", "--tolerance", "inf"],
+                 ["verify", "--fixture", "s1-on-r2", "--count", "10", "--tolerance", "0"],
+                 ["examples", "--count", "10", "--tolerance", "nan",
+                  "--out", str(tmp_path / "examples")]):
         code, _, err = run(capsys, *args)
         assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
 
@@ -143,6 +172,18 @@ def test_verify_writes_report_and_samples(tmp_path, capsys):
     assert len(rows) == 151
     strata_seen = {r[header.index("stratum")] for r in rows[1:]}
     assert "CC(e)" in strata_seen
+
+
+def test_verify_with_no_generic_samples_fails_as_a_verdict(tmp_path, capsys):
+    # zero rows are an empty sample, not a crash: the generic probe fails
+    code, out, err = run(
+        capsys, "verify", "--fixture", "t2-on-r4", "--count", "0",
+        "--out", str(tmp_path),
+    )
+    assert (code, err) == (1, "")
+    assert "verify t2-on-r4: FAIL" in out
+    assert json.loads((tmp_path / "report.json").read_text())["probes"][0]["count"] == 0
+    assert (tmp_path / "samples.csv").read_text().count("\n") == 1
 
 
 def test_verify_output_is_byte_stable(tmp_path, capsys):
@@ -216,6 +257,12 @@ def test_flow_rejects_bad_starts(capsys):
     for start in ("a,b,c,d", "nan,nan,nan,nan", "nan,0,1,0", "0,0,inf,0"):
         code, _, err = run(capsys, "flow", "--fixture", "s1-on-r2", "--start", start)
         assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
+    # a good start with a membership band that is not finite and positive
+    for band in ("nan", "0", "-1e-8", "inf"):
+        code, _, err = run(capsys, "flow", "--fixture", "s1-on-r2", "--start", "0,0,1,0",
+                           "--t-end", "0.1", f"--tolerance={band}")
+        assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
+        assert "band must be finite and positive" in err
 
 
 def test_flow_stdout_matches_file_output(tmp_path, capsys):
@@ -295,17 +342,13 @@ def exercise_api(fixture, seed):
     )
     strata.single_type_reduce(one_type)
 
-    points = phase.sample_zero_level(spec, seed=seed, count=4)
-    p = points[0]
-    phase.momentum(spec, p)
-    inv = phase.invariants(p)
+    x, u = phase.zero_level_arrays(spec, seed=seed, count=4)
+    p = phase.PhasePoint(x[0], u[0])
     image = phase.hilbert_map(spec, p)
-    phase.classify_point(spec, p)
     phase.check_reduced_membership(fixture, image)
-    phase.k0_project(inv, fixture.k0_offsets)
+    phase.k0_project(image, fixture.k0_offsets)
 
     reeb.flow_exact(p, 0.5)
-    reeb.flow_invariants_closed(inv, 0.5)
     reeb.flow_rk4(p, t_end=0.1, step=0.01)
 
 

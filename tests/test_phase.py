@@ -18,7 +18,6 @@ from cosphere.fixtures import Poly, _v
 from cosphere.phase import (
     AmbiguousMembershipError,
     EmptyKernelError,
-    InvariantVector,
     MEMBERSHIP_BAND,
     NoMatchingStratumError,
     NotOnZeroLevelError,
@@ -27,19 +26,18 @@ from cosphere.phase import (
     RankDeficientError,
     RetriesExhaustedError,
     check_reduced_membership,
-    classify_point,
+    cone_residuals,
+    cosphere_sums,
     hilbert_map,
     invariant_tables,
-    invariants,
     k0_project,
     locate_rows,
-    membership_candidates,
+    membership_table,
     momenta,
-    momentum,
     momentum_matrix,
+    orbit_labels,
     reduced_images,
-    sample_zero_level,
-    support_of,
+    support_masks,
     zero_level_arrays,
 )
 from cosphere.reeb import flow_exact, flowed_base
@@ -83,22 +81,21 @@ def test_phase_point_arrays_are_frozen():
 # ------------------------------------------------------------ invariants
 
 def test_invariants_of_the_fiber_point():
-    p = PhasePoint(np.zeros(2), np.array([1.0, 0.0]))
-    inv = invariants(p)
-    assert inv.table.tolist() == [[1.0, 0.0, 1.0, 0.0]]
-    assert inv.cosphere_sum() == 2.0
-    assert inv.cone_residuals().tolist() == [0.0]
+    table = invariant_tables(np.zeros(2), np.array([1.0, 0.0]))
+    assert table.tolist() == [[1.0, 0.0, 1.0, 0.0]]
+    assert cosphere_sums(table) == 2.0
+    assert cone_residuals(table).tolist() == [0.0]
 
 
 def test_invariants_of_a_radial_point():
-    p = PhasePoint(np.array([1.0, 0.0]), np.array([1.0, 0.0]))
-    assert invariants(p).table.tolist() == [[2.0, 2.0, 0.0, 0.0]]
+    table = invariant_tables(np.array([1.0, 0.0]), np.array([1.0, 0.0]))
+    assert table.tolist() == [[2.0, 2.0, 0.0, 0.0]]
 
 
 def test_invariants_pick_up_the_angular_component():
-    p = PhasePoint(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+    table = invariant_tables(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
     # x crossed with u carries the whole mass: p4 = 1
-    assert invariants(p).table.tolist() == [[2.0, 0.0, 0.0, 1.0]]
+    assert table.tolist() == [[2.0, 0.0, 0.0, 1.0]]
 
 
 @st.composite
@@ -116,10 +113,10 @@ def unit_points(draw, n_max=3):
 
 @given(unit_points())
 def test_cone_identity_and_cosphere_sum(p):
-    inv = invariants(p)
-    scale = 1.0 + float(np.max(inv.p1)) ** 2
-    assert np.max(np.abs(inv.cone_residuals())) < 1e-12 * scale
-    assert abs(inv.cosphere_sum() - 2.0) < 1e-12
+    table = invariant_tables(p.x, p.u)
+    scale = 1.0 + float(np.max(table[:, 0])) ** 2
+    assert np.max(np.abs(cone_residuals(table))) < 1e-12 * scale
+    assert abs(cosphere_sums(table) - 2.0) < 1e-12
 
 
 @given(unit_points(n_max=2))
@@ -127,21 +124,19 @@ def test_momentum_is_linear_in_the_covector(p):
     k = p.n
     weights = tuple(tuple(1 + i + j for j in range(p.n)) for i in range(k))
     spec = TorusActionSpec(k=k, n=p.n, weights=weights)
-    direct = momentum(spec, p)
+    direct = momenta(spec, invariant_tables(p.x, p.u))
     via_matrix = momentum_matrix(spec, p.x) @ p.u
     assert np.allclose(direct, via_matrix, atol=1e-12)
 
 
 def test_momentum_of_the_angular_point():
     p = PhasePoint(np.array([1.0, 0.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0, 0.0]))
-    assert momentum(T2, p).tolist() == [1.0, 0.0]
-    with pytest.raises(PhaseError):
-        momentum(S1, p)
-
-
-def test_invariant_vector_shape_check():
-    with pytest.raises(PhaseError):
-        InvariantVector(np.zeros((2, 3)))
+    assert momenta(T2, invariant_tables(p.x, p.u)).tolist() == [1.0, 0.0]
+    # hilbert_map refuses a point of another plane count before any numpy
+    # shape error
+    with pytest.raises(PhaseError, match="point has 2 planes, spec has 1") as err:
+        hilbert_map(S1, p)
+    assert type(err.value) is PhaseError
 
 
 # ------------------------------------------------------------ hilbert map
@@ -161,67 +156,70 @@ def test_hilbert_map_refuses_weights_of_rank_below_n():
     x, u = np.array([1.0, 0.0, 1.0, 0.0]), np.array([0.6, 0.0, 0.8, 0.0])
     flip = np.array([1.0, 1.0, -1.0, -1.0])
     p, q = PhasePoint(x, u), PhasePoint(x * flip, u * flip)
-    assert momentum(spec, p).tolist() == momentum(spec, q).tolist() == [0.0]
-    assert invariants(p).table.tolist() == invariants(q).table.tolist()
+    tables = invariant_tables(np.array([p.x, q.x]), np.array([p.u, q.u]))
+    assert momenta(spec, tables).tolist() == [[0.0], [0.0]]
+    assert tables[0].tolist() == tables[1].tolist()
     for point in (p, q):
         with pytest.raises(RankDeficientError, match="rank 1 < n = 2"):
             hilbert_map(spec, point)
 
 
 def test_support_and_classification():
-    p = PhasePoint(np.array([1.0, 0.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0, 0.0]))
-    assert support_of(p) == (0,)
-    assert classify_point(T2, p) == "e×S^1"
-    fiber = PhasePoint(np.zeros(4), np.array([0.0, 0.0, 1.0, 0.0]))
-    assert support_of(fiber) == (1,)
-    assert classify_point(T2, fiber) == "S^1×e"
-    generic = PhasePoint(np.array([1.0, 0.0, 1.0, 0.0]), np.full(4, 0.5))
-    assert support_of(generic) == (0, 1)
-    assert classify_point(T2, generic) == "e"
+    # a radial point on plane 0, a fiber point on plane 1, a generic point
+    x = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0], [1.0, 0.0, 1.0, 0.0]])
+    u = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.5, 0.5, 0.5, 0.5]])
+    masks = support_masks(invariant_tables(x, u))
+    assert masks.tolist() == [[True, False], [False, True], [True, True]]
+    assert orbit_labels(T2, masks).tolist() == ["e×S^1", "S^1×e", "e"]
 
 
 def test_support_tolerance():
-    p = PhasePoint(np.array([1e-12, 0.0, 1.0, 0.0]), np.array([0.0, 0.0, 1.0, 0.0]))
-    assert support_of(p) == (1,)
-    assert support_of(p, tol=1e-13) == (0, 1)
+    table = invariant_tables(
+        np.array([1e-12, 0.0, 1.0, 0.0]), np.array([0.0, 0.0, 1.0, 0.0])
+    )
+    assert support_masks(table).tolist() == [False, True]
+    assert support_masks(table, tol=1e-13).tolist() == [True, True]
 
 
 # -------------------------------------------------------------- sampling
 
 def test_sampler_is_deterministic_and_prefix_stable():
-    a = sample_zero_level(T2, seed=7, count=6)
-    b = sample_zero_level(T2, seed=7, count=6)
-    c = sample_zero_level(T2, seed=7, count=3)
-    for p, q in zip(a, b):
-        assert p.x.tolist() == q.x.tolist() and p.u.tolist() == q.u.tolist()
-    for p, q in zip(c, a):
-        assert p.x.tolist() == q.x.tolist() and p.u.tolist() == q.u.tolist()
-    d = sample_zero_level(T2, seed=8, count=3)
-    assert any(p.x.tolist() != q.x.tolist() for p, q in zip(c, d))
+    ax, au = zero_level_arrays(T2, seed=7, count=6)
+    bx, bu = zero_level_arrays(T2, seed=7, count=6)
+    cx, cu = zero_level_arrays(T2, seed=7, count=3)
+    assert ax.shape == au.shape == (6, 4)
+    assert ax.tolist() == bx.tolist() and au.tolist() == bu.tolist()
+    assert cx.tolist() == ax[:3].tolist() and cu.tolist() == au[:3].tolist()
+    dx, _ = zero_level_arrays(T2, seed=8, count=3)
+    assert dx.tolist() != cx.tolist()
 
 
 def test_sampler_lands_on_the_zero_level():
-    pts = sample_zero_level(T2, seed=11, count=64)
-    for p in pts:
-        assert abs(float(np.linalg.norm(p.u)) - 1.0) < 1e-12
-        assert float(np.max(np.abs(momentum(T2, p)))) < 1e-12
-        inv = invariants(p)
-        assert abs(inv.cosphere_sum() - 2.0) < 1e-12
-        assert np.max(np.abs(inv.cone_residuals())) < 1e-12
+    x, u = zero_level_arrays(T2, seed=11, count=64)
+    assert np.max(np.abs(np.linalg.norm(u, axis=1) - 1.0)) < 1e-12
+    tables = invariant_tables(x, u)
+    assert np.max(np.abs(momenta(T2, tables))) < 1e-12
+    assert np.max(np.abs(cosphere_sums(tables) - 2.0)) < 1e-12
+    assert np.max(np.abs(cone_residuals(tables))) < 1e-12
 
 
 def test_sampler_respects_patterns():
-    pts = sample_zero_level(T2, seed=3, count=16, support_pattern=(1,))
-    for p in pts:
-        assert p.x[0] == 0.0 and p.x[1] == 0.0
-    pts = sample_zero_level(T2, seed=3, count=16, covector_pattern=(0,))
-    for p in pts:
-        assert p.u[2] == 0.0 and p.u[3] == 0.0
-        assert abs(float(np.linalg.norm(p.u)) - 1.0) < 1e-12
+    x, _ = zero_level_arrays(T2, seed=3, count=16, support_pattern=(1,))
+    assert (x[:, :2] == 0.0).all()
+    _, u = zero_level_arrays(T2, seed=3, count=16, covector_pattern=(0,))
+    assert (u[:, 2:] == 0.0).all()
+    assert np.max(np.abs(np.linalg.norm(u, axis=1) - 1.0)) < 1e-12
     with pytest.raises(EmptyKernelError):
-        sample_zero_level(T2, seed=3, count=1, covector_pattern=())
+        zero_level_arrays(T2, seed=3, count=1, covector_pattern=())
     with pytest.raises(PhaseError):
-        sample_zero_level(T2, seed=3, count=1, support_pattern=(5,))
+        zero_level_arrays(T2, seed=3, count=1, support_pattern=(5,))
+    with pytest.raises(PhaseError, match="seed must be nonnegative, got -1"):
+        zero_level_arrays(T2, seed=-1, count=1)
+    with pytest.raises(PhaseError, match="count must be nonnegative, got -1"):
+        zero_level_arrays(T2, seed=0, count=-1)
+    x, u = zero_level_arrays(T2, seed=0, count=0)
+    assert x.shape == u.shape == (0, 4)
+    assert reduced_images(invariant_tables(x, u)).shape == (0, 6)
 
 
 def test_sampled_covectors_solve_the_momentum_to_roundoff():
@@ -243,12 +241,12 @@ def test_sampler_redraws_rows_without_a_covector(monkeypatch):
         np.random, "default_rng",
         lambda seed: real_rng(seed) if isinstance(seed, list) else ZeroBlock(),
     )
-    pts = sample_zero_level(T2, seed=4, count=3)
-    for index, p in enumerate(pts):
-        assert p.x.tolist() == real_rng([4, index, 1]).standard_normal(8)[:4].tolist()
-        assert float(np.max(np.abs(momentum(T2, p)))) < 1e-12
+    x, u = zero_level_arrays(T2, seed=4, count=3)
+    for index in range(3):
+        assert x[index].tolist() == real_rng([4, index, 1]).standard_normal(8)[:4].tolist()
+    assert np.max(np.abs(momenta(T2, invariant_tables(x, u)))) < 1e-12
     with pytest.raises(RetriesExhaustedError, match="after 1 draws for sample 0"):
-        sample_zero_level(T2, seed=4, count=3, max_retries=1)
+        zero_level_arrays(T2, seed=4, count=3, max_retries=1)
 
 
 # ------------------------------------------------------------ membership
@@ -271,12 +269,6 @@ def test_membership_hits_each_piece_exactly(piece):
     name, residual = check_reduced_membership(t2_on_r4(), np.array(T2_MEMBERS[piece]))
     assert name == piece
     assert residual == 0.0
-
-
-def test_membership_accepts_invariant_tables():
-    p = PhasePoint(np.zeros(4), np.array([1.0, 0.0, 0.0, 0.0]))
-    name, _ = check_reduced_membership(t2_on_r4(), invariants(p))
-    assert name == "Seam(T^2>e×S^1)"
 
 
 def test_membership_of_the_circle_fixture_components():
@@ -316,20 +308,38 @@ def test_membership_matches_the_seam_strictly_just_off_it():
     # just off the sig seam: sig1 - sig3 = 5e-9 lies inside the band, so the
     # ne clearance of CC(e) fails while the seam's cone equation, unlike the
     # implied eq("sig2") with sig2 = 1e-5, still holds
+    fx = t2_on_r4()
+    names = [piece.name for piece in fx.pieces]
     image = np.array([0.625, 0.5, 0.375, 0.5 + 2.5e-9, 1e-5, 0.5 - 2.5e-9])
-    matches, misses = membership_candidates(t2_on_r4(), image, MEMBERSHIP_BAND)
-    assert [name for name, _ in matches] == ["Seam(e×S^1>e)"]
-    assert matches[0][1] <= MEMBERSHIP_BAND
-    assert ("CC(e)", "sig1 - sig3", pytest.approx(5e-9)) in misses
+    table = membership_table(fx, image[None, :], MEMBERSHIP_BAND)
+    assert [names[p] for p in np.flatnonzero(table.matched[0])] == ["Seam(e×S^1>e)"]
+    assert table.residual[0, names.index("Seam(e×S^1>e)")] <= MEMBERSHIP_BAND
+    cc = names.index("CC(e)")
+    assert fx.pieces[cc].constraints[table.violated[0, cc]].text == "sig1 - sig3"
+    assert table.value[0, cc] == pytest.approx(5e-9)
 
 
 def test_membership_band_hands_off_without_gaps_or_overlap():
     fx = s1_on_r2()
     # inside the band the vertex seam claims the point; beyond it the
     # matching flank takes over, on either side
-    for s2, expect in ((5e-9, "Seam(S^1>e)"), (2e-8, "CC(e):L"), (-2e-8, "CC(e):R")):
-        matches, _ = membership_candidates(fx, np.array([1.0, s2, 1.0]))
-        assert [name for name, _ in matches] == [expect]
+    names = [piece.name for piece in fx.pieces]
+    images = np.array([[1.0, s2, 1.0] for s2 in (5e-9, 2e-8, -2e-8)])
+    table = membership_table(fx, images)
+    assert [[names[p] for p in np.flatnonzero(row)] for row in table.matched] == [
+        ["Seam(S^1>e)"], ["CC(e):L"], ["CC(e):R"]
+    ]
+
+
+@pytest.mark.parametrize("band", [np.nan, 0.0, -1e-8, np.inf])
+def test_membership_refuses_a_band_that_is_not_finite_and_positive(band):
+    image = np.array([1.0, 0.0, 1.0])
+    with pytest.raises(PhaseError, match="band must be finite and positive"):
+        membership_table(s1_on_r2(), image[None, :], band)
+    with pytest.raises(PhaseError, match="band must be finite and positive"):
+        locate_rows(s1_on_r2(), image[None, :], band)
+    with pytest.raises(PhaseError, match="band must be finite and positive"):
+        check_reduced_membership(s1_on_r2(), image, band)
 
 
 # This start on Seam(e×S^1>e) flowed to t = 0.5 lands at
@@ -343,8 +353,9 @@ def test_seam_flow_start_in_the_band_gap_matches_a_piece():
         (0.14226488487490266, -0.7645950824534425, -0.3395173180554032,
          0.5290397462951251),
     )
+    end = flow_exact(start, 0.5)
     name, residual = check_reduced_membership(
-        t2_on_r4(), invariants(flow_exact(start, 0.5))
+        t2_on_r4(), reduced_images(invariant_tables(end.x, end.u))
     )
     assert name == "Seam(S^1×e>e)"
     assert residual <= MEMBERSHIP_BAND
@@ -373,7 +384,7 @@ def test_flowed_probe_samples_match_exactly_one_piece(fixture_name):
 def test_sampled_probes_land_in_their_pieces(fixture_name):
     fx = get_fixture(fixture_name)
     for probe in fx.probes:
-        pts = sample_zero_level(
+        x, u = zero_level_arrays(
             fx.spec,
             seed=101,
             count=40,
@@ -381,13 +392,16 @@ def test_sampled_probes_land_in_their_pieces(fixture_name):
             covector_pattern=probe.covector_pattern,
         )
         hits = 0
-        for p in pts:
-            name, residual = check_reduced_membership(fx, hilbert_map(fx.spec, p))
+        for xi, ui in zip(x, u):
+            name, residual = check_reduced_membership(
+                fx, hilbert_map(fx.spec, PhasePoint(xi, ui))
+            )
             assert residual <= MEMBERSHIP_BAND
             if name in probe.expect_pieces:
                 hits += 1
-            assert classify_point(fx.spec, p) == probe.expect_class
-        assert hits >= probe.min_fraction * len(pts)
+        labels = orbit_labels(fx.spec, support_masks(invariant_tables(x, u)))
+        assert set(labels) == {probe.expect_class}
+        assert hits >= probe.min_fraction * len(x)
 
 
 def test_get_fixture_unknown_name():
@@ -402,13 +416,15 @@ def test_k0_projection_of_a_fiber_point():
     assert out.tolist() == [0.0, 0.0, 0.0, -1.0, 0.0, 1.0]
 
 
-def test_k0_projection_accepts_tables_and_offsets():
-    p = PhasePoint(np.array([1.0, 0.0]), np.array([1.0, 0.0]))
-    out = k0_project(invariants(p))
+def test_k0_projection_accepts_rows_and_offsets():
+    image = reduced_images(invariant_tables(np.array([1.0, 0.0]), np.array([1.0, 0.0])))
+    out = k0_project(image)
     assert out.tolist() == [1.0, 0.0, -1.0]
-    shifted = k0_project(invariants(p), offsets=(2.0,))
+    shifted = k0_project(image, offsets=(2.0,))
     assert shifted.tolist() == [0.0, 0.0, 0.0]
+    rows = k0_project(np.array([image, [3.0, 0.0, 0.0]]))
+    assert rows.tolist() == [[1.0, 0.0, -1.0], [2.0, 0.0, -2.0]]
     with pytest.raises(PhaseError):
         k0_project(np.zeros(4))
     with pytest.raises(PhaseError):
-        k0_project(invariants(p), offsets=(1.0, 1.0))
+        k0_project(image, offsets=(1.0, 1.0))

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from cosphere.phase import PhasePoint, invariants, sample_zero_level
+from cosphere.phase import PhasePoint, invariant_tables, zero_level_arrays
 from cosphere.reeb import (
     Trajectory,
     conservation_report,
     flow_exact,
-    flow_invariants_closed,
     flow_rk4,
-    trajectory_invariants,
+    flowed_tables,
 )
 from cosphere.torus import TorusActionSpec
 
@@ -44,13 +43,16 @@ def test_exact_flow_composes():
     assert once.u.tolist() == direct.u.tolist()
 
 
+def tables_of(p: PhasePoint) -> np.ndarray:
+    return invariant_tables(p.x, p.u)
+
+
 def test_fiber_point_reaches_the_radial_image_at_time_one():
-    inv0 = invariants(fiber_point())
-    assert inv0.table.tolist() == [[1.0, 0.0, 1.0, 0.0]]
-    moved = flow_invariants_closed(inv0, 1.0)
-    assert moved.table.tolist() == [[2.0, 2.0, 0.0, 0.0]]
-    live = invariants(flow_exact(fiber_point(), 1.0))
-    assert live.table.tolist() == moved.table.tolist()
+    table0 = tables_of(fiber_point())
+    assert table0.tolist() == [[1.0, 0.0, 1.0, 0.0]]
+    moved = flowed_tables(table0, 1.0)
+    assert moved.tolist() == [[2.0, 2.0, 0.0, 0.0]]
+    assert tables_of(flow_exact(fiber_point(), 1.0)).tolist() == moved.tolist()
 
 
 @st.composite
@@ -70,8 +72,8 @@ def points_and_times(draw):
 @given(points_and_times())
 def test_closed_form_matches_the_flowed_invariants(pt):
     p, t = pt
-    predicted = flow_invariants_closed(invariants(p), t).table
-    observed = invariants(flow_exact(p, t)).table
+    predicted = flowed_tables(tables_of(p), t)
+    observed = tables_of(flow_exact(p, t))
     scale = 1.0 + float(np.max(np.abs(predicted)))
     assert np.max(np.abs(predicted - observed)) < 1e-12 * scale
 
@@ -79,17 +81,17 @@ def test_closed_form_matches_the_flowed_invariants(pt):
 @given(points_and_times())
 def test_closed_form_conserves_p4_and_plane_mass(pt):
     p, t = pt
-    inv0 = invariants(p)
-    inv1 = flow_invariants_closed(inv0, t)
-    assert np.array_equal(inv0.p4, inv1.p4)
-    mass0 = inv0.p1 + inv0.p3
-    mass1 = inv1.p1 + inv1.p3
+    table0 = tables_of(p)
+    table1 = flowed_tables(table0, t)
+    assert np.array_equal(table0[:, 3], table1[:, 3])
+    mass0 = table0[:, 0] + table0[:, 2]
+    mass1 = table1[:, 0] + table1[:, 2]
     assert np.max(np.abs(mass0 - mass1)) < 1e-12 * (1.0 + float(np.max(mass0)))
 
 
 def test_rk4_agrees_with_the_exact_flow():
-    pts = sample_zero_level(T2, seed=5, count=8)
-    for p in pts:
+    x, u = zero_level_arrays(T2, seed=5, count=8)
+    for p in map(PhasePoint, x, u):
         traj = flow_rk4(p, t_end=2.0, step=1e-2)
         endpoint = flow_exact(p, 2.0)
         assert np.max(np.abs(traj.xs[-1] - endpoint.x)) < 1e-12
@@ -116,20 +118,18 @@ def test_trajectory_validation():
             times=np.array([0.0, 0.0]),
             xs=np.zeros((2, 2)),
             us=np.zeros((2, 2)),
-            method="rk4",
         )
     with pytest.raises(ValueError):
         Trajectory(
             times=np.array([0.0, 1.0]),
             xs=np.zeros((3, 2)),
             us=np.zeros((3, 2)),
-            method="rk4",
         )
 
 
 def test_trajectory_invariants_shape():
     traj = flow_rk4(PhasePoint(np.zeros(4), np.array([1.0, 0.0, 0.0, 0.0])), 1.0, 0.5)
-    tables = trajectory_invariants(traj)
+    tables = invariant_tables(traj.xs, traj.us)
     assert tables.shape == (len(traj), 2, 4)
     # the untouched plane stays at the origin with zero invariants
     assert np.all(tables[:, 1, :] == 0.0)

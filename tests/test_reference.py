@@ -22,13 +22,18 @@ from cosphere.phase import (
     SUPPORT_TOL,
     PhaseError,
     PhasePoint,
-    sample_zero_level,
 )
 
 FIXTURES = ("s1-on-r2", "t2-on-r4")
 
 
 # ------------------------------------------------------ per-point reference
+
+def ref_points(spec, seed: int, count: int, **patterns) -> list[PhasePoint]:
+    """The zero-level samples of the array sampler, one point per row."""
+    x, u = phase.zero_level_arrays(spec, seed=seed, count=count, **patterns)
+    return [PhasePoint(xi, ui) for xi, ui in zip(x, u)]
+
 
 def ref_table(p: PhasePoint) -> np.ndarray:
     xs, us = p.x.reshape(-1, 2), p.u.reshape(-1, 2)
@@ -130,7 +135,7 @@ def ref_verify(fixture, seed: int, count: int, band: float = MEMBERSHIP_BAND) ->
     for idx, probe in enumerate(fixture.probes):
         n_samples = count if probe.support_pattern is None and probe.covector_pattern is None \
             else max(200, count // 10)
-        points = sample_zero_level(
+        points = ref_points(
             spec,
             seed=checks._probe_seed(seed, idx),
             count=n_samples,
@@ -227,7 +232,7 @@ def ref_verify(fixture, seed: int, count: int, band: float = MEMBERSHIP_BAND) ->
 
 def ref_flow_checks(fixture, seed: int, starts: int) -> dict:
     spec = fixture.spec
-    points = sample_zero_level(spec, seed=seed, count=starts)
+    points = ref_points(spec, seed=seed, count=starts)
     closed_vs_exact = 0.0
     for p in points:
         table = ref_table(p)
@@ -245,7 +250,7 @@ def ref_flow_checks(fixture, seed: int, starts: int) -> dict:
         float(np.max(np.abs(traj.xs[-1] - endpoint.x))),
         float(np.max(np.abs(traj.us[-1] - endpoint.u))),
     )
-    tables = np.array([ref_table(traj.point(i)) for i in range(len(traj))])
+    tables = np.array([ref_table(PhasePoint(x, u)) for x, u in zip(traj.xs, traj.us)])
     p4, mass = tables[:, :, 3], tables[:, :, 0] + tables[:, :, 2]
     drift = {
         "p4_drift": float(np.max(np.abs(p4 - p4[0]))),
@@ -259,7 +264,7 @@ def ref_flow_checks(fixture, seed: int, starts: int) -> dict:
     for idx, probe in enumerate(fixture.probes):
         if not all(name.startswith("Seam(") for name in probe.expect_pieces):
             continue
-        for p in sample_zero_level(
+        for p in ref_points(
             spec,
             seed=checks._probe_seed(seed, idx) + 17,
             count=200,
@@ -329,6 +334,19 @@ def ref_flow_rk4(point: PhasePoint, t_end: float, step: float):
         u = u + (h / 6.0) * (k1u + 2 * k2u + 2 * k3u + k4u)
         xs[i], us[i] = x, u
     return times, xs, us
+
+
+def table_candidates(fixture, image: np.ndarray):
+    """The (matches, near misses) of ref_candidates, read off membership_table."""
+    table = phase.membership_table(fixture, image[None, :])
+    matches, near_misses = [], []
+    for p, piece in enumerate(fixture.pieces):
+        if table.matched[0, p]:
+            matches.append((piece.name, float(table.residual[0, p])))
+        else:
+            text = piece.constraints[table.violated[0, p]].text
+            near_misses.append((piece.name, text, float(table.value[0, p])))
+    return matches, near_misses
 
 
 def outcome(fn, *args, **kwargs):
@@ -414,7 +432,7 @@ def test_membership_and_row_labels_match_near_the_bands(fixture_name, scale):
     images = phase.reduced_images(tables)
     piece, residual = phase.locate_rows(fx, images)
     for i, image in enumerate(images):
-        assert phase.membership_candidates(fx, image) == ref_candidates(fx, image)
+        assert table_candidates(fx, image) == ref_candidates(fx, image)
         expected = outcome(ref_check, fx, image)
         assert outcome(phase.check_reduced_membership, fx, image) == expected
         if piece[i] >= 0:
@@ -434,10 +452,10 @@ def test_membership_and_row_labels_match_near_the_bands(fixture_name, scale):
 
 
 def test_trajectory_tables_match_the_per_point_reference():
-    p = sample_zero_level(t2_on_r4().spec, seed=3, count=1)[0]
+    (p,) = ref_points(t2_on_r4().spec, seed=3, count=1)
     traj = reeb.flow_rk4(p, t_end=1.0, step=0.01)
-    ref = [ref_table(traj.point(i)) for i in range(len(traj))]
-    assert same_bits(reeb.trajectory_invariants(traj), ref)
+    ref = [ref_table(PhasePoint(x, u)) for x, u in zip(traj.xs, traj.us)]
+    assert same_bits(phase.invariant_tables(traj.xs, traj.us), ref)
 
 
 def random_phase_point(rng, n: int) -> PhasePoint:
