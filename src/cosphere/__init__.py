@@ -34,11 +34,7 @@ from .strata import (
     Stratum,
     StratumKind,
     cl_stratification,
-    classify_seam,
-    contact_strata,
-    secondary_strata,
     semifree_decomposition,
-    single_type_reduce,
     starred_lattice,
 )
 from .torus import (
@@ -69,8 +65,6 @@ __all__ = [
     "build_isotropy_poset",
     "check_reduced_membership",
     "cl_stratification",
-    "classify_seam",
-    "contact_strata",
     "flow_exact",
     "flow_rk4",
     "get_fixture",
@@ -84,9 +78,7 @@ __all__ = [
     "poset_to_json",
     "principal_type",
     "s1_on_r2",
-    "secondary_strata",
     "semifree_decomposition",
-    "single_type_reduce",
     "spec_from_json",
     "spec_to_json",
     "stabilizer_of_support",

@@ -48,12 +48,6 @@ def _max(values: np.ndarray) -> float:
     return float(np.max(values, initial=0.0))
 
 
-def parent_cc_name(stratum: strata.Stratum) -> str:
-    """The cosphere-like piece of the contact stratum containing ``stratum``."""
-    label = stratum.parent_contact[len("Contact(") : -1]
-    return strata.cc_name(label)
-
-
 def verify_fixture(
     fixture: Fixture,
     seed: int = 0,
@@ -68,11 +62,9 @@ def verify_fixture(
     into a starred orbit type, and land in exactly one semialgebraic piece.
     A negative seed is refused with :class:`phase.PhaseError`.
     """
-    if int(seed) < 0:
-        raise phase.PhaseError(f"seed must be nonnegative, got {seed}")
+    phase.check_run_inputs(seed=seed)
     spec = fixture.spec
     poset = torus.build_isotropy_poset(spec)
-    starred = strata.starred_lattice(poset)
     result = strata.cl_stratification(poset)
     principal_cc = strata.cc_name(strata.principal_type(poset).label)
 
@@ -92,7 +84,7 @@ def verify_fixture(
         tables = invariant_tables(x, u)
         images = reduced_images(tables)
         labels = orbit_labels(spec, support_masks(tables))
-        is_starred = np.isin(labels, list(starred))
+        is_starred = np.isin(labels, result.starred)
         piece, residual = locate_rows(fixture, images, band)
         located = is_starred & (piece >= 0)
 
@@ -177,7 +169,7 @@ def verify_fixture(
         "seed": seed,
         "count": count,
         "band": band,
-        "starred": sorted(starred),
+        "starred": list(result.starred),
         "pieces": sorted(p.name for p in fixture.pieces),
         "cl_strata": sorted(s.name for s in result.cl_strata),
         "principal_cc": principal_cc,
@@ -223,12 +215,15 @@ def flow_checks(
         if all(name.startswith("Seam(") for name in pr.expect_pieces)
     ]
     result = strata.cl_stratification(torus.build_isotropy_poset(spec))
-    by_name = {s.name: s for s in result.cl_strata}
+    # contact stratum -> its cosphere-like piece, piece -> its contact stratum
+    cc_of = {s.parent_contact: s.name for s in result.cl_strata
+             if s.kind is strata.StratumKind.COSPHERE}
+    contact_of = {s.name: s.parent_contact for s in result.cl_strata}
     names = [p.name for p in fixture.pieces]
     is_seam = np.array([name.startswith("Seam(") for name in names])
     piece_stratum = np.array([stratum_of(name) for name in names], dtype=object)
     expected_cc = np.array([
-        parent_cc_name(by_name[stratum_of(name)]) if seam else None
+        cc_of[contact_of[stratum_of(name)]] if seam else None
         for name, seam in zip(names, is_seam)
     ], dtype=object)
     for idx, probe in seam_probes:

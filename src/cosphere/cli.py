@@ -30,7 +30,7 @@ import numpy as np
 
 from . import checks, phase, reeb, strata, torus
 from .fixtures import BUILTIN_FIXTURES, Fixture, get_fixture, stratum_of
-from .poset import IsotropyPoset, PosetError, poset_from_json, poset_to_dot, validate
+from .poset import IsotropyPoset, PosetError, poset_from_json, poset_to_dot
 from .torus import ActionSpecError, TorusActionSpec, spec_from_json
 
 EXIT_OK = 0
@@ -86,11 +86,7 @@ def _resolve_source(cfg: RunConfig) -> tuple[IsotropyPoset, TorusActionSpec | No
         spec = spec_from_json(data)
         return torus.build_isotropy_poset(spec), spec
     if "types" in data:
-        poset = poset_from_json(data)
-        report = validate(poset)
-        if not report.ok:
-            raise CliInputError("invalid isotropy poset: " + "; ".join(report.violations))
-        return poset, None
+        return poset_from_json(data), None  # cl_stratification validates it
     raise CliInputError(
         f"{cfg.action}: neither an action spec (weights) nor a poset (types)"
     )
@@ -354,7 +350,7 @@ def cmd_examples(cfg: RunConfig) -> int:
 
         lines.append(f"{name} ({fixture.title})")
         lines.append(f"  orbit types: {', '.join(t.label for t in poset.types)}")
-        lines.append(f"  starred: {', '.join(sorted(strata.starred_lattice(poset)))}")
+        lines.append(f"  starred: {', '.join(result.starred)}")
         for s in result.cl_strata:
             open_mark = "  (open dense)" if s.open_dense else ""
             lines.append(
@@ -444,10 +440,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    cfg = RunConfig(**vars(args))
+    cfg = RunConfig(**vars(PARSER.parse_args(argv)))
     commands = {
         "lattice": cmd_lattice,
         "reduce": cmd_reduce,
@@ -456,6 +453,10 @@ def main(argv: list[str] | None = None) -> int:
         "examples": cmd_examples,
     }
     try:
+        # every run parameter is refused here, before a command writes anything
+        phase.check_run_inputs(
+            seed=cfg.seed, count=cfg.count, band=cfg.tolerance, t_end=cfg.t_end, step=cfg.step
+        )
         return commands[cfg.command](cfg)
     except (CliInputError, PosetError, ActionSpecError, phase.PhaseError,
             strata.StratificationError) as exc:

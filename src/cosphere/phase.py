@@ -76,6 +76,31 @@ class AmbiguousMembershipError(PhaseError):
     """More than one stratum matched: the fixture's pieces are not disjoint."""
 
 
+def check_run_inputs(
+    seed: int | None = None,
+    count: int | None = None,
+    band: float | None = None,
+    t_end: float | None = None,
+    step: float | None = None,
+) -> None:
+    """Refuse run parameters out of range with :class:`PhaseError`.
+
+    The one copy of the rules that the sampler, the membership test, the
+    Reeb flow and the command line share: seed and sample count
+    nonnegative, the membership band and the flow's ``t_end`` and ``step``
+    finite and positive.  A parameter left None is not checked; ``t_end``
+    and ``step`` are checked together.
+    """
+    if seed is not None and int(seed) < 0:
+        raise PhaseError(f"seed must be nonnegative, got {seed}")
+    if count is not None and int(count) < 0:
+        raise PhaseError(f"sample count must be nonnegative, got {count}")
+    if t_end is not None and not (0 < t_end < np.inf and 0 < step < np.inf):
+        raise PhaseError(f"need finite positive t_end and step, got {t_end} and {step}")
+    if band is not None and not 0 < band < np.inf:
+        raise PhaseError(f"membership band must be finite and positive, got {band}")
+
+
 @dataclass(frozen=True, eq=False)
 class PhasePoint:
     """A point of the unit cosphere bundle of R^{2n}.
@@ -281,10 +306,7 @@ def zero_level_arrays(
     ucols = _plane_columns(_as_plane_set(covector_pattern, spec.n))
     if not ucols.size:
         raise EmptyKernelError("empty covector pattern leaves no unit covector")
-    if int(count) < 0:
-        raise PhaseError(f"sample count must be nonnegative, got {count}")
-    if int(seed) < 0:
-        raise PhaseError(f"seed must be nonnegative, got {seed}")
+    check_run_inputs(seed=seed, count=count)
     width = xcols.size + ucols.size
     block = np.random.default_rng(int(seed)).standard_normal((int(count), width))
     x, u, ok = _zero_level_rows(spec, xcols, ucols, block)
@@ -325,8 +347,7 @@ def membership_table(
     distinct polynomial is evaluated once.  A band that is not finite and
     positive is refused with :class:`PhaseError`.
     """
-    if not 0 < band < np.inf:
-        raise PhaseError(f"membership band must be finite and positive, got {band}")
+    check_run_inputs(band=band)
     images = np.asarray(images, dtype=float)
     shape = (images.shape[0], len(fixture.pieces))
     residual = np.zeros(shape)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .phase import PhaseError, PhasePoint, invariant_tables
+from .phase import PhasePoint, check_run_inputs, invariant_tables
 
 # a final RK4 step shorter than this fraction of the step is grid roundoff
 SLIVER = 1e-3
@@ -94,8 +94,7 @@ def flow_rk4(point: PhasePoint, t_end: float, step: float) -> Trajectory:
     """
     t_end = float(t_end)
     step = float(step)
-    if not (0 < t_end < np.inf and 0 < step < np.inf):
-        raise PhaseError(f"need finite positive t_end and step, got {t_end} and {step}")
+    check_run_inputs(t_end=t_end, step=step)
     grid = [0.0]
     stop = t_end - max(SLIVER * step, 1e-15)
     while grid[-1] + step < stop:

@@ -13,12 +13,12 @@ an isotropy lattice alone:
   the transitive closure of the paper's five combinatorial rules.
 
 A seam is coisotropic when its upper type is itself starred and Legendrian
-otherwise; the dimension identity
+otherwise.  With dim Seam(H > L) = dim Q^(H) + dim Q^(L) - 1 the identity
 
-    dim Seam(H > L) - (dim Contact(L) - 1)/2 = dim Q_(H) - dim G + dim H
+    dim Seam(H > L) - (dim Contact(L) - 1)/2 = dim Q^(H) = dim Q_(H) - dim G + dim H
 
-pins the excess over half the contact dimension and is asserted on every
-classification.
+pins the excess over half the contact dimension; it holds by algebra and
+is checked in the tests.
 """
 
 from __future__ import annotations
@@ -43,20 +43,14 @@ class InvalidPosetError(StratificationError):
     pass
 
 
-class NotStarredTypeError(StratificationError):
-    pass
-
-
-class MultipleOrbitTypesError(StratificationError):
-    pass
-
-
 class NotAlmostSemifreeError(StratificationError):
     pass
 
 
 class InconsistentDimensionsError(StratificationError):
-    """The seam dimension identity failed; the poset data is inconsistent."""
+    """The almost-semifree shape check failed: the C-L pieces are not one
+    cosphere-like piece and one Legendrian seam per singular type of the
+    dimensions the semifree case predicts."""
 
 
 class StratumKind(str, Enum):
@@ -114,7 +108,7 @@ class StratificationResult:
 def _require_valid(poset: IsotropyPoset) -> None:
     report = validate(poset)
     if not report.ok:
-        raise InvalidPosetError("; ".join(report.violations))
+        raise InvalidPosetError("invalid isotropy poset: " + "; ".join(report.violations))
 
 
 def stratum_quotient_dim(poset: IsotropyPoset, label: str) -> int:
@@ -123,11 +117,18 @@ def stratum_quotient_dim(poset: IsotropyPoset, label: str) -> int:
     return poset.dim_Q_of[label] - poset.dim_G + t.dim_H
 
 
+def _quotient_dims(poset: IsotropyPoset) -> dict[str, int]:
+    """:func:`stratum_quotient_dim` of every type, without a type scan each."""
+    return {t.label: poset.dim_Q_of[t.label] - poset.dim_G + t.dim_H for t in poset.types}
+
+
+def _starred(dims: dict[str, int]) -> frozenset[str]:
+    return frozenset(label for label, d in dims.items() if d >= 1)
+
+
 def starred_lattice(poset: IsotropyPoset) -> frozenset[str]:
     """Orbit types whose quotient stratum is at least one-dimensional."""
-    return frozenset(
-        t.label for t in poset.types if stratum_quotient_dim(poset, t.label) >= 1
-    )
+    return _starred(_quotient_dims(poset))
 
 
 def contact_name(label: str) -> str:
@@ -140,108 +141,6 @@ def cc_name(label: str) -> str:
 
 def seam_name(upper: str, lower: str) -> str:
     return f"Seam({upper}>{lower})"
-
-
-def contact_strata(poset: IsotropyPoset) -> tuple[Stratum, ...]:
-    """The contact stratification of C_0, one stratum per starred type."""
-    _require_valid(poset)
-    return _contact_strata(poset, starred_lattice(poset))
-
-
-def _contact_strata(poset: IsotropyPoset, starred: frozenset[str]) -> tuple[Stratum, ...]:
-    out = []
-    for t in poset.types:
-        if t.label not in starred:
-            continue
-        d = stratum_quotient_dim(poset, t.label)
-        out.append(
-            Stratum(
-                name=contact_name(t.label),
-                kind=StratumKind.CONTACT,
-                dim=2 * d - 1,
-                base_target=t.label,
-                parent_contact=contact_name(t.label),
-            )
-        )
-    return tuple(sorted(out, key=lambda s: s.name))
-
-
-def contact_frontier(poset: IsotropyPoset) -> frozenset[tuple[str, str]]:
-    """Frontier pairs among contact strata: Contact(K) lies in the boundary
-    of Contact(H) exactly when (H) < (K)."""
-    starred = starred_lattice(poset)
-    return frozenset(
-        (contact_name(k), contact_name(h))
-        for h, k in poset.order
-        if h in starred and k in starred
-    )
-
-
-def classify_seam(poset: IsotropyPoset, upper: str, lower: str) -> Stratum:
-    """Build and classify the seam of Contact(lower) with upper type ``upper``.
-
-    The degenerate call upper == lower reproduces the cosphere-like piece.
-    Coisotropic seams are those whose upper type is starred; otherwise the
-    seam is Legendrian of exactly half-boundary dimension.
-    """
-    return _classify_seam(poset, upper, lower, starred_lattice(poset))
-
-
-def _classify_seam(
-    poset: IsotropyPoset, upper: str, lower: str, starred: frozenset[str]
-) -> Stratum:
-    if lower not in starred:
-        raise NotStarredTypeError(
-            f"({lower}) is not starred: its quotient stratum has dimension "
-            f"{stratum_quotient_dim(poset, lower)}, so Contact({lower}) is empty"
-        )
-    if upper != lower and (lower, upper) not in poset.order:
-        raise StratificationError(f"({lower}) < ({upper}) does not hold in the lattice")
-
-    d_low = stratum_quotient_dim(poset, lower)
-    d_up = stratum_quotient_dim(poset, upper)
-    dim = (
-        poset.dim_Q_of[upper]
-        + poset.dim_Q_of[lower]
-        - 2 * poset.dim_G
-        + poset.get_type(upper).dim_H
-        + poset.get_type(lower).dim_H
-        - 1
-    )
-    if upper == lower:
-        return Stratum(
-            name=cc_name(lower),
-            kind=StratumKind.COSPHERE,
-            dim=dim,
-            base_target=lower,
-            parent_contact=contact_name(lower),
-        )
-
-    contact_dim = 2 * d_low - 1
-    excess = dim - (contact_dim - 1) // 2
-    if excess != d_up or excess < 0:
-        raise InconsistentDimensionsError(
-            f"seam ({upper}) > ({lower}): excess {excess} does not match "
-            f"dim Q^({upper}) = {d_up}"
-        )
-    kind = StratumKind.COISOTROPIC_SEAM if upper in starred else StratumKind.LEGENDRIAN_SEAM
-    return Stratum(
-        name=seam_name(upper, lower),
-        kind=kind,
-        dim=dim,
-        base_target=upper,
-        parent_contact=contact_name(lower),
-        seam_upper=upper,
-    )
-
-
-def secondary_strata(poset: IsotropyPoset, lower: str) -> tuple[Stratum, ...]:
-    """The secondary decomposition of Contact(lower): CC piece plus seams."""
-    _require_valid(poset)
-    starred = starred_lattice(poset)
-    cc = replace(_classify_seam(poset, lower, lower, starred), open_dense=True)
-    uppers = sorted(h for (l, h) in poset.order if l == lower)
-    return (cc, *(_classify_seam(poset, h, lower, starred) for h in uppers))
 
 
 def cl_stratification(
@@ -261,23 +160,35 @@ def cl_stratification(
     stratum.
     """
     _require_valid(poset)
-    starred = starred_lattice(poset)
+    dims = _quotient_dims(poset)
+    starred = _starred(dims)
     above = {t.label: {t.label} for t in poset.types}  # L and every type over it
     for low, high in poset.order:
         above[low].add(high)
-    pieces = {
-        (k, h): _classify_seam(poset, k, h, starred)
-        for h in sorted(starred)
-        for k in sorted(above[h])
-    }
+    principal = None
     if quotient_connected:
         try:
             principal = principal_type(poset).label
         except NoUniqueMinimumError:
-            principal = None
-        if principal in starred:
-            cc = pieces[principal, principal]
-            pieces[principal, principal] = replace(cc, open_dense=True)
+            pass
+    pieces = {}
+    for h in sorted(starred):
+        for k in sorted(above[h]):
+            if k == h:
+                name, kind = cc_name(h), StratumKind.COSPHERE
+            else:
+                name = seam_name(k, h)
+                kind = (StratumKind.COISOTROPIC_SEAM if k in starred
+                        else StratumKind.LEGENDRIAN_SEAM)
+            pieces[k, h] = Stratum(
+                name=name,
+                kind=kind,
+                dim=dims[k] + dims[h] - 1,
+                base_target=k,
+                parent_contact=contact_name(h),
+                seam_upper=None if k == h else k,
+                open_dense=k == h == principal,
+            )
 
     upper_covers = hasse_edges(poset.order)
     lower_covers = hasse_edges(
@@ -301,7 +212,16 @@ def cl_stratification(
 
     return StratificationResult(
         cl_strata=tuple(sorted(pieces.values(), key=lambda s: (-s.dim, s.name))),
-        contact_strata=_contact_strata(poset, starred),
+        contact_strata=tuple(sorted(
+            (Stratum(
+                name=contact_name(label),
+                kind=StratumKind.CONTACT,
+                dim=2 * dims[label] - 1,
+                base_target=label,
+                parent_contact=contact_name(label),
+            ) for label in starred),
+            key=lambda s: s.name,
+        )),
         frontier=frozenset(frontier),
         hasse=tuple(sorted(hasse)),
         closure_only=frozenset(closure_only),
@@ -330,25 +250,24 @@ def semifree_decomposition(poset: IsotropyPoset) -> StratificationResult:
     type has a zero-dimensional quotient stratum.  Raises
     :class:`NotAlmostSemifreeError` otherwise.
     """
-    _require_valid(poset)
+    result = cl_stratification(poset)
     try:
         principal = principal_type(poset)
-    except Exception as exc:
+    except NoUniqueMinimumError as exc:
         raise NotAlmostSemifreeError(str(exc)) from exc
     problems = []
     if not principal.is_identity:
         problems.append(f"principal type ({principal.label}) is not the trivial class")
     if poset.dim_Q_of[principal.label] != poset.dim_Q:
         problems.append("the free part is not open dense in Q")
-    for t in poset.types:
-        if t.label != principal.label and stratum_quotient_dim(poset, t.label) != 0:
+    for label, d in _quotient_dims(poset).items():
+        if label != principal.label and d != 0:
             problems.append(
-                f"singular type ({t.label}) has a positive-dimensional quotient stratum"
+                f"singular type ({label}) has a positive-dimensional quotient stratum"
             )
     if problems:
         raise NotAlmostSemifreeError("; ".join(problems))
 
-    result = cl_stratification(poset)
     # shape check: CC(e) of dimension 2(dim Q - dim G) - 1 plus one
     # Legendrian seam of dimension dim Q - dim G - 1 per singular type
     expected = {cc_name(principal.label): 2 * (poset.dim_Q - poset.dim_G) - 1}
@@ -361,32 +280,6 @@ def semifree_decomposition(poset: IsotropyPoset) -> StratificationResult:
             f"semifree decomposition mismatch: {got} != {expected}"
         )
     return replace(result, smooth_total_space=True)
-
-
-def single_type_reduce(poset: IsotropyPoset) -> Stratum | None:
-    """Reduction with a single orbit type: the quotient is a manifold and
-    C_0 is the cosphere bundle of Q/G.
-
-    Returns None when Q/G is a point (the cosphere bundle of a point is
-    empty).  Raises :class:`MultipleOrbitTypesError` for richer lattices.
-    """
-    _require_valid(poset)
-    if len(poset.types) != 1:
-        raise MultipleOrbitTypesError(
-            f"lattice has {len(poset.types)} orbit types; single-type reduction needs one"
-        )
-    label = poset.types[0].label
-    d = stratum_quotient_dim(poset, label)
-    if d == 0:
-        return None
-    return Stratum(
-        name=cc_name(label),
-        kind=StratumKind.COSPHERE,
-        dim=2 * d - 1,
-        base_target=label,
-        parent_contact=contact_name(label),
-        open_dense=True,
-    )
 
 
 def result_to_json(result: StratificationResult) -> dict:

@@ -189,13 +189,14 @@ def _structural_properties(poset: IsotropyPoset, tag: str, failures: list[str]) 
     if result.piece_count != len(starred) + len(seam_pairs):
         failures.append(f"{tag}: piece count formula violated")
 
+    pieces = {s.name: s for s in result.cl_strata}
     for lower in starred:
         d_low = strata.stratum_quotient_dim(poset, lower)
-        cc = strata.classify_seam(poset, lower, lower)
+        cc = pieces[strata.cc_name(lower)]
         if cc.dim != 2 * d_low - 1:
             failures.append(f"{tag}: degenerate seam is not the CC dimension")
     for lower, upper in seam_pairs:
-        s = strata.classify_seam(poset, upper, lower)
+        s = pieces[strata.seam_name(upper, lower)]
         d_low = strata.stratum_quotient_dim(poset, lower)
         d_up = strata.stratum_quotient_dim(poset, upper)
         excess = s.dim - (2 * d_low - 1 - 1) // 2

@@ -133,6 +133,19 @@ def test_bad_inputs_exit_2(tmp_path, capsys):
         code, _, err = run(capsys, *args)
         assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
 
+    # every refusal comes before any output: nothing on stdout, no file, and
+    # the seed is checked also where --start leaves it unread
+    refused = tmp_path / "refused"
+    for args in (["flow", "--fixture", "s1-on-r2", "--start", "0,0,1,0", "--seed", "-1"],
+                 ["flow", "--fixture", "s1-on-r2", "--start", "0,0,1,0", "--seed", "-1",
+                  "--out", str(refused / "f.csv")],
+                 ["verify", "--fixture", "s1-on-r2", "--seed", "-1", "--out", str(refused)],
+                 ["examples", "--count", "10", "--seed", "-1", "--out", str(refused)],
+                 ["examples", "--count", "10", "--tolerance", "nan", "--out", str(refused)]):
+        code, out, err = run(capsys, *args)
+        assert code == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert not refused.exists()
+
 
 def test_argparse_rejects_unknown_subcommands():
     with pytest.raises(SystemExit) as exc:
@@ -316,7 +329,7 @@ def exercise_api(fixture, seed):
     poset_mod.is_subconjugate(poset, labels[0], labels[-1])
     poset_mod.hasse_edges(poset.order)
     poset_mod.transitive_closure(poset.order)
-    principal = poset_mod.principal_type(poset)
+    poset_mod.principal_type(poset)
     back = poset_mod.poset_from_json(poset_mod.poset_to_json(poset))
     assert back == poset
     poset_mod.poset_to_dot(poset)
@@ -325,22 +338,12 @@ def exercise_api(fixture, seed):
     torus.is_almost_semifree(spec)
     assert torus.spec_from_json(torus.spec_to_json(spec)) == spec
 
-    strata.contact_strata(poset)
-    strata.secondary_strata(poset, principal.label)
-    strata.classify_seam(poset, principal.label, principal.label)
+    strata.starred_lattice(poset)
     strata.bundle_targets(result)
     try:
         strata.semifree_decomposition(poset)
     except strata.NotAlmostSemifreeError:
         pass
-    one_type = poset_mod.IsotropyPoset(
-        types=(poset_mod.OrbitType("e", 0, is_identity=True),),
-        order=frozenset(),
-        dim_Q_of={"e": 3},
-        dim_G=0,
-        dim_Q=3,
-    )
-    strata.single_type_reduce(one_type)
 
     x, u = phase.zero_level_arrays(spec, seed=seed, count=4)
     p = phase.PhasePoint(x[0], u[0])

@@ -258,9 +258,10 @@ def ref_flow_checks(fixture, seed: int, starts: int) -> dict:
         "cosphere_sum_drift": float(np.max(np.abs(mass.sum(axis=1) - 2.0))),
     }
     failures = []
-    by_name = {
-        s.name: s for s in strata.cl_stratification(torus.build_isotropy_poset(spec)).cl_strata
-    }
+    result = strata.cl_stratification(torus.build_isotropy_poset(spec))
+    by_name = {s.name: s for s in result.cl_strata}
+    cc_of_contact = {s.parent_contact: s.name for s in result.cl_strata
+                     if s.kind is strata.StratumKind.COSPHERE}
     for idx, probe in enumerate(fixture.probes):
         if not all(name.startswith("Seam(") for name in probe.expect_pieces):
             continue
@@ -278,7 +279,7 @@ def ref_flow_checks(fixture, seed: int, starts: int) -> dict:
             end_piece, _ = ref_check(
                 fixture, ref_image(ref_table(PhasePoint(p.x + 0.5 * p.u, p.u)))
             )
-            expected_cc = checks.parent_cc_name(start_stratum)
+            expected_cc = cc_of_contact[start_stratum.parent_contact]
             if stratum_of(end_piece) != expected_cc:
                 failures.append(f"{start_piece} flowed to {end_piece}, expected {expected_cc}")
     report_checks = {

@@ -17,23 +17,16 @@ from cosphere.poset import (
 )
 from cosphere.strata import (
     InvalidPosetError,
-    MultipleOrbitTypesError,
     NotAlmostSemifreeError,
-    NotStarredTypeError,
-    StratificationError,
     StratumKind,
     bundle_targets,
     cc_name,
     cl_stratification,
-    classify_seam,
-    contact_frontier,
-    contact_strata,
+    contact_name,
     result_to_dot,
     result_to_json,
     seam_name,
-    secondary_strata,
     semifree_decomposition,
-    single_type_reduce,
     starred_lattice,
     stratum_quotient_dim,
 )
@@ -61,7 +54,7 @@ def test_starred_lattice_of_the_two_plane_action():
 
 
 def test_contact_strata_dimensions():
-    strata = contact_strata(two_plane_poset())
+    strata = cl_stratification(two_plane_poset()).contact_strata
     dims = {s.name: s.dim for s in strata}
     assert dims == {"Contact(e)": 3, "Contact(S^1×e)": 1, "Contact(e×S^1)": 1}
     assert all(s.kind is StratumKind.CONTACT for s in strata)
@@ -74,38 +67,40 @@ def test_contact_frontier_pairs():
     }
 
 
+def pieces_by_name(poset):
+    return {s.name: s for s in cl_stratification(poset).cl_strata}
+
+
 def test_classify_seam_degenerate_gives_the_cosphere_piece():
-    s = classify_seam(two_plane_poset(), "e", "e")
-    assert s.name == "CC(e)"
+    s = pieces_by_name(two_plane_poset())["CC(e)"]
     assert s.kind is StratumKind.COSPHERE
     assert s.dim == 3
+    assert (s.base_target, s.parent_contact, s.seam_upper) == ("e", "Contact(e)", None)
 
 
 def test_classify_seam_coisotropic_and_legendrian():
-    poset = two_plane_poset()
-    co = classify_seam(poset, "S^1×e", "e")
+    pieces = pieces_by_name(two_plane_poset())
+    co = pieces["Seam(S^1×e>e)"]
     assert (co.kind, co.dim) == (StratumKind.COISOTROPIC_SEAM, 2)
     assert co.base_target == "S^1×e" and co.parent_contact == "Contact(e)"
-    leg = classify_seam(poset, "T^2", "e")
+    assert co.seam_upper == "S^1×e"
+    leg = pieces["Seam(T^2>e)"]
     assert (leg.kind, leg.dim) == (StratumKind.LEGENDRIAN_SEAM, 1)
-    point = classify_seam(poset, "T^2", "S^1×e")
+    point = pieces["Seam(T^2>S^1×e)"]
     assert (point.kind, point.dim) == (StratumKind.LEGENDRIAN_SEAM, 0)
-
-
-def test_classify_seam_rejects_unstarred_lower_and_unrelated_pairs():
-    poset = two_plane_poset()
-    with pytest.raises(NotStarredTypeError):
-        classify_seam(poset, "T^2", "T^2")
-    with pytest.raises(StratificationError):
-        classify_seam(poset, "e×S^1", "S^1×e")
+    # no piece over an unstarred lower type, none for an unordered pair
+    assert not any(name.endswith(">T^2)") for name in pieces)
+    assert "CC(T^2)" not in pieces and "Seam(e×S^1>S^1×e)" not in pieces
 
 
 def test_secondary_strata_of_the_open_contact_stratum():
-    pieces = secondary_strata(two_plane_poset(), "e")
+    result = cl_stratification(two_plane_poset())
+    pieces = [s for s in result.cl_strata if s.parent_contact == "Contact(e)"]
     names = [p.name for p in pieces]
     assert names[0] == "CC(e)"
     assert pieces[0].open_dense
     assert set(names[1:]) == {"Seam(S^1×e>e)", "Seam(e×S^1>e)", "Seam(T^2>e)"}
+    assert not any(p.open_dense for p in pieces[1:])
 
 
 EXPECTED_TWO_PLANE_PIECES = {
@@ -157,6 +152,17 @@ def test_two_plane_frontier_closure_and_hasse():
     assert set(result.hasse) == EXPECTED_TWO_PLANE_HASSE
     assert result.closure_only == EXPECTED_TWO_PLANE_CLOSURE_ONLY
     assert transitive_closure(result.hasse) == result.frontier
+
+
+def contact_frontier(poset):
+    """Frontier pairs among contact strata: Contact(K) lies in the boundary
+    of Contact(H) exactly when (H) < (K)."""
+    starred = starred_lattice(poset)
+    return frozenset(
+        (contact_name(k), contact_name(h))
+        for h, k in poset.order
+        if h in starred and k in starred
+    )
 
 
 def frontier_oracle(poset):
@@ -291,10 +297,12 @@ def test_fuzz_piece_inventory_shape(poset):
 @given(valid_posets())
 def test_fuzz_seam_excess_identity(poset):
     starred = starred_lattice(poset)
-    for lower, upper in poset.order:
-        if lower not in starred:
-            continue
-        s = classify_seam(poset, upper, lower)
+    pieces = {s.name: s for s in cl_stratification(poset).cl_strata}
+    seam_pairs = [(l, h) for (l, h) in poset.order if l in starred]
+    assert sum(s.seam_upper is not None for s in pieces.values()) == len(seam_pairs)
+    for lower, upper in seam_pairs:
+        s = pieces[seam_name(upper, lower)]
+        assert (s.seam_upper, s.parent_contact) == (upper, contact_name(lower))
         d_low = stratum_quotient_dim(poset, lower)
         assert s.dim - (d_low - 1) == stratum_quotient_dim(poset, upper)
         expect_coiso = upper in starred
@@ -456,7 +464,7 @@ def test_single_type_reduce():
         0,
         3,
     )
-    s = single_type_reduce(free)
+    (s,) = cl_stratification(free).cl_strata
     assert (s.name, s.dim, s.kind) == ("CC(e)", 5, StratumKind.COSPHERE)
     assert s.open_dense
     # transitive action: the quotient is a point, C_0 is empty
@@ -467,9 +475,7 @@ def test_single_type_reduce():
         2,
         2,
     )
-    assert single_type_reduce(point) is None
-    with pytest.raises(MultipleOrbitTypesError):
-        single_type_reduce(two_plane_poset())
+    assert cl_stratification(point).cl_strata == ()
 
 
 def test_result_json_schema_and_determinism():
