@@ -17,17 +17,14 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from cosphere import phase, reeb
-from cosphere.fixtures import BUILTIN_FIXTURES, get_fixture, stratum_of
+from cosphere.fixtures import BUILTIN_FIXTURES, get_fixture
 
 
 def demo(fixture_name: str, seed: int, t_end: float, step: float) -> int:
     fx = get_fixture(fixture_name)
     grid = [0.0] + [t_end * i / 6 for i in range(1, 7)]
 
-    seam_probes = [
-        p for p in fx.probes
-        if all(name.startswith("Seam(") for name in p.expect_pieces)
-    ]
+    seam_probes = [p for p in fx.probes if p.name.startswith("Seam(")]
     if not seam_probes:
         print(f"{fixture_name}: no seam probes")
         return 0
@@ -53,7 +50,7 @@ def demo(fixture_name: str, seed: int, t_end: float, step: float) -> int:
                 fx, phase.hilbert_map(fx.spec, flowed)
             )
             print(f"     t = {t:6.3f}  ->  {name:<18} residual {residual:.1e}")
-            if t > 0 and stratum_of(name).startswith("Seam("):
+            if t > 0 and name.startswith("Seam("):
                 failures += 1
 
         traj = reeb.flow_rk4(point, t_end=t_end, step=step)

@@ -7,7 +7,7 @@ derive the poset.  The ``phase``/``reeb``/``checks`` layers verify the
 combinatorial answers numerically on the builtin fixtures.
 """
 
-from .fixtures import BUILTIN_FIXTURES, Fixture, get_fixture, s1_on_r2, t2_on_r4
+from .fixtures import BUILTIN_FIXTURES, Fixture, get_fixture
 from .phase import (
     PhasePoint,
     check_reduced_membership,
@@ -77,13 +77,11 @@ __all__ = [
     "poset_to_dot",
     "poset_to_json",
     "principal_type",
-    "s1_on_r2",
     "semifree_decomposition",
     "spec_from_json",
     "spec_to_json",
     "stabilizer_of_support",
     "starred_lattice",
-    "t2_on_r4",
     "transitive_closure",
     "validate",
     "zero_level_arrays",

@@ -18,7 +18,7 @@ from collections import Counter
 import numpy as np
 
 from . import phase, reeb, strata, torus
-from .fixtures import Fixture, stratum_of
+from .fixtures import Fixture
 from .phase import (
     IDENTITY_TOL,
     MEMBERSHIP_BAND,
@@ -69,6 +69,10 @@ def verify_fixture(
     principal_cc = strata.cc_name(strata.principal_type(poset).label)
 
     names = np.array([p.name for p in fixture.pieces], dtype=object)
+    # the base projection (p1 - 1, 0, 1 - p1) per plane assumes the plane
+    # carries the whole covector mass, which holds on every piece only with
+    # a single plane
+    geometric = spec.n == 1
     probe_reports = []
     all_passed = True
     for idx, probe in enumerate(fixture.probes):
@@ -106,18 +110,17 @@ def verify_fixture(
         class_counts = Counter(labels.tolist())
         piece_counts = Counter(names[piece[located]].tolist())
         k0_err = 0.0
-        if fixture.k0_geometric:
+        if geometric:
             xs = x[located].reshape(-1, spec.n, 2)
             t_planes = np.sum(xs * xs, axis=-1)
-            k0 = k0_project(images[located], fixture.k0_offsets)
+            k0 = k0_project(images[located])
             base = np.zeros(k0.shape)
             base[:, 0::3] = t_planes
             base[:, 2::3] = -t_planes
             k0_err = _max(np.abs(k0 - base))
 
         n_points = len(x)
-        expected = sum(piece_counts.get(name, 0) for name in probe.expect_pieces)
-        fraction = expected / n_points if n_points else 0.0
+        fraction = piece_counts.get(probe.name, 0) / n_points if n_points else 0.0
         class_fraction = (
             class_counts.get(probe.expect_class, 0) / n_points if n_points else 0.0
         )
@@ -128,10 +131,10 @@ def verify_fixture(
             "classification_starred": bool(is_starred.all()),
             "membership_total": bool(located.all()),
             "membership_residual": max_residual < band,
-            "expected_pieces": fraction >= probe.min_fraction,
-            "expected_class": class_fraction >= probe.min_fraction,
+            "expected_pieces": fraction == 1.0,
+            "expected_class": class_fraction == 1.0,
         }
-        if fixture.k0_geometric:
+        if geometric:
             checks["k0_geometric"] = k0_err <= IDENTITY_TOL
         passed = all(checks.values())
         all_passed = all_passed and passed
@@ -143,7 +146,7 @@ def verify_fixture(
                 "max_cosphere_error": max_cosphere,
                 "max_cone_rel_error": max_cone,
                 "max_membership_residual": max_residual,
-                "k0_max_error": k0_err if fixture.k0_geometric else None,
+                "k0_max_error": k0_err if geometric else None,
                 "class_counts": dict(sorted(class_counts.items())),
                 "piece_counts": dict(sorted(piece_counts.items())),
                 "expected_fraction": fraction,
@@ -153,14 +156,10 @@ def verify_fixture(
             }
         )
 
-    # pieces may be connected components (CC(e):L etc), so compare strata
     generic = probe_reports[0] if probe_reports else None
     principal_fraction = 0.0
     if generic is not None and generic["count"]:
-        principal_fraction = sum(
-            v for k, v in generic["piece_counts"].items()
-            if stratum_of(k) == principal_cc
-        ) / generic["count"]
+        principal_fraction = generic["piece_counts"].get(principal_cc, 0) / generic["count"]
     principal_ok = principal_fraction >= 0.99
     all_passed = all_passed and principal_ok
 
@@ -189,7 +188,9 @@ def flow_checks(
     step: float = 1e-3,
 ) -> dict:
     """Reeb-flow verification: closed form vs exact flow vs RK4, plus the
-    seam-to-cosphere dynamical check at t = 0.5."""
+    seam-to-cosphere dynamical check: each seam start, flowed to
+    min(0.5, t*/2) with t* its first crossing time, lies in the
+    cosphere-like piece of its contact stratum."""
     spec = fixture.spec
     x, u = zero_level_arrays(spec, seed=seed, count=starts)
     tables = invariant_tables(x, u)
@@ -210,23 +211,18 @@ def flow_checks(
     drift = reeb.conservation_report(traj)
 
     seam_flow_failures: list[str] = []
-    seam_probes = [
-        (i, pr) for i, pr in enumerate(fixture.probes)
-        if all(name.startswith("Seam(") for name in pr.expect_pieces)
-    ]
     result = strata.cl_stratification(torus.build_isotropy_poset(spec))
-    # contact stratum -> its cosphere-like piece, piece -> its contact stratum
+    # seam -> the cosphere-like piece of its contact stratum
     cc_of = {s.parent_contact: s.name for s in result.cl_strata
              if s.kind is strata.StratumKind.COSPHERE}
-    contact_of = {s.name: s.parent_contact for s in result.cl_strata}
-    names = [p.name for p in fixture.pieces]
-    is_seam = np.array([name.startswith("Seam(") for name in names])
-    piece_stratum = np.array([stratum_of(name) for name in names], dtype=object)
-    expected_cc = np.array([
-        cc_of[contact_of[stratum_of(name)]] if seam else None
-        for name, seam in zip(names, is_seam)
-    ], dtype=object)
-    for idx, probe in seam_probes:
+    parent_cc = {s.name: cc_of[s.parent_contact] for s in result.cl_strata
+                 if s.seam_upper is not None}
+    names = np.array([p.name for p in fixture.pieces], dtype=object)
+    is_seam = np.array([name in parent_cc for name in names])
+    expected_cc = np.array([parent_cc.get(name) for name in names], dtype=object)
+    for idx, probe in enumerate(fixture.probes):
+        if probe.name not in parent_cc:
+            continue
         sx, su = zero_level_arrays(
             spec,
             seed=_probe_seed(seed, idx) + 17,
@@ -234,8 +230,16 @@ def flow_checks(
             support_pattern=probe.support_pattern,
             covector_pattern=probe.covector_pattern,
         )
-        start_images = reduced_images(invariant_tables(sx, su))
-        end_images = reduced_images(invariant_tables(reeb.flowed_base(sx, su, 0.5), su))
+        start_tables = invariant_tables(sx, su)
+        # x_j is parallel to u_j on the zero level, so the line x_j + t u_j
+        # passes through 0 at t_j = -p2_j / (p1_j + p3_j); the image is taken
+        # at min(0.5, t*/2), before the least positive crossing t*
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t_cross = -start_tables[..., 1] / (start_tables[..., 0] + start_tables[..., 2])
+        t_star = np.min(np.where(t_cross > 0, t_cross, np.inf), axis=-1)
+        t = np.minimum(0.5, t_star / 2)
+        start_images = reduced_images(start_tables)
+        end_images = reduced_images(invariant_tables(reeb.flowed_base(sx, su, t), su))
         start_piece, _ = locate_rows(fixture, start_images)
         end_piece, _ = locate_rows(fixture, end_images)
         from_seam = (start_piece >= 0) & is_seam[start_piece]
@@ -244,10 +248,10 @@ def flow_checks(
             # raise what the first unlocated row raises, start before end
             check_reduced_membership(fixture, start_images[unlocated[0]])
             check_reduced_membership(fixture, end_images[unlocated[0]])
-        wrong = from_seam & (piece_stratum[end_piece] != expected_cc[start_piece])
+        wrong = from_seam & (names[end_piece] != expected_cc[start_piece])
         seam_flow_failures += [
-            f"{names[start_piece[i]]} flowed to {names[end_piece[i]]}, "
-            f"expected {expected_cc[start_piece[i]]}"
+            f"{names[start_piece[i]]} flowed to {names[end_piece[i]]} "
+            f"at t = {t[i]!r}, expected {expected_cc[start_piece[i]]}"
             for i in np.flatnonzero(wrong)
         ]
 

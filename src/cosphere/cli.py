@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import checks, phase, reeb, strata, torus
-from .fixtures import BUILTIN_FIXTURES, Fixture, get_fixture, stratum_of
+from .fixtures import BUILTIN_FIXTURES, Fixture, get_fixture
 from .poset import IsotropyPoset, PosetError, poset_from_json, poset_to_dot
 from .torus import ActionSpecError, TorusActionSpec, spec_from_json
 
@@ -405,33 +405,35 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, fixture_only: bool = False) -> None:
-        if not fixture_only:
+    def add_common(p: argparse.ArgumentParser, *sources: str) -> None:
+        if "action" in sources:
             p.add_argument("--action", help="path to an action-spec or poset JSON file")
-        p.add_argument(
-            "--fixture", choices=sorted(BUILTIN_FIXTURES),
-            help="builtin example name",
-        )
+        if "fixture" in sources:
+            p.add_argument(
+                "--fixture", choices=sorted(BUILTIN_FIXTURES),
+                help="builtin example name",
+            )
         p.add_argument("--out", help="output path (directory for multi-file commands)")
 
     p = sub.add_parser("lattice", help="emit isotropy and C-L DOT files")
-    add_common(p)
+    add_common(p, "action", "fixture")
     p = sub.add_parser("reduce", help="stratification report as JSON")
-    add_common(p)
+    add_common(p, "action", "fixture")
     p = sub.add_parser("verify", help="sampling battery on a builtin fixture")
-    add_common(p, fixture_only=True)
+    add_common(p, "fixture")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, default=10000)
     p.add_argument("--tolerance", type=float, default=phase.MEMBERSHIP_BAND)
     p = sub.add_parser("flow", help="Reeb flow trajectory as CSV")
-    add_common(p, fixture_only=True)
+    add_common(p, "fixture")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--t-end", type=float, default=2.0)
     p.add_argument("--step", type=float, default=1e-3)
     p.add_argument("--tolerance", type=float, default=phase.MEMBERSHIP_BAND)
     p.add_argument("--start", help="comma-separated start point (x then u)")
+    # runs both fixtures, so it takes no --fixture
     p = sub.add_parser("examples", help="full battery on both builtin fixtures")
-    add_common(p, fixture_only=True)
+    add_common(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, default=10000)
     p.add_argument("--t-end", type=float, default=2.0)

@@ -1,36 +1,46 @@
-"""Builtin verification fixtures: concrete reductions with known answers.
+"""Builtin verification fixtures: the reduced space at zero momentum, piece
+by piece, generated from the weight matrix.
 
-Two torus actions ship with the package, and for each one the reduced
-space at zero momentum is described exactly, piece by piece, as lists of
-polynomial equalities and inequalities over the reduced coordinates
-(p1, p2, p3 per plane).  The descriptions are data, not code, so a failed
-membership check can report which constraint was violated.
+For a torus action of rank n on R^{2n} the momentum J = A p4 vanishes only
+where p4 does, so x_j and u_j are parallel on every plane of a zero-level
+point, and two supports fix the piece of its reduced image:
 
-``s1-on-r2``: the circle rotating one plane.  The reduced space is the
-parabola-like curve {s1 >= 0, s1^2 = s2^2 + s3^2, s1 + s3 = 2}, split into
-two open branches L (s2 > 0) and R (s2 < 0) joined across the vertex
-(1, 0, 1), which is the single Legendrian seam.
+    S   = {j : p1_j > 0}          the planes where (x_j, u_j) is nonzero,
+    S_x = {j : p1_j - p3_j > 0}   the planes where x_j is (p1 - p3 = 2|x_j|^2).
 
-``t2-on-r4``: the 2-torus rotating two planes independently.  Eight C-L
-pieces: three cosphere-like pieces, two coisotropic seams, three
-Legendrian seams (two of which are points).
+With type(P) the stabilizer of the support P, the piece is CC(L) when
+type(S_x) = type(S) = L, and Seam(type(S_x) > type(S)) otherwise.  Each
+pair S_x ⊆ S with S nonempty is one membership cell, stated as
+polynomial constraints over the reduced coordinates (p1, p2, p3 per
+plane):
 
-The pieces are complementary at one band: every zero-level image matches
-exactly one of them.  So a piece that needs p1 = p3 on a plane states
-``eq(p1 - p3)`` plus that plane's cone equation, never the implied
+* ``eq(p1_j)`` off S;
+* ``gt(p1_j)`` and the cone equation ``eq(p1_j^2 - p2_j^2 - p3_j^2)`` on S;
+* ``eq(p1_j - p3_j)`` on S minus S_x and ``gt(p1_j - p3_j)`` on S_x;
+* the cosphere equation ``eq(sum(p1 + p3) - 2)``.
+
+An equality holds within the membership band and a strict inequality
+needs clearance beyond it, so every eq/gt pair is complementary at one
+band and every zero-level image matches exactly one cell.  A cell states
+p1 = p3 on a plane by ``eq(p1 - p3)`` and the cone, never by the implied
 ``eq(p2)``: on the cone p1 - p3 = e forces |p2| ~ sqrt(2 p1 e), so an
-image with e inside the band would fail both ``eq(p2)`` and the
-neighbour's ``ne(p1 - p3)``.
+image with e inside the band would fail ``eq(p2)`` and ``gt(p1 - p3)``
+both.  Each cell has one sampling probe that draws the base point on S_x
+and the covector on S, and lands wholly in the cell's piece and in the
+orbit type of S.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 
-from .torus import TorusActionSpec
+from .phase import check_full_rank
+from .strata import cc_name, seam_name
+from .torus import TorusActionSpec, stabilizer_of_support
 
 
 @dataclass(frozen=True)
@@ -53,37 +63,30 @@ class Poly:
 
 @dataclass(frozen=True)
 class Constraint:
-    kind: str  # "eq", "gt", "lt" or "ne"
+    kind: str  # "eq" or "gt"
     poly: Poly
     text: str
 
 
 @dataclass(frozen=True)
 class MembershipPiece:
-    """One stratum piece (or connected component of one), as a constraint list.
-
-    Component names use a ":" suffix, e.g. "CC(e):L"; ``stratum_of`` strips
-    it to recover the C-L stratum name.
-    """
+    """One C-L piece of the reduced space, as a constraint list."""
 
     name: str
     constraints: tuple[Constraint, ...]
 
 
-def stratum_of(piece_name: str) -> str:
-    return piece_name.split(":")[0]
-
-
 @dataclass(frozen=True)
 class Probe:
-    """A forced-support sampling configuration and what it must produce."""
+    """A forced-support sampling configuration: the base point on
+    ``support_pattern``, the covector on ``covector_pattern`` (None for all
+    planes).  Every sample lands in piece ``name`` and orbit type
+    ``expect_class``."""
 
     name: str
     support_pattern: tuple[int, ...] | None
     covector_pattern: tuple[int, ...] | None
-    expect_pieces: tuple[str, ...]
     expect_class: str
-    min_fraction: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -93,297 +96,73 @@ class Fixture:
     spec: TorusActionSpec
     pieces: tuple[MembershipPiece, ...]
     probes: tuple[Probe, ...]
-    k0_offsets: tuple[float, ...]
-    k0_geometric: bool
-    notes: str = ""
 
 
-def _v(index: int, coeff: float = 1.0) -> tuple[float, int]:
-    return (coeff, index)
+def generate_fixture(name: str, title: str, spec: TorusActionSpec) -> Fixture:
+    """The membership cells and probes of a rank-n action, one per support
+    pair (S_x, S), ordered by (-|S|, -|S_x|, S_x, S); see module docstring.
 
+    The generic cell comes first.  A weight matrix of rank below n is
+    refused with :class:`phase.RankDeficientError`.
+    """
+    check_full_rank(spec)
+    n = spec.n
+    p1, diff, cone = [], [], []
+    for j in range(n):
+        i, k = 3 * j, j + 1
+        p1.append(Constraint("eq", Poly(linear=((1.0, i),)), f"p1_{k}"))
+        diff.append(Constraint(
+            "eq", Poly(linear=((1.0, i), (-1.0, i + 2))), f"p1_{k} - p3_{k}"))
+        cone.append(Constraint(
+            "eq", Poly(quad=((1.0, i, i), (-1.0, i + 1, i + 1), (-1.0, i + 2, i + 2))),
+            f"p1_{k}^2 - p2_{k}^2 - p3_{k}^2"))
+    total = Constraint(
+        "eq", Poly(const=-2.0, linear=tuple((1.0, 3 * j + c) for j in range(n) for c in (0, 2))),
+        "sum(p1 + p3) - 2")
 
-def _sq(index: int, coeff: float = 1.0) -> tuple[float, int, int]:
-    return (coeff, index, index)
+    def subsets(planes):
+        return [c for r in range(len(planes) + 1) for c in combinations(planes, r)]
 
+    def label(planes):
+        return stabilizer_of_support(spec, planes).label
 
-def eq(text: str, poly: Poly) -> Constraint:
-    return Constraint("eq", poly, text)
+    def gt(c):
+        return Constraint("gt", c.poly, c.text)
 
-
-def gt(text: str, poly: Poly) -> Constraint:
-    return Constraint("gt", poly, text)
-
-
-def lt(text: str, poly: Poly) -> Constraint:
-    return Constraint("lt", poly, text)
-
-
-def ne(text: str, poly: Poly) -> Constraint:
-    return Constraint("ne", poly, text)
-
-
-def _cone(plane: int) -> Poly:
-    """p1^2 - p2^2 - p3^2 for the given plane (vanishes when p4 does)."""
-    i = 3 * plane
-    return Poly(quad=(_sq(i), _sq(i + 1, -1.0), _sq(i + 2, -1.0)))
-
-
-@lru_cache(maxsize=None)
-def s1_on_r2() -> Fixture:
-    spec = TorusActionSpec(k=1, n=1, weights=((1,),))
-    cone = _cone(0)
-    total = Poly(const=-2.0, linear=(_v(0), _v(2)))
-    pieces = (
-        MembershipPiece(
-            "CC(e):L",
-            (
-                eq("s1^2 - s2^2 - s3^2", cone),
-                eq("s1 + s3 - 2", total),
-                gt("s2", Poly(linear=(_v(1),))),
-            ),
-        ),
-        MembershipPiece(
-            "CC(e):R",
-            (
-                eq("s1^2 - s2^2 - s3^2", cone),
-                eq("s1 + s3 - 2", total),
-                lt("s2", Poly(linear=(_v(1),))),
-            ),
-        ),
-        MembershipPiece(
-            "Seam(S^1>e)",
-            (
-                eq("s1 - 1", Poly(const=-1.0, linear=(_v(0),))),
-                eq("s2", Poly(linear=(_v(1),))),
-                eq("s3 - 1", Poly(const=-1.0, linear=(_v(2),))),
-            ),
-        ),
+    cells = sorted(
+        ((sx, s) for s in subsets(range(n)) if s for sx in subsets(s)),
+        key=lambda cell: (-len(cell[1]), -len(cell[0]), cell[0], cell[1]),
     )
-    probes = (
-        Probe(
-            "generic",
-            support_pattern=None,
-            covector_pattern=None,
-            expect_pieces=("CC(e):L", "CC(e):R"),
-            expect_class="e",
-        ),
-        Probe(
-            "vertex",
-            support_pattern=(),
-            covector_pattern=None,
-            expect_pieces=("Seam(S^1>e)",),
-            expect_class="e",
-        ),
-    )
-    return Fixture(
-        name="s1-on-r2",
-        title="circle rotating one plane",
-        spec=spec,
-        pieces=pieces,
-        probes=probes,
-        k0_offsets=(1.0,),
-        k0_geometric=True,
-        notes=(
-            "With a single plane the covector mass is identically 1, so the "
-            "base projection (s1 - 1, 0, 1 - s1) is exact on every piece."
-        ),
-    )
+    pieces, probes = [], []
+    for sx, s in cells:
+        upper, lower = label(sx), label(s)
+        piece = cc_name(lower) if upper == lower else seam_name(upper, lower)
+        constraints = []
+        for j in range(n):
+            if j not in s:
+                constraints.append(p1[j])
+            else:
+                constraints += [gt(p1[j]), cone[j], gt(diff[j]) if j in sx else diff[j]]
+        pieces.append(MembershipPiece(piece, tuple(constraints) + (total,)))
+        probes.append(Probe(
+            piece, None if len(sx) == n else sx, None if len(s) == n else s, lower))
+    return Fixture(name, title, spec, tuple(pieces), tuple(probes))
 
 
-@lru_cache(maxsize=None)
-def t2_on_r4() -> Fixture:
-    spec = TorusActionSpec(k=2, n=2, weights=((1, 0), (0, 1)))
-    # image layout: (rho1, rho2, rho3, sig1, sig2, sig3)
-    r1, r2, r3, s1, s2, s3 = range(6)
-    cone_r, cone_s = _cone(0), _cone(1)
-    total = Poly(const=-2.0, linear=(_v(r1), _v(r3), _v(s1), _v(s3)))
-    dr = Poly(linear=(_v(r1), _v(r3, -1.0)))
-    ds = Poly(linear=(_v(s1), _v(s3, -1.0)))
-
-    pieces = (
-        MembershipPiece(
-            "CC(e)",
-            (
-                eq("rho1^2 - rho2^2 - rho3^2", cone_r),
-                eq("sig1^2 - sig2^2 - sig3^2", cone_s),
-                eq("rho1 + rho3 + sig1 + sig3 - 2", total),
-                gt("rho1", Poly(linear=(_v(r1),))),
-                gt("sig1", Poly(linear=(_v(s1),))),
-                ne("rho1 - rho3", dr),
-                ne("sig1 - sig3", ds),
-            ),
-        ),
-        MembershipPiece(
-            "Seam(e×S^1>e)",
-            (
-                gt("rho1", Poly(linear=(_v(r1),))),
-                gt("sig1", Poly(linear=(_v(s1),))),
-                ne("rho1 - rho3", dr),
-                eq("sig1 - sig3", ds),
-                eq("sig1^2 - sig2^2 - sig3^2", cone_s),
-                eq("rho1 + rho3 + 2 sig1 - 2",
-                   Poly(const=-2.0, linear=(_v(r1), _v(r3), _v(s1, 2.0)))),
-                eq("rho1^2 - rho2^2 - rho3^2", cone_r),
-            ),
-        ),
-        MembershipPiece(
-            "Seam(S^1×e>e)",
-            (
-                gt("rho1", Poly(linear=(_v(r1),))),
-                gt("sig1", Poly(linear=(_v(s1),))),
-                eq("rho1 - rho3", dr),
-                eq("rho1^2 - rho2^2 - rho3^2", cone_r),
-                ne("sig1 - sig3", ds),
-                eq("2 rho1 + sig1 + sig3 - 2",
-                   Poly(const=-2.0, linear=(_v(r1, 2.0), _v(s1), _v(s3)))),
-                eq("sig1^2 - sig2^2 - sig3^2", cone_s),
-            ),
-        ),
-        MembershipPiece(
-            "Seam(T^2>e)",
-            (
-                gt("rho1", Poly(linear=(_v(r1),))),
-                gt("sig1", Poly(linear=(_v(s1),))),
-                eq("rho1 - rho3", dr),
-                eq("rho1^2 - rho2^2 - rho3^2", cone_r),
-                eq("sig1 - sig3", ds),
-                eq("sig1^2 - sig2^2 - sig3^2", cone_s),
-                eq("rho1 + sig1 - 1", Poly(const=-1.0, linear=(_v(r1), _v(s1)))),
-            ),
-        ),
-        MembershipPiece(
-            "CC(e×S^1)",
-            (
-                eq("sig1", Poly(linear=(_v(s1),))),
-                eq("sig2", Poly(linear=(_v(s2),))),
-                eq("sig3", Poly(linear=(_v(s3),))),
-                gt("rho1", Poly(linear=(_v(r1),))),
-                eq("rho1 + rho3 - 2", Poly(const=-2.0, linear=(_v(r1), _v(r3)))),
-                eq("rho1^2 - rho2^2 - rho3^2", cone_r),
-                ne("rho1 - rho3", dr),
-            ),
-        ),
-        MembershipPiece(
-            "CC(S^1×e)",
-            (
-                eq("rho1", Poly(linear=(_v(r1),))),
-                eq("rho2", Poly(linear=(_v(r2),))),
-                eq("rho3", Poly(linear=(_v(r3),))),
-                gt("sig1", Poly(linear=(_v(s1),))),
-                eq("sig1 + sig3 - 2", Poly(const=-2.0, linear=(_v(s1), _v(s3)))),
-                eq("sig1^2 - sig2^2 - sig3^2", cone_s),
-                ne("sig1 - sig3", ds),
-            ),
-        ),
-        MembershipPiece(
-            "Seam(T^2>e×S^1)",
-            (
-                eq("rho1 + rho3 - 2", Poly(const=-2.0, linear=(_v(r1), _v(r3)))),
-                eq("rho1 - rho3", dr),
-                eq("rho1^2 - rho2^2 - rho3^2", cone_r),
-                eq("sig1", Poly(linear=(_v(s1),))),
-                eq("sig2", Poly(linear=(_v(s2),))),
-                eq("sig3", Poly(linear=(_v(s3),))),
-            ),
-        ),
-        MembershipPiece(
-            "Seam(T^2>S^1×e)",
-            (
-                eq("rho1", Poly(linear=(_v(r1),))),
-                eq("rho2", Poly(linear=(_v(r2),))),
-                eq("rho3", Poly(linear=(_v(r3),))),
-                eq("sig1 + sig3 - 2", Poly(const=-2.0, linear=(_v(s1), _v(s3)))),
-                eq("sig1 - sig3", ds),
-                eq("sig1^2 - sig2^2 - sig3^2", cone_s),
-            ),
-        ),
-    )
-    probes = (
-        Probe(
-            "generic",
-            support_pattern=None,
-            covector_pattern=None,
-            expect_pieces=("CC(e)",),
-            expect_class="e",
-            min_fraction=0.99,
-        ),
-        Probe(
-            "base rho axis",
-            support_pattern=(0,),
-            covector_pattern=None,
-            expect_pieces=("Seam(e×S^1>e)",),
-            expect_class="e",
-        ),
-        Probe(
-            "base sig axis",
-            support_pattern=(1,),
-            covector_pattern=None,
-            expect_pieces=("Seam(S^1×e>e)",),
-            expect_class="e",
-        ),
-        Probe(
-            "base origin",
-            support_pattern=(),
-            covector_pattern=None,
-            expect_pieces=("Seam(T^2>e)",),
-            expect_class="e",
-        ),
-        Probe(
-            "rho cosphere",
-            support_pattern=(0,),
-            covector_pattern=(0,),
-            expect_pieces=("CC(e×S^1)",),
-            expect_class="e×S^1",
-        ),
-        Probe(
-            "sig cosphere",
-            support_pattern=(1,),
-            covector_pattern=(1,),
-            expect_pieces=("CC(S^1×e)",),
-            expect_class="S^1×e",
-        ),
-        Probe(
-            "rho legendrian point",
-            support_pattern=(),
-            covector_pattern=(0,),
-            expect_pieces=("Seam(T^2>e×S^1)",),
-            expect_class="e×S^1",
-        ),
-        Probe(
-            "sig legendrian point",
-            support_pattern=(),
-            covector_pattern=(1,),
-            expect_pieces=("Seam(T^2>S^1×e)",),
-            expect_class="S^1×e",
-        ),
-    )
-    return Fixture(
-        name="t2-on-r4",
-        title="2-torus rotating two planes",
-        spec=spec,
-        pieces=pieces,
-        probes=probes,
-        k0_offsets=(1.0, 1.0),
-        k0_geometric=False,
-        notes=(
-            "The printed base projection (p1 - 1, 0, 1 - p1) per plane assumes "
-            "the plane carries full covector mass; on strata with a vanishing "
-            "plane it leaves the positive-quadrant chart, so geometric base "
-            "validation is only run for the one-plane fixture."
-        ),
-    )
-
-
+# name -> (title, weight matrix)
 BUILTIN_FIXTURES = {
-    "s1-on-r2": s1_on_r2,
-    "t2-on-r4": t2_on_r4,
+    "s1-on-r2": ("circle rotating one plane", ((1,),)),
+    "t2-on-r4": ("2-torus rotating two planes", ((1, 0), (0, 1))),
 }
 
 
+@lru_cache(maxsize=None)
 def get_fixture(name: str) -> Fixture:
     try:
-        return BUILTIN_FIXTURES[name]()
+        title, weights = BUILTIN_FIXTURES[name]
     except KeyError:
         raise KeyError(
             f"unknown fixture {name!r}; builtins: {sorted(BUILTIN_FIXTURES)}"
         ) from None
+    spec = TorusActionSpec(k=len(weights), n=len(weights[0]), weights=weights)
+    return generate_fixture(name, title, spec)

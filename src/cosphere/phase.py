@@ -180,6 +180,16 @@ def momenta(spec: TorusActionSpec, tables: np.ndarray) -> np.ndarray:
     return (weights @ tables[..., 3, None])[..., 0]
 
 
+def check_full_rank(spec: TorusActionSpec) -> None:
+    """Refuse a weight matrix of rank below n with :class:`RankDeficientError`."""
+    rank = spec.k - stabilizer_of_support(spec, range(spec.n)).dim_stab
+    if rank < spec.n:
+        raise RankDeficientError(
+            f"weight matrix has rank {rank} < n = {spec.n}: "
+            "per-plane invariants do not separate orbits"
+        )
+
+
 def hilbert_map(
     spec: TorusActionSpec, point: PhasePoint, tol: float = SUPPORT_TOL
 ) -> np.ndarray:
@@ -192,12 +202,7 @@ def hilbert_map(
     """
     if point.n != spec.n:
         raise PhaseError(f"point has {point.n} planes, spec has {spec.n}")
-    rank = spec.k - stabilizer_of_support(spec, range(spec.n)).dim_stab
-    if rank < spec.n:
-        raise RankDeficientError(
-            f"weight matrix has rank {rank} < n = {spec.n}: "
-            "per-plane invariants do not separate orbits"
-        )
+    check_full_rank(spec)
     tables = invariant_tables(point.x, point.u)
     norm = float(np.max(np.abs(momenta(spec, tables))))
     if norm > tol:
@@ -340,11 +345,11 @@ def membership_table(
 ) -> MembershipTable:
     """Every constraint of every piece evaluated on (N, 3n) reduced images.
 
-    Equalities accept residuals up to ``band``; strict inequalities and
-    disequalities demand clearance beyond the same band.  A NaN value
-    violates every constraint, so a NaN image matches no piece.  Pieces
-    share constraints (the cone and cosphere equations above all), so each
-    distinct polynomial is evaluated once.  A band that is not finite and
+    Equalities accept residuals up to ``band``; strict inequalities demand
+    clearance beyond the same band.  A NaN value violates every constraint,
+    so a NaN image matches no piece.  Pieces share constraints (the cone and
+    cosphere equations above all), so each distinct polynomial is evaluated
+    once.  A band that is not finite and
     positive is refused with :class:`PhaseError`.
     """
     check_run_inputs(band=band)
@@ -366,10 +371,6 @@ def membership_table(
                 residual[:, p] = np.fmax(residual[:, p], val)
             elif c.kind == "gt":
                 fails = ~(val > band)
-            elif c.kind == "lt":
-                fails = ~(val < -band)
-            elif c.kind == "ne":
-                fails = ~(np.abs(val) > band)
             else:
                 raise PhaseError(f"unknown constraint kind {c.kind!r}")
             first = fails & (violated[:, p] < 0)
@@ -398,11 +399,11 @@ def check_reduced_membership(
 ) -> tuple[str, float]:
     """Locate a (3n,) reduced image inside the fixture's semialgebraic pieces.
 
-    Equalities accept residuals up to ``band``; strict inequalities and
-    disequalities demand clearance beyond the same band, so the pieces
-    stay complementary.  Returns the unique matching piece name and its
-    worst equality residual.  Raises :class:`NoMatchingStratumError`,
-    naming the first violated constraint of the first four pieces, or
+    Equalities accept residuals up to ``band``; strict inequalities demand
+    clearance beyond the same band, so the pieces stay complementary.
+    Returns the unique matching piece name and its worst equality residual.
+    Raises :class:`NoMatchingStratumError`, naming the first violated
+    constraint of the first four pieces, or
     :class:`AmbiguousMembershipError` otherwise.
     """
     table = membership_table(fixture, np.asarray(image, dtype=float)[None, :], band)

@@ -53,9 +53,10 @@ class Trajectory:
         return int(self.times.size)
 
 
-def flowed_base(x: np.ndarray, u: np.ndarray, t: float) -> np.ndarray:
-    """Base points after the exact time-t flow, of one point or (N, 2n) rows."""
-    return x + float(t) * u
+def flowed_base(x: np.ndarray, u: np.ndarray, t: float | np.ndarray) -> np.ndarray:
+    """Base points after the exact time-t flow, of one point or (N, 2n) rows;
+    ``t`` is one time or one per row."""
+    return x + np.asarray(t, dtype=float)[..., None] * u
 
 
 def flow_exact(point: PhasePoint, t: float) -> PhasePoint:

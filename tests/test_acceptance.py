@@ -99,7 +99,7 @@ def test_criterion_3_circle_action_and_base_chart():
         p1 = reeb.flow_exact(p0, 1.0)
         image = phase.hilbert_map(fx.spec, p1)
         assert image.tolist() == [2.0, 2.0, 0.0]
-        assert phase.k0_project(image, fx.k0_offsets).tolist() == [1.0, 0.0, -1.0]
+        assert phase.k0_project(image).tolist() == [1.0, 0.0, -1.0]
         assert time.perf_counter() - t0 < INVENTORY_BUDGET_S
 
 

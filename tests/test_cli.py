@@ -146,6 +146,12 @@ def test_bad_inputs_exit_2(tmp_path, capsys):
         assert code == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1
     assert not refused.exists()
 
+    # examples runs both fixtures, so argparse refuses a --fixture for it
+    with pytest.raises(SystemExit) as exc:
+        main(["examples", "--fixture", "s1-on-r2", "--count", "10", "--out", str(refused)])
+    assert exc.value.code == 2
+    assert not refused.exists()
+
 
 def test_argparse_rejects_unknown_subcommands():
     with pytest.raises(SystemExit) as exc:
@@ -319,8 +325,6 @@ def record_public_calls(monkeypatch) -> tuple[set[str], set[str]]:
 def exercise_api(fixture, seed):
     """Call every public operation of the package once on the fixture."""
     spec = fixture.spec
-    cosphere.s1_on_r2()
-    cosphere.t2_on_r4()
     poset = torus.build_isotropy_poset(spec)
     result = strata.cl_stratification(poset)
 
@@ -349,7 +353,7 @@ def exercise_api(fixture, seed):
     p = phase.PhasePoint(x[0], u[0])
     image = phase.hilbert_map(spec, p)
     phase.check_reduced_membership(fixture, image)
-    phase.k0_project(image, fixture.k0_offsets)
+    phase.k0_project(image)
 
     reeb.flow_exact(p, 0.5)
     reeb.flow_rk4(p, t_end=0.1, step=0.01)

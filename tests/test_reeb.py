@@ -4,12 +4,21 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from cosphere.phase import PhasePoint, invariant_tables, zero_level_arrays
+from cosphere import checks
+from cosphere.fixtures import get_fixture
+from cosphere.phase import (
+    PhasePoint,
+    check_reduced_membership,
+    invariant_tables,
+    reduced_images,
+    zero_level_arrays,
+)
 from cosphere.reeb import (
     Trajectory,
     conservation_report,
     flow_exact,
     flow_rk4,
+    flowed_base,
     flowed_tables,
 )
 from cosphere.torus import TorusActionSpec
@@ -133,3 +142,32 @@ def test_trajectory_invariants_shape():
     assert tables.shape == (len(traj), 2, 4)
     # the untouched plane stays at the origin with zero invariants
     assert np.all(tables[:, 1, :] == 0.0)
+
+
+def test_seam_flow_check_probes_before_the_first_crossing():
+    # flow_checks' seam start 93 of probe 1 at seed 180: plane 0's base point
+    # x_0 + t u_0 passes through 0 at t* = -p2 / (p1 + p3) = 0.49990, so the
+    # image at the old fixed t = 0.5 lies in the band of the other seam,
+    # while the image at t*/2 lies in CC(e)
+    fx = get_fixture("t2-on-r4")
+    probe = fx.probes[1]
+    x, u = zero_level_arrays(
+        fx.spec, seed=checks._probe_seed(180, 1) + 17, count=200,
+        support_pattern=probe.support_pattern, covector_pattern=probe.covector_pattern,
+    )
+    x, u = x[93], u[93]
+    p1, p2, p3, _ = invariant_tables(x, u)[0]
+    t_star = -p2 / (p1 + p3)
+    assert t_star == pytest.approx(0.49990, abs=1e-5)
+    assert np.abs(flowed_base(x, u, t_star)[:2]).max() < 1e-12
+
+    def piece_at(t):
+        return check_reduced_membership(
+            fx, reduced_images(invariant_tables(flowed_base(x, u, t), u))
+        )[0]
+
+    assert piece_at(0.0) == "Seam(e×S^1>e)"
+    assert piece_at(t_star / 2) == "CC(e)"
+    assert piece_at(0.5) == "Seam(S^1×e>e)"
+    report = checks.flow_checks(fx, seed=180, starts=10)
+    assert report["checks"]["seam_flow_lands_in_cc"], report["seam_flow_failures"]

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from cosphere import checks, cli, phase, reeb, strata, torus
-from cosphere.fixtures import get_fixture, stratum_of, t2_on_r4
+from cosphere.fixtures import get_fixture
 from cosphere.phase import (
     IDENTITY_TOL,
     MEMBERSHIP_BAND,
@@ -90,16 +90,6 @@ def ref_candidates(fixture, image: np.ndarray, band: float = MEMBERSHIP_BAND):
                     ok = False
                     worst = (c.text, val)
                     break
-            elif c.kind == "lt":
-                if val >= -band:
-                    ok = False
-                    worst = (c.text, val)
-                    break
-            elif c.kind == "ne":
-                if abs(val) <= band:
-                    ok = False
-                    worst = (c.text, val)
-                    break
         if ok:
             matches.append((piece.name, residual))
         else:
@@ -164,19 +154,17 @@ def ref_verify(fixture, seed: int, count: int, band: float = MEMBERSHIP_BAND) ->
                 continue
             piece_counts[name] = piece_counts.get(name, 0) + 1
             max_residual = max(max_residual, residual)
-            if fixture.k0_geometric:
+            if spec.n == 1:
                 xs = p.x.reshape(-1, 2)
                 t_planes = np.sum(xs * xs, axis=1)
                 base = np.zeros(3 * spec.n)
                 base[0::3] = t_planes
                 base[2::3] = -t_planes
-                c = np.asarray(fixture.k0_offsets, dtype=float)
                 k0 = np.zeros(3 * spec.n)
-                k0[0::3] = p1 - c
-                k0[2::3] = c - p1
+                k0[0::3] = p1 - 1.0
+                k0[2::3] = 1.0 - p1
                 k0_err = max(k0_err, float(np.max(np.abs(k0 - base))))
-        expected = sum(piece_counts.get(name, 0) for name in probe.expect_pieces)
-        fraction = expected / len(points) if points else 0.0
+        fraction = piece_counts.get(probe.name, 0) / len(points) if points else 0.0
         class_fraction = (
             class_counts.get(probe.expect_class, 0) / len(points) if points else 0.0
         )
@@ -187,10 +175,10 @@ def ref_verify(fixture, seed: int, count: int, band: float = MEMBERSHIP_BAND) ->
             "classification_starred": not any("unstarred" in f for f in failures),
             "membership_total": len(failures) == 0,
             "membership_residual": max_residual < band,
-            "expected_pieces": fraction >= probe.min_fraction,
-            "expected_class": class_fraction >= probe.min_fraction,
+            "expected_pieces": fraction == 1.0,
+            "expected_class": class_fraction == 1.0,
         }
-        if fixture.k0_geometric:
+        if spec.n == 1:
             report_checks["k0_geometric"] = k0_err <= IDENTITY_TOL
         passed = all(report_checks.values())
         all_passed = all_passed and passed
@@ -201,7 +189,7 @@ def ref_verify(fixture, seed: int, count: int, band: float = MEMBERSHIP_BAND) ->
             "max_cosphere_error": max_cosphere,
             "max_cone_rel_error": max_cone,
             "max_membership_residual": max_residual,
-            "k0_max_error": k0_err if fixture.k0_geometric else None,
+            "k0_max_error": k0_err if spec.n == 1 else None,
             "class_counts": dict(sorted(class_counts.items())),
             "piece_counts": dict(sorted(piece_counts.items())),
             "expected_fraction": fraction,
@@ -210,9 +198,7 @@ def ref_verify(fixture, seed: int, count: int, band: float = MEMBERSHIP_BAND) ->
             "passed": passed,
         })
     generic = probe_reports[0]
-    principal_fraction = sum(
-        v for k, v in generic["piece_counts"].items() if stratum_of(k) == principal_cc
-    ) / generic["count"]
+    principal_fraction = generic["piece_counts"].get(principal_cc, 0) / generic["count"]
     principal_ok = principal_fraction >= 0.99
     return {
         "fixture": fixture.name,
@@ -263,7 +249,7 @@ def ref_flow_checks(fixture, seed: int, starts: int) -> dict:
     cc_of_contact = {s.parent_contact: s.name for s in result.cl_strata
                      if s.kind is strata.StratumKind.COSPHERE}
     for idx, probe in enumerate(fixture.probes):
-        if not all(name.startswith("Seam(") for name in probe.expect_pieces):
+        if by_name[probe.name].kind is strata.StratumKind.COSPHERE:
             continue
         for p in ref_points(
             spec,
@@ -273,15 +259,25 @@ def ref_flow_checks(fixture, seed: int, starts: int) -> dict:
             covector_pattern=probe.covector_pattern,
         ):
             start_piece, _ = ref_check(fixture, ref_image(ref_table(p)))
-            start_stratum = by_name[stratum_of(start_piece)]
-            if not start_piece.startswith("Seam("):
+            start_stratum = by_name[start_piece]
+            if start_stratum.kind is strata.StratumKind.COSPHERE:
                 continue
+            # each plane's base point x_j + t u_j passes through 0 once,
+            # where the parallel x_j and u_j cancel; probe at half the
+            # first such positive time, or at 0.5 if that comes first
+            t = 0.5
+            for xj, uj in zip(p.x.reshape(-1, 2), p.u.reshape(-1, 2)):
+                t_j = -(xj @ uj) / (uj @ uj) if uj @ uj > 0 else 0.0
+                if t_j > 0:
+                    t = min(t, t_j / 2)
             end_piece, _ = ref_check(
-                fixture, ref_image(ref_table(PhasePoint(p.x + 0.5 * p.u, p.u)))
+                fixture, ref_image(ref_table(PhasePoint(p.x + t * p.u, p.u)))
             )
             expected_cc = cc_of_contact[start_stratum.parent_contact]
-            if stratum_of(end_piece) != expected_cc:
-                failures.append(f"{start_piece} flowed to {end_piece}, expected {expected_cc}")
+            if end_piece != expected_cc:
+                failures.append(
+                    f"{start_piece} flowed to {end_piece} at t = {t!r}, expected {expected_cc}"
+                )
     report_checks = {
         "closed_form_matches_exact": closed_vs_exact <= IDENTITY_TOL,
         "rk4_endpoint": rk4_endpoint_err <= IDENTITY_TOL,
@@ -397,7 +393,7 @@ def test_verify_report_matches_the_per_point_reference(fixture_name):
 
 def test_verify_failure_texts_match_the_per_point_reference():
     # without CC(e) the generic samples fall outside every piece
-    fx = t2_on_r4()
+    fx = get_fixture("t2-on-r4")
     broken = dataclasses.replace(fx, pieces=fx.pieces[1:])
     report = checks.verify_fixture(broken, seed=2, count=300)
     assert report["probes"][0]["failures"]
@@ -407,7 +403,7 @@ def test_verify_failure_texts_match_the_per_point_reference():
 @pytest.mark.parametrize("fixture_name", FIXTURES)
 @pytest.mark.parametrize("seed", [0, 140, 180])
 def test_flow_checks_match_the_per_point_reference(fixture_name, seed):
-    # on t2-on-r4 seed 180 a seam start flows into the other seam's band
+    # on t2-on-r4 seed 180 a seam start crosses the other seam at t = 0.49990
     fx = get_fixture(fixture_name)
     assert outcome(checks.flow_checks, fx, seed=seed, starts=50) == \
         outcome(ref_flow_checks, fx, seed, 50)
@@ -453,7 +449,7 @@ def test_membership_and_row_labels_match_near_the_bands(fixture_name, scale):
 
 
 def test_trajectory_tables_match_the_per_point_reference():
-    (p,) = ref_points(t2_on_r4().spec, seed=3, count=1)
+    (p,) = ref_points(get_fixture("t2-on-r4").spec, seed=3, count=1)
     traj = reeb.flow_rk4(p, t_end=1.0, step=0.01)
     ref = [ref_table(PhasePoint(x, u)) for x, u in zip(traj.xs, traj.us)]
     assert same_bits(phase.invariant_tables(traj.xs, traj.us), ref)
