@@ -24,26 +24,26 @@ def demo(fixture_name: str, seed: int, t_end: float, step: float) -> int:
     fx = get_fixture(fixture_name)
     grid = [0.0] + [t_end * i / 6 for i in range(1, 7)]
 
-    seam_probes = [p for p in fx.probes if p.name.startswith("Seam(")]
-    if not seam_probes:
-        print(f"{fixture_name}: no seam probes")
+    seam_cells = [c for c in fx.cells if c.name.startswith("Seam(")]
+    if not seam_cells:
+        print(f"{fixture_name}: no seam cells")
         return 0
 
     print(f"== {fx.name}: {fx.title}")
     failures = 0
-    for probe in seam_probes:
+    for cell in seam_cells:
         x, u = phase.zero_level_arrays(
             fx.spec,
             seed=seed,
             count=1,
-            support_pattern=probe.support_pattern,
-            covector_pattern=probe.covector_pattern,
+            support_pattern=cell.support_x,
+            covector_pattern=cell.support,
         )
         point = phase.PhasePoint(x[0], u[0])
         start_piece, _ = phase.check_reduced_membership(
             fx, phase.hilbert_map(fx.spec, point)
         )
-        print(f"   start on {start_piece}  (probe: {probe.name})")
+        print(f"   start on {start_piece}  (cell: {cell.name})")
         for t in grid:
             flowed = reeb.flow_exact(point, t) if t else point
             name, residual = phase.check_reduced_membership(

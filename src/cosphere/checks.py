@@ -59,7 +59,7 @@ def verify_fixture(
     The generic probe draws ``count`` samples, the singular probes a tenth
     each (at least 200).  Every sample must sit on the zero level within
     1e-10, satisfy the cosphere and cone identities within 1e-9, classify
-    into a starred orbit type, and land in exactly one semialgebraic piece.
+    into a starred orbit type, and be located in one fixture cell.
     A negative seed is refused with :class:`phase.PhaseError`.
     """
     phase.check_run_inputs(seed=seed)
@@ -68,22 +68,21 @@ def verify_fixture(
     result = strata.cl_stratification(poset)
     principal_cc = strata.cc_name(strata.principal_type(poset).label)
 
-    names = np.array([p.name for p in fixture.pieces], dtype=object)
+    names = np.array([c.name for c in fixture.cells], dtype=object)
     # the base projection (p1 - 1, 0, 1 - p1) per plane assumes the plane
     # carries the whole covector mass, which holds on every piece only with
     # a single plane
     geometric = spec.n == 1
     probe_reports = []
     all_passed = True
-    for idx, probe in enumerate(fixture.probes):
-        n_samples = count if probe.support_pattern is None and probe.covector_pattern is None \
-            else max(200, count // 10)
+    for idx, cell in enumerate(fixture.cells):
+        n_samples = count if len(cell.support_x) == spec.n else max(200, count // 10)
         x, u = zero_level_arrays(
             spec,
             seed=_probe_seed(seed, idx),
             count=n_samples,
-            support_pattern=probe.support_pattern,
-            covector_pattern=probe.covector_pattern,
+            support_pattern=cell.support_x,
+            covector_pattern=cell.support,
         )
         tables = invariant_tables(x, u)
         images = reduced_images(tables)
@@ -120,9 +119,9 @@ def verify_fixture(
             k0_err = _max(np.abs(k0 - base))
 
         n_points = len(x)
-        fraction = piece_counts.get(probe.name, 0) / n_points if n_points else 0.0
+        fraction = piece_counts.get(cell.name, 0) / n_points if n_points else 0.0
         class_fraction = (
-            class_counts.get(probe.expect_class, 0) / n_points if n_points else 0.0
+            class_counts.get(cell.expect_class, 0) / n_points if n_points else 0.0
         )
         checks = {
             "momentum_zero": max_j <= SUPPORT_TOL,
@@ -140,7 +139,7 @@ def verify_fixture(
         all_passed = all_passed and passed
         probe_reports.append(
             {
-                "name": probe.name,
+                "name": cell.name,
                 "count": n_points,
                 "max_momentum": max_j,
                 "max_cosphere_error": max_cosphere,
@@ -160,8 +159,6 @@ def verify_fixture(
     principal_fraction = 0.0
     if generic is not None and generic["count"]:
         principal_fraction = generic["piece_counts"].get(principal_cc, 0) / generic["count"]
-    principal_ok = principal_fraction >= 0.99
-    all_passed = all_passed and principal_ok
 
     return {
         "fixture": fixture.name,
@@ -169,11 +166,10 @@ def verify_fixture(
         "count": count,
         "band": band,
         "starred": list(result.starred),
-        "pieces": sorted(p.name for p in fixture.pieces),
+        "pieces": sorted(c.name for c in fixture.cells),
         "cl_strata": sorted(s.name for s in result.cl_strata),
         "principal_cc": principal_cc,
         "principal_fraction": principal_fraction,
-        "principal_fraction_ok": principal_ok,
         "probes": probe_reports,
         "passed": all_passed,
     }
@@ -217,18 +213,18 @@ def flow_checks(
              if s.kind is strata.StratumKind.COSPHERE}
     parent_cc = {s.name: cc_of[s.parent_contact] for s in result.cl_strata
                  if s.seam_upper is not None}
-    names = np.array([p.name for p in fixture.pieces], dtype=object)
+    names = np.array([c.name for c in fixture.cells], dtype=object)
     is_seam = np.array([name in parent_cc for name in names])
     expected_cc = np.array([parent_cc.get(name) for name in names], dtype=object)
-    for idx, probe in enumerate(fixture.probes):
-        if probe.name not in parent_cc:
+    for idx, cell in enumerate(fixture.cells):
+        if cell.name not in parent_cc:
             continue
         sx, su = zero_level_arrays(
             spec,
             seed=_probe_seed(seed, idx) + 17,
             count=200,
-            support_pattern=probe.support_pattern,
-            covector_pattern=probe.covector_pattern,
+            support_pattern=cell.support_x,
+            covector_pattern=cell.support,
         )
         start_tables = invariant_tables(sx, su)
         # x_j is parallel to u_j on the zero level, so the line x_j + t u_j

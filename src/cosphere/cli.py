@@ -219,7 +219,7 @@ def _csv_rows(
     """
     tables = phase.invariant_tables(x, u)
     piece, residuals = phase.locate_rows(fixture, phase.reduced_images(tables), band)
-    names = [fixture.pieces[p].name if p >= 0 else "(unresolved)" for p in piece]
+    names = [fixture.cells[p].name if p >= 0 else "(unresolved)" for p in piece]
     numbers = np.concatenate(
         [x, u, phase.momenta(fixture.spec, tables),
          tables.reshape(len(x), 4 * fixture.spec.n), residuals[:, None]],

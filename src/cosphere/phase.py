@@ -16,9 +16,14 @@ Everything is computed on arrays: ``x`` and ``u`` of shape (N, 2n), one
 point per row, give invariant tables of shape (N, n, 4)
 (:func:`invariant_tables`), momenta of shape (N, k) (:func:`momenta`),
 orbit-type labels (:func:`orbit_labels`) and reduced images of shape
-(N, 3n) (:func:`reduced_images`), located in the fixture pieces by
-:func:`locate_rows`.  :func:`check_reduced_membership` takes one image and
-explains a row that :func:`locate_rows` leaves unlocated.
+(N, 3n) (:func:`reduced_images`), located in the fixture cells by
+:func:`locate_rows`.  Its rule is one band test per plane and one for the
+cosphere sum: |p1_j| within the band puts plane j off the support S,
+p1_j above it on S; on S the cone value p1_j^2 - p2_j^2 - p3_j^2 must be
+within the band, and |p1_j - p3_j| within it or p1_j - p3_j above it
+puts j off or on S_x; sum(p1 + p3) - 2 must be within the band and S
+nonempty.  The cell is the one of the pair (S_x, S).  :func:`check_reduced_membership` takes
+one image and names the test that leaves it unlocated.
 :class:`PhasePoint` is the validated type of a single point given from
 outside (:func:`hilbert_map`, the Reeb flows).
 
@@ -34,7 +39,7 @@ zeros through support patterns, never by thresholding noise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -72,10 +77,6 @@ class NoMatchingStratumError(PhaseError):
     pass
 
 
-class AmbiguousMembershipError(PhaseError):
-    """More than one stratum matched: the fixture's pieces are not disjoint."""
-
-
 def check_run_inputs(
     seed: int | None = None,
     count: int | None = None,
@@ -106,7 +107,7 @@ class PhasePoint:
     """A point of the unit cosphere bundle of R^{2n}.
 
     Both vectors must be finite and the covector normalized: |u| = 1
-    within 1e-12.  Use :meth:`normalized` to build one from raw data.
+    within 1e-12.
     """
 
     x: np.ndarray
@@ -125,14 +126,6 @@ class PhasePoint:
         u.setflags(write=False)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "u", u)
-
-    @classmethod
-    def normalized(cls, x: Sequence[float], u: Sequence[float]) -> "PhasePoint":
-        u = np.asarray(u, dtype=float)
-        norm = float(np.linalg.norm(u))
-        if norm == 0.0:
-            raise PhaseError("cannot normalize a zero covector")
-        return cls(np.asarray(x, dtype=float), u / norm)
 
     @property
     def n(self) -> int:
@@ -331,117 +324,113 @@ def zero_level_arrays(
     return x, u
 
 
-class MembershipTable(NamedTuple):
-    """Membership of N reduced images in the P pieces of a fixture."""
+def _band_tests(images: np.ndarray, band: float):
+    """The per-plane band tests of (N, 3n) reduced images.
 
-    matched: np.ndarray   # (N, P) bool: every constraint of the piece holds
-    residual: np.ndarray  # (N, P) worst equality residual
-    violated: np.ndarray  # (N, P) index of the first violated constraint, -1 if none
-    value: np.ndarray     # (N, P) its value (absolute for an equality)
-
-
-def membership_table(
-    fixture, images: np.ndarray, band: float = MEMBERSHIP_BAND
-) -> MembershipTable:
-    """Every constraint of every piece evaluated on (N, 3n) reduced images.
-
-    Equalities accept residuals up to ``band``; strict inequalities demand
-    clearance beyond the same band.  A NaN value violates every constraint,
-    so a NaN image matches no piece.  Pieces share constraints (the cone and
-    cosphere equations above all), so each distinct polynomial is evaluated
-    once.  A band that is not finite and
-    positive is refused with :class:`PhaseError`.
+    Returns the (N, n) columns p1, p1 - p3 and the cone value, the (N,)
+    cosphere sums, and (N, n) masks: on S, on S_x, and the plane's test
+    passed.  The sum adds -2, p1_1, p3_1, p1_2, ... in that order and the
+    cone value is (p1 p1 - p2 p2) - p3 p3, so the residuals do not depend
+    on numpy's pairwise summation.
     """
-    check_run_inputs(band=band)
-    images = np.asarray(images, dtype=float)
-    shape = (images.shape[0], len(fixture.pieces))
-    residual = np.zeros(shape)
-    violated = np.full(shape, -1)
-    value = np.zeros(shape)
-    values = {}  # Poly -> its values on the images
-    for p, piece in enumerate(fixture.pieces):
-        for i, c in enumerate(piece.constraints):
-            val = values.get(c.poly)
-            if val is None:
-                val = values[c.poly] = c.poly(images)
-            # each test in complement form, so that a NaN fails every one
-            if c.kind == "eq":
-                val = np.abs(val)
-                fails = ~(val <= band)
-                residual[:, p] = np.fmax(residual[:, p], val)
-            elif c.kind == "gt":
-                fails = ~(val > band)
-            else:
-                raise PhaseError(f"unknown constraint kind {c.kind!r}")
-            first = fails & (violated[:, p] < 0)
-            violated[first, p] = i
-            value[first, p] = val[first]
-    return MembershipTable(violated < 0, residual, violated, value)
+    p1, p2, p3 = images[:, 0::3], images[:, 1::3], images[:, 2::3]
+    diff = p1 - p3
+    cone = (p1 * p1 - p2 * p2) - p3 * p3
+    total = np.full(len(images), -2.0)
+    for j in range(p1.shape[1]):
+        total = total + p1[:, j] + p3[:, j]
+    on = p1 > band
+    on_x = on & (diff > band)
+    # each test in complement form, so that a NaN fails it
+    plane_ok = (np.abs(p1) <= band) | (
+        on & (np.abs(cone) <= band) & (on_x | (np.abs(diff) <= band))
+    )
+    return p1, diff, cone, total, on, on_x, plane_ok
 
 
 def locate_rows(
     fixture, images: np.ndarray, band: float = MEMBERSHIP_BAND
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Index of the one matching piece per image row (-1 for zero or several
-    matches) and that piece's worst equality residual (NaN on a -1 row).
+    """Index of the fixture cell of each (N, 3n) reduced image row (-1 when
+    a band test fails) and its worst equality residual (NaN on a -1 row).
 
-    :func:`check_reduced_membership` on a row marked -1 raises the error
-    that explains it.
+    Per plane j: |p1_j| <= ``band`` puts j off S and p1_j > ``band`` on S.
+    On S the cone value |p1_j^2 - p2_j^2 - p3_j^2| must be within the band,
+    and |p1_j - p3_j| <= ``band`` puts j off S_x, p1_j - p3_j > ``band``
+    on S_x.  The cosphere sum |sum(p1 + p3) - 2| must be within the band
+    and S nonempty.  Any other value, a NaN among them, leaves the row
+    unlocated; :func:`check_reduced_membership` on it names the test that
+    failed.  The residual is the largest of |p1_j| off S, the cone value on
+    S, |p1_j - p3_j| on S minus S_x, and the sum.  A band that is not
+    finite and positive is refused with :class:`PhaseError`.
     """
-    table = membership_table(fixture, images, band)
-    piece = np.where(table.matched.sum(axis=1) == 1, table.matched.argmax(axis=1), -1)
-    rows = np.arange(piece.size)
-    return piece, np.where(piece >= 0, table.residual[rows, piece], np.nan)
+    check_run_inputs(band=band)
+    images = np.asarray(images, dtype=float)
+    p1, diff, cone, total, on, on_x, plane_ok = _band_tests(images, band)
+    ok = plane_ok.all(axis=1) & (np.abs(total) <= band) & on.any(axis=1)
+    planes = np.where(
+        on, np.fmax(np.abs(cone), np.where(on_x, 0.0, np.abs(diff))), np.abs(p1)
+    )
+    residual = np.fmax(np.max(planes, axis=1), np.abs(total))
+    # the pair (S_x, S) of a row as one integer, S_x in the high n bits
+    n = p1.shape[1]
+    bits = 1 << np.arange(n)
+    keys, inverse = np.unique((on_x @ bits) << n | on @ bits, return_inverse=True)
+    cell_of = {
+        sum(1 << j for j in c.support_x) << n | sum(1 << j for j in c.support): i
+        for i, c in enumerate(fixture.cells)
+    }
+    found = np.array([cell_of.get(k, -1) for k in keys.tolist()], dtype=int)
+    piece = np.where(ok, found[inverse.reshape(-1)], -1)
+    return piece, np.where(piece >= 0, residual, np.nan)
 
 
 def check_reduced_membership(
     fixture, image: np.ndarray, band: float = MEMBERSHIP_BAND
 ) -> tuple[str, float]:
-    """Locate a (3n,) reduced image inside the fixture's semialgebraic pieces.
+    """The piece name and worst equality residual of one (3n,) reduced
+    image, located as by :func:`locate_rows`.
 
-    Equalities accept residuals up to ``band``; strict inequalities demand
-    clearance beyond the same band, so the pieces stay complementary.
-    Returns the unique matching piece name and its worst equality residual.
-    Raises :class:`NoMatchingStratumError`, naming the first violated
-    constraint of the first four pieces, or
-    :class:`AmbiguousMembershipError` otherwise.
+    Raises :class:`NoMatchingStratumError` naming the first band test that
+    fails: the planes in order, then the cosphere sum, then S nonempty.
     """
-    table = membership_table(fixture, np.asarray(image, dtype=float)[None, :], band)
-    matched = np.flatnonzero(table.matched[0])
-    if not matched.size:
-        detail = "; ".join(
-            f"{piece.name}: {piece.constraints[i].text} = {v:.3e}"
-            for piece, i, v in zip(fixture.pieces[:4], table.violated[0], table.value[0])
-        )
-        raise NoMatchingStratumError(f"no stratum matches the image ({detail})")
-    if matched.size > 1:
-        raise AmbiguousMembershipError(
-            f"image matches {[fixture.pieces[p].name for p in matched]}: "
-            "pieces are not disjoint"
-        )
-    p = matched[0]
-    return fixture.pieces[p].name, float(table.residual[0, p])
+    image = np.asarray(image, dtype=float)[None, :]
+    piece, residual = locate_rows(fixture, image, band)
+    if piece[0] >= 0:
+        return fixture.cells[piece[0]].name, float(residual[0])
+    p1, diff, cone, total, on, _, plane_ok = _band_tests(image, band)
+    failed = "no cell for these supports"
+    for j in range(p1.shape[1]):
+        if not plane_ok[0, j]:
+            k = j + 1
+            if not on[0, j]:
+                failed = f"p1_{k} = {p1[0, j]:.3e}"
+            elif not abs(cone[0, j]) <= band:
+                failed = f"p1_{k}^2 - p2_{k}^2 - p3_{k}^2 = {cone[0, j]:.3e}"
+            else:
+                failed = f"p1_{k} - p3_{k} = {diff[0, j]:.3e}"
+            break
+    else:
+        if not abs(total[0]) <= band:
+            failed = f"sum(p1 + p3) - 2 = {total[0]:.3e}"
+        elif not on.any():
+            failed = f"no plane has p1_j > {band:.3e}"
+    raise NoMatchingStratumError(f"no stratum matches the image ({failed})")
 
 
-def k0_project(
-    image: np.ndarray, offsets: Sequence[float] | None = None
-) -> np.ndarray:
+def k0_project(image: np.ndarray) -> np.ndarray:
     """Project reduced coordinates to the singular base chart.
 
-    Per plane j the image is (p1_j - c_j, 0, c_j - p1_j) where c_j is the
-    plane's covector-mass offset, 1 by default (the value for which the
-    example charts split the cosphere constraint evenly).  Accepts a
-    flattened (3n,) reduced image or (N, 3n) rows of them.
+    Per plane j the image is (p1_j - 1, 0, 1 - p1_j): the chart in which
+    each plane carries the whole covector mass, as on the examples'
+    single plane.  Accepts a flattened (3n,) reduced image or (N, 3n) rows
+    of them.
     """
     arr = np.asarray(image, dtype=float)
     if arr.ndim not in (1, 2) or arr.shape[-1] % 3:
         raise PhaseError("expected a flattened (p1, p2, p3)-per-plane image")
     p1 = arr[..., 0::3]
-    n = p1.shape[-1]
-    c = np.ones(n) if offsets is None else np.asarray(offsets, dtype=float)
-    if c.shape != (n,):
-        raise PhaseError(f"need one offset per plane, got shape {c.shape}")
-    out = np.zeros(p1.shape[:-1] + (3 * n,))
-    out[..., 0::3] = p1 - c
-    out[..., 2::3] = c - p1
+    out = np.zeros(arr.shape)
+    out[..., 0::3] = p1 - 1.0
+    out[..., 2::3] = 1.0 - p1
     return out

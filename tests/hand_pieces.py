@@ -14,10 +14,29 @@ forces |p2| ~ sqrt(2 p1 e), so the implied ``eq(s2)`` would refuse an
 image with e inside the band that no branch may claim either.
 """
 
+from typing import NamedTuple
+
 import numpy as np
 
-from cosphere.fixtures import Poly
 from cosphere.phase import MEMBERSHIP_BAND
+
+
+class Poly(NamedTuple):
+    """Sparse polynomial in the flattened reduced coordinates: a constant,
+    (coeff, index) linear terms and (coeff, i, j) quadratic terms."""
+
+    const: float = 0.0
+    linear: tuple = ()
+    quad: tuple = ()
+
+    def __call__(self, images):
+        """Values on (N, 3n) image rows, the terms added in order."""
+        val = np.full(len(images), self.const)
+        for c, i in self.linear:
+            val = val + c * images[:, i]
+        for c, i, j in self.quad:
+            val = val + c * images[:, i] * images[:, j]
+        return val
 
 
 def _v(index, coeff=1.0):

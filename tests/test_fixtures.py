@@ -25,21 +25,20 @@ OTHER_SPECS = (
 
 
 def probe_samples(fixture, seed, count):
-    """(probe, x, u) per probe, drawn from the probe's seed as verify does."""
-    for idx, probe in enumerate(fixture.probes):
+    """(cell, x, u) per cell, drawn from the cell's probe seed as verify does."""
+    for idx, cell in enumerate(fixture.cells):
         x, u = phase.zero_level_arrays(
             fixture.spec, seed=checks._probe_seed(seed, idx), count=count,
-            support_pattern=probe.support_pattern,
-            covector_pattern=probe.covector_pattern,
+            support_pattern=cell.support_x, covector_pattern=cell.support,
         )
-        yield probe, x, u
+        yield cell, x, u
 
 
 def located_names(fixture, x, u):
     piece, _ = phase.locate_rows(
         fixture, phase.reduced_images(phase.invariant_tables(x, u))
     )
-    names = np.array([p.name for p in fixture.pieces] + ["(unlocated)"], dtype=object)
+    names = np.array([c.name for c in fixture.cells] + ["(unlocated)"], dtype=object)
     return names[piece]
 
 
@@ -58,47 +57,26 @@ def support_labels(spec, x, u):
 
 
 def test_builtin_cells_keep_the_probe_order():
-    # the probe order fixes each probe's seed, and so every sample stream
+    # the cell order fixes each probe's seed, and so every sample stream
     cells = {
-        name: [(p.name, p.support_pattern, p.covector_pattern, p.expect_class)
-               for p in get_fixture(name).probes]
+        name: [(c.name, c.support_x, c.support, c.expect_class)
+               for c in get_fixture(name).cells]
         for name in FIXTURES
     }
     assert cells["s1-on-r2"] == [
-        ("CC(e)", None, None, "e"),
-        ("Seam(S^1>e)", (), None, "e"),
+        ("CC(e)", (0,), (0,), "e"),
+        ("Seam(S^1>e)", (), (0,), "e"),
     ]
     assert cells["t2-on-r4"] == [
-        ("CC(e)", None, None, "e"),
-        ("Seam(e×S^1>e)", (0,), None, "e"),
-        ("Seam(S^1×e>e)", (1,), None, "e"),
-        ("Seam(T^2>e)", (), None, "e"),
+        ("CC(e)", (0, 1), (0, 1), "e"),
+        ("Seam(e×S^1>e)", (0,), (0, 1), "e"),
+        ("Seam(S^1×e>e)", (1,), (0, 1), "e"),
+        ("Seam(T^2>e)", (), (0, 1), "e"),
         ("CC(e×S^1)", (0,), (0,), "e×S^1"),
         ("CC(S^1×e)", (1,), (1,), "S^1×e"),
         ("Seam(T^2>e×S^1)", (), (0,), "e×S^1"),
         ("Seam(T^2>S^1×e)", (), (1,), "S^1×e"),
     ]
-    for name in FIXTURES:
-        fx = get_fixture(name)
-        assert [p.name for p in fx.pieces] == [p.name for p in fx.probes]
-
-
-def test_cells_state_one_constraint_per_plane_condition():
-    fx = get_fixture("t2-on-r4")
-    seam = fx.pieces[1]  # S_x = {0}, S = {0, 1}
-    assert [(c.kind, c.text) for c in seam.constraints] == [
-        ("gt", "p1_1"), ("eq", "p1_1^2 - p2_1^2 - p3_1^2"), ("gt", "p1_1 - p3_1"),
-        ("gt", "p1_2"), ("eq", "p1_2^2 - p2_2^2 - p3_2^2"), ("eq", "p1_2 - p3_2"),
-        ("eq", "sum(p1 + p3) - 2"),
-    ]
-    point = fx.pieces[6]  # S_x = {}, S = {0}
-    assert [(c.kind, c.text) for c in point.constraints] == [
-        ("gt", "p1_1"), ("eq", "p1_1^2 - p2_1^2 - p3_1^2"), ("eq", "p1_1 - p3_1"),
-        ("eq", "p1_2"), ("eq", "sum(p1 + p3) - 2"),
-    ]
-    # one Poly object per polynomial, shared by the eq and gt forms
-    polys = [c.poly for piece in fx.pieces for c in piece.constraints]
-    assert len({id(p) for p in polys}) == len(set(polys)) == 7
 
 
 @pytest.mark.parametrize("fixture_name", FIXTURES)
@@ -106,15 +84,15 @@ def test_generated_labels_agree_with_the_hand_written_pieces(fixture_name):
     fx = get_fixture(fixture_name)
     rows = 0
     for seed in range(32):
-        for probe, x, u in probe_samples(fx, seed, 200):
+        for cell, x, u in probe_samples(fx, seed, 200):
             for t in (0.0, 0.25, 0.5, 1.0):
                 xt = reeb.flowed_base(x, u, t)
                 images = phase.reduced_images(phase.invariant_tables(xt, u))
                 want = oracle_labels(fixture_name, images)
                 got = located_names(fx, xt, u)
-                assert got.tolist() == want.tolist(), (seed, probe.name, t)
+                assert got.tolist() == want.tolist(), (seed, cell.name, t)
                 rows += len(x)
-    assert rows == 32 * 4 * 200 * len(fx.probes)
+    assert rows == 32 * 4 * 200 * len(fx.cells)
 
 
 def test_the_vertex_band_follows_p1_minus_p3_not_p2():
@@ -125,7 +103,7 @@ def test_the_vertex_band_follows_p1_minus_p3_not_p2():
     fx = get_fixture("s1-on-r2")
     assert oracle_labels("s1-on-r2", images).tolist() == ["Seam(S^1>e)"] * 2
     piece, residual = phase.locate_rows(fx, images)
-    assert [fx.pieces[p].name for p in piece] == ["Seam(S^1>e)"] * 2
+    assert [fx.cells[p].name for p in piece] == ["Seam(S^1>e)"] * 2
     assert (residual <= phase.MEMBERSHIP_BAND).all()
 
 
@@ -133,13 +111,13 @@ def test_the_vertex_band_follows_p1_minus_p3_not_p2():
                          ids=lambda spec: str(spec.weights))
 def test_probe_samples_land_in_the_piece_of_their_supports(spec):
     fx = generate_fixture("generated", "", spec)
-    for probe, x, u in probe_samples(fx, 3, 100):
+    for cell, x, u in probe_samples(fx, 3, 100):
         labels = support_labels(spec, x, u)
-        assert labels == [probe.name] * len(x)
+        assert labels == [cell.name] * len(x)
         assert located_names(fx, x, u).tolist() == labels
         tables = phase.invariant_tables(x, u)
         classes = phase.orbit_labels(spec, phase.support_masks(tables))
-        assert set(classes) == {probe.expect_class}
+        assert set(classes) == {cell.expect_class}
 
 
 @pytest.mark.parametrize("spec", [get_fixture(name).spec for name in FIXTURES] + list(OTHER_SPECS),
@@ -148,7 +126,7 @@ def test_every_generated_name_is_a_piece_of_the_stratification(spec):
     fx = generate_fixture("generated", "", spec)
     poset = torus.build_isotropy_poset(spec)
     result = strata.cl_stratification(poset)
-    names = [p.name for p in fx.pieces]
+    names = [c.name for c in fx.cells]
     # one cell per pair S_x ⊆ S of plane sets, S nonempty
     assert len(set(names)) == len(names) == 3 ** spec.n - 1
     assert set(names) <= {s.name for s in result.cl_strata}

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from cosphere.fixtures import Constraint, Fixture, MembershipPiece, Poly, get_fixture
+from cosphere.fixtures import Cell, Fixture, get_fixture
 from cosphere.phase import (
-    AmbiguousMembershipError,
     EmptyKernelError,
     MEMBERSHIP_BAND,
     NoMatchingStratumError,
@@ -22,7 +21,6 @@ from cosphere.phase import (
     invariant_tables,
     k0_project,
     locate_rows,
-    membership_table,
     momenta,
     momentum_matrix,
     orbit_labels,
@@ -55,10 +53,7 @@ def test_phase_point_rejects_bad_shapes():
 def test_phase_point_requires_a_unit_covector():
     with pytest.raises(PhaseError):
         PhasePoint(np.zeros(2), np.array([1.0, 1.0]))
-    p = PhasePoint.normalized([0.0, 0.0], [3.0, 4.0])
-    assert np.allclose(p.u, [0.6, 0.8])
-    with pytest.raises(PhaseError):
-        PhasePoint.normalized([0.0, 0.0], [0.0, 0.0])
+    assert PhasePoint(np.zeros(2), np.array([0.6, 0.8])).u.tolist() == [0.6, 0.8]
 
 
 def test_phase_point_arrays_are_frozen():
@@ -98,7 +93,8 @@ def unit_points(draw, n_max=3):
             lambda v: np.linalg.norm(v) > 1e-3
         )
     )
-    return PhasePoint.normalized(x, u)
+    u = np.array(u)
+    return PhasePoint(np.array(x), u / np.linalg.norm(u))
 
 
 @given(unit_points())
@@ -196,6 +192,11 @@ def test_sampler_lands_on_the_zero_level():
 def test_sampler_respects_patterns():
     x, _ = zero_level_arrays(T2, seed=3, count=16, support_pattern=(1,))
     assert (x[:, :2] == 0.0).all()
+    # a pattern naming every plane draws what no pattern draws
+    ax, au = zero_level_arrays(T2, seed=3, count=16)
+    bx, bu = zero_level_arrays(T2, seed=3, count=16, support_pattern=(0, 1),
+                               covector_pattern=(0, 1))
+    assert ax.tobytes() == bx.tobytes() and au.tobytes() == bu.tobytes()
     _, u = zero_level_arrays(T2, seed=3, count=16, covector_pattern=(0,))
     assert (u[:, 2:] == 0.0).all()
     assert np.max(np.abs(np.linalg.norm(u, axis=1) - 1.0)) < 1e-12
@@ -277,52 +278,112 @@ def test_membership_rejects_points_off_every_piece():
         check_reduced_membership(
             get_fixture("t2-on-r4"), np.array([-1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
         )
-    assert "no stratum matches" in str(err.value)
-    # a NaN fails every constraint, so it matches no piece instead of all
-    with pytest.raises(NoMatchingStratumError):
+    assert str(err.value) == "no stratum matches the image (p1_1 = -1.000e+00)"
+    # a NaN fails every test, so it matches no piece instead of all
+    with pytest.raises(NoMatchingStratumError, match=r"\(p1_1 = nan\)"):
         check_reduced_membership(get_fixture("s1-on-r2"), np.full(3, np.nan))
 
 
-def test_membership_flags_overlapping_pieces():
-    guard = Constraint("gt", Poly(linear=((1.0, 0),)), "p1_1")
-    toy = Fixture(
-        name="toy",
-        title="two copies of the same half space",
-        spec=S1,
-        pieces=(MembershipPiece("A", (guard,)), MembershipPiece("B", (guard,))),
-        probes=(),
-    )
-    with pytest.raises(AmbiguousMembershipError):
-        check_reduced_membership(toy, np.array([1.0, 0.0, 0.0]))
+# A band that is a power of two puts each "at" image below exactly on the
+# band: every coordinate is dyadic and every test value comes out exact.
+# beyond() moves a coordinate one ulp outward.
+BAND = 2.0 ** -27  # 7.451e-09
+H = 2.0 ** -28
+
+
+def beyond(v):
+    return np.nextafter(v, np.copysign(np.inf, v))
+
+
+# name -> (image, located piece or None, its residual or the failed test);
+# a t2-on-r4 image carries the tested plane first and a plane on the cone
+# with p1 - p3 far beyond the band second
+LOCATOR_CASES = {
+    # |p1_1| within the band: plane 1 off S
+    "p1 at +band": ([BAND, 0.0, -BAND, 1.25, -1.0, 0.75], "CC(S^1×e)", BAND),
+    "p1 at -band": ([-BAND, 0.0, BAND, 1.25, -1.0, 0.75], "CC(S^1×e)", BAND),
+    "p1 beyond +band": ([beyond(BAND), 0.0, -beyond(BAND), 1.25, -1.0, 0.75], "CC(e)", 0.0),
+    "p1 beyond -band": ([beyond(-BAND), 0.0, BAND, 1.25, -1.0, 0.75], None,
+                        "p1_1 = -7.451e-09"),
+    # |p1_1 - p3_1| within the band: plane 1 off S_x; its cone value is
+    # (p1 - p3)(p1 + p3) = band / 4
+    "p1 - p3 at +band": ([0.125 + H, 0.0, 0.125 - H, 1.09375, 0.875, 0.65625],
+                         "Seam(S^1×e>e)", BAND),
+    "p1 - p3 at -band": ([0.125 - H, 0.0, 0.125 + H, 1.09375, 0.875, 0.65625],
+                         "Seam(S^1×e>e)", BAND),
+    "p1 - p3 beyond +band": ([beyond(0.125 + H), 0.0, 0.125 - H, 1.09375, 0.875, 0.65625],
+                             "CC(e)", pytest.approx(BAND / 4)),
+    "p1 - p3 beyond -band": ([0.125 - H, 0.0, beyond(0.125 + H), 1.09375, 0.875, 0.65625],
+                             None, "p1_1 - p3_1 = -7.451e-09"),
+    # the cone value 1.5625 - p2^2 - 0.5625 at and just over the band
+    "cone at band": ([1.25, 1.0 - H, 0.75], "CC(e)", BAND),
+    "cone beyond band": ([1.25, np.nextafter(1.0 - H, 0.0), 0.75], None,
+                         "p1_1^2 - p2_1^2 - p3_1^2 = 7.451e-09"),
+    # the sum p1 + p3 - 2 at and just over the band, p2 on the cone
+    "sum at band": ([1.25 + H, np.sqrt(1.0 + H), 0.75 + H], "CC(e)", BAND),
+    "sum beyond band": ([1.25 + H, np.sqrt(1.0 + H), beyond(0.75 + H)], None,
+                        "sum(p1 + p3) - 2 = 7.451e-09"),
+    # the planes are tested in order, then the sum, then S nonempty
+    "nan on plane 2": ([1.25, -1.0, 0.75, np.nan, 0.0, 0.0], None, "p1_2 = nan"),
+    "every p1 in the band": ([0.0, 0.0, 1.0, BAND, 0.0, 1.0 - BAND], None,
+                             "no plane has p1_j > 7.451e-09"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOCATOR_CASES))
+def test_locator_at_each_boundary_of_the_band(case):
+    image, piece_name, expected = LOCATOR_CASES[case]
+    image = np.array(image)
+    fx = get_fixture("s1-on-r2" if image.size == 3 else "t2-on-r4")
+    piece, residual = locate_rows(fx, image[None, :], BAND)
+    if piece_name is None:
+        assert piece.tolist() == [-1] and np.isnan(residual[0])
+        with pytest.raises(NoMatchingStratumError) as err:
+            check_reduced_membership(fx, image, BAND)
+        assert str(err.value) == f"no stratum matches the image ({expected})"
+    else:
+        assert fx.cells[piece[0]].name == piece_name
+        assert residual[0] == expected
+        assert check_reduced_membership(fx, image, BAND) == (piece_name, expected)
+
+
+def test_membership_names_a_pair_of_supports_without_a_cell():
+    # every test passes, but a hand-built fixture may lack the cell
+    fx = Fixture("generic only", "", S1, (Cell("CC(e)", (0,), (0,), "e"),))
+    assert check_reduced_membership(fx, np.array([1.25, 1.0, 0.75])) == ("CC(e)", 0.0)
+    with pytest.raises(NoMatchingStratumError,
+                       match=r"\(no cell for these supports\)$"):
+        check_reduced_membership(fx, np.array([1.0, 0.0, 1.0]))
 
 
 def test_membership_matches_the_seam_strictly_just_off_it():
-    # just off the sig seam: sig1 - sig3 = 5e-9 lies inside the band, so the
-    # gt clearance of CC(e) fails while the seam's cone equation, unlike the
-    # implied eq("sig2") with sig2 = 1e-5, still holds
+    # just off the sig seam: sig1 - sig3 = 5e-9 lies inside the band, so
+    # the seam claims the image while the implied sig2 = 0 fails by 1e-5
     fx = get_fixture("t2-on-r4")
-    names = [piece.name for piece in fx.pieces]
     image = np.array([0.625, 0.5, 0.375, 0.5 + 2.5e-9, 1e-5, 0.5 - 2.5e-9])
-    table = membership_table(fx, image[None, :], MEMBERSHIP_BAND)
-    assert [names[p] for p in np.flatnonzero(table.matched[0])] == ["Seam(e×S^1>e)"]
-    assert table.residual[0, names.index("Seam(e×S^1>e)")] <= MEMBERSHIP_BAND
-    cc = names.index("CC(e)")
-    assert fx.pieces[cc].constraints[table.violated[0, cc]].text == "p1_2 - p3_2"
-    assert table.value[0, cc] == pytest.approx(5e-9)
+    piece, residual = locate_rows(fx, image[None, :])
+    assert fx.cells[piece[0]].name == "Seam(e×S^1>e)"
+    # the worst equality is p1_2 - p3_2 itself
+    assert residual[0] == pytest.approx(5e-9)
+    assert check_reduced_membership(fx, image) == ("Seam(e×S^1>e)", residual[0])
+    # at a band below 5e-9 the plane moves to S_x, and its cone value
+    # 5e-9 - 1e-10 fails there
+    with pytest.raises(NoMatchingStratumError,
+                       match=r"\(p1_2\^2 - p2_2\^2 - p3_2\^2 = 4.900e-09\)"):
+        check_reduced_membership(fx, image, band=4e-9)
 
 
 def test_membership_band_hands_off_without_gaps_or_overlap():
     fx = get_fixture("s1-on-r2")
     # while p1 - p3 is inside the band the vertex seam claims the point;
     # beyond it CC(e) takes over, on either flank of the cone
-    names = [piece.name for piece in fx.pieces]
     images = np.array([
         [1 + e / 2, sign * np.sqrt(2 * e), 1 - e / 2]
         for e, sign in ((5e-9, 1.0), (5e-9, -1.0), (2e-8, 1.0), (2e-8, -1.0))
     ])
-    table = membership_table(fx, images)
-    assert [[names[p] for p in np.flatnonzero(row)] for row in table.matched] == [
-        ["Seam(S^1>e)"], ["Seam(S^1>e)"], ["CC(e)"], ["CC(e)"]
+    piece, _ = locate_rows(fx, images)
+    assert [fx.cells[p].name for p in piece] == [
+        "Seam(S^1>e)", "Seam(S^1>e)", "CC(e)", "CC(e)"
     ]
 
 
@@ -330,8 +391,6 @@ def test_membership_band_hands_off_without_gaps_or_overlap():
 def test_membership_refuses_a_band_that_is_not_finite_and_positive(band):
     image = np.array([1.0, 0.0, 1.0])
     fx = get_fixture("s1-on-r2")
-    with pytest.raises(PhaseError, match="band must be finite and positive"):
-        membership_table(fx, image[None, :], band)
     with pytest.raises(PhaseError, match="band must be finite and positive"):
         locate_rows(fx, image[None, :], band)
     with pytest.raises(PhaseError, match="band must be finite and positive"):
@@ -364,37 +423,36 @@ def test_flowed_probe_samples_match_exactly_one_piece(fixture_name):
     fx = get_fixture(fixture_name)
     times = np.linspace(0.0, 2.0, 101)
     for seed in range(4):
-        for probe in fx.probes:
+        for cell in fx.cells:
             x, u = zero_level_arrays(
                 fx.spec, seed=seed, count=200,
-                support_pattern=probe.support_pattern,
-                covector_pattern=probe.covector_pattern,
+                support_pattern=cell.support_x, covector_pattern=cell.support,
             )
             xs = np.concatenate([flowed_base(x, u, t) for t in times])
             us = np.tile(u, (times.size, 1))
             piece, _ = locate_rows(fx, reduced_images(invariant_tables(xs, us)))
-            assert (piece >= 0).all(), (seed, probe.name, int(np.sum(piece < 0)))
+            assert (piece >= 0).all(), (seed, cell.name, int(np.sum(piece < 0)))
 
 
 @pytest.mark.parametrize("fixture_name", ["s1-on-r2", "t2-on-r4"])
 def test_sampled_probes_land_in_their_pieces(fixture_name):
     fx = get_fixture(fixture_name)
-    for probe in fx.probes:
+    for cell in fx.cells:
         x, u = zero_level_arrays(
             fx.spec,
             seed=101,
             count=40,
-            support_pattern=probe.support_pattern,
-            covector_pattern=probe.covector_pattern,
+            support_pattern=cell.support_x,
+            covector_pattern=cell.support,
         )
         for xi, ui in zip(x, u):
             name, residual = check_reduced_membership(
                 fx, hilbert_map(fx.spec, PhasePoint(xi, ui))
             )
             assert residual <= MEMBERSHIP_BAND
-            assert name == probe.name
+            assert name == cell.name
         labels = orbit_labels(fx.spec, support_masks(invariant_tables(x, u)))
-        assert set(labels) == {probe.expect_class}
+        assert set(labels) == {cell.expect_class}
 
 
 def test_get_fixture_unknown_name():
@@ -409,15 +467,11 @@ def test_k0_projection_of_a_fiber_point():
     assert out.tolist() == [0.0, 0.0, 0.0, -1.0, 0.0, 1.0]
 
 
-def test_k0_projection_accepts_rows_and_offsets():
+def test_k0_projection_accepts_rows():
     image = reduced_images(invariant_tables(np.array([1.0, 0.0]), np.array([1.0, 0.0])))
     out = k0_project(image)
     assert out.tolist() == [1.0, 0.0, -1.0]
-    shifted = k0_project(image, offsets=(2.0,))
-    assert shifted.tolist() == [0.0, 0.0, 0.0]
     rows = k0_project(np.array([image, [3.0, 0.0, 0.0]]))
     assert rows.tolist() == [[1.0, 0.0, -1.0], [2.0, 0.0, -2.0]]
     with pytest.raises(PhaseError):
         k0_project(np.zeros(4))
-    with pytest.raises(PhaseError):
-        k0_project(image, offsets=(1.0, 1.0))
