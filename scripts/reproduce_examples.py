@@ -21,6 +21,7 @@ def show_fixture(name: str, seed: int, count: int) -> bool:
     fx = get_fixture(name)
     poset = torus.build_isotropy_poset(fx.spec)
     result = strata.cl_stratification(poset)
+    dims = strata.quotient_dims(poset)
 
     print(f"== {fx.name}: {fx.title}")
     print(f"   weights {fx.spec.weights}, T^{fx.spec.k} on R^{2 * fx.spec.n}")
@@ -30,15 +31,23 @@ def show_fixture(name: str, seed: int, count: int) -> bool:
         print(
             f"     {star} ({t.label:<7}) dim H = {t.dim_H}, "
             f"dim Q_(H) = {poset.dim_Q_of[t.label]}, "
-            f"dim Q^(H) = {strata.stratum_quotient_dim(poset, t.label)}"
+            f"dim Q^(H) = {dims[t.label]}"
         )
     print(f"   C-L pieces ({result.piece_count}):")
     for s in result.cl_strata:
         mark = "  open dense" if s.open_dense else ""
         print(f"     {s.name:<18} {s.kind.value:<17} dim {s.dim}{mark}")
+    # a pair from closure alone moves both types of the piece, and is not
+    # CC(K) < CC(H)
+    pair = {s.name: (s.upper, s.lower) for s in result.cl_strata}
+    closure_only = sum(
+        pair[a][0] != pair[b][0] and pair[a][1] != pair[b][1]
+        and not (pair[a][0] == pair[a][1] and pair[b][0] == pair[b][1])
+        for a, b in result.frontier
+    )
     print(f"   frontier: {len(result.frontier)} pairs, "
           f"{len(result.hasse)} covering arrows, "
-          f"{len(result.closure_only)} from closure only")
+          f"{closure_only} from closure only")
     for a, b in result.hasse:
         print(f"     {a} -> {b}")
 

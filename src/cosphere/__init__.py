@@ -35,7 +35,6 @@ from .strata import (
     StratumKind,
     cl_stratification,
     semifree_decomposition,
-    starred_lattice,
 )
 from .torus import (
     SupportStabilizer,
@@ -81,7 +80,6 @@ __all__ = [
     "spec_from_json",
     "spec_to_json",
     "stabilizer_of_support",
-    "starred_lattice",
     "transitive_closure",
     "validate",
     "zero_level_arrays",

@@ -209,10 +209,8 @@ def flow_checks(
     seam_flow_failures: list[str] = []
     result = strata.cl_stratification(torus.build_isotropy_poset(spec))
     # seam -> the cosphere-like piece of its contact stratum
-    cc_of = {s.parent_contact: s.name for s in result.cl_strata
-             if s.kind is strata.StratumKind.COSPHERE}
-    parent_cc = {s.name: cc_of[s.parent_contact] for s in result.cl_strata
-                 if s.seam_upper is not None}
+    parent_cc = {s.name: strata.cc_name(s.lower) for s in result.cl_strata
+                 if s.upper != s.lower}
     names = np.array([c.name for c in fixture.cells], dtype=object)
     is_seam = np.array([name in parent_cc for name in names])
     expected_cc = np.array([parent_cc.get(name) for name in names], dtype=object)

@@ -354,7 +354,7 @@ def cmd_examples(cfg: RunConfig) -> int:
         for s in result.cl_strata:
             open_mark = "  (open dense)" if s.open_dense else ""
             lines.append(
-                f"    {s.name:<18} {s.kind.value:<17} dim {s.dim}  over ({s.base_target}){open_mark}"
+                f"    {s.name:<18} {s.kind.value:<17} dim {s.dim}  over ({s.upper}){open_mark}"
             )
         lines.append(f"  frontier arrows (A -> B = A in closure(B)): {len(result.hasse)}")
 

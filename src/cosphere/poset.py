@@ -68,14 +68,10 @@ def transitive_closure(pairs: Iterable[tuple[str, str]]) -> frozenset[tuple[str,
     return frozenset(closed)
 
 
-def hasse_edges(pairs: Iterable[tuple[str, str]]) -> frozenset[tuple[str, str]]:
-    """Transitive reduction (covering relations) of a finite strict order.
-
-    Accepts any generating set of pairs; raises :class:`CyclicRelationError`
-    if the generated relation is not a strict order.  Re-taking the
-    transitive closure of the result recovers the closure of the input.
-    """
-    closed = transitive_closure(pairs)
+def covers(closed: frozenset[tuple[str, str]]) -> frozenset[tuple[str, str]]:
+    """Covering pairs of a transitively closed relation: (a, b) with no c
+    between them.  Raises :class:`CyclicRelationError` if the relation is
+    not a strict order, which for a closed one means a pair (a, a)."""
     succ: dict[str, set[str]] = defaultdict(set)
     for a, b in closed:
         if a == b:
@@ -86,6 +82,16 @@ def hasse_edges(pairs: Iterable[tuple[str, str]]) -> frozenset[tuple[str, str]]:
         for a, b in closed
         if not any(b in succ[c] for c in succ[a])
     )
+
+
+def hasse_edges(pairs: Iterable[tuple[str, str]]) -> frozenset[tuple[str, str]]:
+    """Transitive reduction (covering relations) of a finite strict order.
+
+    Accepts any generating set of pairs; raises :class:`CyclicRelationError`
+    if the generated relation is not a strict order.  Re-taking the
+    transitive closure of the result recovers the closure of the input.
+    """
+    return covers(transitive_closure(pairs))
 
 
 @dataclass(frozen=True)
@@ -304,7 +310,7 @@ def poset_to_dot(poset: IsotropyPoset) -> str:
             f'  "{t.label}" [label="({t.label})\\ndim H = {t.dim_H}, '
             f'dim Q_(H) = {d}"];'
         )
-    for a, b in sorted(hasse_edges(poset.order)):
+    for a, b in sorted(covers(poset.order)):  # the stored order is closed
         lines.append(f'  "{a}" -> "{b}";')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -8,9 +8,11 @@ an isotropy lattice alone:
 * the secondary decomposition of each Contact(L) into a cosphere-like open
   dense piece CC(L) and one seam Seam(H > L) per type H strictly above L;
 * the coisotropic-or-Legendrian (C-L) stratification, the union of those
-  pieces over all starred L.  Naming CC(L) by the pair (L, L) and
-  Seam(H > L) by (H, L), its frontier is the product order on the pairs,
-  the transitive closure of the paper's five combinatorial rules.
+  pieces over all starred L.  Each piece is its pair (upper, lower) of
+  orbit types: it lies in Contact(lower) and fibers over the orbit-type
+  stratum of upper, so CC(L) is (L, L) and Seam(H > L) is (H, L).  The
+  frontier is the product order on the pairs, the transitive closure of
+  the paper's five combinatorial rules.
 
 A seam is coisotropic when its upper type is itself starred and Legendrian
 otherwise.  With dim Seam(H > L) = dim Q^(H) + dim Q^(L) - 1 the identity
@@ -29,7 +31,7 @@ from enum import Enum
 from .poset import (
     IsotropyPoset,
     NoUniqueMinimumError,
-    hasse_edges,
+    covers,
     principal_type,
     validate,
 )
@@ -62,20 +64,20 @@ class StratumKind(str, Enum):
 
 @dataclass(frozen=True)
 class Stratum:
-    """One piece of a stratification of C_0.
+    """One piece of a stratification of C_0, named by its pair of types.
 
-    ``base_target`` is the orbit-type stratum of Q/G the piece fibers over
-    (for contact strata: the open stratum of the closure it maps onto).
-    ``parent_contact`` names the contact stratum containing the piece.
-    Seams additionally record their upper orbit type.
+    The piece lies in Contact(``lower``) and fibers over the orbit-type
+    stratum of ``upper`` in Q/G.  A seam has ``upper`` strictly above
+    ``lower``; CC(L) and the contact stratum Contact(L) have
+    ``upper == lower == L`` (a contact stratum maps onto the closure of
+    that stratum).
     """
 
     name: str
     kind: StratumKind
     dim: int
-    base_target: str
-    parent_contact: str
-    seam_upper: str | None = None
+    upper: str
+    lower: str
     open_dense: bool = False
 
 
@@ -86,18 +88,15 @@ class StratificationResult:
     ``frontier`` holds pairs (A, B) meaning A is contained in the boundary
     of B; it is the product order on the (upper, lower) type pairs of the
     pieces, which is the transitive closure of the five generation rules.
-    ``closure_only`` flags the pairs supplied by closure rather than by a
-    rule directly.  ``hasse`` is the covering relation of the frontier.
+    ``hasse`` is the covering relation of the frontier.
     """
 
     cl_strata: tuple[Stratum, ...]
     contact_strata: tuple[Stratum, ...]
     frontier: frozenset[tuple[str, str]]
     hasse: tuple[tuple[str, str], ...]
-    closure_only: frozenset[tuple[str, str]]
     starred: tuple[str, ...]
     total_types: int
-    quotient_connected: bool
     smooth_total_space: bool = False
 
     @property
@@ -111,24 +110,10 @@ def _require_valid(poset: IsotropyPoset) -> None:
         raise InvalidPosetError("invalid isotropy poset: " + "; ".join(report.violations))
 
 
-def stratum_quotient_dim(poset: IsotropyPoset, label: str) -> int:
-    """dim Q^(L) = dim Q_(L) - dim G + dim L, the orbit-type stratum in Q/G."""
-    t = poset.get_type(label)
-    return poset.dim_Q_of[label] - poset.dim_G + t.dim_H
-
-
-def _quotient_dims(poset: IsotropyPoset) -> dict[str, int]:
-    """:func:`stratum_quotient_dim` of every type, without a type scan each."""
+def quotient_dims(poset: IsotropyPoset) -> dict[str, int]:
+    """dim Q^(L) = dim Q_(L) - dim G + dim L of every type L, the dimension
+    of its orbit-type stratum in Q/G; L is starred when it is at least 1."""
     return {t.label: poset.dim_Q_of[t.label] - poset.dim_G + t.dim_H for t in poset.types}
-
-
-def _starred(dims: dict[str, int]) -> frozenset[str]:
-    return frozenset(label for label, d in dims.items() if d >= 1)
-
-
-def starred_lattice(poset: IsotropyPoset) -> frozenset[str]:
-    """Orbit types whose quotient stratum is at least one-dimensional."""
-    return _starred(_quotient_dims(poset))
 
 
 def contact_name(label: str) -> str:
@@ -143,9 +128,7 @@ def seam_name(upper: str, lower: str) -> str:
     return f"Seam({upper}>{lower})"
 
 
-def cl_stratification(
-    poset: IsotropyPoset, quotient_connected: bool = True
-) -> StratificationResult:
+def cl_stratification(poset: IsotropyPoset) -> StratificationResult:
     """The full C-L stratification with its frontier poset.
 
     Each piece is a pair (K, H) of types with H starred and H <= K: CC(H)
@@ -153,24 +136,22 @@ def cl_stratification(
     on these pairs, (K', H') in bd (K, H) iff the pairs differ, H <= H' and
     K <= K'.  It equals the transitive closure of the paper's five rules,
     which supply exactly the pairs where one coordinate moves, plus
-    CC(K) < CC(H); the pairs where both coordinates move are the
-    ``closure_only`` ones.  A cover moves one coordinate by one cover: K in
-    the lattice, H among the starred types.  With a connected quotient the
+    CC(K) < CC(H); the pairs where both coordinates move, other than
+    CC(K) < CC(H), come from closure alone.  A cover moves one coordinate
+    by one cover: K in the lattice, H among the starred types.  The
     cosphere-like piece over the principal type is the unique open dense
-    stratum.
+    stratum; without a unique minimal type there is none.
     """
     _require_valid(poset)
-    dims = _quotient_dims(poset)
-    starred = _starred(dims)
+    dims = quotient_dims(poset)
+    starred = frozenset(label for label, d in dims.items() if d >= 1)
     above = {t.label: {t.label} for t in poset.types}  # L and every type over it
     for low, high in poset.order:
         above[low].add(high)
-    principal = None
-    if quotient_connected:
-        try:
-            principal = principal_type(poset).label
-        except NoUniqueMinimumError:
-            pass
+    try:
+        principal = principal_type(poset).label
+    except NoUniqueMinimumError:
+        principal = None
     pieces = {}
     for h in sorted(starred):
         for k in sorted(above[h]):
@@ -184,19 +165,18 @@ def cl_stratification(
                 name=name,
                 kind=kind,
                 dim=dims[k] + dims[h] - 1,
-                base_target=k,
-                parent_contact=contact_name(h),
-                seam_upper=None if k == h else k,
+                upper=k,
+                lower=h,
                 open_dense=k == h == principal,
             )
 
-    upper_covers = hasse_edges(poset.order)
-    lower_covers = hasse_edges(
-        (a, b) for a, b in poset.order if a in starred and b in starred
+    # poset.order is closed, and so is its restriction to the starred types
+    upper_covers = covers(poset.order)
+    lower_covers = covers(
+        frozenset((a, b) for a, b in poset.order if a in starred and b in starred)
     )
     frontier: set[tuple[str, str]] = set()
     hasse: list[tuple[str, str]] = []
-    closure_only: set[tuple[str, str]] = set()
     for (k, h), piece in pieces.items():
         for h2 in above[h] & starred:
             for k2 in above[k] & above[h2]:
@@ -204,10 +184,9 @@ def cl_stratification(
                     continue
                 edge = (pieces[k2, h2].name, piece.name)
                 frontier.add(edge)
-                if k2 != k and h2 != h:
-                    if not (k == h and k2 == h2):  # rule (i): CC(K) < CC(H)
-                        closure_only.add(edge)
-                elif (k, k2) in upper_covers or (h, h2) in lower_covers:
+                if (h2 == h and (k, k2) in upper_covers) or (
+                    k2 == k and (h, h2) in lower_covers
+                ):
                     hasse.append(edge)
 
     return StratificationResult(
@@ -217,28 +196,16 @@ def cl_stratification(
                 name=contact_name(label),
                 kind=StratumKind.CONTACT,
                 dim=2 * dims[label] - 1,
-                base_target=label,
-                parent_contact=contact_name(label),
+                upper=label,
+                lower=label,
             ) for label in starred),
             key=lambda s: s.name,
         )),
         frontier=frozenset(frontier),
         hasse=tuple(sorted(hasse)),
-        closure_only=frozenset(closure_only),
         starred=tuple(sorted(starred)),
         total_types=len(poset.types),
-        quotient_connected=quotient_connected,
     )
-
-
-def bundle_targets(result: StratificationResult) -> dict[str, str]:
-    """Which single orbit-type stratum of Q/G each C-L piece fibers over.
-
-    This is the property the contact strata themselves lack: a contact
-    stratum maps onto the closure of its quotient stratum, meeting every
-    type above it.
-    """
-    return {s.name: s.base_target for s in result.cl_strata}
 
 
 def semifree_decomposition(poset: IsotropyPoset) -> StratificationResult:
@@ -260,7 +227,7 @@ def semifree_decomposition(poset: IsotropyPoset) -> StratificationResult:
         problems.append(f"principal type ({principal.label}) is not the trivial class")
     if poset.dim_Q_of[principal.label] != poset.dim_Q:
         problems.append("the free part is not open dense in Q")
-    for label, d in _quotient_dims(poset).items():
+    for label, d in quotient_dims(poset).items():
         if label != principal.label and d != 0:
             problems.append(
                 f"singular type ({label}) has a positive-dimensional quotient stratum"
@@ -283,36 +250,37 @@ def semifree_decomposition(poset: IsotropyPoset) -> StratificationResult:
 
 
 def result_to_json(result: StratificationResult) -> dict:
-    """JSON-ready report of a stratification (deterministic ordering)."""
+    """JSON-ready report of a stratification (deterministic ordering).
+
+    Each entry states its pair as ``base_target`` (upper) and
+    ``parent_contact`` (Contact(lower)); a seam also as ``seam_upper``.
+    """
     def stratum_entry(s: Stratum) -> dict:
         entry = {
             "name": s.name,
             "kind": s.kind.value,
             "dim": s.dim,
-            "base_target": s.base_target,
-            "parent_contact": s.parent_contact,
+            "base_target": s.upper,
+            "parent_contact": contact_name(s.lower),
             "open_dense": s.open_dense,
         }
-        if s.seam_upper is not None:
-            entry["seam_upper"] = s.seam_upper
+        if s.upper != s.lower:
+            entry["seam_upper"] = s.upper
         return entry
 
-    frontier = sorted(result.frontier)  # closure_only is a subset, read off in order
     return {
         "cl_strata": [stratum_entry(s) for s in sorted(result.cl_strata, key=lambda s: s.name)],
         "contact_strata": [
             stratum_entry(s) for s in sorted(result.contact_strata, key=lambda s: s.name)
         ],
-        "frontier": frontier,
+        "frontier": sorted(result.frontier),
         "hasse": sorted(result.hasse),
-        "closure_only": list(filter(result.closure_only.__contains__, frontier)),
         "starred": sorted(result.starred),
         "piece_count": result.piece_count,
         # the C-L pieces always refine the contact strata, strictly exactly
         # when the lattice has more than one orbit type
         "finer_than_contact": {"finer": True, "strict": result.total_types > 1},
         "smooth_total_space": result.smooth_total_space,
-        "bundle_targets": dict(sorted(bundle_targets(result).items())),
     }
 
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .poset import IsotropyPoset, OrbitType, _integer
+from .poset import MAX_TYPES, IsotropyPoset, OrbitType, _integer
 from .poset import principal_type as poset_principal_type
 
 MAX_WEIGHT = 16
@@ -287,11 +287,16 @@ def build_isotropy_poset(spec: TorusActionSpec) -> IsotropyPoset:
     Containment is the same union lookup: (a) < (b) exactly when the lattice
     of b lies strictly inside that of a, i.e.
     basis[S_a u S_b] == basis[S_a] != basis[S_b].
+    A spec with more than ``MAX_TYPES`` classes is refused with
+    :class:`ActionSpecError` as soon as the table is built, before the
+    quadratic order pass.
     """
     basis_of = _support_lattices(spec)
     # supports come by increasing size, so the last one seen in a class is
     # its largest, which is the union of the class
     top = {basis: s for s, basis in basis_of.items()}
+    if len(top) > MAX_TYPES:
+        raise ActionSpecError(f"{len(top)} orbit types exceeds the cap of {MAX_TYPES}")
     label_of = {basis: class_label(spec.k, basis) for basis in top}
 
     types: list[OrbitType] = []

@@ -17,6 +17,7 @@ from cosphere.fixtures import get_fixture
 from cosphere.poset import IsotropyPoset, OrbitType, validate
 from cosphere.strata import StratumKind
 from cosphere.torus import TorusActionSpec
+from test_strata import report_closure_only
 
 MOMENTUM_TOL = 1e-10
 IDENTITY_TOL = 1e-9
@@ -55,7 +56,7 @@ def test_criterion_1_two_plane_inventory():
         assert kinds.count(StratumKind.LEGENDRIAN_SEAM) == 3
         assert set(result.starred) == {"e", "S^1×e", "e×S^1"}
         assert len(result.frontier) == 19
-        assert len(result.closure_only) == 6
+        assert len(report_closure_only(strata.result_to_json(result))) == 6
         assert time.perf_counter() - t0 < INVENTORY_BUDGET_S
 
 
@@ -182,7 +183,8 @@ def _structural_properties(poset: IsotropyPoset, tag: str, failures: list[str]) 
     """Seam dimension formula, excess identity, piece count, frontier closure."""
     from cosphere.poset import transitive_closure
 
-    starred = strata.starred_lattice(poset)
+    dims = {t.label: poset.dim_Q_of[t.label] - poset.dim_G + t.dim_H for t in poset.types}
+    starred = {label for label, d in dims.items() if d >= 1}
     result = strata.cl_stratification(poset)
 
     seam_pairs = [(l, h) for (l, h) in poset.order if l in starred]
@@ -191,14 +193,14 @@ def _structural_properties(poset: IsotropyPoset, tag: str, failures: list[str]) 
 
     pieces = {s.name: s for s in result.cl_strata}
     for lower in starred:
-        d_low = strata.stratum_quotient_dim(poset, lower)
+        d_low = dims[lower]
         cc = pieces[strata.cc_name(lower)]
         if cc.dim != 2 * d_low - 1:
             failures.append(f"{tag}: degenerate seam is not the CC dimension")
     for lower, upper in seam_pairs:
         s = pieces[strata.seam_name(upper, lower)]
-        d_low = strata.stratum_quotient_dim(poset, lower)
-        d_up = strata.stratum_quotient_dim(poset, upper)
+        d_low = dims[lower]
+        d_up = dims[upper]
         excess = s.dim - (2 * d_low - 1 - 1) // 2
         if s.dim < 0 or excess != d_up:
             failures.append(f"{tag}: excess identity fails on Seam({upper}>{lower})")

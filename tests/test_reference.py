@@ -163,7 +163,8 @@ def ref_label_row(fixture, table: np.ndarray, band: float):
 def ref_verify(fixture, seed: int, count: int, band: float = MEMBERSHIP_BAND) -> dict:
     spec = fixture.spec
     poset = torus.build_isotropy_poset(spec)
-    starred = strata.starred_lattice(poset)
+    starred = {t.label for t in poset.types
+               if poset.dim_Q_of[t.label] - poset.dim_G + t.dim_H >= 1}
     result = strata.cl_stratification(poset)
     principal_cc = strata.cc_name(strata.principal_type(poset).label)
     probe_reports = []
@@ -289,8 +290,8 @@ def ref_flow_checks(fixture, seed: int, starts: int) -> dict:
     failures = []
     result = strata.cl_stratification(torus.build_isotropy_poset(spec))
     by_name = {s.name: s for s in result.cl_strata}
-    cc_of_contact = {s.parent_contact: s.name for s in result.cl_strata
-                     if s.kind is strata.StratumKind.COSPHERE}
+    cc_of_lower = {s.lower: s.name for s in result.cl_strata
+                   if s.kind is strata.StratumKind.COSPHERE}
     for idx, cell in enumerate(fixture.cells):
         if by_name[cell.name].kind is strata.StratumKind.COSPHERE:
             continue
@@ -316,7 +317,7 @@ def ref_flow_checks(fixture, seed: int, starts: int) -> dict:
             end_piece, _ = ref_check(
                 fixture, ref_image(ref_table(PhasePoint(p.x + t * p.u, p.u)))
             )
-            expected_cc = cc_of_contact[start_stratum.parent_contact]
+            expected_cc = cc_of_lower[start_stratum.lower]
             if end_piece != expected_cc:
                 failures.append(
                     f"{start_piece} flowed to {end_piece} at t = {t!r}, expected {expected_cc}"

@@ -1,4 +1,11 @@
-"""Stratification layer: starred types, seam classification, C-L frontier."""
+"""Stratification layer: starred types, seam classification, C-L frontier.
+
+The starred types and dim Q^(L) come from the formula here, not from the
+code under test, and the frontier from the paper's five rules
+(``frontier_oracle``).  What the report no longer lists, the pairs from
+closure alone and the type each piece fibers over, is derived from the
+report entries and compared with those oracles.
+"""
 
 import hashlib
 import itertools
@@ -8,6 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, strategies as st
 
+from cosphere import torus
 from cosphere.poset import (
     MAX_TYPES,
     IsotropyPoset,
@@ -19,18 +27,16 @@ from cosphere.strata import (
     InvalidPosetError,
     NotAlmostSemifreeError,
     StratumKind,
-    bundle_targets,
     cc_name,
     cl_stratification,
     contact_name,
+    quotient_dims,
     result_to_dot,
     result_to_json,
     seam_name,
     semifree_decomposition,
-    starred_lattice,
-    stratum_quotient_dim,
 )
-from cosphere.torus import TorusActionSpec, build_isotropy_poset
+from cosphere.torus import ActionSpecError, TorusActionSpec, build_isotropy_poset
 from test_torus import weight_specs
 
 LABELS = "ABCDEFGH"
@@ -45,12 +51,23 @@ def one_plane_poset():
     return build_isotropy_poset(TorusActionSpec(k=1, n=1, weights=((1,),)))
 
 
+def quotient_dims_oracle(poset):
+    """dim Q^(L) = dim Q_(L) - dim G + dim L of every type, by the formula."""
+    return {t.label: poset.dim_Q_of[t.label] - poset.dim_G + t.dim_H for t in poset.types}
+
+
+def starred_oracle(poset):
+    """The types whose quotient stratum is at least one-dimensional."""
+    return frozenset(label for label, d in quotient_dims_oracle(poset).items() if d >= 1)
+
+
 def test_starred_lattice_of_the_two_plane_action():
     poset = two_plane_poset()
-    assert starred_lattice(poset) == {"e", "S^1×e", "e×S^1"}
-    assert stratum_quotient_dim(poset, "e") == 2
-    assert stratum_quotient_dim(poset, "S^1×e") == 1
-    assert stratum_quotient_dim(poset, "T^2") == 0
+    dims = quotient_dims_oracle(poset)
+    assert (dims["e"], dims["S^1×e"], dims["T^2"]) == (2, 1, 0)
+    assert starred_oracle(poset) == {"e", "S^1×e", "e×S^1"}
+    assert quotient_dims(poset) == dims
+    assert cl_stratification(poset).starred == ("S^1×e", "e", "e×S^1")
 
 
 def test_contact_strata_dimensions():
@@ -75,15 +92,14 @@ def test_classify_seam_degenerate_gives_the_cosphere_piece():
     s = pieces_by_name(two_plane_poset())["CC(e)"]
     assert s.kind is StratumKind.COSPHERE
     assert s.dim == 3
-    assert (s.base_target, s.parent_contact, s.seam_upper) == ("e", "Contact(e)", None)
+    assert (s.upper, s.lower) == ("e", "e")
 
 
 def test_classify_seam_coisotropic_and_legendrian():
     pieces = pieces_by_name(two_plane_poset())
     co = pieces["Seam(S^1×e>e)"]
     assert (co.kind, co.dim) == (StratumKind.COISOTROPIC_SEAM, 2)
-    assert co.base_target == "S^1×e" and co.parent_contact == "Contact(e)"
-    assert co.seam_upper == "S^1×e"
+    assert (co.upper, co.lower) == ("S^1×e", "e")
     leg = pieces["Seam(T^2>e)"]
     assert (leg.kind, leg.dim) == (StratumKind.LEGENDRIAN_SEAM, 1)
     point = pieces["Seam(T^2>S^1×e)"]
@@ -95,7 +111,7 @@ def test_classify_seam_coisotropic_and_legendrian():
 
 def test_secondary_strata_of_the_open_contact_stratum():
     result = cl_stratification(two_plane_poset())
-    pieces = [s for s in result.cl_strata if s.parent_contact == "Contact(e)"]
+    pieces = [s for s in result.cl_strata if s.lower == "e"]
     names = [p.name for p in pieces]
     assert names[0] == "CC(e)"
     assert pieces[0].open_dense
@@ -150,14 +166,14 @@ def test_two_plane_frontier_closure_and_hasse():
     result = cl_stratification(two_plane_poset())
     assert len(result.frontier) == 19
     assert set(result.hasse) == EXPECTED_TWO_PLANE_HASSE
-    assert result.closure_only == EXPECTED_TWO_PLANE_CLOSURE_ONLY
+    assert report_closure_only(result_to_json(result)) == EXPECTED_TWO_PLANE_CLOSURE_ONLY
     assert transitive_closure(result.hasse) == result.frontier
 
 
 def contact_frontier(poset):
     """Frontier pairs among contact strata: Contact(K) lies in the boundary
     of Contact(H) exactly when (H) < (K)."""
-    starred = starred_lattice(poset)
+    starred = starred_oracle(poset)
     return frozenset(
         (contact_name(k), contact_name(h))
         for h, k in poset.order
@@ -169,7 +185,7 @@ def frontier_oracle(poset):
     """The frontier, its closure-only pairs and its covers, re-derived from
     the five generation rules by triple enumeration, transitive closure and
     transitive reduction."""
-    starred = starred_lattice(poset)
+    starred = starred_oracle(poset)
     order = poset.order
     labels = poset.labels()
     pairs = set()
@@ -194,12 +210,49 @@ def frontier_oracle(poset):
     return closed, closed - pairs, hasse_edges(closed)
 
 
+def pair_oracle(poset):
+    """The (upper, lower) pair of every C-L piece by name: CC(H) is (H, H)
+    and Seam(K>H) is (K, H), for H starred and (H) < (K)."""
+    starred = starred_oracle(poset)
+    pairs = {cc_name(h): (h, h) for h in starred}
+    pairs.update({seam_name(k, h): (k, h) for h, k in poset.order if h in starred})
+    return pairs
+
+
+def report_pairs(report):
+    """The (upper, lower) pair of every C-L piece, read off the report alone:
+    upper is ``base_target``, and ``parent_contact`` is Contact(lower)."""
+    return {
+        e["name"]: (e["base_target"], e["parent_contact"][len("Contact("):-1])
+        for e in report["cl_strata"]
+    }
+
+
+def report_closure_only(report):
+    """The frontier pairs that come from closure alone, derived from the
+    report: both coordinates of the pair move, and it is not CC(K) < CC(H)."""
+    pair = report_pairs(report)
+
+    def is_cc(name):
+        return pair[name][0] == pair[name][1]
+
+    return {
+        (a, b) for a, b in report["frontier"]
+        if pair[a][0] != pair[b][0] and pair[a][1] != pair[b][1]
+        and not (is_cc(a) and is_cc(b))
+    }
+
+
 def assert_matches_oracle(poset):
     result = cl_stratification(poset)
+    report = result_to_json(result)
     frontier, closure_only, hasse = frontier_oracle(poset)
     assert result.frontier == frontier
-    assert result.closure_only == closure_only
     assert set(result.hasse) == hasse
+    assert report_closure_only(report) == closure_only
+    # each piece fibers over its upper type (base_target, the bundle target)
+    assert report_pairs(report) == pair_oracle(poset)
+    assert {s.name: (s.upper, s.lower) for s in result.cl_strata} == pair_oracle(poset)
 
 
 def test_two_plane_frontier_matches_the_rule_oracle():
@@ -214,7 +267,7 @@ def test_one_plane_inventory():
         "Seam(S^1>e)": (0, StratumKind.LEGENDRIAN_SEAM),
     }
     assert result.frontier == {("Seam(S^1>e)", "CC(e)")}
-    assert result.closure_only == frozenset()
+    assert report_closure_only(result_to_json(result)) == set()
 
 
 def test_cl_stratification_rejects_invalid_posets():
@@ -280,7 +333,8 @@ def test_fuzz_frontier_matches_oracle(source):
 @given(valid_posets())
 def test_fuzz_piece_inventory_shape(poset):
     result = cl_stratification(poset)
-    starred = starred_lattice(poset)
+    starred = starred_oracle(poset)
+    assert set(result.starred) == starred
     seam_pairs = [(l, h) for (l, h) in poset.order if l in starred]
     assert result.piece_count == len(starred) + len(seam_pairs)
     names = {s.name for s in result.cl_strata}
@@ -289,22 +343,22 @@ def test_fuzz_piece_inventory_shape(poset):
     for a, b in result.frontier:
         assert a in names and b in names
         assert a != b
-    assert result.closure_only <= result.frontier
     assert set(result.hasse) <= result.frontier
     assert transitive_closure(result.hasse) == result.frontier
 
 
 @given(valid_posets())
 def test_fuzz_seam_excess_identity(poset):
-    starred = starred_lattice(poset)
+    starred = starred_oracle(poset)
+    dims = quotient_dims_oracle(poset)
     pieces = {s.name: s for s in cl_stratification(poset).cl_strata}
     seam_pairs = [(l, h) for (l, h) in poset.order if l in starred]
-    assert sum(s.seam_upper is not None for s in pieces.values()) == len(seam_pairs)
+    assert sum(s.upper != s.lower for s in pieces.values()) == len(seam_pairs)
     for lower, upper in seam_pairs:
         s = pieces[seam_name(upper, lower)]
-        assert (s.seam_upper, s.parent_contact) == (upper, contact_name(lower))
-        d_low = stratum_quotient_dim(poset, lower)
-        assert s.dim - (d_low - 1) == stratum_quotient_dim(poset, upper)
+        assert (s.upper, s.lower) == (upper, lower)
+        d_low = dims[lower]
+        assert s.dim - (d_low - 1) == dims[upper]
         expect_coiso = upper in starred
         assert (s.kind is StratumKind.COISOTROPIC_SEAM) == expect_coiso
         if s.kind is StratumKind.LEGENDRIAN_SEAM:
@@ -319,10 +373,11 @@ def test_fuzz_rule_one_is_the_contact_frontier(poset):
         (a, b) for a, b in result.frontier
         if a.startswith("CC(") and b.startswith("CC(")
     }
+    starred = starred_oracle(poset)
     expected = {
         (cc_name(k), cc_name(h))
         for (h, k) in poset.order
-        if h in starred_lattice(poset) and k in starred_lattice(poset)
+        if h in starred and k in starred
     }
     # closure adds no CC-to-CC pairs beyond rule (i): the order is transitive
     assert cc_pairs == expected
@@ -343,7 +398,7 @@ def test_fuzz_open_dense_piece(poset):
         for t in poset.types
         if t.label != principal.label
     )
-    if has_min and principal.label in starred_lattice(poset):
+    if has_min and principal.label in starred_oracle(poset):
         assert [s.name for s in opens] == [cc_name(principal.label)]
     assert len(opens) <= 1
 
@@ -363,18 +418,43 @@ def test_golden_lattice_reports():
     for ref in json.loads(GOLDEN.read_text()):
         spec = TorusActionSpec(k=ref["k"], n=ref["n"],
                                weights=tuple(map(tuple, ref["weights"])))
-        poset = build_isotropy_poset(spec)
-        assert len(poset.types) == ref["types"]
         if ref["types"] > MAX_TYPES:
-            with pytest.raises(InvalidPosetError):
-                cl_stratification(poset)
+            with pytest.raises(ActionSpecError) as refusal:
+                build_isotropy_poset(spec)
+            assert str(refusal.value) == (
+                f"{ref['types']} orbit types exceeds the cap of {MAX_TYPES}")
             refused += 1
             continue
+        poset = build_isotropy_poset(spec)
+        assert len(poset.types) == ref["types"]
         report = result_to_json(cl_stratification(poset))
         assert (report["piece_count"], len(report["frontier"])) == (
             ref["pieces"], ref["frontier_pairs"])
         assert content_digest(report) == ref["digest"]
     assert refused == 1
+
+
+def test_golden_reports_derive_closure_only_and_targets():
+    # the largest reports: up to 64 types, 599 pieces and 30,434 frontier pairs
+    for ref in json.loads(GOLDEN.read_text()):
+        if ref["types"] <= MAX_TYPES:
+            assert_matches_oracle(build_isotropy_poset(TorusActionSpec(
+                k=ref["k"], n=ref["n"], weights=tuple(map(tuple, ref["weights"])))))
+
+
+def test_spec_over_the_type_cap_is_refused_before_the_type_build(monkeypatch):
+    (ref,) = [r for r in json.loads(GOLDEN.read_text()) if r["types"] > MAX_TYPES]
+    spec = TorusActionSpec(k=ref["k"], n=ref["n"], weights=tuple(map(tuple, ref["weights"])))
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the type build ran for a refused spec")
+
+    # labels, Smith invariants, the order pass and the poset's closure all
+    # come after the support table
+    for name in ("class_label", "_nontrivial_divisors", "IsotropyPoset"):
+        monkeypatch.setattr(torus, name, unreachable)
+    with pytest.raises(ActionSpecError, match=f"^{ref['types']} orbit types exceeds the cap"):
+        build_isotropy_poset(spec)
 
 
 def test_unstarred_middle_type_emits_no_ghost_seam():
@@ -391,8 +471,8 @@ def test_unstarred_middle_type_emits_no_ghost_seam():
         dim_G=2,
         dim_Q=4,
     )
-    assert starred_lattice(poset) == {"A"}
     result = cl_stratification(poset)
+    assert result.starred == ("A",)
     names = {s.name for s in result.cl_strata}
     assert names == {"CC(A)", "Seam(B>A)", "Seam(C>A)"}
     for a, b in result.frontier:
@@ -416,11 +496,16 @@ def test_finer_than_contact():
 
 def test_bundle_targets_are_single_orbit_type_strata():
     result = cl_stratification(two_plane_poset())
-    targets = bundle_targets(result)
+    report = result_to_json(result)
+    assert "bundle_targets" not in report and "closure_only" not in report
+    targets = {name: upper for name, (upper, _) in report_pairs(report).items()}
     assert targets["CC(e)"] == "e"
     assert targets["Seam(T^2>e)"] == "T^2"
     assert targets["Seam(S^1×e>e)"] == "S^1×e"
-    assert set(targets) == {s.name for s in result.cl_strata}
+    assert targets == {s.name: s.upper for s in result.cl_strata}
+    # a seam also states its upper type, a cosphere-like piece does not
+    for e in report["cl_strata"]:
+        assert e.get("seam_upper") == (None if e["name"].startswith("CC(") else e["base_target"])
 
 
 def test_semifree_decomposition_of_the_circle_action():
