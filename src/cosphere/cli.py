@@ -22,8 +22,9 @@ import json
 import sys
 import tempfile
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, groupby
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -126,12 +127,15 @@ def _dump_json(data: dict) -> str:
     """The bytes of ``json.dumps(data, indent=2, sort_keys=True) + "\\n"``.
 
     With ``indent`` set, :mod:`json` runs its pure-Python encoder, one
-    generator step per token.  This writer builds the same text with joins
-    instead: strings go through the C ``encode_basestring_ascii`` once each,
-    and a list of equal-length rows of strings (the frontier pairs) is
-    formatted with one template.  Dict keys must be str and scalars exactly
-    str, int, float, bool or None (``TypeError`` otherwise); NaN and the
-    infinities are spelled as :mod:`json` spells them.
+    generator step per token.  This writer appends the same text to one list
+    of parts and joins it once, so no level copies the text of the levels
+    inside it: strings go through the C ``encode_basestring_ascii`` once
+    each, and in a list of rows of two strings (the frontier and its covers)
+    each run of rows with one first cell is joined under one template, so
+    its first cell is quoted once per run.  Dict keys must be str and
+    scalars exactly str, int, float, bool or None (``TypeError``
+    otherwise); NaN and the infinities are spelled as :mod:`json` spells
+    them.
     """
     quoted = _QuotedStrings().__getitem__
     scalars = {
@@ -141,45 +145,56 @@ def _dump_json(data: dict) -> str:
         bool: {True: "true", False: "false"}.__getitem__,
         type(None): lambda _: "null",
     }
+    parts: list[str] = []
+    write = parts.append
 
-    def string_rows(items: list | tuple, indent: str) -> str | None:
-        """Rows of one nonzero width, every cell a str, as one template each."""
-        if not set(map(type, items)) <= {list, tuple}:
-            return None
-        widths = set(map(len, items))
-        if len(widths) != 1:
-            return None
-        cells = list(chain.from_iterable(items))
-        if set(map(type, cells)) != {str}:  # also refuses rows of width 0
-            return None
-        (width,) = widths
-        cells = list(map(quoted, cells))
-        inner = indent + "  "
-        row = "[\n" + inner + (",\n" + inner).join(["{}"] * width) + "\n" + indent + "]"
-        return (",\n" + indent).join(map(row.format, *(cells[i::width] for i in range(width))))
+    def string_pairs(items: list | tuple, indent: str) -> bool:
+        """Writes rows of two strs, each followed by the item separator, one
+        template per run of equal first cells; False, writing nothing, for
+        any other items."""
+        if set(map(type, items)) - {list, tuple} or set(map(len, items)) != {2}:
+            return False
+        if set(map(type, chain.from_iterable(items))) != {str}:
+            return False
+        close, separator = "\n" + indent + "]", ",\n" + indent
+        for head, rows in groupby(items, itemgetter(0)):
+            start = "[\n" + indent + "  " + quoted(head) + ",\n" + indent + "  "
+            tails = map(quoted, map(itemgetter(1), rows))
+            parts.extend((start, (close + separator + start).join(tails), close, separator))
+        return True
 
-    def encode(value, indent: str) -> str:
+    def encode(value, indent: str) -> None:
         scalar = scalars.get(type(value))
         if scalar is not None:
-            return scalar(value)
+            write(scalar(value))
+            return
         inner = indent + "  "
         if isinstance(value, (list, tuple)):
             if not value:
-                return "[]"
-            body = string_rows(value, inner)
-            if body is None:
-                body = (",\n" + inner).join([encode(v, inner) for v in value])
-            return "[\n" + inner + body + "\n" + indent + "]"
-        if isinstance(value, dict):
+                write("[]")
+                return
+            write("[\n" + inner)
+            if not string_pairs(value, inner):
+                for v in value:
+                    encode(v, inner)
+                    write(",\n" + inner)
+            parts[-1] = "\n" + indent + "]"  # in place of the last separator
+        elif isinstance(value, dict):
             if not value:
-                return "{}"
-            body = (",\n" + inner).join(
-                [quoted(k) + ": " + encode(v, inner) for k, v in sorted(value.items())]
-            )
-            return "{\n" + inner + body + "\n" + indent + "}"
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+                write("{}")
+                return
+            write("{\n" + inner)
+            for k, v in sorted(value.items()):
+                write(quoted(k) + ": ")
+                encode(v, inner)
+                write(",\n" + inner)
+            parts[-1] = "\n" + indent + "}"
+        else:
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
-    return encode(data, "") + "\n"
+    encode(data, "")
+    write("\n")
+    return "".join(parts)
 
 
 def cmd_lattice(cfg: RunConfig) -> int:

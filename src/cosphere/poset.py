@@ -73,15 +73,13 @@ def covers(closed: frozenset[tuple[str, str]]) -> frozenset[tuple[str, str]]:
     between them.  Raises :class:`CyclicRelationError` if the relation is
     not a strict order, which for a closed one means a pair (a, a)."""
     succ: dict[str, set[str]] = defaultdict(set)
+    pred: dict[str, set[str]] = defaultdict(set)
     for a, b in closed:
         if a == b:
             raise CyclicRelationError(f"relation has a cycle through {a!r}")
         succ[a].add(b)
-    return frozenset(
-        (a, b)
-        for a, b in closed
-        if not any(b in succ[c] for c in succ[a])
-    )
+        pred[b].add(a)
+    return frozenset((a, b) for a, b in closed if succ[a].isdisjoint(pred[b]))
 
 
 def hasse_edges(pairs: Iterable[tuple[str, str]]) -> frozenset[tuple[str, str]]:

@@ -25,8 +25,10 @@ is checked in the tests.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, replace
 from enum import Enum
+from itertools import chain, repeat
 
 from .poset import (
     IsotropyPoset,
@@ -85,15 +87,17 @@ class Stratum:
 class StratificationResult:
     """C-L pieces with their frontier.
 
-    ``frontier`` holds pairs (A, B) meaning A is contained in the boundary
-    of B; it is the product order on the (upper, lower) type pairs of the
-    pieces, which is the transitive closure of the five generation rules.
-    ``hasse`` is the covering relation of the frontier.
+    ``frontier`` holds pairs (A, B) of piece names meaning A is contained
+    in the boundary of B; it is the product order on the (upper, lower)
+    type pairs of the pieces, which is the transitive closure of the five
+    generation rules.  ``hasse`` is the covering relation of the frontier.
+    Both are tuples of (A, B) name pairs in report order: sorted by A, then
+    B, each pair once.
     """
 
     cl_strata: tuple[Stratum, ...]
     contact_strata: tuple[Stratum, ...]
-    frontier: frozenset[tuple[str, str]]
+    frontier: tuple[tuple[str, str], ...]
     hasse: tuple[tuple[str, str], ...]
     starred: tuple[str, ...]
     total_types: int
@@ -128,6 +132,14 @@ def seam_name(upper: str, lower: str) -> str:
     return f"Seam({upper}>{lower})"
 
 
+def _covered_by(closed: frozenset[tuple[str, str]]) -> dict[str, list[str]]:
+    """Each type -> the types it covers in a closed order."""
+    down: dict[str, list[str]] = defaultdict(list)
+    for low, high in covers(closed):
+        down[high].append(low)
+    return down
+
+
 def cl_stratification(poset: IsotropyPoset) -> StratificationResult:
     """The full C-L stratification with its frontier poset.
 
@@ -141,26 +153,35 @@ def cl_stratification(poset: IsotropyPoset) -> StratificationResult:
     by one cover: K in the lattice, H among the starred types.  The
     cosphere-like piece over the principal type is the unique open dense
     stratum; without a unique minimal type there is none.
+
+    Both relations are listed piece by piece, already in report order: for
+    each piece A = (K', H') by name, B = (K, H) ranges over H <= H' (H
+    starred) and H <= K <= K', B != A, by name; its covers are (K, H') with
+    K covered by K' and (K', H) with H covered by H' among the starred
+    types.  Each pair arises once, so no pair set and no second sort is
+    needed.
     """
     _require_valid(poset)
     dims = quotient_dims(poset)
     starred = frozenset(label for label, d in dims.items() if d >= 1)
-    above = {t.label: {t.label} for t in poset.types}  # L and every type over it
+    below = {t.label: {t.label} for t in poset.types}  # L and every type under it
     for low, high in poset.order:
-        above[low].add(high)
+        below[high].add(low)
     try:
         principal = principal_type(poset).label
     except NoUniqueMinimumError:
         principal = None
     pieces = {}
-    for h in sorted(starred):
-        for k in sorted(above[h]):
+    names = {h: {} for h in starred}  # names[H][K] names the piece (K, H)
+    for k, under in below.items():
+        for h in under & starred:
             if k == h:
                 name, kind = cc_name(h), StratumKind.COSPHERE
             else:
                 name = seam_name(k, h)
                 kind = (StratumKind.COISOTROPIC_SEAM if k in starred
                         else StratumKind.LEGENDRIAN_SEAM)
+            names[h][k] = name
             pieces[k, h] = Stratum(
                 name=name,
                 kind=kind,
@@ -170,24 +191,25 @@ def cl_stratification(poset: IsotropyPoset) -> StratificationResult:
                 open_dense=k == h == principal,
             )
 
+    # column[K', H] lists the pieces (K, H) with K <= K' by name
+    column = {
+        (k2, h): sorted(map(names[h].__getitem__, names[h].keys() & below[k2]))
+        for k2, h in pieces
+    }
     # poset.order is closed, and so is its restriction to the starred types
-    upper_covers = covers(poset.order)
-    lower_covers = covers(
+    upper_covers = _covered_by(poset.order)
+    lower_covers = _covered_by(
         frozenset((a, b) for a, b in poset.order if a in starred and b in starred)
     )
-    frontier: set[tuple[str, str]] = set()
+    frontier: list[tuple[str, str]] = []
     hasse: list[tuple[str, str]] = []
-    for (k, h), piece in pieces.items():
-        for h2 in above[h] & starred:
-            for k2 in above[k] & above[h2]:
-                if (k2, h2) == (k, h):
-                    continue
-                edge = (pieces[k2, h2].name, piece.name)
-                frontier.add(edge)
-                if (h2 == h and (k, k2) in upper_covers) or (
-                    k2 == k and (h, h2) in lower_covers
-                ):
-                    hasse.append(edge)
+    for a, k2, h2 in sorted((p.name, p.upper, p.lower) for p in pieces.values()):
+        lows = sorted(chain.from_iterable([column[k2, h] for h in below[h2] & starred]))
+        lows.remove(a)
+        frontier += zip(repeat(a), lows)
+        covered = [names[h2][k] for k in upper_covers[k2] if k in names[h2]]
+        covered += [names[h][k2] for h in lower_covers[h2]]
+        hasse += zip(repeat(a), sorted(covered))
 
     return StratificationResult(
         cl_strata=tuple(sorted(pieces.values(), key=lambda s: (-s.dim, s.name))),
@@ -201,8 +223,8 @@ def cl_stratification(poset: IsotropyPoset) -> StratificationResult:
             ) for label in starred),
             key=lambda s: s.name,
         )),
-        frontier=frozenset(frontier),
-        hasse=tuple(sorted(hasse)),
+        frontier=tuple(frontier),
+        hasse=tuple(hasse),
         starred=tuple(sorted(starred)),
         total_types=len(poset.types),
     )
@@ -273,8 +295,8 @@ def result_to_json(result: StratificationResult) -> dict:
         "contact_strata": [
             stratum_entry(s) for s in sorted(result.contact_strata, key=lambda s: s.name)
         ],
-        "frontier": sorted(result.frontier),
-        "hasse": sorted(result.hasse),
+        "frontier": list(result.frontier),
+        "hasse": list(result.hasse),
         "starred": sorted(result.starred),
         "piece_count": result.piece_count,
         # the C-L pieces always refine the contact strata, strictly exactly
@@ -292,7 +314,7 @@ def result_to_dot(result: StratificationResult) -> str:
         lines.append(
             f'  "{s.name}" [label="{s.name}\\ndim {s.dim}, {s.kind.value}"];'
         )
-    for a, b in sorted(result.hasse):
+    for a, b in result.hasse:
         lines.append(f'  "{a}" -> "{b}";')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -405,8 +405,14 @@ json_string_rows = st.integers(0, 3).flatmap(lambda width: st.lists(
     st.lists(json_texts, min_size=width, max_size=width) | st.tuples(*[json_texts] * width),
     max_size=5,
 ))
+# rows of two strings in runs of equal first cells (the frontier's runs)
+json_pair_runs = st.lists(
+    st.tuples(st.sampled_from(["a", "b", '"×']), json_texts)
+    | st.lists(st.sampled_from(["a", "\\"]), min_size=2, max_size=2),
+    max_size=8,
+)
 json_values = st.recursive(
-    json_scalars | json_string_rows,
+    json_scalars | json_string_rows | json_pair_runs,
     lambda inner: (
         st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
         | st.dictionaries(json_texts, inner, max_size=4)
@@ -420,6 +426,8 @@ json_values = st.recursive(
 @example([["×"], ["\"\\"]])                       # width-1 rows
 @example([["a", "b"], ["c"], [], ("d", "e")])     # ragged rows
 @example([["a", 1], ["b", None], ["c", 0.5]])     # str mixed with non-str
+@example([("a", "b"), ("a", "c"), ["a", 1], ("b", "c")])  # a non-str cell in a run
+@example([("a", "b"), ("a", "c"), ("b", "b"), ["b", "a"], ("a", "b")])  # runs
 @example([[], []])
 @example({"x": [-0.0, 1e-300, float("nan"), float("inf"), -float("inf"), 2 ** 70, True]})
 def test_dump_json_matches_the_json_module(value):
@@ -431,7 +439,8 @@ def test_dump_json_refuses_what_no_report_holds():
     class Label(str):
         pass
 
-    for value in ({1: "a"}, {"a": [{None: 0}]}, {"a": Label("b")}):
+    for value in ({1: "a"}, {"a": [{None: 0}]}, {"a": Label("b")},
+                  {"a": [("b", "c"), ("b", Label("c"))]}):
         with pytest.raises(TypeError):
             cli._dump_json(value)
 
@@ -445,6 +454,16 @@ def test_reports_match_the_json_module(tmp_path, capsys):
         report = strata.result_to_json(strata.cl_stratification(build_isotropy_poset(spec)))
         report["poset_valid"] = True
         assert cli._dump_json(report) == json_oracle(report)
+    # the largest report the cap admits, as `reduce` writes it: 64 types,
+    # 599 pieces and 30,434 frontier pairs
+    (top,) = [r for r in json.loads(GOLDEN.read_text()) if r["types"] == poset_mod.MAX_TYPES]
+    spec_file = tmp_path / "top.json"
+    spec_file.write_text(json.dumps({"k": top["k"], "n": top["n"], "weights": top["weights"]}))
+    report_file = tmp_path / "top-report.json"
+    code, _, _ = run(capsys, "reduce", "--action", str(spec_file), "--out", str(report_file))
+    text = report_file.read_text()
+    assert code == 0 and len(json.loads(text)["frontier"]) == top["frontier_pairs"] == 30434
+    assert text == json_oracle(json.loads(text))
     report = checks.verify_fixture(cosphere.get_fixture("t2-on-r4"), seed=0, count=200)
     assert cli._dump_json(report) == json_oracle(report)
     code, out, _ = run(
