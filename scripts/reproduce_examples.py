@@ -33,7 +33,7 @@ def show_fixture(name: str, seed: int, count: int) -> bool:
             f"dim Q_(H) = {poset.dim_Q_of[t.label]}, "
             f"dim Q^(H) = {dims[t.label]}"
         )
-    print(f"   C-L pieces ({result.piece_count}):")
+    print(f"   C-L pieces ({len(result.cl_strata)}):")
     for s in result.cl_strata:
         mark = "  open dense" if s.open_dense else ""
         print(f"     {s.name:<18} {s.kind.value:<17} dim {s.dim}{mark}")

@@ -34,13 +34,12 @@ from .strata import (
     Stratum,
     StratumKind,
     cl_stratification,
-    semifree_decomposition,
+    semifree_diagnostics,
 )
 from .torus import (
     SupportStabilizer,
     TorusActionSpec,
     build_isotropy_poset,
-    is_almost_semifree,
     spec_from_json,
     spec_to_json,
     stabilizer_of_support,
@@ -69,14 +68,13 @@ __all__ = [
     "get_fixture",
     "hasse_edges",
     "hilbert_map",
-    "is_almost_semifree",
     "is_subconjugate",
     "k0_project",
     "poset_from_json",
     "poset_to_dot",
     "poset_to_json",
     "principal_type",
-    "semifree_decomposition",
+    "semifree_diagnostics",
     "spec_from_json",
     "spec_to_json",
     "stabilizer_of_support",

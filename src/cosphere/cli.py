@@ -60,13 +60,17 @@ class CliInputError(ValueError):
 
 def _read_json(path: str) -> dict:
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise OSError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CliInputError(f"{path} is not UTF-8 text: {exc}") from exc
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CliInputError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise CliInputError(f"{path} nests its JSON too deeply: {exc}") from exc
     if not isinstance(data, dict):
         raise CliInputError(f"{path}: expected a JSON object")
     return data

@@ -21,18 +21,31 @@ otherwise.  With dim Seam(H > L) = dim Q^(H) + dim Q^(L) - 1 the identity
 
 pins the excess over half the contact dimension; it holds by algebra and
 is checked in the tests.
+
+The action is almost semifree when (a) a unique minimal type e exists and
+it is the trivial class; (b) every other type has a quotient stratum of
+dimension 0, so it is a union of isolated orbits; (c) every nontrivial
+stabilizer acts freely on the nonzero directions of g/h, which for a
+torus, whose adjoint action is trivial, means dim H = dim G; the free part
+is open dense, dim Q_(e) = dim Q; and C_0 is nonempty, e starred.  The
+paper's (b) names the types of smaller orbits than e; (c) refuses the
+others when dim G >= 1.  Then the C-L stratification is CC(e), of
+dimension 2 (dim Q - dim G) - 1, plus one Legendrian seam Seam(H > e) of
+dimension dim Q - dim G - 1 per singular type H, over a smooth total
+space.  :func:`semifree_diagnostics` names the failed conditions.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, repeat
 
 from .poset import (
     IsotropyPoset,
     NoUniqueMinimumError,
+    OrbitType,
     covers,
     principal_type,
     validate,
@@ -45,16 +58,6 @@ class StratificationError(ValueError):
 
 class InvalidPosetError(StratificationError):
     pass
-
-
-class NotAlmostSemifreeError(StratificationError):
-    pass
-
-
-class InconsistentDimensionsError(StratificationError):
-    """The almost-semifree shape check failed: the C-L pieces are not one
-    cosphere-like piece and one Legendrian seam per singular type of the
-    dimensions the semifree case predicts."""
 
 
 class StratumKind(str, Enum):
@@ -92,7 +95,8 @@ class StratificationResult:
     type pairs of the pieces, which is the transitive closure of the five
     generation rules.  ``hasse`` is the covering relation of the frontier.
     Both are tuples of (A, B) name pairs in report order: sorted by A, then
-    B, each pair once.
+    B, each pair once.  ``smooth_total_space`` is true exactly when the
+    action is almost semifree (see the module docstring).
     """
 
     cl_strata: tuple[Stratum, ...]
@@ -101,11 +105,7 @@ class StratificationResult:
     hasse: tuple[tuple[str, str], ...]
     starred: tuple[str, ...]
     total_types: int
-    smooth_total_space: bool = False
-
-    @property
-    def piece_count(self) -> int:
-        return len(self.cl_strata)
+    smooth_total_space: bool
 
 
 def _require_valid(poset: IsotropyPoset) -> None:
@@ -140,6 +140,57 @@ def _covered_by(closed: frozenset[tuple[str, str]]) -> dict[str, list[str]]:
     return down
 
 
+def _principal(poset: IsotropyPoset) -> OrbitType | None:
+    try:
+        return principal_type(poset)
+    except NoUniqueMinimumError:
+        return None
+
+
+def _semifree_diagnostics(
+    poset: IsotropyPoset, dims: dict[str, int], principal: OrbitType | None
+) -> tuple[str, ...]:
+    found = []
+    if principal is None:
+        found.append("(a) there is no unique minimal orbit type")
+    else:
+        p = principal.label
+        if not principal.is_identity:
+            found.append(f"(a) the principal type ({p}) is not the trivial class")
+        if poset.dim_Q_of[p] != poset.dim_Q:
+            found.append(
+                f"the free part is not open dense: dim Q_({p}) = {poset.dim_Q_of[p]} "
+                f"< dim Q = {poset.dim_Q}"
+            )
+        if dims[p] < 1:
+            found.append(f"the principal type ({p}) is not starred, so C_0 is empty")
+        for t in poset.types:
+            if t is not principal and dims[t.label]:
+                found.append(
+                    ("(b) " if t.dim_H > principal.dim_H else "")
+                    + f"orbit type ({t.label}) has a {dims[t.label]}-dimensional "
+                    "quotient stratum, not isolated orbits"
+                )
+    for t in poset.types:
+        if not t.is_identity and t.dim_H != poset.dim_G:
+            found.append(
+                f"(c) stabilizer ({t.label}) has dim {t.dim_H} < dim G = {poset.dim_G}, "
+                "so it does not act freely on the nonzero directions of g/h"
+            )
+    return tuple(found)
+
+
+def semifree_diagnostics(poset: IsotropyPoset) -> tuple[str, ...]:
+    """Why the action is not almost semifree; empty exactly when it is.
+
+    Each condition of the module docstring that fails gives one line, those
+    of the paper labelled (a), (b) or (c).  :func:`cl_stratification`
+    states the verdict as ``smooth_total_space``.
+    """
+    _require_valid(poset)
+    return _semifree_diagnostics(poset, quotient_dims(poset), _principal(poset))
+
+
 def cl_stratification(poset: IsotropyPoset) -> StratificationResult:
     """The full C-L stratification with its frontier poset.
 
@@ -167,10 +218,8 @@ def cl_stratification(poset: IsotropyPoset) -> StratificationResult:
     below = {t.label: {t.label} for t in poset.types}  # L and every type under it
     for low, high in poset.order:
         below[high].add(low)
-    try:
-        principal = principal_type(poset).label
-    except NoUniqueMinimumError:
-        principal = None
+    principal = _principal(poset)
+    open_label = principal.label if principal else None
     pieces = {}
     names = {h: {} for h in starred}  # names[H][K] names the piece (K, H)
     for k, under in below.items():
@@ -188,7 +237,7 @@ def cl_stratification(poset: IsotropyPoset) -> StratificationResult:
                 dim=dims[k] + dims[h] - 1,
                 upper=k,
                 lower=h,
-                open_dense=k == h == principal,
+                open_dense=k == h == open_label,
             )
 
     # column[K', H] lists the pieces (K, H) with K <= K' by name
@@ -227,48 +276,8 @@ def cl_stratification(poset: IsotropyPoset) -> StratificationResult:
         hasse=tuple(hasse),
         starred=tuple(sorted(starred)),
         total_types=len(poset.types),
+        smooth_total_space=not _semifree_diagnostics(poset, dims, principal),
     )
-
-
-def semifree_decomposition(poset: IsotropyPoset) -> StratificationResult:
-    """C-L stratification in the almost-semifree case, where it collapses to
-    one cosphere-like piece and one Legendrian seam per singular type.
-
-    Combinatorial precondition: the principal type is the trivial class,
-    its stratum fills the quotient (dim Q_(e) = dim Q), and every other
-    type has a zero-dimensional quotient stratum.  Raises
-    :class:`NotAlmostSemifreeError` otherwise.
-    """
-    result = cl_stratification(poset)
-    try:
-        principal = principal_type(poset)
-    except NoUniqueMinimumError as exc:
-        raise NotAlmostSemifreeError(str(exc)) from exc
-    problems = []
-    if not principal.is_identity:
-        problems.append(f"principal type ({principal.label}) is not the trivial class")
-    if poset.dim_Q_of[principal.label] != poset.dim_Q:
-        problems.append("the free part is not open dense in Q")
-    for label, d in quotient_dims(poset).items():
-        if label != principal.label and d != 0:
-            problems.append(
-                f"singular type ({label}) has a positive-dimensional quotient stratum"
-            )
-    if problems:
-        raise NotAlmostSemifreeError("; ".join(problems))
-
-    # shape check: CC(e) of dimension 2(dim Q - dim G) - 1 plus one
-    # Legendrian seam of dimension dim Q - dim G - 1 per singular type
-    expected = {cc_name(principal.label): 2 * (poset.dim_Q - poset.dim_G) - 1}
-    for t in poset.types:
-        if t.label != principal.label:
-            expected[seam_name(t.label, principal.label)] = poset.dim_Q - poset.dim_G - 1
-    got = {s.name: s.dim for s in result.cl_strata}
-    if got != expected:
-        raise InconsistentDimensionsError(
-            f"semifree decomposition mismatch: {got} != {expected}"
-        )
-    return replace(result, smooth_total_space=True)
 
 
 def result_to_json(result: StratificationResult) -> dict:
@@ -298,7 +307,7 @@ def result_to_json(result: StratificationResult) -> dict:
         "frontier": list(result.frontier),
         "hasse": list(result.hasse),
         "starred": sorted(result.starred),
-        "piece_count": result.piece_count,
+        "piece_count": len(result.cl_strata),
         # the C-L pieces always refine the contact strata, strictly exactly
         # when the lattice has more than one orbit type
         "finer_than_contact": {"finer": True, "strict": result.total_types > 1},

@@ -30,7 +30,6 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .poset import MAX_TYPES, IsotropyPoset, OrbitType, _integer
-from .poset import principal_type as poset_principal_type
 
 MAX_WEIGHT = 16
 MAX_PLANES = 12
@@ -331,42 +330,3 @@ def build_isotropy_poset(spec: TorusActionSpec) -> IsotropyPoset:
         dim_G=spec.k,
         dim_Q=2 * spec.n,
     )
-
-
-def is_almost_semifree(spec: TorusActionSpec) -> tuple[bool, tuple[str, ...]]:
-    """Test the three almost-semifree conditions; diagnostics name failures.
-
-    (a) the principal stabilizer is trivial; (b) every orbit type of
-    non-maximal orbit dimension is a union of isolated orbits,
-    dim Q_(H) = dim G - dim H; (c) each nontrivial stabilizer acts freely
-    on the nonzero directions of g/h.  The adjoint action of a torus is
-    trivial, so (c) holds exactly when every nontrivial stabilizer has the
-    full Lie algebra, dim_stab = k.
-    """
-    poset = build_isotropy_poset(spec)
-    diagnostics: list[str] = []
-
-    # the class of the full weight lattice stabilizes generic points, so the
-    # built poset always has a unique minimum
-    principal = poset_principal_type(poset)
-    if not principal.is_identity:
-        diagnostics.append(
-            f"(a) principal stabilizer is ({principal.label}), not the trivial group"
-        )
-
-    max_orbit_dim = max(spec.k - t.dim_H for t in poset.types)
-    for t in poset.types:
-        orbit_dim = spec.k - t.dim_H
-        if orbit_dim < max_orbit_dim and poset.dim_Q_of[t.label] != orbit_dim:
-            diagnostics.append(
-                f"(b) orbit type ({t.label}) has dim Q_(H) = {poset.dim_Q_of[t.label]} "
-                f"> {orbit_dim} = dim G - dim H, so it is not a union of isolated orbits"
-            )
-    for t in poset.types:
-        if not t.is_identity and t.dim_H < spec.k:
-            diagnostics.append(
-                f"(c) stabilizer ({t.label}) has dim {t.dim_H} < k = {spec.k}; it acts "
-                "trivially, hence not freely, on the nonzero directions of g/h"
-            )
-    return (not diagnostics, tuple(diagnostics))
-

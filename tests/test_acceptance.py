@@ -46,7 +46,7 @@ def test_criterion_1_two_plane_inventory():
         assert set(poset.labels()) == {"e", "S^1×e", "e×S^1", "T^2"}
         assert poset.dim_Q_of == {"e": 4, "S^1×e": 2, "e×S^1": 2, "T^2": 0}
         result = strata.cl_stratification(poset)
-        assert result.piece_count == 8
+        assert len(result.cl_strata) == 8
         assert sorted((s.dim for s in result.cl_strata), reverse=True) == [
             3, 2, 2, 1, 1, 1, 0, 0,
         ]
@@ -82,14 +82,14 @@ def test_criterion_3_circle_action_and_base_chart():
     with gate(3):
         t0 = time.perf_counter()
         fx = get_fixture("s1-on-r2")
-        ok, reasons = torus.is_almost_semifree(fx.spec)
-        assert ok and reasons == ()
-        ok, reasons = torus.is_almost_semifree(
+        poset = torus.build_isotropy_poset(fx.spec)
+        assert strata.semifree_diagnostics(poset) == ()
+        torus_poset = torus.build_isotropy_poset(
             TorusActionSpec(k=2, n=2, weights=((1, 0), (0, 1)))
         )
-        assert not ok and reasons
-        poset = torus.build_isotropy_poset(fx.spec)
-        result = strata.semifree_decomposition(poset)
+        assert strata.semifree_diagnostics(torus_poset)
+        assert not strata.cl_stratification(torus_poset).smooth_total_space
+        result = strata.cl_stratification(poset)
         assert result.smooth_total_space
         dims = {s.name: s.dim for s in result.cl_strata}
         assert dims == {"CC(e)": 1, "Seam(S^1>e)": 0}
@@ -188,7 +188,7 @@ def _structural_properties(poset: IsotropyPoset, tag: str, failures: list[str]) 
     result = strata.cl_stratification(poset)
 
     seam_pairs = [(l, h) for (l, h) in poset.order if l in starred]
-    if result.piece_count != len(starred) + len(seam_pairs):
+    if len(result.cl_strata) != len(starred) + len(seam_pairs):
         failures.append(f"{tag}: piece count formula violated")
 
     pieces = {s.name: s for s in result.cl_strata}

@@ -31,6 +31,7 @@ def test_reduce_prints_the_report(capsys):
     report = json.loads(out)
     assert report["piece_count"] == 8
     assert report["poset_valid"] is True
+    assert report["smooth_total_space"] is False
     assert len(report["hasse"]) == 10
 
 
@@ -54,6 +55,7 @@ def test_reduce_writes_the_out_file(tmp_path, capsys):
     assert "wrote" in out
     report = json.loads(target.read_text())
     assert report["piece_count"] == 2
+    assert report["smooth_total_space"] is True
 
 
 def test_missing_action_file_is_an_io_error(capsys):
@@ -78,6 +80,16 @@ def test_bad_inputs_exit_2(tmp_path, capsys):
     # both sources at once, and the required one missing
     assert run(capsys, "reduce", "--fixture", "s1-on-r2", "--action", str(neither))[0] == 2
     assert run(capsys, "verify")[0] == 2
+
+    # not UTF-8 (a UTF-16 byte order mark), and nested past the parser's
+    # recursion limit: one error line each, nothing on stdout
+    utf16 = tmp_path / "utf16.json"
+    utf16.write_bytes(b'\xff\xfe{"k": 1, "n": 1, "weights": [[1]]}')
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    for path in (utf16, deep):
+        code, out, err = run(capsys, "reduce", "--action", str(path))
+        assert (code, out) == (2, "") and err.startswith("error: ") and err.count("\n") == 1
 
     broken = tmp_path / "broken_poset.json"
     broken.write_text(json.dumps({
@@ -335,7 +347,7 @@ def exercise_api(fixture, seed):
     """Call every public operation of the package once on the fixture."""
     spec = fixture.spec
     poset = torus.build_isotropy_poset(spec)
-    strata.cl_stratification(poset)
+    result = strata.cl_stratification(poset)
 
     poset_mod.validate(poset)
     labels = poset.labels()
@@ -348,13 +360,9 @@ def exercise_api(fixture, seed):
     poset_mod.poset_to_dot(poset)
 
     torus.stabilizer_of_support(spec, range(spec.n))
-    torus.is_almost_semifree(spec)
     assert torus.spec_from_json(torus.spec_to_json(spec)) == spec
 
-    try:
-        strata.semifree_decomposition(poset)
-    except strata.NotAlmostSemifreeError:
-        pass
+    assert (not strata.semifree_diagnostics(poset)) == result.smooth_total_space
 
     x, u = phase.zero_level_arrays(spec, seed=seed, count=4)
     p = phase.PhasePoint(x[0], u[0])

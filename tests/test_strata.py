@@ -25,7 +25,6 @@ from cosphere.poset import (
 )
 from cosphere.strata import (
     InvalidPosetError,
-    NotAlmostSemifreeError,
     StratumKind,
     cc_name,
     cl_stratification,
@@ -34,7 +33,7 @@ from cosphere.strata import (
     result_to_dot,
     result_to_json,
     seam_name,
-    semifree_decomposition,
+    semifree_diagnostics,
 )
 from cosphere.torus import ActionSpecError, TorusActionSpec, build_isotropy_poset
 from test_torus import weight_specs
@@ -157,7 +156,7 @@ def test_two_plane_cl_inventory():
     result = cl_stratification(two_plane_poset())
     got = {s.name: (s.dim, s.kind) for s in result.cl_strata}
     assert got == EXPECTED_TWO_PLANE_PIECES
-    assert result.piece_count == 8
+    assert len(result.cl_strata) == 8
     assert [s.name for s in result.cl_strata if s.open_dense] == ["CC(e)"]
     assert result.starred == ("S^1×e", "e", "e×S^1")
 
@@ -344,7 +343,7 @@ def test_fuzz_piece_inventory_shape(poset):
     starred = starred_oracle(poset)
     assert set(result.starred) == starred
     seam_pairs = [(l, h) for (l, h) in poset.order if l in starred]
-    assert result.piece_count == len(starred) + len(seam_pairs)
+    assert len(result.cl_strata) == len(starred) + len(seam_pairs)
     names = {s.name for s in result.cl_strata}
     for s in result.cl_strata:
         assert s.dim >= 0
@@ -517,24 +516,30 @@ def test_bundle_targets_are_single_orbit_type_strata():
 
 
 def test_semifree_decomposition_of_the_circle_action():
-    result = semifree_decomposition(one_plane_poset())
+    poset = one_plane_poset()
+    result = cl_stratification(poset)
     got = {s.name: s.dim for s in result.cl_strata}
     assert got == {"CC(e)": 1, "Seam(S^1>e)": 0}
+    assert semifree_diagnostics(poset) == ()
     assert result.smooth_total_space
+    assert result_to_json(result)["smooth_total_space"] is True
     seam = next(s for s in result.cl_strata if s.name.startswith("Seam"))
     assert seam.kind is StratumKind.LEGENDRIAN_SEAM
 
 
 def test_semifree_decomposition_two_equal_planes():
     poset = build_isotropy_poset(TorusActionSpec(k=1, n=2, weights=((1, 1),)))
-    result = semifree_decomposition(poset)
+    result = cl_stratification(poset)
+    assert result.smooth_total_space
     got = {s.name: s.dim for s in result.cl_strata}
     assert got == {"CC(e)": 5, "Seam(S^1>e)": 2}
 
 
 def test_semifree_decomposition_rejects_the_two_plane_torus():
-    with pytest.raises(NotAlmostSemifreeError):
-        semifree_decomposition(two_plane_poset())
+    poset = two_plane_poset()
+    assert semifree_diagnostics(poset)
+    assert not cl_stratification(poset).smooth_total_space
+    assert result_to_json(cl_stratification(poset))["smooth_total_space"] is False
 
 
 def test_semifree_decomposition_needs_a_principal_minimum():
@@ -545,8 +550,26 @@ def test_semifree_decomposition_needs_a_principal_minimum():
         1,
         2,
     )
-    with pytest.raises(NotAlmostSemifreeError):
-        semifree_decomposition(antichain)
+    diagnostics = semifree_diagnostics(antichain)
+    assert diagnostics[0].startswith("(a)")
+    assert not cl_stratification(antichain).smooth_total_space
+
+
+E = OrbitType("e", 0, is_identity=True)
+
+
+@pytest.mark.parametrize("types, order, dim_q_of, dim_q, diagnostic", [
+    # dim Q = dim G = 1: the free part has a point quotient, C_0 is empty
+    ((E,), (), {"e": 1}, 1, "the principal type (e) is not starred, so C_0 is empty"),
+    ((E, OrbitType("S", 1)), (("e", "S"),), {"e": 1, "S": 0}, 1,
+     "the principal type (e) is not starred, so C_0 is empty"),
+    # the free part fills only half of Q
+    ((E,), (), {"e": 2}, 4, "the free part is not open dense: dim Q_(e) = 2 < dim Q = 4"),
+])
+def test_hand_posets_that_are_not_semifree(types, order, dim_q_of, dim_q, diagnostic):
+    poset = IsotropyPoset(types, frozenset(order), dim_q_of, 1, dim_q)
+    assert semifree_diagnostics(poset) == (diagnostic,)
+    assert not cl_stratification(poset).smooth_total_space
 
 
 def test_single_type_reduce():

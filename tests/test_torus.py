@@ -1,15 +1,18 @@
 """Torus weight matrices: stabilizers, class grouping, lattice order.
 
-Two oracles.  An independent integer solver decides membership of a vector
+Three oracles.  An independent integer solver decides membership of a vector
 in the column span over Z by hand-rolled Euclidean column reduction, with
 no Hermite or Smith normal form involved; class grouping and the
 subconjugation order produced by the builder must agree with it.  sympy's
 ``hermite_normal_form`` and ``invariant_factors`` check the normal forms
-themselves, support by support; the library does not import sympy.
+themselves, support by support; the library does not import sympy.  The
+paper's almost-semifree conditions (a)-(c), stated on the weight matrix,
+check the poset predicate ``strata.semifree_diagnostics``.
 """
 
 import itertools
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -21,6 +24,7 @@ from sympy.matrices.normalforms import hermite_normal_form, invariant_factors
 
 import cosphere
 from cosphere.poset import principal_type, validate
+from cosphere.strata import cl_stratification, semifree_diagnostics
 from cosphere.torus import (
     ActionSpecError,
     TorusActionSpec,
@@ -29,7 +33,6 @@ from cosphere.torus import (
     _support_lattices,
     build_isotropy_poset,
     class_label,
-    is_almost_semifree,
     spec_from_json,
     spec_to_json,
     stabilizer_of_support,
@@ -373,24 +376,92 @@ def test_hnf_is_canonical_across_generating_sets():
 
 # -- almost semifree ----------------------------------------------------------
 
+def almost_semifree_oracle(spec):
+    """The three almost-semifree conditions on the weight matrix, with one
+    diagnostic per failure.
+
+    (a) the principal stabilizer is trivial; (b) every orbit type of
+    non-maximal orbit dimension is a union of isolated orbits,
+    dim Q_(H) = dim G - dim H; (c) each nontrivial stabilizer acts freely
+    on the nonzero directions of g/h.  The adjoint action of a torus is
+    trivial, so (c) holds exactly when every nontrivial stabilizer has the
+    full Lie algebra, dim_stab = k.
+    """
+    poset = build_isotropy_poset(spec)
+    diagnostics = []
+    # the class of the full weight lattice stabilizes generic points, so the
+    # built poset always has a unique minimum
+    principal = principal_type(poset)
+    if not principal.is_identity:
+        diagnostics.append(
+            f"(a) principal stabilizer is ({principal.label}), not the trivial group"
+        )
+    max_orbit_dim = max(spec.k - t.dim_H for t in poset.types)
+    for t in poset.types:
+        orbit_dim = spec.k - t.dim_H
+        if orbit_dim < max_orbit_dim and poset.dim_Q_of[t.label] != orbit_dim:
+            diagnostics.append(
+                f"(b) orbit type ({t.label}) has dim Q_(H) = {poset.dim_Q_of[t.label]} "
+                f"> {orbit_dim} = dim G - dim H, so it is not a union of isolated orbits"
+            )
+    for t in poset.types:
+        if not t.is_identity and t.dim_H < spec.k:
+            diagnostics.append(
+                f"(c) stabilizer ({t.label}) has dim {t.dim_H} < k = {spec.k}; it acts "
+                "trivially, hence not freely, on the nonzero directions of g/h"
+            )
+    return (not diagnostics, tuple(diagnostics))
+
+
+def paper_labels(diagnostics):
+    """The (a), (b) and (c) labels of the diagnostics, in order."""
+    return [m.group() for m in map(re.compile(r"\([abc]\)").match, diagnostics) if m]
+
+
+@given(weight_specs())
+@example(LADDER_K2_N8)
+@example(LADDER_K3_N6)
+@example(TorusActionSpec(k=1, n=2, weights=((1, 2),)))
+def test_semifree_predicate_matches_the_spec_oracle(spec):
+    ok, expected = almost_semifree_oracle(spec)
+    poset = build_isotropy_poset(spec)
+    diagnostics = semifree_diagnostics(poset)
+    result = cl_stratification(poset)
+    assert (not diagnostics) == ok == result.smooth_total_space
+    assert paper_labels(diagnostics) == paper_labels(expected)
+    if ok:
+        # one cosphere-like piece and one Legendrian seam per singular type,
+        # of the dimensions the semifree case predicts
+        dims = {s.name: (s.dim, s.kind.value) for s in result.cl_strata}
+        free = poset.dim_Q - poset.dim_G
+        assert dims == {"CC(e)": (2 * free - 1, "cosphere-like")} | {
+            f"Seam({t.label}>e)": (free - 1, "legendrian-seam")
+            for t in poset.types if t.label != "e"
+        }
+
+
 def test_single_free_circle_is_almost_semifree():
-    ok, diag = is_almost_semifree(TorusActionSpec(k=1, n=1, weights=((1,),)))
-    assert ok and diag == ()
+    poset = build_isotropy_poset(TorusActionSpec(k=1, n=1, weights=((1,),)))
+    assert semifree_diagnostics(poset) == ()
+    assert cl_stratification(poset).smooth_total_space
 
 
 def test_equal_weight_circle_action_is_almost_semifree():
-    ok, diag = is_almost_semifree(TorusActionSpec(k=1, n=2, weights=((1, 1),)))
-    assert ok, diag
+    poset = build_isotropy_poset(TorusActionSpec(k=1, n=2, weights=((1, 1),)))
+    diag = semifree_diagnostics(poset)
+    assert diag == () and cl_stratification(poset).smooth_total_space, diag
 
 
 def test_two_plane_torus_is_not_almost_semifree():
-    ok, diag = is_almost_semifree(TorusActionSpec(k=2, n=2, weights=((1, 0), (0, 1))))
-    assert not ok
+    poset = build_isotropy_poset(TorusActionSpec(k=2, n=2, weights=((1, 0), (0, 1))))
+    diag = semifree_diagnostics(poset)
+    assert not cl_stratification(poset).smooth_total_space
     joined = ";".join(diag)
     assert "(b)" in joined and "(c)" in joined
 
 
 def test_nontrivial_principal_stabilizer_fails_condition_a():
-    ok, diag = is_almost_semifree(TorusActionSpec(k=1, n=1, weights=((2,),)))
-    assert not ok
+    poset = build_isotropy_poset(TorusActionSpec(k=1, n=1, weights=((2,),)))
+    diag = semifree_diagnostics(poset)
+    assert not cl_stratification(poset).smooth_total_space
     assert any(d.startswith("(a)") for d in diag)
