@@ -9,8 +9,9 @@ flow      integrate the Reeb flow from a seeded start, export CSV
 examples  run the complete battery on both builtin fixtures
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input, 3 I/O
-failure.  Outputs are byte-deterministic for a fixed configuration and
-seed (sorted JSON keys, sorted DOT nodes and edges).
+failure.  Outputs are byte-deterministic UTF-8 for a fixed configuration
+and seed (sorted JSON keys, sorted DOT nodes and edges, Python ``repr``
+for each CSV float), on stdout as in files, whatever the locale.
 """
 
 from __future__ import annotations
@@ -108,7 +109,7 @@ def _require_fixture(cfg: RunConfig) -> Fixture:
 
 def _write_text(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
 
 
 _FLOAT_SPELLING = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -228,45 +229,48 @@ def cmd_reduce(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _csv_rows(
-    fixture: Fixture, x: np.ndarray, u: np.ndarray, band: float
-) -> list[list[str]]:
-    """x, u, J, the invariant table, the piece label and its residual per row.
+def _csv_line(cells: list[str]) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(cells)
+    return buf.getvalue()
+
+
+def _csv_lines(
+    fixture: Fixture, x: np.ndarray, u: np.ndarray, band: float,
+    times: np.ndarray | None = None,
+) -> list[str]:
+    """The CSV export of the points (x, u): a header, then per point the
+    time (when ``times`` is given), x, u, J, the invariant table, the piece
+    label and its residual.
 
     Labels come from :func:`phase.locate_rows` at ``band``, the call the
     batteries use; a row with no single match is ``(unresolved)``, NaN.
+    Each number is its Python ``repr``.  A row is one ``%`` template per
+    piece, whose label cell the :mod:`csv` dialect quoted once.
     """
+    spec = fixture.spec
     tables = phase.invariant_tables(x, u)
     piece, residuals = phase.locate_rows(fixture, phase.reduced_images(tables), band)
-    names = [fixture.cells[p].name if p >= 0 else "(unresolved)" for p in piece]
-    numbers = np.concatenate(
-        [x, u, phase.momenta(fixture.spec, tables),
-         tables.reshape(len(x), 4 * fixture.spec.n), residuals[:, None]],
-        axis=1,
-    )
-    return [
-        [repr(v) for v in row[:-1]] + [name, repr(row[-1])]
-        for row, name in zip(numbers.tolist(), names)
-    ]
-
-
-def _csv_header(spec: TorusActionSpec) -> list[str]:
-    return (
+    columns = [x, u, phase.momenta(spec, tables),
+               tables.reshape(len(x), 4 * spec.n), residuals[:, None]]
+    header = (
         [f"x_{i+1}" for i in range(2 * spec.n)]
         + [f"u_{i+1}" for i in range(2 * spec.n)]
         + [f"J_{i+1}" for i in range(spec.k)]
         + [f"p{c}_{j+1}" for j in range(spec.n) for c in (1, 2, 3, 4)]
         + ["stratum", "residual"]
     )
-
-
-def _samples_csv(fixture: Fixture, seed: int, count: int, band: float) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_csv_header(fixture.spec))
-    x, u = phase.zero_level_arrays(fixture.spec, seed=seed, count=count)
-    writer.writerows(_csv_rows(fixture, x, u, band))
-    return buf.getvalue()
+    if times is not None:
+        columns.insert(0, times[:, None])
+        header.insert(0, "t")
+    numbers = np.concatenate(columns, axis=1)
+    # piece -1 takes the last template, the unresolved one
+    names = [cell.name for cell in fixture.cells] + ["(unresolved)"]
+    cells = ["%r"] * (len(header) - 2)
+    templates = [_csv_line(cells + [name.replace("%", "%%"), "%r"]) for name in names]
+    return [_csv_line(header)] + [
+        templates[p] % row for p, row in zip(piece.tolist(), map(tuple, numbers.tolist()))
+    ]
 
 
 def cmd_verify(cfg: RunConfig) -> int:
@@ -280,10 +284,8 @@ def cmd_verify(cfg: RunConfig) -> int:
         out_dir = Path(cfg.out)
         _write_text(out_dir / "report.json", text)
         csv_count = min(cfg.count, 1000)
-        _write_text(
-            out_dir / "samples.csv",
-            _samples_csv(fixture, cfg.seed, csv_count, cfg.tolerance),
-        )
+        x, u = phase.zero_level_arrays(fixture.spec, seed=cfg.seed, count=csv_count)
+        _write_text(out_dir / "samples.csv", "".join(_csv_lines(fixture, x, u, cfg.tolerance)))
         print(f"wrote {out_dir / 'report.json'}")
         print(f"wrote {out_dir / 'samples.csv'}")
     else:
@@ -325,14 +327,7 @@ def cmd_flow(cfg: RunConfig) -> int:
         point = phase.PhasePoint(x[0], u[0])
 
     traj = reeb.flow_rk4(point, t_end=cfg.t_end, step=cfg.step)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["t"] + _csv_header(spec))
-    rows = _csv_rows(fixture, traj.xs, traj.us, cfg.tolerance)
-    writer.writerows(
-        [repr(t)] + row for t, row in zip(traj.times.tolist(), rows)
-    )
-    text = buf.getvalue()
+    text = "".join(_csv_lines(fixture, traj.xs, traj.us, cfg.tolerance, traj.times))
 
     drift = reeb.conservation_report(traj)
     summary = {
@@ -465,6 +460,10 @@ PARSER = build_parser()
 
 
 def main(argv: list[str] | None = None) -> int:
+    # labels such as e×S^1 go out as UTF-8 whatever the stream's encoding;
+    # a StringIO has no encoding to change
+    if hasattr(sys.stdout, "reconfigure"):
+        sys.stdout.reconfigure(encoding="utf-8")
     cfg = RunConfig(**vars(PARSER.parse_args(argv)))
     commands = {
         "lattice": cmd_lattice,

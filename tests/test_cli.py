@@ -1,12 +1,17 @@
 """End-to-end CLI behaviour: exit codes, determinism, file formats."""
 
 import csv
+import dataclasses
 import functools
 import io
 import json
+import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -480,3 +485,91 @@ def test_reports_match_the_json_module(tmp_path, capsys):
     )
     summary = out[: out.index("wrote")]
     assert code == 0 and summary == json_oracle(json.loads(summary))
+
+
+# -------------------------------------------------------- the CSV writer
+
+def csv_oracle(fixture, x, u, band, times=None) -> str:
+    """The CSV text as ``csv.writer`` wrote it, one ``repr`` per float cell."""
+    tables = phase.invariant_tables(x, u)
+    piece, residuals = phase.locate_rows(fixture, phase.reduced_images(tables), band)
+    names = [fixture.cells[p].name if p >= 0 else "(unresolved)" for p in piece]
+    numbers = np.concatenate(
+        [x, u, phase.momenta(fixture.spec, tables),
+         tables.reshape(len(x), 4 * fixture.spec.n), residuals[:, None]],
+        axis=1,
+    )
+    rows = [
+        [repr(v) for v in row[:-1]] + [name, repr(row[-1])]
+        for row, name in zip(numbers.tolist(), names)
+    ]
+    spec = fixture.spec
+    header = (
+        [f"x_{i+1}" for i in range(2 * spec.n)]
+        + [f"u_{i+1}" for i in range(2 * spec.n)]
+        + [f"J_{i+1}" for i in range(spec.k)]
+        + [f"p{c}_{j+1}" for j in range(spec.n) for c in (1, 2, 3, 4)]
+        + ["stratum", "residual"]
+    )
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    if times is None:
+        writer.writerow(header)
+        writer.writerows(rows)
+    else:
+        writer.writerow(["t"] + header)
+        writer.writerows([repr(t)] + row for t, row in zip(times.tolist(), rows))
+    return buf.getvalue()
+
+
+ODD_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 1e-5]
+csv_floats = st.sampled_from(ODD_FLOATS + [0.0, 1.0, 1 / 3]) | st.floats()
+csv_labels = st.text(st.sampled_from(',"%\n\r ×ab()'), max_size=6)
+
+
+@given(st.data())
+def test_csv_lines_match_the_csv_writer(data):
+    fx = cosphere.get_fixture(data.draw(st.sampled_from(["s1-on-r2", "t2-on-r4"])))
+    width = 4 * fx.spec.n
+    # points that resolve (at least one in the principal cell) ...
+    x, u = phase.zero_level_arrays(
+        fx.spec, seed=data.draw(st.integers(0, 999)), count=data.draw(st.integers(1, 6))
+    )
+    # ... each odd float in every column, and drawn rows: all (unresolved)
+    odd = [np.roll(np.resize(ODD_FLOATS, width), shift) for shift in range(width)]
+    drawn = data.draw(st.lists(st.lists(csv_floats, min_size=width, max_size=width),
+                               max_size=6))
+    points = np.concatenate([np.hstack([x, u]), np.array(odd + drawn)])
+    points = points[data.draw(st.permutations(range(len(points))))]
+    x, u = points[:, :width // 2], points[:, width // 2:]
+    # the principal cell's label needs quoting; the others are drawn
+    labels = ['a,"b%s'] + data.draw(st.lists(csv_labels, min_size=len(fx.cells) - 1,
+                                              max_size=len(fx.cells) - 1))
+    fx = dataclasses.replace(fx, cells=tuple(
+        dataclasses.replace(cell, name=label) for cell, label in zip(fx.cells, labels)
+    ))
+    times = data.draw(st.none() | st.lists(csv_floats, min_size=len(points),
+                                           max_size=len(points)).map(np.array))
+    with np.errstate(all="ignore"):
+        text = "".join(cli._csv_lines(fx, x, u, phase.MEMBERSHIP_BAND, times))
+        assert text == csv_oracle(fx, x, u, phase.MEMBERSHIP_BAND, times)
+    column = [row[-2] for row in csv.reader(io.StringIO(text, newline=""))][1:]
+    assert column.count("(unresolved)") >= width and labels[0] in column
+
+
+def test_flow_stdout_is_utf8_whatever_the_locale(tmp_path):
+    # a start near the seam Seam(T^2>e×S^1): each row is in CC(e×S^1)
+    src = str(Path(cosphere.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONIOENCODING="ascii", PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    argv = [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+            "-m", "cosphere.cli", "flow", "--fixture", "t2-on-r4",
+            "--start", "0.30003,0,0,0,-1,0,0,0", "--t-end", "0.1"]
+    target = tmp_path / "gap.csv"
+    to_stdout = subprocess.run(argv, env=env, capture_output=True, timeout=300)
+    to_file = subprocess.run(argv + ["--out", str(target)], env=env,
+                             capture_output=True, timeout=300)
+    assert (to_stdout.returncode, to_stdout.stderr) == (0, b"")
+    assert (to_file.returncode, to_file.stderr) == (0, b"")
+    assert to_stdout.stdout == target.read_bytes()
+    assert to_stdout.stdout.count(",CC(e×S^1),".encode()) == 101

@@ -12,6 +12,7 @@ residuals, and the same failure texts.  The per-step RK4 loop is kept the
 same way: the array integrator must give bitwise-equal times and states.
 """
 
+import csv
 from itertools import combinations
 
 import numpy as np
@@ -465,12 +466,13 @@ def test_membership_and_row_labels_match_near_the_bands(fixture_name, scale):
             assert (fx.cells[piece[i]].name, residual[i]) == expected
         else:
             assert isinstance(expected[1], str)
-    # _csv_rows derives its tables from x and u, so its rows take the noise
+    # _csv_lines derives its tables from x and u, so its rows take the noise
     # on the points (off the zero level, covector renormalized)
     x = x + scale * rng.standard_normal(x.shape)
     u = u + scale * rng.standard_normal(u.shape)
     u /= np.linalg.norm(u, axis=1, keepdims=True)
-    rows = cli._csv_rows(fx, x, u, MEMBERSHIP_BAND)
+    header, *rows = csv.reader(cli._csv_lines(fx, x, u, MEMBERSHIP_BAND))
+    assert header[-2:] == ["stratum", "residual"] and len(rows) == len(x)
     ref = [ref_label_row(fx, ref_table(PhasePoint(xi, ui)), MEMBERSHIP_BAND)
            for xi, ui in zip(x, u)]
     assert [row[-2] for row in rows] == [name for name, _ in ref]
