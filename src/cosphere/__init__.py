@@ -18,15 +18,11 @@ from .phase import (
 from .poset import (
     IsotropyPoset,
     OrbitType,
-    ValidationReport,
-    hasse_edges,
-    is_subconjugate,
     poset_from_json,
     poset_to_dot,
     poset_to_json,
     principal_type,
     transitive_closure,
-    validate,
 )
 from .reeb import Trajectory, flow_exact, flow_rk4
 from .strata import (
@@ -37,12 +33,10 @@ from .strata import (
     semifree_diagnostics,
 )
 from .torus import (
-    SupportStabilizer,
     TorusActionSpec,
     build_isotropy_poset,
     spec_from_json,
     spec_to_json,
-    stabilizer_of_support,
 )
 
 __version__ = "0.1.0"
@@ -56,19 +50,15 @@ __all__ = [
     "StratificationResult",
     "Stratum",
     "StratumKind",
-    "SupportStabilizer",
     "TorusActionSpec",
     "Trajectory",
-    "ValidationReport",
     "build_isotropy_poset",
     "check_reduced_membership",
     "cl_stratification",
     "flow_exact",
     "flow_rk4",
     "get_fixture",
-    "hasse_edges",
     "hilbert_map",
-    "is_subconjugate",
     "k0_project",
     "poset_from_json",
     "poset_to_dot",
@@ -77,8 +67,6 @@ __all__ = [
     "semifree_diagnostics",
     "spec_from_json",
     "spec_to_json",
-    "stabilizer_of_support",
     "transitive_closure",
-    "validate",
     "zero_level_arrays",
 ]

@@ -64,9 +64,8 @@ def verify_fixture(
     """
     phase.check_run_inputs(seed=seed)
     spec = fixture.spec
-    poset = torus.build_isotropy_poset(spec)
-    result = strata.cl_stratification(poset)
-    principal_cc = strata.cc_name(strata.principal_type(poset).label)
+    result = strata.cl_stratification(torus.build_isotropy_poset(spec))
+    principal_cc = next(s.name for s in result.cl_strata if s.open_dense)
 
     names = np.array([c.name for c in fixture.cells], dtype=object)
     # the base projection (p1 - 1, 0, 1 - p1) per plane assumes the plane

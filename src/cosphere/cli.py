@@ -92,7 +92,7 @@ def _resolve_source(cfg: RunConfig) -> tuple[IsotropyPoset, TorusActionSpec | No
         spec = spec_from_json(data)
         return torus.build_isotropy_poset(spec), spec
     if "types" in data:
-        return poset_from_json(data), None  # cl_stratification validates it
+        return poset_from_json(data), None  # an invalid poset is refused as it is built
     raise CliInputError(
         f"{cfg.action}: neither an action spec (weights) nor a poset (types)"
     )
@@ -219,7 +219,7 @@ def cmd_reduce(cfg: RunConfig) -> int:
     poset, _ = _resolve_source(cfg)
     result = strata.cl_stratification(poset)
     report = strata.result_to_json(result)
-    report["poset_valid"] = True  # cl_stratification refuses invalid posets
+    report["poset_valid"] = True  # an IsotropyPoset is valid by construction
     text = _dump_json(report)
     if cfg.out:
         _write_text(Path(cfg.out), text)
@@ -478,8 +478,7 @@ def main(argv: list[str] | None = None) -> int:
             seed=cfg.seed, count=cfg.count, band=cfg.tolerance, t_end=cfg.t_end, step=cfg.step
         )
         return commands[cfg.command](cfg)
-    except (CliInputError, PosetError, ActionSpecError, phase.PhaseError,
-            strata.StratificationError) as exc:
+    except (CliInputError, PosetError, ActionSpecError, phase.PhaseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except OSError as exc:

@@ -35,7 +35,7 @@ from itertools import combinations
 
 from .phase import check_full_rank
 from .strata import cc_name, seam_name
-from .torus import TorusActionSpec, stabilizer_of_support
+from .torus import TorusActionSpec, class_label, support_lattices
 
 
 @dataclass(frozen=True)
@@ -67,12 +67,13 @@ def generate_fixture(name: str, title: str, spec: TorusActionSpec) -> Fixture:
     refused with :class:`phase.RankDeficientError`.
     """
     check_full_rank(spec)
+    table = support_lattices(spec)
 
     def subsets(planes):
         return [c for r in range(len(planes) + 1) for c in combinations(planes, r)]
 
     def label(planes):
-        return stabilizer_of_support(spec, planes).label
+        return class_label(spec.k, table[sum(1 << j for j in planes)])
 
     pairs = sorted(
         ((sx, s) for s in subsets(range(spec.n)) if s for sx in subsets(s)),

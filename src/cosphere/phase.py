@@ -43,13 +43,17 @@ from typing import Iterable
 
 import numpy as np
 
-from .torus import TorusActionSpec, stabilizer_of_support
+from .torus import TorusActionSpec, class_label, support_lattices
 
 SUPPORT_TOL = 1e-10
 IDENTITY_TOL = 1e-9
 MEMBERSHIP_BAND = 1e-8
 UNIT_TOL = 1e-12
 MIN_COVECTOR_NORM = 1e-8
+MAX_RETRIES = 64
+# at least 100 times every default, acceptance and benchmark run size
+MAX_SAMPLES = 10**6
+MAX_STEPS = 10**6
 
 
 class PhaseError(ValueError):
@@ -89,15 +93,23 @@ def check_run_inputs(
     The one copy of the rules that the sampler, the membership test, the
     Reeb flow and the command line share: seed and sample count
     nonnegative, the membership band and the flow's ``t_end`` and ``step``
-    finite and positive.  A parameter left None is not checked; ``t_end``
-    and ``step`` are checked together.
+    finite and positive.  At most ``MAX_SAMPLES`` samples and
+    ``MAX_STEPS`` = t_end / step flow steps, so that an absurd size is
+    refused before its arrays are allocated.  A parameter left None is not
+    checked; ``t_end`` and ``step`` are checked together.
     """
     if seed is not None and int(seed) < 0:
         raise PhaseError(f"seed must be nonnegative, got {seed}")
     if count is not None and int(count) < 0:
         raise PhaseError(f"sample count must be nonnegative, got {count}")
+    if count is not None and int(count) > MAX_SAMPLES:
+        raise PhaseError(f"sample count {count} exceeds the cap of {MAX_SAMPLES}")
     if t_end is not None and not (0 < t_end < np.inf and 0 < step < np.inf):
         raise PhaseError(f"need finite positive t_end and step, got {t_end} and {step}")
+    if t_end is not None and t_end / step > MAX_STEPS:
+        raise PhaseError(
+            f"t_end / step = {t_end / step:.6g} flow steps exceeds the cap of {MAX_STEPS}"
+        )
     if band is not None and not 0 < band < np.inf:
         raise PhaseError(f"membership band must be finite and positive, got {band}")
 
@@ -175,7 +187,7 @@ def momenta(spec: TorusActionSpec, tables: np.ndarray) -> np.ndarray:
 
 def check_full_rank(spec: TorusActionSpec) -> None:
     """Refuse a weight matrix of rank below n with :class:`RankDeficientError`."""
-    rank = spec.k - stabilizer_of_support(spec, range(spec.n)).dim_stab
+    rank = len(support_lattices(spec)[(1 << spec.n) - 1])
     if rank < spec.n:
         raise RankDeficientError(
             f"weight matrix has rank {rank} < n = {spec.n}: "
@@ -212,13 +224,12 @@ def support_masks(tables: np.ndarray, tol: float = SUPPORT_TOL) -> np.ndarray:
 def orbit_labels(spec: TorusActionSpec, masks: np.ndarray) -> np.ndarray:
     """Orbit-type label of each (N, n) support row, as an object array.
 
-    The stabilizer is looked up once per distinct support.
+    A row is keyed by its support bitmask, and each distinct support is
+    labelled once from the support table.
     """
-    rows, inverse = np.unique(masks, axis=0, return_inverse=True)
-    labels = np.array(
-        [stabilizer_of_support(spec, np.flatnonzero(r)).label for r in rows],
-        dtype=object,
-    )
+    table = support_lattices(spec)
+    keys, inverse = np.unique(masks @ (1 << np.arange(spec.n)), return_inverse=True)
+    labels = np.array([class_label(spec.k, table[key]) for key in keys.tolist()], dtype=object)
     return labels[inverse.reshape(-1)]
 
 
@@ -283,7 +294,6 @@ def zero_level_arrays(
     count: int,
     support_pattern: Iterable[int] | None = None,
     covector_pattern: Iterable[int] | None = None,
-    max_retries: int = 64,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw exact zero-level cosphere points as (count, 2n) arrays (x, u),
     deterministically from the seed.
@@ -296,9 +306,9 @@ def zero_level_arrays(
     block from ``default_rng(seed)``, one row per sample, so sample i is
     the same for every ``count`` above i.  A row whose projected covector
     is shorter than 1e-8 is redrawn from ``default_rng([seed, i, attempt])``
-    for attempt = 1, 2, ...; after ``max_retries`` draws in all,
-    :class:`RetriesExhaustedError` is raised.  A negative seed or count is
-    refused with :class:`PhaseError`.
+    for attempt = 1, 2, ...; after ``MAX_RETRIES`` draws in all,
+    :class:`RetriesExhaustedError` is raised.  A negative seed or count, or
+    a count over ``MAX_SAMPLES``, is refused with :class:`PhaseError`.
     """
     xcols = _plane_columns(_as_plane_set(support_pattern, spec.n))
     ucols = _plane_columns(_as_plane_set(covector_pattern, spec.n))
@@ -309,7 +319,7 @@ def zero_level_arrays(
     block = np.random.default_rng(int(seed)).standard_normal((int(count), width))
     x, u, ok = _zero_level_rows(spec, xcols, ucols, block)
     for index in np.flatnonzero(~ok):
-        for attempt in range(1, max_retries):
+        for attempt in range(1, MAX_RETRIES):
             redraw = np.random.default_rng([int(seed), int(index), attempt])
             rx, ru, rok = _zero_level_rows(
                 spec, xcols, ucols, redraw.standard_normal((1, width))
@@ -319,7 +329,7 @@ def zero_level_arrays(
                 break
         else:
             raise RetriesExhaustedError(
-                f"no admissible covector after {max_retries} draws for sample {index}"
+                f"no admissible covector after {MAX_RETRIES} draws for sample {index}"
             )
     return x, u
 

@@ -6,10 +6,13 @@ occurring in a proper group action, partially ordered by subconjugation:
 supplied by the caller (or by the torus-action builder in
 :mod:`cosphere.torus`); it is never inferred from group data here.
 
-The supplied order pairs are treated as generators and stored transitively
-closed, so ``is_subconjugate`` is a set lookup.  Cyclic input survives
-construction but is reported by :func:`validate` (the closure of a cycle
-contains reflexive pairs).
+An :class:`IsotropyPoset` is valid by construction.  More than
+``MAX_TYPES`` types are refused before any work on the order.  The
+supplied order pairs are then treated as generators and stored
+transitively closed, and the invariants are checked once, on the closed
+order.  A poset that breaks any of them, a cyclic order included (its
+closure contains reflexive pairs), is refused with
+:class:`InvalidPosetError`, which names every violation.
 """
 
 from __future__ import annotations
@@ -26,16 +29,16 @@ class PosetError(ValueError):
     pass
 
 
-class UnknownLabelError(PosetError):
-    pass
-
-
 class CyclicRelationError(PosetError):
     pass
 
 
+class InvalidPosetError(PosetError):
+    pass
+
+
 class NoUniqueMinimumError(PosetError):
-    """No unique minimal orbit type: quotient disconnected or input invalid."""
+    """No unique minimal orbit type: the quotient is disconnected."""
 
 
 def _integer(value, name: str, error: type[ValueError] = PosetError) -> int:
@@ -82,16 +85,6 @@ def covers(closed: frozenset[tuple[str, str]]) -> frozenset[tuple[str, str]]:
     return frozenset((a, b) for a, b in closed if succ[a].isdisjoint(pred[b]))
 
 
-def hasse_edges(pairs: Iterable[tuple[str, str]]) -> frozenset[tuple[str, str]]:
-    """Transitive reduction (covering relations) of a finite strict order.
-
-    Accepts any generating set of pairs; raises :class:`CyclicRelationError`
-    if the generated relation is not a strict order.  Re-taking the
-    transitive closure of the result recovers the closure of the input.
-    """
-    return covers(transitive_closure(pairs))
-
-
 @dataclass(frozen=True)
 class OrbitType:
     """One conjugacy class (H) of stabilizer subgroups.
@@ -114,8 +107,9 @@ class IsotropyPoset:
     ``order`` holds pairs ``(a, b)`` meaning ``(a) < (b)``; it is stored as
     the transitive closure of whatever generators were passed in.
     ``dim_Q_of`` maps each label to the dimension of its orbit-type manifold
-    Q_(H) (all components are assumed equidimensional; ``validate`` records
-    the assumption).
+    Q_(H), whose components are assumed equidimensional.  Construction
+    raises :class:`InvalidPosetError` unless the data form a valid isotropy
+    lattice (see the module docstring).
     """
 
     types: tuple[OrbitType, ...]
@@ -126,44 +120,26 @@ class IsotropyPoset:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "types", tuple(self.types))
-        object.__setattr__(
-            self, "order", transitive_closure(tuple((a, b) for a, b in self.order))
-        )
-        object.__setattr__(self, "dim_Q_of", dict(self.dim_Q_of))
-
-    def labels(self) -> tuple[str, ...]:
-        return tuple(t.label for t in self.types)
-
-    def get_type(self, label: str) -> OrbitType:
-        for t in self.types:
-            if t.label == label:
-                return t
-        raise UnknownLabelError(f"no orbit type labelled {label!r}")
+        # the closure is cubic in the number of labels, so the cap comes first
+        if len(self.types) > MAX_TYPES:
+            bad = [f"{len(self.types)} orbit types exceeds the cap of {MAX_TYPES}"]
+        else:
+            object.__setattr__(
+                self, "order", transitive_closure(tuple((a, b) for a, b in self.order))
+            )
+            object.__setattr__(self, "dim_Q_of", dict(self.dim_Q_of))
+            bad = _violations(self)
+        if bad:
+            raise InvalidPosetError("invalid isotropy poset: " + "; ".join(bad))
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple[str, ...] = ()
-    notes: tuple[str, ...] = ()
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def validate(poset: IsotropyPoset) -> ValidationReport:
-    """Check the isotropy-lattice invariants; pure and idempotent.
-
-    Returns a report listing every violated invariant (empty list means the
-    poset is valid).  Notes record standing assumptions that cannot be
-    checked from combinatorial data alone.
-    """
+def _violations(poset: IsotropyPoset) -> list[str]:
+    """Every violated isotropy-lattice invariant of a poset of at most
+    ``MAX_TYPES`` types whose order is closed; empty when it is valid."""
     bad: list[str] = []
     labels = [t.label for t in poset.types]
     if not labels:
         bad.append("type list is empty")
-    if len(labels) > MAX_TYPES:
-        bad.append(f"{len(labels)} orbit types exceeds the cap of {MAX_TYPES}")
     if len(set(labels)) != len(labels):
         bad.append("orbit type labels are not unique")
     if poset.dim_G < 0 or poset.dim_Q < 0:
@@ -216,28 +192,14 @@ def validate(poset: IsotropyPoset) -> ValidationReport:
                     f"({a!r}) < ({b!r}) with equal dimension and equal finite tag: "
                     "strict subconjugation needs distinct finite data"
                 )
-
-    notes = (
-        "components of each orbit-type manifold are assumed equidimensional; "
-        "dim_Q_of records that common dimension",
-    )
-    return ValidationReport(tuple(bad), notes)
-
-
-def is_subconjugate(poset: IsotropyPoset, a: str, b: str) -> bool:
-    """True iff ``(a) < (b)`` in the stored strict order."""
-    known = set(poset.labels())
-    for lab in (a, b):
-        if lab not in known:
-            raise UnknownLabelError(f"no orbit type labelled {lab!r}")
-    return (a, b) in poset.order
+    return bad
 
 
 def principal_type(poset: IsotropyPoset) -> OrbitType:
     """The unique minimal orbit type (principal orbits).
 
     Raises :class:`NoUniqueMinimumError` when minimality is not unique,
-    which signals a disconnected quotient or invalid input.
+    which signals a disconnected quotient.
     """
     have_something_below = {b for _, b in poset.order}
     minimal = [t for t in poset.types if t.label not in have_something_below]
@@ -285,15 +247,12 @@ def poset_from_json(data: dict) -> IsotropyPoset:
                                    is_identity=(dim_h == 0 and tag is None), finite_tag=tag))
             dim_q_of[str(t["label"])] = _integer(t["dim_Q_of"], "dim_Q_of")
         order = frozenset((str(a), str(b)) for a, b in data["order"])
-        return IsotropyPoset(
-            types=tuple(types),
-            order=order,
-            dim_Q_of=dim_q_of,
-            dim_G=_integer(data["dim_G"], "dim_G"),
-            dim_Q=_integer(data["dim_Q"], "dim_Q"),
-        )
+        dim_g, dim_q = _integer(data["dim_G"], "dim_G"), _integer(data["dim_Q"], "dim_Q")
     except (KeyError, TypeError, ValueError) as exc:
         raise PosetError(f"malformed isotropy poset JSON: {exc}") from exc
+    # outside the try: an invalid poset is refused as such, not as malformed
+    return IsotropyPoset(types=tuple(types), order=order, dim_Q_of=dim_q_of,
+                         dim_G=dim_g, dim_Q=dim_q)
 
 
 def poset_to_dot(poset: IsotropyPoset) -> str:

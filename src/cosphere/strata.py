@@ -48,16 +48,7 @@ from .poset import (
     OrbitType,
     covers,
     principal_type,
-    validate,
 )
-
-
-class StratificationError(ValueError):
-    pass
-
-
-class InvalidPosetError(StratificationError):
-    pass
 
 
 class StratumKind(str, Enum):
@@ -106,12 +97,6 @@ class StratificationResult:
     starred: tuple[str, ...]
     total_types: int
     smooth_total_space: bool
-
-
-def _require_valid(poset: IsotropyPoset) -> None:
-    report = validate(poset)
-    if not report.ok:
-        raise InvalidPosetError("invalid isotropy poset: " + "; ".join(report.violations))
 
 
 def quotient_dims(poset: IsotropyPoset) -> dict[str, int]:
@@ -187,7 +172,6 @@ def semifree_diagnostics(poset: IsotropyPoset) -> tuple[str, ...]:
     of the paper labelled (a), (b) or (c).  :func:`cl_stratification`
     states the verdict as ``smooth_total_space``.
     """
-    _require_valid(poset)
     return _semifree_diagnostics(poset, quotient_dims(poset), _principal(poset))
 
 
@@ -212,7 +196,6 @@ def cl_stratification(poset: IsotropyPoset) -> StratificationResult:
     types.  Each pair arises once, so no pair set and no second sort is
     needed.
     """
-    _require_valid(poset)
     dims = quotient_dims(poset)
     starred = frozenset(label for label, d in dims.items() if d >= 1)
     below = {t.label: {t.label} for t in poset.types}  # L and every type under it

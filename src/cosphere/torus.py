@@ -10,12 +10,16 @@ point with plane support S is the joint kernel
 so it is determined by the sublattice Lambda_S of Z^k spanned by the
 support's weight columns.  Two supports give the same stabilizer exactly
 when those column lattices coincide, and containment of stabilizers is
-reverse containment of lattices.  Each support's lattice gets one Hermite
-normal form over Z, its canonical basis, computed in Python ints by the
+reverse containment of lattices.  One support table per spec,
+:func:`support_lattices`, holds the canonical basis of every support's
+lattice: its Hermite normal form over Z, computed in Python ints by the
 column reduction of Cohen, *A Course in Computational Algebraic Number
 Theory*, GTM 138, Algorithm 2.4.5: bottom row up, extended-gcd column
 operations, positive pivots, entries right of a pivot reduced into
-[0, pivot).  Containment needs no further normal form:
+[0, pivot).  Every stabilizer is read off that table: the orbit types and
+their order, the label of a sampled point's support, the rank of the
+weight matrix and the cells of a fixture.  Containment needs no further
+normal form:
 Lambda_S + Lambda_T = Lambda_(S u T), so Lambda_T lies in Lambda_S exactly
 when the support table gives S u T the basis of S.  The finite part of a
 stabilizer comes from a Smith elimination of the canonical basis.  Nothing
@@ -27,7 +31,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 from .poset import MAX_TYPES, IsotropyPoset, OrbitType, _integer
 
@@ -214,70 +219,34 @@ def class_label(k: int, basis: tuple[tuple[int, ...], ...]) -> str:
     return f"ker[{gens}]"
 
 
-@dataclass(frozen=True)
-class SupportStabilizer:
-    """Stabilizer data of the points whose nonzero planes are ``support``."""
-
-    support: tuple[int, ...]
-    dim_stab: int
-    finite_invariants: tuple[int, ...]
-    lattice_basis: tuple[tuple[int, ...], ...]
-    label: str
-
-
-def stabilizer_of_support(spec: TorusActionSpec, support: Iterable[int]) -> SupportStabilizer:
-    """Exact stabilizer of the support-S cell; planes are indexed from 0.
-
-    ``dim_stab`` is k minus the rank of the support's weight columns;
-    ``finite_invariants`` are the nontrivial elementary divisors of that
-    submatrix (the component group of the stabilizer is their product of
-    cyclic factors).  Empty support gives the full torus.
-    """
-    s = tuple(sorted(set(int(j) for j in support)))
-    for j in s:
-        if j < 0 or j >= spec.n:
-            raise ActionSpecError(f"plane index {j} outside 0..{spec.n - 1}")
-    return _stabilizer_cached(spec.weights, spec.k, s)
-
-
-@lru_cache(maxsize=65536)
-def _stabilizer_cached(
-    weights: tuple[tuple[int, ...], ...], k: int, s: tuple[int, ...]
-) -> SupportStabilizer:
-    # per-sample classification hits the same few supports over and over
-    basis = _lattice_hnf([tuple(row[j] for row in weights) for j in s], k)
-    return SupportStabilizer(
-        support=s,
-        dim_stab=k - len(basis),
-        finite_invariants=_nontrivial_divisors(basis, k),
-        lattice_basis=basis,
-        label=class_label(k, basis),
-    )
-
-
-def _support_lattices(spec: TorusActionSpec) -> dict[int, tuple[tuple[int, ...], ...]]:
+@lru_cache(maxsize=16)
+def support_lattices(spec: TorusActionSpec) -> Mapping[int, tuple[tuple[int, ...], ...]]:
     """Canonical basis of Lambda_S for every plane support S, by increasing |S|.
 
     A support is keyed by its bitmask, the sum of 1 << j over its planes, so
     a union of supports is an ``|``.  The table is built incrementally:
     combinations come by increasing size, so S minus its last plane j is
     already in the table, and HNF(S) is the HNF of that basis plus column
-    j, at most k + 1 columns whatever |S| is.
+    j, at most k + 1 columns whatever |S| is.  The stabilizer of support S
+    is labelled ``class_label(spec.k, table[S])`` and the rank of the weight
+    matrix is the size of the basis of all planes.  The table is built once
+    per spec and shared, so it is read-only.
     """
+    columns = [spec.column(j) for j in range(spec.n)]
     basis_of = {0: ()}
     for r in range(1, spec.n + 1):
         for planes in itertools.combinations(range(spec.n), r):
             j = planes[-1]
             mask = sum(1 << i for i in planes)
-            basis_of[mask] = _lattice_hnf(basis_of[mask ^ (1 << j)] + (spec.column(j),), spec.k)
-    return basis_of
+            basis_of[mask] = _lattice_hnf(basis_of[mask ^ (1 << j)] + (columns[j],), spec.k)
+    return MappingProxyType(basis_of)
 
 
 def build_isotropy_poset(spec: TorusActionSpec) -> IsotropyPoset:
     """Isotropy lattice of the lifted action, from exhaustive support classes.
 
     HNF runs once per support, incrementally on the basis of the support
-    minus one plane (see :func:`_support_lattices`); everything else is read
+    minus one plane (see :func:`support_lattices`); everything else is read
     off that support table.  Each stabilizer class contributes one orbit
     type, whose finite part is one Smith elimination of the class basis.
     The union of two supports of one class is again in the class
@@ -290,7 +259,7 @@ def build_isotropy_poset(spec: TorusActionSpec) -> IsotropyPoset:
     :class:`ActionSpecError` as soon as the table is built, before the
     quadratic order pass.
     """
-    basis_of = _support_lattices(spec)
+    basis_of = support_lattices(spec)
     # supports come by increasing size, so the last one seen in a class is
     # its largest, which is the union of the class
     top = {basis: s for s, basis in basis_of.items()}

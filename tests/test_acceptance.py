@@ -14,7 +14,7 @@ import numpy as np
 
 from cosphere import checks, phase, reeb, strata, torus
 from cosphere.fixtures import get_fixture
-from cosphere.poset import IsotropyPoset, OrbitType, validate
+from cosphere.poset import IsotropyPoset, OrbitType, PosetError
 from cosphere.strata import StratumKind
 from cosphere.torus import TorusActionSpec
 from test_strata import report_closure_only
@@ -43,7 +43,7 @@ def test_criterion_1_two_plane_inventory():
         t0 = time.perf_counter()
         spec = TorusActionSpec(k=2, n=2, weights=((1, 0), (0, 1)))
         poset = torus.build_isotropy_poset(spec)
-        assert set(poset.labels()) == {"e", "S^1×e", "e×S^1", "T^2"}
+        assert {t.label for t in poset.types} == {"e", "S^1×e", "e×S^1", "T^2"}
         assert poset.dim_Q_of == {"e": 4, "S^1×e": 2, "e×S^1": 2, "T^2": 0}
         result = strata.cl_stratification(poset)
         assert len(result.cl_strata) == 8
@@ -221,19 +221,19 @@ def test_criterion_6_randomized_robustness():
         rng = random.Random(20260814)
         failures: list[str] = []
         for i in range(500):
-            poset = _random_poset(rng)
-            report = validate(poset)
-            if not report.ok:
-                failures.append(f"poset {i}: {report.violations}")
+            try:
+                poset = _random_poset(rng)
+            except PosetError as exc:
+                failures.append(f"poset {i}: {exc}")
                 continue
             _structural_properties(poset, f"poset {i}", failures)
 
         for i in range(200):
             spec = _random_weights(rng)
-            poset = torus.build_isotropy_poset(spec)
-            report = validate(poset)
-            if not report.ok:
-                failures.append(f"weights {i}: {report.violations}")
+            try:
+                poset = torus.build_isotropy_poset(spec)
+            except PosetError as exc:
+                failures.append(f"weights {i}: {exc}")
                 continue
             _structural_properties(poset, f"weights {i}", failures)
             x, u = phase.zero_level_arrays(spec, seed=i, count=2)

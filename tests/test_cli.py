@@ -111,6 +111,18 @@ def test_bad_inputs_exit_2(tmp_path, capsys):
     assert run(capsys, "reduce", "--action", str(spec)) == (
         2, "", f"error: {over['types']} orbit types exceeds the cap of {poset_mod.MAX_TYPES}\n")
 
+    # so is a poset file over the cap, by the cap alone, before any order work
+    m = poset_mod.MAX_TYPES + 1
+    chain = tmp_path / "chain_poset.json"
+    chain.write_text(json.dumps({
+        "dim_Q": 2 * m, "dim_G": 1,
+        "types": [{"label": f"t{i}", "dim_H": 0, "dim_Q_of": 2 * m - i}
+                  | ({"finite_tag": str(i + 1)} if i else {}) for i in range(m)],
+        "order": [[f"t{i}", f"t{i + 1}"] for i in range(m - 1)],
+    }))
+    assert run(capsys, "reduce", "--action", str(chain)) == (
+        2, "", f"error: invalid isotropy poset: {m} orbit types exceeds the cap of {m - 1}\n")
+
     # fields that are not integers, including floats and bools, which must
     # not be truncated to the report of another spec
     for bad in ({"k": "x", "n": 1, "weights": [[1]]},
@@ -142,6 +154,13 @@ def test_bad_inputs_exit_2(tmp_path, capsys):
                  ["flow", "--fixture", "s1-on-r2", "--step", "0"],
                  ["flow", "--fixture", "s1-on-r2", "--t-end", "-1"],
                  ["flow", "--fixture", "s1-on-r2", "--t-end", "nan"],
+                 # run sizes past MAX_SAMPLES and MAX_STEPS
+                 ["verify", "--fixture", "s1-on-r2", "--count", "1000000000000"],
+                 ["verify", "--fixture", "s1-on-r2", "--count", str(phase.MAX_SAMPLES + 1)],
+                 ["examples", "--count", str(phase.MAX_SAMPLES + 1),
+                  "--out", str(tmp_path / "examples")],
+                 ["flow", "--fixture", "s1-on-r2", "--step", "1e-300"],
+                 ["flow", "--fixture", "s1-on-r2", "--t-end", "1e300"],
                  # negative seeds, also where every probe seed would be positive
                  ["flow", "--fixture", "s1-on-r2", "--seed", "-1"],
                  ["verify", "--fixture", "s1-on-r2", "--count", "10", "--seed", "-1"],
@@ -167,7 +186,11 @@ def test_bad_inputs_exit_2(tmp_path, capsys):
                   "--out", str(refused / "f.csv")],
                  ["verify", "--fixture", "s1-on-r2", "--seed", "-1", "--out", str(refused)],
                  ["examples", "--count", "10", "--seed", "-1", "--out", str(refused)],
-                 ["examples", "--count", "10", "--tolerance", "nan", "--out", str(refused)]):
+                 ["examples", "--count", "10", "--tolerance", "nan", "--out", str(refused)],
+                 ["verify", "--fixture", "s1-on-r2", "--count", str(phase.MAX_SAMPLES + 1),
+                  "--out", str(refused)],
+                 ["flow", "--fixture", "s1-on-r2", "--step", "1e-300",
+                  "--out", str(refused / "f.csv")]):
         code, out, err = run(capsys, *args)
         assert code == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1
     assert not refused.exists()
@@ -354,17 +377,12 @@ def exercise_api(fixture, seed):
     poset = torus.build_isotropy_poset(spec)
     result = strata.cl_stratification(poset)
 
-    poset_mod.validate(poset)
-    labels = poset.labels()
-    poset_mod.is_subconjugate(poset, labels[0], labels[-1])
-    poset_mod.hasse_edges(poset.order)
     poset_mod.transitive_closure(poset.order)
     poset_mod.principal_type(poset)
     back = poset_mod.poset_from_json(poset_mod.poset_to_json(poset))
     assert back == poset
     poset_mod.poset_to_dot(poset)
 
-    torus.stabilizer_of_support(spec, range(spec.n))
     assert torus.spec_from_json(torus.spec_to_json(spec)) == spec
 
     assert (not strata.semifree_diagnostics(poset)) == result.smooth_total_space

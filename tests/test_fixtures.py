@@ -5,12 +5,13 @@ points, and the C-L stratification."""
 import numpy as np
 import pytest
 
-from cosphere import checks, phase, reeb, strata, torus
+from cosphere import checks, phase, poset as poset_mod, reeb, strata, torus
 from cosphere.fixtures import generate_fixture, get_fixture
 from cosphere.phase import RankDeficientError
 from cosphere.torus import TorusActionSpec
 
 from hand_pieces import oracle_labels
+from test_torus import support_label
 
 FIXTURES = ("s1-on-r2", "t2-on-r4")
 
@@ -50,8 +51,8 @@ def support_labels(spec, x, u):
     on = on_x | (us != 0).any(axis=-1)
     labels = []
     for sx, s in zip(on_x, on):
-        upper = torus.stabilizer_of_support(spec, np.flatnonzero(sx)).label
-        lower = torus.stabilizer_of_support(spec, np.flatnonzero(s)).label
+        upper = support_label(spec, np.flatnonzero(sx))
+        lower = support_label(spec, np.flatnonzero(s))
         labels.append(f"CC({lower})" if upper == lower else f"Seam({upper}>{lower})")
     return labels
 
@@ -130,7 +131,7 @@ def test_every_generated_name_is_a_piece_of_the_stratification(spec):
     # one cell per pair S_x ⊆ S of plane sets, S nonempty
     assert len(set(names)) == len(names) == 3 ** spec.n - 1
     assert set(names) <= {s.name for s in result.cl_strata}
-    assert names[0] == strata.cc_name(strata.principal_type(poset).label)
+    assert names[0] == strata.cc_name(poset_mod.principal_type(poset).label)
     assert checks.verify_fixture(fx, seed=1, count=300)["passed"]
 
 

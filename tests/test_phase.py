@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from cosphere import phase
 from cosphere.fixtures import Cell, Fixture, get_fixture
 from cosphere.phase import (
     EmptyKernelError,
+    MAX_SAMPLES,
+    MAX_STEPS,
     MEMBERSHIP_BAND,
     NoMatchingStratumError,
     NotOnZeroLevelError,
@@ -15,6 +18,7 @@ from cosphere.phase import (
     RankDeficientError,
     RetriesExhaustedError,
     check_reduced_membership,
+    check_run_inputs,
     cone_residuals,
     cosphere_sums,
     hilbert_map,
@@ -208,6 +212,8 @@ def test_sampler_respects_patterns():
         zero_level_arrays(T2, seed=-1, count=1)
     with pytest.raises(PhaseError, match="count must be nonnegative, got -1"):
         zero_level_arrays(T2, seed=0, count=-1)
+    with pytest.raises(PhaseError, match=f"count {MAX_SAMPLES + 1} exceeds the cap of"):
+        zero_level_arrays(T2, seed=0, count=MAX_SAMPLES + 1)
     x, u = zero_level_arrays(T2, seed=0, count=0)
     assert x.shape == u.shape == (0, 4)
     assert reduced_images(invariant_tables(x, u)).shape == (0, 6)
@@ -236,8 +242,23 @@ def test_sampler_redraws_rows_without_a_covector(monkeypatch):
     for index in range(3):
         assert x[index].tolist() == real_rng([4, index, 1]).standard_normal(8)[:4].tolist()
     assert np.max(np.abs(momenta(T2, invariant_tables(x, u)))) < 1e-12
+    monkeypatch.setattr(phase, "MAX_RETRIES", 1)
     with pytest.raises(RetriesExhaustedError, match="after 1 draws for sample 0"):
-        zero_level_arrays(T2, seed=4, count=3, max_retries=1)
+        zero_level_arrays(T2, seed=4, count=3)
+
+
+def test_run_sizes_are_capped():
+    # the caps themselves pass; one more sample or step is refused, and so
+    # is a size that would not fit in memory
+    check_run_inputs(count=MAX_SAMPLES, t_end=float(MAX_STEPS), step=1.0)
+    with pytest.raises(PhaseError, match=f"sample count {MAX_SAMPLES + 1} exceeds"):
+        check_run_inputs(count=MAX_SAMPLES + 1)
+    with pytest.raises(PhaseError, match="sample count 1000000000000 exceeds"):
+        check_run_inputs(count=10**12)
+    with pytest.raises(PhaseError, match=f"flow steps exceeds the cap of {MAX_STEPS}"):
+        check_run_inputs(t_end=float(MAX_STEPS) + 1.0, step=1.0)
+    with pytest.raises(PhaseError, match="t_end / step = 2e[+]300 flow steps"):
+        check_run_inputs(t_end=2.0, step=1e-300)
 
 
 # ------------------------------------------------------------ membership

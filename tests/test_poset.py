@@ -1,25 +1,27 @@
 """Isotropy poset layer: closure, reduction, validation, serialization."""
 
 import itertools
+import re
 
 import pytest
 from hypothesis import given, strategies as st
 
+from cosphere import poset as poset_module
 from cosphere.poset import (
+    MAX_TYPES,
     CyclicRelationError,
+    InvalidPosetError,
     IsotropyPoset,
     NoUniqueMinimumError,
     OrbitType,
     PosetError,
-    UnknownLabelError,
-    hasse_edges,
-    is_subconjugate,
+    _violations,
+    covers,
     poset_from_json,
     poset_to_dot,
     poset_to_json,
     principal_type,
     transitive_closure,
-    validate,
 )
 
 LABELS = "ABCDEFGH"
@@ -81,7 +83,7 @@ def test_transitive_closure_is_idempotent(pairs):
 @given(dags())
 def test_hasse_regenerates_the_closure(data):
     _, pairs = data
-    reduced = hasse_edges(pairs)
+    reduced = covers(transitive_closure(pairs))
     assert transitive_closure(reduced) == transitive_closure(pairs)
 
 
@@ -89,19 +91,20 @@ def test_hasse_regenerates_the_closure(data):
 def test_hasse_has_no_composite_edges(data):
     _, pairs = data
     closed = transitive_closure(pairs)
-    for a, b in hasse_edges(pairs):
+    for a, b in covers(closed):
         assert not any((a, c) in closed and (c, b) in closed for c, _ in closed)
 
 
 def test_hasse_drops_the_diagonal_shortcut():
-    assert hasse_edges([("A", "B"), ("B", "C"), ("A", "C")]) == {("A", "B"), ("B", "C")}
+    closed = transitive_closure([("A", "B"), ("B", "C"), ("A", "C")])
+    assert covers(closed) == {("A", "B"), ("B", "C")}
 
 
 def test_hasse_rejects_cycles():
     with pytest.raises(CyclicRelationError):
-        hasse_edges([("A", "B"), ("B", "A")])
+        covers(transitive_closure([("A", "B"), ("B", "A")]))
     with pytest.raises(CyclicRelationError):
-        hasse_edges([("A", "A")])
+        covers(transitive_closure([("A", "A")]))
 
 
 def two_plane_poset():
@@ -123,154 +126,171 @@ def test_post_init_stores_the_closure():
     assert len(poset.order) == 5
 
 
-def test_labels_and_get_type():
-    poset = two_plane_poset()
-    assert poset.labels() == ("e", "S^1×e", "e×S^1", "T^2")
-    assert poset.get_type("T^2").dim_H == 2
-    with pytest.raises(UnknownLabelError):
-        poset.get_type("nope")
+def refused(text):
+    """Construction must raise, naming the violation ``text``."""
+    return pytest.raises(InvalidPosetError, match=re.escape(text))
 
 
 def test_validate_accepts_the_reference_lattice():
-    report = validate(two_plane_poset())
-    assert report.ok
-    assert report.violations == ()
-    assert report.notes
+    poset = two_plane_poset()  # an invalid poset raises here
+    assert _violations(poset) == []
 
 
 def test_validate_flags_empty_and_duplicate_types():
-    empty = IsotropyPoset((), frozenset(), {}, 0, 0)
-    assert "empty" in ";".join(validate(empty).violations)
-    dup = IsotropyPoset(
-        (OrbitType("A", 0), OrbitType("A", 0)),
-        frozenset(),
-        {"A": 1},
-        1,
-        1,
-    )
-    assert any("not unique" in v for v in validate(dup).violations)
+    with refused("invalid isotropy poset: type list is empty"):
+        IsotropyPoset((), frozenset(), {}, 0, 0)
+    with refused("orbit type labels are not unique"):
+        IsotropyPoset(
+            (OrbitType("A", 0), OrbitType("A", 0)),
+            frozenset(),
+            {"A": 1},
+            1,
+            1,
+        )
 
 
 def test_validate_flags_unknown_order_labels():
-    p = IsotropyPoset(
-        (OrbitType("A", 0, is_identity=True),),
-        {("A", "Z")},
-        {"A": 1},
-        1,
-        1,
-    )
-    assert any("unknown label" in v for v in validate(p).violations)
+    with refused("order pair ('A', 'Z') references an unknown label"):
+        IsotropyPoset(
+            (OrbitType("A", 0, is_identity=True),),
+            {("A", "Z")},
+            {"A": 1},
+            1,
+            1,
+        )
 
 
 def test_validate_flags_bad_dimensions():
-    p = IsotropyPoset(
-        (OrbitType("A", 3),),
-        frozenset(),
-        {"A": 1},
-        2,
-        1,
-    )
-    assert any("outside [0, dim_G]" in v for v in validate(p).violations)
-    q = IsotropyPoset(
-        (OrbitType("A", 0, is_identity=True),),
-        frozenset(),
-        {"A": 9},
-        1,
-        3,
-    )
-    assert any("outside [0, dim_Q]" in v for v in validate(q).violations)
+    with refused("type 'A': dim_H = 3 outside [0, dim_G]"):
+        IsotropyPoset(
+            (OrbitType("A", 3),),
+            frozenset(),
+            {"A": 1},
+            2,
+            1,
+        )
+    with refused("type 'A': dim_Q_of = 9 outside [0, dim_Q]"):
+        IsotropyPoset(
+            (OrbitType("A", 0, is_identity=True),),
+            frozenset(),
+            {"A": 9},
+            1,
+            3,
+        )
 
 
 def test_validate_flags_orbit_dimension_deficit():
     # an orbit of the trivial class has dimension dim_G = 2, so a
     # 1-dimensional orbit-type manifold cannot contain it
-    p = IsotropyPoset(
-        (OrbitType("A", 0, is_identity=True),),
-        frozenset(),
-        {"A": 1},
-        2,
-        4,
-    )
-    assert any("below the orbit dimension" in v for v in validate(p).violations)
+    with refused("type 'A': dim_Q_of = 1 below the orbit dimension 2"):
+        IsotropyPoset(
+            (OrbitType("A", 0, is_identity=True),),
+            frozenset(),
+            {"A": 1},
+            2,
+            4,
+        )
 
 
 def test_validate_flags_missing_and_extra_dim_entries():
-    p = IsotropyPoset((OrbitType("A", 0),), frozenset(), {"B": 1}, 1, 2)
-    out = ";".join(validate(p).violations)
-    assert "missing dim_Q_of" in out and "matches no orbit type" in out
+    with pytest.raises(InvalidPosetError) as info:
+        IsotropyPoset((OrbitType("A", 0),), frozenset(), {"B": 1}, 1, 2)
+    out = str(info.value)
+    assert "type 'A': missing dim_Q_of entry" in out
+    assert "dim_Q_of entry 'B' matches no orbit type" in out
 
 
 def test_validate_flags_two_identity_classes():
-    p = IsotropyPoset(
-        (OrbitType("A", 0, is_identity=True), OrbitType("B", 0, is_identity=True)),
-        frozenset(),
-        {"A": 2, "B": 2},
-        1,
-        2,
-    )
-    assert any("more than one" in v for v in validate(p).violations)
+    with refused("more than one orbit type is flagged as the identity class"):
+        IsotropyPoset(
+            (OrbitType("A", 0, is_identity=True), OrbitType("B", 0, is_identity=True)),
+            frozenset(),
+            {"A": 2, "B": 2},
+            1,
+            2,
+        )
 
 
 def test_validate_flags_identity_with_finite_tag():
-    p = IsotropyPoset(
-        (OrbitType("A", 0, is_identity=True, finite_tag="2"),),
-        frozenset(),
-        {"A": 2},
-        1,
-        2,
-    )
-    assert any("identity class" in v for v in validate(p).violations)
+    with refused("type 'A': identity class must have dim 0 and no finite tag"):
+        IsotropyPoset(
+            (OrbitType("A", 0, is_identity=True, finite_tag="2"),),
+            frozenset(),
+            {"A": 2},
+            1,
+            2,
+        )
 
 
 def test_validate_flags_cycles_as_order_violations():
-    p = IsotropyPoset(
-        (OrbitType("A", 0, is_identity=True), OrbitType("B", 1)),
-        {("A", "B"), ("B", "A")},
-        {"A": 2, "B": 1},
-        1,
-        2,
-    )
-    out = ";".join(validate(p).violations)
-    assert "irreflexive" in out or "antisymmetric" in out
+    with pytest.raises(InvalidPosetError, match="irreflexive|antisymmetric"):
+        IsotropyPoset(
+            (OrbitType("A", 0, is_identity=True), OrbitType("B", 1)),
+            {("A", "B"), ("B", "A")},
+            {"A": 2, "B": 1},
+            1,
+            2,
+        )
 
 
 def test_validate_flags_dimension_reversal_along_order():
-    p = IsotropyPoset(
-        (OrbitType("A", 1), OrbitType("B", 0, is_identity=True)),
-        {("A", "B")},
-        {"A": 1, "B": 2},
-        1,
-        2,
-    )
-    assert any("cannot exceed" in v for v in validate(p).violations)
+    with refused("('A') < ('B') but dim 1 > 0: a subgroup cannot exceed"):
+        IsotropyPoset(
+            (OrbitType("A", 1), OrbitType("B", 0, is_identity=True)),
+            {("A", "B")},
+            {"A": 1, "B": 2},
+            1,
+            2,
+        )
 
 
 def test_validate_requires_distinct_finite_data_at_equal_dimension():
-    p = IsotropyPoset(
+    IsotropyPoset(
         (OrbitType("A", 0, is_identity=True), OrbitType("B", 0, finite_tag="2")),
         {("A", "B")},
         {"A": 4, "B": 2},
         1,
         4,
     )
-    assert validate(p).ok
-    q = IsotropyPoset(
-        (OrbitType("A", 0, finite_tag="2"), OrbitType("B", 0, finite_tag="2")),
-        {("A", "B")},
-        {"A": 4, "B": 2},
-        1,
-        4,
+    with refused("('A') < ('B') with equal dimension and equal finite tag: "
+                 "strict subconjugation needs distinct finite data"):
+        IsotropyPoset(
+            (OrbitType("A", 0, finite_tag="2"), OrbitType("B", 0, finite_tag="2")),
+            {("A", "B")},
+            {"A": 4, "B": 2},
+            1,
+            4,
+        )
+
+
+def chain_types(m):
+    """A valid chain t0 < t1 < ... of m finite types, as constructor fields."""
+    types = [OrbitType("t0", 0, is_identity=True)]
+    types += [OrbitType(f"t{i}", 0, finite_tag=str(i + 1)) for i in range(1, m)]
+    order = {(f"t{i}", f"t{i + 1}") for i in range(m - 1)}
+    return types, order, {f"t{i}": 2 * m - i for i in range(m)}, 1, 2 * m
+
+
+def test_the_type_cap_is_checked_before_the_closure(monkeypatch):
+    assert len(IsotropyPoset(*chain_types(MAX_TYPES)).order) == MAX_TYPES * (MAX_TYPES - 1) // 2
+
+    def no_closure(pairs):
+        raise AssertionError("transitive_closure ran on an over-cap poset")
+
+    monkeypatch.setattr(poset_module, "transitive_closure", no_closure)
+    with pytest.raises(InvalidPosetError) as info:
+        IsotropyPoset(*chain_types(MAX_TYPES + 1))
+    # the cap alone: nothing else is checked on a refused size
+    assert str(info.value) == (
+        f"invalid isotropy poset: {MAX_TYPES + 1} orbit types exceeds the cap of {MAX_TYPES}"
     )
-    assert any("distinct finite data" in v for v in validate(q).violations)
 
 
 def test_is_subconjugate_is_the_closure_lookup():
-    poset = two_plane_poset()
-    assert is_subconjugate(poset, "e", "T^2")
-    assert not is_subconjugate(poset, "T^2", "e")
-    assert not is_subconjugate(poset, "S^1×e", "e×S^1")
-    with pytest.raises(UnknownLabelError):
-        is_subconjugate(poset, "e", "nope")
+    order = two_plane_poset().order
+    assert ("e", "T^2") in order
+    assert ("T^2", "e") not in order
+    assert ("S^1×e", "e×S^1") not in order
 
 
 def test_principal_type_of_the_reference_lattice():
@@ -291,7 +311,7 @@ def test_principal_type_requires_a_unique_minimum():
 
 @st.composite
 def valid_posets(draw):
-    """Posets that pass validate(): dims strictly follow the order."""
+    """Valid posets: dims strictly follow the order."""
     n = draw(st.integers(min_value=1, max_value=6))
     labels = list(LABELS[:n])
     dim_g = n
@@ -322,7 +342,9 @@ def valid_posets(draw):
 
 @given(valid_posets())
 def test_generated_posets_validate(poset):
-    assert validate(poset).ok
+    # construction checked the poset; the order also strictly raises dim_H
+    dim_h = {t.label: t.dim_H for t in poset.types}
+    assert all(dim_h[a] < dim_h[b] for a, b in poset.order)
 
 
 @given(valid_posets())
@@ -349,8 +371,9 @@ def test_finite_tags_survive_the_round_trip():
         2,
     )
     back = poset_from_json(poset_to_json(p))
-    assert back.get_type("Z2").finite_tag == "2"
-    assert not back.get_type("Z2").is_identity
+    z2 = {t.label: t for t in back.types}["Z2"]
+    assert z2.finite_tag == "2"
+    assert not z2.is_identity
     assert back == p
 
 
@@ -359,6 +382,13 @@ def test_malformed_json_raises_poset_error():
         poset_from_json({"types": [{"label": "A"}], "order": []})
     with pytest.raises(PosetError):
         poset_from_json({"dim_Q": 1, "dim_G": 1, "types": "x", "order": []})
+
+
+def test_invalid_json_poset_is_refused_as_invalid_not_malformed():
+    data = poset_to_json(two_plane_poset())
+    data["order"].append(["T^2", "e"])
+    with pytest.raises(InvalidPosetError, match=r"^invalid isotropy poset: order is not"):
+        poset_from_json(data)
 
 
 def test_dot_output_is_sorted_and_complete():

@@ -120,6 +120,9 @@ def test_rk4_grid_lands_exactly_on_t_end():
         flow_rk4(fiber_point(), t_end=0.0, step=0.1)
     with pytest.raises(ValueError):
         flow_rk4(fiber_point(), t_end=1.0, step=-0.1)
+    # refused before the grid is built, not after it has filled the memory
+    with pytest.raises(ValueError, match="flow steps exceeds the cap"):
+        flow_rk4(fiber_point(), t_end=2.0, step=1e-300)
 
 
 def test_trajectory_validation():

@@ -18,7 +18,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from cosphere import checks, cli, phase, reeb, strata, torus
+from cosphere import checks, cli, phase, poset as poset_mod, reeb, strata, torus
 from cosphere.fixtures import get_fixture
 from cosphere.phase import (
     IDENTITY_TOL,
@@ -29,6 +29,7 @@ from cosphere.phase import (
 )
 
 from hand_pieces import Poly
+from test_torus import support_label
 
 FIXTURES = ("s1-on-r2", "t2-on-r4")
 
@@ -61,7 +62,7 @@ def ref_classify(spec, p: PhasePoint, tol: float = SUPPORT_TOL) -> str:
     xs, us = p.x.reshape(-1, 2), p.u.reshape(-1, 2)
     mass = np.sqrt(np.sum(xs * xs, axis=1) + np.sum(us * us, axis=1))
     support = tuple(int(j) for j in np.nonzero(mass > tol)[0])
-    return torus.stabilizer_of_support(spec, support).label
+    return support_label(spec, support)
 
 
 def ref_image(table: np.ndarray) -> np.ndarray:
@@ -96,7 +97,7 @@ def ref_cells(spec):
         return [c for r in range(len(planes) + 1) for c in combinations(planes, r)]
 
     def label(planes):
-        return torus.stabilizer_of_support(spec, planes).label
+        return support_label(spec, planes)
 
     cells = []
     for s in subsets(range(n)):
@@ -167,7 +168,7 @@ def ref_verify(fixture, seed: int, count: int, band: float = MEMBERSHIP_BAND) ->
     starred = {t.label for t in poset.types
                if poset.dim_Q_of[t.label] - poset.dim_G + t.dim_H >= 1}
     result = strata.cl_stratification(poset)
-    principal_cc = strata.cc_name(strata.principal_type(poset).label)
+    principal_cc = strata.cc_name(poset_mod.principal_type(poset).label)
     probe_reports = []
     all_passed = True
     for idx, cell in enumerate(fixture.cells):

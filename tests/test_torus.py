@@ -1,11 +1,13 @@
 """Torus weight matrices: stabilizers, class grouping, lattice order.
 
-Three oracles.  An independent integer solver decides membership of a vector
+Four oracles.  An independent integer solver decides membership of a vector
 in the column span over Z by hand-rolled Euclidean column reduction, with
 no Hermite or Smith normal form involved; class grouping and the
 subconjugation order produced by the builder must agree with it.  sympy's
 ``hermite_normal_form`` and ``invariant_factors`` check the normal forms
-themselves, support by support; the library does not import sympy.  The
+themselves, support by support; the library does not import sympy.  One
+HNF of each support's own columns (``support_basis``), not built on a
+smaller support, checks the incremental support table row by row.  The
 paper's almost-semifree conditions (a)-(c), stated on the weight matrix,
 check the poset predicate ``strata.semifree_diagnostics``.
 """
@@ -23,19 +25,18 @@ from sympy import Matrix
 from sympy.matrices.normalforms import hermite_normal_form, invariant_factors
 
 import cosphere
-from cosphere.poset import principal_type, validate
+from cosphere.poset import principal_type
 from cosphere.strata import cl_stratification, semifree_diagnostics
 from cosphere.torus import (
     ActionSpecError,
     TorusActionSpec,
     _lattice_hnf,
     _nontrivial_divisors,
-    _support_lattices,
     build_isotropy_poset,
     class_label,
     spec_from_json,
     spec_to_json,
-    stabilizer_of_support,
+    support_lattices,
 )
 
 
@@ -135,46 +136,61 @@ def test_spec_columns_and_json_round_trip():
 
 # -- stabilizers of single supports -------------------------------------------
 
+def support_basis(spec, support):
+    """The oracle for one row of the support table: one HNF of the
+    support's own weight columns, not built on a smaller support."""
+    return _lattice_hnf([spec.column(j) for j in support], spec.k)
+
+
+def support_label(spec, support):
+    """Orbit-type label of the points whose nonzero planes are ``support``."""
+    return class_label(spec.k, support_basis(spec, support))
+
+
+def mask(support):
+    return sum(1 << j for j in support)
+
+
+def stabilizer(spec, support):
+    """(label, dim, nontrivial divisors) of a support, read off the table."""
+    basis = support_lattices(spec)[mask(support)]
+    return class_label(spec.k, basis), spec.k - len(basis), _nontrivial_divisors(basis, spec.k)
+
+
 def test_full_rotation_stabilizers():
     spec = TorusActionSpec(k=1, n=1, weights=((1,),))
-    empty = stabilizer_of_support(spec, ())
-    assert (empty.label, empty.dim_stab, empty.finite_invariants) == ("S^1", 1, ())
-    full = stabilizer_of_support(spec, (0,))
-    assert (full.label, full.dim_stab, full.finite_invariants) == ("e", 0, ())
+    assert stabilizer(spec, ()) == ("S^1", 1, ())
+    assert stabilizer(spec, (0,)) == ("e", 0, ())
 
 
 def test_double_speed_rotation_has_z2_stabilizer():
     spec = TorusActionSpec(k=1, n=1, weights=((2,),))
-    stab = stabilizer_of_support(spec, (0,))
-    assert stab.label == "Z2"
-    assert stab.dim_stab == 0
-    assert stab.finite_invariants == (2,)
+    assert stabilizer(spec, (0,)) == ("Z2", 0, (2,))
 
 
 def test_trivial_divisors_are_dropped():
     spec = TorusActionSpec(k=2, n=2, weights=((1, 0), (0, 3)))
-    stab = stabilizer_of_support(spec, (0, 1))
-    assert stab.finite_invariants == (3,)
-    assert stab.label == "e×Z3"
+    assert stabilizer(spec, (0, 1)) == ("e×Z3", 0, (3,))
 
 
 def test_support_index_bounds():
+    # one row per support of the n planes, keyed by bitmask, and no other
     spec = TorusActionSpec(k=1, n=1, weights=((1,),))
-    with pytest.raises(ActionSpecError):
-        stabilizer_of_support(spec, (1,))
+    assert sorted(support_lattices(spec)) == [0, 1]
+    with pytest.raises(KeyError):
+        support_lattices(spec)[mask((1,))]
 
 
 def test_saturation_and_divisors_do_not_identify_lattices():
     # span{(2,0),(0,1)} and span{(1,0),(0,2)} share the saturation Z^2 and
     # the nontrivial divisors (2,) but annihilate to different subgroups
     spec = TorusActionSpec(k=2, n=4, weights=((2, 0, 1, 0), (0, 1, 0, 2)))
-    a = stabilizer_of_support(spec, (0, 1))
-    b = stabilizer_of_support(spec, (2, 3))
+    table = support_lattices(spec)
     assert _nontrivial_divisors([spec.column(0), spec.column(1)], 2) == _nontrivial_divisors(
         [spec.column(2), spec.column(3)], 2
     ) == (2,)
-    assert a.label == "Z2×e" and b.label == "e×Z2"
-    assert a.lattice_basis != b.lattice_basis
+    assert stabilizer(spec, (0, 1))[0] == "Z2×e" and stabilizer(spec, (2, 3))[0] == "e×Z2"
+    assert table[mask((0, 1))] != table[mask((2, 3))]
     assert not same_lattice(
         [spec.column(0), spec.column(1)], [spec.column(2), spec.column(3)]
     )
@@ -194,7 +210,7 @@ def test_class_labels():
 def test_two_plane_torus_lattice():
     spec = TorusActionSpec(k=2, n=2, weights=((1, 0), (0, 1)))
     poset = build_isotropy_poset(spec)
-    assert poset.labels() == ("e", "S^1×e", "e×S^1", "T^2")
+    assert [t.label for t in poset.types] == ["e", "S^1×e", "e×S^1", "T^2"]
     assert dict(poset.dim_Q_of) == {"e": 4, "S^1×e": 2, "e×S^1": 2, "T^2": 0}
     assert poset.order == {
         ("e", "S^1×e"),
@@ -204,13 +220,12 @@ def test_two_plane_torus_lattice():
         ("e×S^1", "T^2"),
     }
     assert poset.dim_G == 2 and poset.dim_Q == 4
-    assert validate(poset).ok
     assert principal_type(poset).label == "e"
 
 
 def test_single_circle_lattice():
     poset = build_isotropy_poset(TorusActionSpec(k=1, n=1, weights=((1,),)))
-    assert poset.labels() == ("e", "S^1")
+    assert [t.label for t in poset.types] == ["e", "S^1"]
     assert dict(poset.dim_Q_of) == {"e": 2, "S^1": 0}
     assert poset.order == {("e", "S^1")}
 
@@ -219,12 +234,12 @@ def test_equal_weights_merge_supports():
     poset = build_isotropy_poset(TorusActionSpec(k=1, n=2, weights=((2, 2),)))
     assert len(poset.types) == 2
     assert dict(poset.dim_Q_of) == {"Z2": 4, "S^1": 0}
-    assert poset.get_type("Z2").finite_tag == "2"
+    assert [t.finite_tag for t in poset.types if t.label == "Z2"] == ["2"]
 
 
 def test_mixed_weights_give_a_chain():
     poset = build_isotropy_poset(TorusActionSpec(k=1, n=2, weights=((1, 2),)))
-    assert set(poset.labels()) == {"e", "Z2", "S^1"}
+    assert {t.label for t in poset.types} == {"e", "Z2", "S^1"}
     assert poset.order == {("e", "Z2"), ("e", "S^1"), ("Z2", "S^1")}
     assert dict(poset.dim_Q_of) == {"e": 4, "Z2": 2, "S^1": 0}
 
@@ -266,22 +281,42 @@ LADDER_K3_N6 = TorusActionSpec(k=3, n=6, weights=(
 ))
 
 
+def sympy_basis(spec, support):
+    """HNF columns of the support's weight columns, by sympy."""
+    h = hermite_normal_form(Matrix([[spec.column(j)[i] for j in support]
+                                    for i in range(spec.k)]))
+    return tuple(tuple(int(h[i, j]) for i in range(spec.k)) for j in range(h.cols))
+
+
+@given(weight_specs())
+@example(LADDER_K2_N8)
+@example(LADDER_K3_N6)
+def test_support_table_matches_the_per_support_oracle(spec):
+    # the incremental table against one HNF per support, ours and sympy's,
+    # for the basis and for the label read off it
+    table = support_lattices(spec)
+    assert len(table) == 2 ** spec.n
+    for s in all_supports(spec.n):
+        basis = table[mask(s)]
+        assert basis == support_basis(spec, s), s
+        if s:
+            assert basis == sympy_basis(spec, s), s
+        assert class_label(spec.k, basis) == support_label(spec, s), s
+
+
 @given(weight_specs())
 @example(LADDER_K2_N8)
 @example(LADDER_K3_N6)
 def test_normal_forms_match_sympy(spec):
-    # every support, from scratch and through the incremental support
-    # table; the Smith form of the raw columns and of the canonical basis
-    table = _support_lattices(spec)
+    # every support from scratch; the Smith form of the raw columns and of
+    # the canonical basis
     for s in all_supports(spec.n):
         if not s:
             continue
         cols = [spec.column(j) for j in s]
         m = Matrix([[c[i] for c in cols] for i in range(spec.k)])
-        h = hermite_normal_form(m)
-        basis = tuple(tuple(int(h[i, j]) for i in range(spec.k)) for j in range(h.cols))
+        basis = sympy_basis(spec, s)
         assert _lattice_hnf(cols, spec.k) == basis, s
-        assert table[sum(1 << j for j in s)] == basis, s
         divisors = tuple(int(d) for d in invariant_factors(m) if d not in (0, 1))
         assert _nontrivial_divisors(cols, spec.k) == divisors, s
         assert _nontrivial_divisors(basis, spec.k) == divisors, s
@@ -318,8 +353,8 @@ def test_class_grouping_matches_the_integer_oracle(spec):
     supports = list(all_supports(spec.n))
     by_label = {}
     for s in supports:
-        by_label.setdefault(stabilizer_of_support(spec, s).label, []).append(s)
-    assert sorted(by_label) == sorted(poset.labels())
+        by_label.setdefault(support_label(spec, s), []).append(s)
+    assert sorted(by_label) == sorted(t.label for t in poset.types)
     cols = {s: [spec.column(j) for j in s] for s in supports}
     for label, members in by_label.items():
         rep = members[0]
@@ -336,8 +371,7 @@ def test_class_grouping_matches_the_integer_oracle(spec):
 
 @given(weight_specs())
 def test_built_posets_validate_with_unique_principal(spec):
-    poset = build_isotropy_poset(spec)
-    assert validate(poset).ok
+    poset = build_isotropy_poset(spec)  # an invalid poset raises here
     principal = principal_type(poset)
     assert poset.dim_Q_of[principal.label] == poset.dim_Q
 
@@ -355,7 +389,7 @@ def test_dim_q_of_is_twice_the_largest_support_of_each_class(spec):
     # the largest has real dimension 2 |S|
     largest = {}
     for s in all_supports(spec.n):
-        label = stabilizer_of_support(spec, s).label
+        label = support_label(spec, s)
         largest[label] = max(largest.get(label, 0), len(s))
     assert dict(build_isotropy_poset(spec).dim_Q_of) == {
         label: 2 * size for label, size in largest.items()
