@@ -29,7 +29,10 @@ outside (:func:`hilbert_map`, the Reeb flows).
 
 The zero-level sampler solves J = 0 exactly in the covector: for fixed x
 the momentum is linear, J = M(x) u, so a Gaussian covector is projected
-onto an orthonormal basis of ker M(x), taken from one batched SVD.  One
+onto ker M(x) by a Gram solve on the rows of M(x) that are independent.
+Which rows those are, and so the rank, is exact integer data: the pivot
+rows of the canonical lattice basis of the planes where base point and
+covector may both be nonzero, read once per support pattern.  One
 call draws all its base points and covectors as one row-major block from
 one generator seeded with ``seed``, so sample i depends only on
 (seed, i), not on the count.  Singular strata are reached by forcing exact
@@ -259,32 +262,49 @@ def _plane_columns(planes: tuple[int, ...]) -> np.ndarray:
     return np.array([c for j in planes for c in (2 * j, 2 * j + 1)], dtype=int)
 
 
+def _independent_rows(spec: TorusActionSpec, planes: Iterable[int]) -> np.ndarray:
+    """Rows of the weight matrix independent on the columns of ``planes``,
+    read off the canonical basis of their lattice: each HNF column has its
+    pivot in its last nonzero row, and those rows are distinct."""
+    basis = support_lattices(spec)[sum(1 << j for j in planes)]
+    return np.array([max(i for i, a in enumerate(col) if a) for col in basis], dtype=int)
+
+
 def _zero_level_rows(
-    spec: TorusActionSpec, xcols: np.ndarray, ucols: np.ndarray, draws: np.ndarray
+    spec: TorusActionSpec,
+    xcols: np.ndarray,
+    ucols: np.ndarray,
+    rows: np.ndarray,
+    draws: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Zero-level points from (N, |xcols| + |ucols|) standard normal draws.
 
     The first columns of a row are the base coordinates on ``xcols``, the
-    rest a Gaussian covector on ``ucols``, projected onto ker M(x)
-    restricted to ``ucols``.  Returns (x, u, ok); rows whose projection is
-    shorter than ``MIN_COVECTOR_NORM`` have ok false and must be redrawn.
+    rest a Gaussian covector g on ``ucols``, projected onto ker M(x)
+    restricted to ``ucols``.  While no base plane vanishes that is ker M_R,
+    M_R the independent weight ``rows`` of M, and g - M_R^T (M_R M_R^T)^-1
+    M_R g is applied twice, the second pass removing what roundoff left.
+    Returns (x, u, ok); ok is false, and the row must be redrawn, when the
+    projection is shorter than ``MIN_COVECTOR_NORM`` or the base point is
+    exactly zero on a plane of ``xcols`` (M_R may then drop rank).
     """
+    base = draws[:, : xcols.size]
     x = np.zeros((len(draws), 2 * spec.n))
-    x[:, xcols] = draws[:, : xcols.size]
-    g = draws[:, xcols.size :]
-    m = momentum_matrix(spec, x)[:, :, ucols]
-    _, s, vt = np.linalg.svd(m)
-    # numerical rank: singular values above max(k, |ucols|) * eps times
-    # the largest one
-    cut = max(m.shape[1:]) * np.finfo(float).eps * s[:, :1]
-    rank = np.sum(s > cut, axis=1)
-    in_kernel = np.arange(ucols.size) >= rank[:, None]
-    coeff = np.where(in_kernel, (vt @ g[:, :, None])[:, :, 0], 0.0)
-    u_active = (coeff[:, None, :] @ vt)[:, 0, :]
-    norm = np.linalg.norm(u_active, axis=1)
-    ok = norm >= MIN_COVECTOR_NORM
+    x[:, xcols] = base
+    g = draws[:, xcols.size :, None]
+    live = (base.reshape(len(base), xcols.size // 2, 2) != 0).any(axis=2).all(axis=1)
+    if rows.size:
+        m = momentum_matrix(spec, x)[:, rows[:, None], ucols]
+        mt = m.transpose(0, 2, 1)
+        gram = m @ mt
+        gram[~live] = np.eye(rows.size)
+        for _ in range(2):
+            g = g - mt @ np.linalg.solve(gram, m @ g)
+    g = g[:, :, 0]
+    norm = np.linalg.norm(g, axis=1)
+    ok = live & (norm >= MIN_COVECTOR_NORM)
     u = np.zeros_like(x)
-    u[:, ucols] = u_active / np.where(ok, norm, 1.0)[:, None]
+    u[:, ucols] = g / np.where(ok, norm, 1.0)[:, None]
     return x, u, ok
 
 
@@ -300,29 +320,34 @@ def zero_level_arrays(
 
     Base coordinates are Gaussian on the planes of ``support_pattern`` and
     exactly zero elsewhere; the covector is a Gaussian on the
-    ``covector_pattern`` planes projected onto an orthonormal basis of
-    ker M(x) restricted to those planes, then normalized, so |J| vanishes
-    to machine precision.  All draws of one call come as one row-major
-    block from ``default_rng(seed)``, one row per sample, so sample i is
-    the same for every ``count`` above i.  A row whose projected covector
-    is shorter than 1e-8 is redrawn from ``default_rng([seed, i, attempt])``
-    for attempt = 1, 2, ...; after ``MAX_RETRIES`` draws in all,
-    :class:`RetriesExhaustedError` is raised.  A negative seed or count, or
-    a count over ``MAX_SAMPLES``, is refused with :class:`PhaseError`.
+    ``covector_pattern`` planes projected onto ker M(x) restricted to those
+    planes, then normalized, so |J| vanishes to machine precision.  The
+    projection is the exact-rank Gram solve of :func:`_zero_level_rows` on
+    the independent weight rows of the planes in both patterns.  All draws
+    of one call come as one row-major block from ``default_rng(seed)``, one
+    row per sample, so sample i is the same for every ``count`` above i.  A
+    row whose projected covector is shorter than 1e-8, or whose base point
+    is exactly zero on a plane of ``support_pattern``, is redrawn from
+    ``default_rng([seed, i, attempt])`` for attempt = 1, 2, ...; after
+    ``MAX_RETRIES`` draws in all, :class:`RetriesExhaustedError` is raised.
+    A negative seed or count, or a count over ``MAX_SAMPLES``, is refused
+    with :class:`PhaseError`.
     """
-    xcols = _plane_columns(_as_plane_set(support_pattern, spec.n))
-    ucols = _plane_columns(_as_plane_set(covector_pattern, spec.n))
+    planes_x = _as_plane_set(support_pattern, spec.n)
+    planes_u = _as_plane_set(covector_pattern, spec.n)
+    xcols, ucols = _plane_columns(planes_x), _plane_columns(planes_u)
     if not ucols.size:
         raise EmptyKernelError("empty covector pattern leaves no unit covector")
     check_run_inputs(seed=seed, count=count)
     width = xcols.size + ucols.size
     block = np.random.default_rng(int(seed)).standard_normal((int(count), width))
-    x, u, ok = _zero_level_rows(spec, xcols, ucols, block)
+    rows = _independent_rows(spec, set(planes_x) & set(planes_u))
+    x, u, ok = _zero_level_rows(spec, xcols, ucols, rows, block)
     for index in np.flatnonzero(~ok):
         for attempt in range(1, MAX_RETRIES):
             redraw = np.random.default_rng([int(seed), int(index), attempt])
             rx, ru, rok = _zero_level_rows(
-                spec, xcols, ucols, redraw.standard_normal((1, width))
+                spec, xcols, ucols, rows, redraw.standard_normal((1, width))
             )
             if rok[0]:
                 x[index], u[index] = rx[0], ru[0]

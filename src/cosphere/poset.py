@@ -7,8 +7,9 @@ supplied by the caller (or by the torus-action builder in
 :mod:`cosphere.torus`); it is never inferred from group data here.
 
 An :class:`IsotropyPoset` is valid by construction.  More than
-``MAX_TYPES`` types are refused before any work on the order.  The
-supplied order pairs are then treated as generators and stored
+``MAX_TYPES`` types, and order pairs that name a label of no type, are
+refused before any work on the order; the refusal names those pairs as
+given.  The supplied order pairs are then treated as generators and stored
 transitively closed, and the invariants are checked once, on the closed
 order.  A poset that breaks any of them, a cyclic order included (its
 closure contains reflexive pairs), is refused with
@@ -120,9 +121,14 @@ class IsotropyPoset:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "types", tuple(self.types))
-        # the closure is cubic in the number of labels, so the cap comes first
+        known = {t.label for t in self.types}
+        # the closure is cubic in the number of labels, so the cap and the
+        # labels of the generator pairs come first
+        unknown = sorted((a, b) for a, b in self.order if a not in known or b not in known)
         if len(self.types) > MAX_TYPES:
             bad = [f"{len(self.types)} orbit types exceeds the cap of {MAX_TYPES}"]
+        elif unknown:
+            bad = [f"order pair ({a!r}, {b!r}) references an unknown label" for a, b in unknown]
         else:
             object.__setattr__(
                 self, "order", transitive_closure(tuple((a, b) for a, b in self.order))
@@ -135,7 +141,8 @@ class IsotropyPoset:
 
 def _violations(poset: IsotropyPoset) -> list[str]:
     """Every violated isotropy-lattice invariant of a poset of at most
-    ``MAX_TYPES`` types whose order is closed; empty when it is valid."""
+    ``MAX_TYPES`` types whose order is closed and names only their labels;
+    empty when it is valid."""
     bad: list[str] = []
     labels = [t.label for t in poset.types]
     if not labels:
@@ -147,9 +154,6 @@ def _violations(poset: IsotropyPoset) -> list[str]:
 
     known = set(labels)
     by_label = {t.label: t for t in poset.types}
-    for a, b in sorted(poset.order):
-        if a not in known or b not in known:
-            bad.append(f"order pair ({a!r}, {b!r}) references an unknown label")
     if sum(t.is_identity for t in poset.types) > 1:
         bad.append("more than one orbit type is flagged as the identity class")
 
@@ -180,7 +184,7 @@ def _violations(poset: IsotropyPoset) -> list[str]:
         elif (b, a) in poset.order:
             if a < b:
                 bad.append(f"order is not antisymmetric: {a!r} and {b!r}")
-        elif a in known and b in known:
+        else:
             ta, tb = by_label[a], by_label[b]
             if ta.dim_H > tb.dim_H:
                 bad.append(

@@ -34,6 +34,7 @@ from cosphere.phase import (
 )
 from cosphere.reeb import flow_exact, flowed_base
 from cosphere.torus import TorusActionSpec
+from test_torus import weight_specs
 
 T2 = TorusActionSpec(k=2, n=2, weights=((1, 0), (0, 1)))
 S1 = TorusActionSpec(k=1, n=1, weights=((1,),))
@@ -245,6 +246,94 @@ def test_sampler_redraws_rows_without_a_covector(monkeypatch):
     monkeypatch.setattr(phase, "MAX_RETRIES", 1)
     with pytest.raises(RetriesExhaustedError, match="after 1 draws for sample 0"):
         zero_level_arrays(T2, seed=4, count=3)
+
+
+def test_sampler_redraws_a_row_with_a_zero_base_plane(monkeypatch):
+    # x_0 = 0 on a drawn plane zeroes a row of M(x), so the Gram matrix of
+    # the independent rows is singular: that row is redrawn from its own
+    # default_rng([seed, index, 1]), the others keep their draws
+    real_rng = np.random.default_rng
+    block = real_rng(4).standard_normal((3, 8))
+    block[1, :2] = 0.0
+
+    class FixedBlock:
+        def standard_normal(self, shape):
+            return block
+
+    monkeypatch.setattr(
+        np.random, "default_rng",
+        lambda seed: real_rng(seed) if isinstance(seed, list) else FixedBlock(),
+    )
+    x, u = zero_level_arrays(T2, seed=4, count=3)
+    assert x[1].tolist() == real_rng([4, 1, 1]).standard_normal(8)[:4].tolist()
+    assert x[[0, 2]].tolist() == block[[0, 2], :4].tolist()
+    assert np.max(np.abs(momenta(T2, invariant_tables(x, u)))) < 1e-12
+
+
+def svd_zero_level_rows(spec, xcols, ucols, draws):
+    """The sampler's rows with the covector projected onto an orthonormal
+    basis of ker M(x) from one batched SVD, with null_space's rank cut:
+    the oracle for the exact-rank Gram projection."""
+    x = np.zeros((len(draws), 2 * spec.n))
+    x[:, xcols] = draws[:, : xcols.size]
+    g = draws[:, xcols.size :]
+    m = momentum_matrix(spec, x)[:, :, ucols]
+    _, s, vt = np.linalg.svd(m)
+    cut = max(m.shape[1:]) * np.finfo(float).eps * s[:, :1]
+    rank = np.sum(s > cut, axis=1)
+    in_kernel = np.arange(ucols.size) >= rank[:, None]
+    coeff = np.where(in_kernel, (vt @ g[:, :, None])[:, :, 0], 0.0)
+    u_active = (coeff[:, None, :] @ vt)[:, 0, :]
+    norm = np.linalg.norm(u_active, axis=1)
+    ok = norm >= phase.MIN_COVECTOR_NORM
+    u = np.zeros_like(x)
+    u[:, ucols] = u_active / np.where(ok, norm, 1.0)[:, None]
+    return x, u, ok
+
+
+@st.composite
+def rank_deficient_specs(draw):
+    """Weight matrices of rank below k: every column an integer combination
+    of fewer than k generators, so columns repeat up to sign and scale."""
+    k = draw(st.integers(min_value=2, max_value=3))
+    n = draw(st.integers(min_value=1, max_value=4))
+    entries = st.integers(min_value=-2, max_value=2)
+    gens = draw(st.lists(
+        st.lists(entries, min_size=k, max_size=k).filter(any),
+        min_size=1, max_size=k - 1,
+    ))
+    coeffs = st.lists(st.integers(min_value=-1, max_value=1),
+                      min_size=len(gens), max_size=len(gens))
+    cols = draw(st.lists(
+        coeffs.map(lambda c: tuple(sum(ci * v[i] for ci, v in zip(c, gens)) for i in range(k)))
+        .filter(any),
+        min_size=n, max_size=n,
+    ))
+    return TorusActionSpec(k=k, n=n, weights=tuple(zip(*cols)))
+
+
+@st.composite
+def sampler_cases(draw):
+    spec = draw(st.one_of(weight_specs(), rank_deficient_specs()))
+    plane = st.integers(min_value=0, max_value=spec.n - 1)
+    planes_x = draw(st.sets(plane, max_size=spec.n))
+    planes_u = draw(st.sets(plane, min_size=1, max_size=spec.n))
+    return spec, planes_x, planes_u, draw(st.integers(min_value=0, max_value=2**32 - 1))
+
+
+@given(sampler_cases())
+def test_gram_projection_matches_the_svd_oracle(case):
+    spec, planes_x, planes_u, seed = case
+    xcols = phase._plane_columns(tuple(sorted(planes_x)))
+    ucols = phase._plane_columns(tuple(sorted(planes_u)))
+    draws = np.random.default_rng(seed).standard_normal((16, xcols.size + ucols.size))
+    rows = phase._independent_rows(spec, planes_x & planes_u)
+    x, u, ok = phase._zero_level_rows(spec, xcols, ucols, rows, draws)
+    sx, su, sok = svd_zero_level_rows(spec, xcols, ucols, draws)
+    assert ok.tolist() == sok.tolist()
+    assert x.tobytes() == sx.tobytes()
+    assert float(np.max(np.abs(u - su), initial=0.0)) <= 1e-12
+    assert float(np.max(np.abs(momenta(spec, invariant_tables(x, u))), initial=0.0)) <= 1e-13
 
 
 def test_run_sizes_are_capped():

@@ -286,6 +286,23 @@ def test_the_type_cap_is_checked_before_the_closure(monkeypatch):
     )
 
 
+def test_unknown_order_labels_are_refused_before_the_closure(monkeypatch):
+    def no_closure(pairs):
+        raise AssertionError("transitive_closure ran on a poset with unknown labels")
+
+    monkeypatch.setattr(poset_module, "transitive_closure", no_closure)
+    # a chain from the one type through labels of no type: only the
+    # generator pairs naming an unknown label are listed, not their closure
+    order = {("e", "u0"), ("u0", "u1"), ("u1", "u2")}
+    with pytest.raises(InvalidPosetError) as info:
+        IsotropyPoset((OrbitType("e", 0, is_identity=True),), order, {"e": 2}, 1, 2)
+    assert str(info.value) == (
+        "invalid isotropy poset: order pair ('e', 'u0') references an unknown label; "
+        "order pair ('u0', 'u1') references an unknown label; "
+        "order pair ('u1', 'u2') references an unknown label"
+    )
+
+
 def test_is_subconjugate_is_the_closure_lookup():
     order = two_plane_poset().order
     assert ("e", "T^2") in order
