@@ -43,13 +43,14 @@ def show_fixture(name: str, seed: int, count: int) -> bool:
     closure_only = sum(
         pair[a][0] != pair[b][0] and pair[a][1] != pair[b][1]
         and not (pair[a][0] == pair[a][1] and pair[b][0] == pair[b][1])
-        for a, b in result.frontier
+        for a, lows in result.frontier.rows for b in lows
     )
     print(f"   frontier: {len(result.frontier)} pairs, "
           f"{len(result.hasse)} covering arrows, "
           f"{closure_only} from closure only")
-    for a, b in result.hasse:
-        print(f"     {a} -> {b}")
+    for a, covered in result.hasse.rows:
+        for b in covered:
+            print(f"     {a} -> {b}")
 
     report = checks.verify_fixture(fx, seed=seed, count=count)
     print(f"   sampling battery ({count} generic samples, seed {seed}):")

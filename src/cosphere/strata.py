@@ -40,7 +40,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, repeat
+from itertools import chain
 
 from .poset import (
     IsotropyPoset,
@@ -78,22 +78,38 @@ class Stratum:
 
 
 @dataclass(frozen=True)
+class Relation:
+    """A relation on piece names, kept as per-piece rows (A, (B, ...)).
+
+    There is one row per A with at least one pair, A by name, and each
+    row's names are sorted, so the rows read in report order: the pairs
+    (A, B) sorted by A, then B, each pair once.  The length of a relation
+    is its number of pairs, not of rows.
+    """
+
+    rows: tuple[tuple[str, tuple[str, ...]], ...]
+
+    def __len__(self) -> int:
+        return sum(len(names) for _, names in self.rows)
+
+
+@dataclass(frozen=True)
 class StratificationResult:
     """C-L pieces with their frontier.
 
-    ``frontier`` holds pairs (A, B) of piece names meaning A is contained
-    in the boundary of B; it is the product order on the (upper, lower)
-    type pairs of the pieces, which is the transitive closure of the five
-    generation rules.  ``hasse`` is the covering relation of the frontier.
-    Both are tuples of (A, B) name pairs in report order: sorted by A, then
-    B, each pair once.  ``smooth_total_space`` is true exactly when the
-    action is almost semifree (see the module docstring).
+    ``frontier`` relates A to B when piece A is contained in the boundary
+    of piece B; it is the product order on the (upper, lower) type pairs
+    of the pieces, which is the transitive closure of the five generation
+    rules.  ``hasse`` is the covering relation of the frontier.  Both are
+    :class:`Relation` rows, so neither is ever a list of pairs in memory.
+    ``smooth_total_space`` is true exactly when the action is almost
+    semifree (see the module docstring).
     """
 
     cl_strata: tuple[Stratum, ...]
     contact_strata: tuple[Stratum, ...]
-    frontier: tuple[tuple[str, str], ...]
-    hasse: tuple[tuple[str, str], ...]
+    frontier: Relation
+    hasse: Relation
     starred: tuple[str, ...]
     total_types: int
     smooth_total_space: bool
@@ -189,12 +205,13 @@ def cl_stratification(poset: IsotropyPoset) -> StratificationResult:
     cosphere-like piece over the principal type is the unique open dense
     stratum; without a unique minimal type there is none.
 
-    Both relations are listed piece by piece, already in report order: for
-    each piece A = (K', H') by name, B = (K, H) ranges over H <= H' (H
-    starred) and H <= K <= K', B != A, by name; its covers are (K, H') with
-    K covered by K' and (K', H) with H covered by H' among the starred
-    types.  Each pair arises once, so no pair set and no second sort is
-    needed.
+    Both relations are built as rows, one per piece, already in report
+    order: for each piece A = (K', H') by name, its frontier row lists
+    B = (K, H) over H <= H' (H starred) and H <= K <= K', B != A, by name;
+    its ``hasse`` row lists the covers (K, H') with K covered by K' and
+    (K', H) with H covered by H' among the starred types.  Each name
+    arises once in a row, so no pair set, no second sort and no pair
+    tuple is needed; a piece with an empty row has no row.
     """
     dims = quotient_dims(poset)
     starred = frozenset(label for label, d in dims.items() if d >= 1)
@@ -233,15 +250,17 @@ def cl_stratification(poset: IsotropyPoset) -> StratificationResult:
     lower_covers = _covered_by(
         frozenset((a, b) for a, b in poset.order if a in starred and b in starred)
     )
-    frontier: list[tuple[str, str]] = []
-    hasse: list[tuple[str, str]] = []
+    frontier = []
+    hasse = []
     for a, k2, h2 in sorted((p.name, p.upper, p.lower) for p in pieces.values()):
         lows = sorted(chain.from_iterable([column[k2, h] for h in below[h2] & starred]))
         lows.remove(a)
-        frontier += zip(repeat(a), lows)
+        if lows:
+            frontier.append((a, tuple(lows)))
         covered = [names[h2][k] for k in upper_covers[k2] if k in names[h2]]
         covered += [names[h][k2] for h in lower_covers[h2]]
-        hasse += zip(repeat(a), sorted(covered))
+        if covered:
+            hasse.append((a, tuple(sorted(covered))))
 
     return StratificationResult(
         cl_strata=tuple(sorted(pieces.values(), key=lambda s: (-s.dim, s.name))),
@@ -255,47 +274,12 @@ def cl_stratification(poset: IsotropyPoset) -> StratificationResult:
             ) for label in starred),
             key=lambda s: s.name,
         )),
-        frontier=tuple(frontier),
-        hasse=tuple(hasse),
+        frontier=Relation(tuple(frontier)),
+        hasse=Relation(tuple(hasse)),
         starred=tuple(sorted(starred)),
         total_types=len(poset.types),
         smooth_total_space=not _semifree_diagnostics(poset, dims, principal),
     )
-
-
-def result_to_json(result: StratificationResult) -> dict:
-    """JSON-ready report of a stratification (deterministic ordering).
-
-    Each entry states its pair as ``base_target`` (upper) and
-    ``parent_contact`` (Contact(lower)); a seam also as ``seam_upper``.
-    """
-    def stratum_entry(s: Stratum) -> dict:
-        entry = {
-            "name": s.name,
-            "kind": s.kind.value,
-            "dim": s.dim,
-            "base_target": s.upper,
-            "parent_contact": contact_name(s.lower),
-            "open_dense": s.open_dense,
-        }
-        if s.upper != s.lower:
-            entry["seam_upper"] = s.upper
-        return entry
-
-    return {
-        "cl_strata": [stratum_entry(s) for s in sorted(result.cl_strata, key=lambda s: s.name)],
-        "contact_strata": [
-            stratum_entry(s) for s in sorted(result.contact_strata, key=lambda s: s.name)
-        ],
-        "frontier": list(result.frontier),
-        "hasse": list(result.hasse),
-        "starred": sorted(result.starred),
-        "piece_count": len(result.cl_strata),
-        # the C-L pieces always refine the contact strata, strictly exactly
-        # when the lattice has more than one orbit type
-        "finer_than_contact": {"finer": True, "strict": result.total_types > 1},
-        "smooth_total_space": result.smooth_total_space,
-    }
 
 
 def result_to_dot(result: StratificationResult) -> str:
@@ -306,7 +290,7 @@ def result_to_dot(result: StratificationResult) -> str:
         lines.append(
             f'  "{s.name}" [label="{s.name}\\ndim {s.dim}, {s.kind.value}"];'
         )
-    for a, b in result.hasse:
-        lines.append(f'  "{a}" -> "{b}";')
+    for a, covered in result.hasse.rows:
+        lines.extend(f'  "{a}" -> "{b}";' for b in covered)
     lines.append("}")
     return "\n".join(lines) + "\n"

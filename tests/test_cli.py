@@ -18,8 +18,10 @@ from hypothesis import example, given, strategies as st
 import cosphere
 from cosphere import checks, cli, phase, poset as poset_mod, reeb, strata, torus
 from cosphere.cli import main
-from cosphere.poset import poset_to_json
+from cosphere.poset import IsotropyPoset, OrbitType, poset_to_json
 from cosphere.torus import TorusActionSpec, build_isotropy_poset, spec_to_json
+from test_strata import result_to_json, valid_posets
+from test_torus import weight_specs
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "lattice_golden.json"
 
@@ -431,12 +433,12 @@ json_scalars = (
     | st.floats() | st.sampled_from([-0.0, 1e-300, float("nan"), float("inf"), -float("inf")])
     | json_texts
 )
-# equal-width rows of strings (the frontier shape), including width 0 and 1
+# equal-width rows of strings, including width 0 and 1
 json_string_rows = st.integers(0, 3).flatmap(lambda width: st.lists(
     st.lists(json_texts, min_size=width, max_size=width) | st.tuples(*[json_texts] * width),
     max_size=5,
 ))
-# rows of two strings in runs of equal first cells (the frontier's runs)
+# rows of two strings in runs of equal first cells, as the frontier pairs run
 json_pair_runs = st.lists(
     st.tuples(st.sampled_from(["a", "b", '"×']), json_texts)
     | st.lists(st.sampled_from(["a", "\\"]), min_size=2, max_size=2),
@@ -476,15 +478,18 @@ def test_dump_json_refuses_what_no_report_holds():
             cli._dump_json(value)
 
 
+def reduce_text(result) -> str:
+    return "".join(cli._reduce_report(result))
+
+
 def test_reports_match_the_json_module(tmp_path, capsys):
     for ref in json.loads(GOLDEN.read_text()):
         if ref["types"] > poset_mod.MAX_TYPES:
             continue
         spec = TorusActionSpec(k=ref["k"], n=ref["n"],
                                weights=tuple(map(tuple, ref["weights"])))
-        report = strata.result_to_json(strata.cl_stratification(build_isotropy_poset(spec)))
-        report["poset_valid"] = True
-        assert cli._dump_json(report) == json_oracle(report)
+        result = strata.cl_stratification(build_isotropy_poset(spec))
+        assert reduce_text(result) == json_oracle(result_to_json(result))
     # the largest report the cap admits, as `reduce` writes it: 64 types,
     # 599 pieces and 30,434 frontier pairs
     (top,) = [r for r in json.loads(GOLDEN.read_text()) if r["types"] == poset_mod.MAX_TYPES]
@@ -503,6 +508,48 @@ def test_reports_match_the_json_module(tmp_path, capsys):
     )
     summary = out[: out.index("wrote")]
     assert code == 0 and summary == json_oracle(json.loads(summary))
+
+
+def hand_poset(labels, dim_q_of, dim_h, order, dim_g, dim_q):
+    types = tuple(OrbitType(label, h, is_identity=(i == 0))
+                  for i, (label, h) in enumerate(zip(labels, dim_h)))
+    return IsotropyPoset(types, frozenset(order), dict(zip(labels, dim_q_of)), dim_g, dim_q)
+
+
+# one type: empty frontier and hasse
+ONE_TYPE = hand_poset(("e",), (3,), (0,), (), 0, 3)
+# a transitive action: no starred type, so empty cl_strata, contact_strata
+# and starred
+NO_STARRED = hand_poset(("e",), (2,), (0,), (), 2, 2)
+# the two-plane lattice with labels that JSON escapes and a % template
+# would read as a conversion
+E, A, B, T = 'e%s"', 'S^1×"a"', "b\\%d×", "T^2%%"
+ESCAPED_LABELS = hand_poset((E, A, B, T), (4, 2, 2, 0), (0, 1, 1, 2),
+                            {(E, A), (E, B), (A, T), (B, T), (E, T)}, 2, 4)
+
+
+@given(st.one_of(valid_posets(), weight_specs(max_n=5)))
+@example(ONE_TYPE)
+@example(NO_STARRED)
+@example(ESCAPED_LABELS)
+def test_reduce_report_is_the_json_of_its_oracle(source):
+    if isinstance(source, TorusActionSpec):
+        source = build_isotropy_poset(source)
+    result = strata.cl_stratification(source)
+    oracle = result_to_json(result)
+    text = reduce_text(result)
+    assert text == json_oracle(oracle)
+    assert json.loads(text) == oracle
+
+
+def test_reduce_report_edge_cases_reach_their_shapes():
+    one = result_to_json(strata.cl_stratification(ONE_TYPE))
+    assert one["frontier"] == one["hasse"] == [] and one["piece_count"] == 1
+    empty = result_to_json(strata.cl_stratification(NO_STARRED))
+    assert empty["cl_strata"] == empty["contact_strata"] == empty["starred"] == []
+    escaped = result_to_json(strata.cl_stratification(ESCAPED_LABELS))
+    assert (escaped["piece_count"], len(escaped["frontier"]), len(escaped["hasse"])) == (8, 19, 10)
+    assert {E, A, B} == set(escaped["starred"])
 
 
 # -------------------------------------------------------- the CSV writer

@@ -4,7 +4,9 @@ The starred types and dim Q^(L) come from the formula here, not from the
 code under test, and the frontier from the paper's five rules
 (``frontier_oracle``).  What the report no longer lists, the pairs from
 closure alone and the type each piece fibers over, is derived from the
-report entries and compared with those oracles.
+report entries and compared with those oracles.  ``result_to_json`` is
+the report as a dict with the frontier and ``hasse`` flattened to pairs,
+the oracle of the ``reduce`` writer.
 """
 
 import hashlib
@@ -16,6 +18,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from cosphere import torus
+from cosphere.cli import _reduce_report
 from cosphere.poset import (
     MAX_TYPES,
     InvalidPosetError,
@@ -31,7 +34,6 @@ from cosphere.strata import (
     contact_name,
     quotient_dims,
     result_to_dot,
-    result_to_json,
     seam_name,
     semifree_diagnostics,
 )
@@ -163,10 +165,58 @@ def test_two_plane_cl_inventory():
 
 def test_two_plane_frontier_closure_and_hasse():
     result = cl_stratification(two_plane_poset())
-    assert len(result.frontier) == 19
-    assert result.hasse == tuple(sorted(EXPECTED_TWO_PLANE_HASSE))
-    assert report_closure_only(result_to_json(result)) == EXPECTED_TWO_PLANE_CLOSURE_ONLY
-    assert transitive_closure(result.hasse) == set(result.frontier)
+    assert len(result.frontier) == len(pairs(result.frontier)) == 19
+    assert pairs(result.hasse) == sorted(EXPECTED_TWO_PLANE_HASSE)
+    assert report_closure_only(written_report(result)) == EXPECTED_TWO_PLANE_CLOSURE_ONLY
+    assert transitive_closure(pairs(result.hasse)) == set(pairs(result.frontier))
+
+
+def pairs(relation):
+    """The (A, B) pairs of a relation's rows, in row order."""
+    return [(a, b) for a, names in relation.rows for b in names]
+
+
+def result_to_json(result):
+    """The ``reduce`` report as a dict, the frontier and ``hasse`` as lists
+    of (A, B) pairs: the oracle of the writer, whose text must be
+    ``json.dumps(result_to_json(result), indent=2, sort_keys=True) + "\\n"``.
+
+    Each entry states its pair as ``base_target`` (upper) and
+    ``parent_contact`` (Contact(lower)); a seam also as ``seam_upper``.
+    """
+    def stratum_entry(s):
+        entry = {
+            "name": s.name,
+            "kind": s.kind.value,
+            "dim": s.dim,
+            "base_target": s.upper,
+            "parent_contact": contact_name(s.lower),
+            "open_dense": s.open_dense,
+        }
+        if s.upper != s.lower:
+            entry["seam_upper"] = s.upper
+        return entry
+
+    return {
+        "cl_strata": [stratum_entry(s) for s in sorted(result.cl_strata, key=lambda s: s.name)],
+        "contact_strata": [
+            stratum_entry(s) for s in sorted(result.contact_strata, key=lambda s: s.name)
+        ],
+        "frontier": [[a, b] for a, b in pairs(result.frontier)],
+        "hasse": [[a, b] for a, b in pairs(result.hasse)],
+        "starred": sorted(result.starred),
+        "piece_count": len(result.cl_strata),
+        # the C-L pieces always refine the contact strata, strictly exactly
+        # when the lattice has more than one orbit type
+        "finer_than_contact": {"finer": True, "strict": result.total_types > 1},
+        "smooth_total_space": result.smooth_total_space,
+        "poset_valid": True,
+    }
+
+
+def written_report(result):
+    """The report the ``reduce`` writer makes of a result, parsed."""
+    return json.loads("".join(_reduce_report(result)))
 
 
 def contact_frontier(poset):
@@ -242,20 +292,26 @@ def report_closure_only(report):
     }
 
 
-def assert_sorted_pairs(pairs):
-    """A tuple of (A, B) name pairs in report order: sorted, each pair once."""
-    assert isinstance(pairs, tuple)
-    assert list(pairs) == sorted(set(pairs))
+def assert_report_order(relation):
+    """Rows in report order: one non-empty tuple row per first name, the
+    pairs sorted, each pair once, and the length the number of pairs."""
+    assert isinstance(relation.rows, tuple)
+    assert all(isinstance(names, tuple) and names for _, names in relation.rows)
+    firsts = [a for a, _ in relation.rows]
+    assert len(firsts) == len(set(firsts))
+    flat = pairs(relation)
+    assert flat == sorted(set(flat))
+    assert len(relation) == len(flat)
 
 
 def assert_matches_oracle(poset):
     result = cl_stratification(poset)
-    report = result_to_json(result)
+    report = written_report(result)
     frontier, closure_only, hasse = frontier_oracle(poset)
-    assert_sorted_pairs(result.frontier)
-    assert_sorted_pairs(result.hasse)
-    assert set(result.frontier) == frontier
-    assert set(result.hasse) == hasse
+    assert_report_order(result.frontier)
+    assert_report_order(result.hasse)
+    assert set(pairs(result.frontier)) == frontier
+    assert set(pairs(result.hasse)) == hasse
     assert report_closure_only(report) == closure_only
     # each piece fibers over its upper type (base_target, the bundle target)
     assert report_pairs(report) == pair_oracle(poset)
@@ -273,8 +329,8 @@ def test_one_plane_inventory():
         "CC(e)": (1, StratumKind.COSPHERE),
         "Seam(S^1>e)": (0, StratumKind.LEGENDRIAN_SEAM),
     }
-    assert set(result.frontier) == {("Seam(S^1>e)", "CC(e)")}
-    assert report_closure_only(result_to_json(result)) == set()
+    assert pairs(result.frontier) == [("Seam(S^1>e)", "CC(e)")]
+    assert report_closure_only(written_report(result)) == set()
 
 
 def test_cl_stratification_rejects_invalid_posets():
@@ -348,11 +404,11 @@ def test_fuzz_piece_inventory_shape(poset):
     names = {s.name for s in result.cl_strata}
     for s in result.cl_strata:
         assert s.dim >= 0
-    for a, b in result.frontier:
+    for a, b in pairs(result.frontier):
         assert a in names and b in names
         assert a != b
-    assert set(result.hasse) <= set(result.frontier)
-    assert transitive_closure(result.hasse) == set(result.frontier)
+    assert set(pairs(result.hasse)) <= set(pairs(result.frontier))
+    assert transitive_closure(pairs(result.hasse)) == set(pairs(result.frontier))
 
 
 @given(valid_posets())
@@ -378,7 +434,7 @@ def test_fuzz_seam_excess_identity(poset):
 def test_fuzz_rule_one_is_the_contact_frontier(poset):
     result = cl_stratification(poset)
     cc_pairs = {
-        (a, b) for a, b in result.frontier
+        (a, b) for a, b in pairs(result.frontier)
         if a.startswith("CC(") and b.startswith("CC(")
     }
     starred = starred_oracle(poset)
@@ -483,13 +539,13 @@ def test_unstarred_middle_type_emits_no_ghost_seam():
     assert result.starred == ("A",)
     names = {s.name for s in result.cl_strata}
     assert names == {"CC(A)", "Seam(B>A)", "Seam(C>A)"}
-    for a, b in result.frontier:
+    for a, b in pairs(result.frontier):
         assert a in names and b in names
 
 
 def test_finer_than_contact():
     def finer(poset):
-        return result_to_json(cl_stratification(poset))["finer_than_contact"]
+        return written_report(cl_stratification(poset))["finer_than_contact"]
 
     assert finer(two_plane_poset()) == {"finer": True, "strict": True}
     single = IsotropyPoset(
@@ -504,7 +560,7 @@ def test_finer_than_contact():
 
 def test_bundle_targets_are_single_orbit_type_strata():
     result = cl_stratification(two_plane_poset())
-    report = result_to_json(result)
+    report = written_report(result)
     assert "bundle_targets" not in report and "closure_only" not in report
     targets = {name: upper for name, (upper, _) in report_pairs(report).items()}
     assert targets["CC(e)"] == "e"
@@ -523,7 +579,7 @@ def test_semifree_decomposition_of_the_circle_action():
     assert got == {"CC(e)": 1, "Seam(S^1>e)": 0}
     assert semifree_diagnostics(poset) == ()
     assert result.smooth_total_space
-    assert result_to_json(result)["smooth_total_space"] is True
+    assert written_report(result)["smooth_total_space"] is True
     seam = next(s for s in result.cl_strata if s.name.startswith("Seam"))
     assert seam.kind is StratumKind.LEGENDRIAN_SEAM
 
@@ -540,7 +596,7 @@ def test_semifree_decomposition_rejects_the_two_plane_torus():
     poset = two_plane_poset()
     assert semifree_diagnostics(poset)
     assert not cl_stratification(poset).smooth_total_space
-    assert result_to_json(cl_stratification(poset))["smooth_total_space"] is False
+    assert written_report(cl_stratification(poset))["smooth_total_space"] is False
 
 
 def test_semifree_decomposition_needs_a_principal_minimum():
@@ -597,13 +653,13 @@ def test_single_type_reduce():
 
 def test_result_json_schema_and_determinism():
     result = cl_stratification(two_plane_poset())
-    data = result_to_json(result)
+    data = written_report(result)
     assert data["piece_count"] == 8
     assert data["starred"] == ["S^1×e", "e", "e×S^1"]
     assert data["finer_than_contact"] == {"finer": True, "strict": True}
     assert data["frontier"] == sorted(data["frontier"])
     assert len(data["hasse"]) == 10
-    assert data == result_to_json(cl_stratification(two_plane_poset()))
+    assert data == written_report(cl_stratification(two_plane_poset())) == result_to_json(result)
 
 
 def test_result_dot_lists_every_piece_and_cover():
