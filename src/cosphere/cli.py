@@ -116,7 +116,6 @@ def _write_text(path: Path, parts: Iterable[str]) -> None:
         out.writelines(parts)
 
 
-_FLOAT_SPELLING = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _JSON_BOOL = {True: "true", False: "false"}
 
 
@@ -126,66 +125,6 @@ class _QuotedStrings(dict):
     def __missing__(self, text: str) -> str:
         quoted = self[text] = encode_basestring_ascii(text)
         return quoted
-
-
-def _json_float(value: float) -> str:
-    text = float.__repr__(value)
-    return _FLOAT_SPELLING.get(text, text)
-
-
-def _dump_json(data: dict) -> str:
-    """The bytes of ``json.dumps(data, indent=2, sort_keys=True) + "\\n"``.
-
-    With ``indent`` set, :mod:`json` runs its pure-Python encoder, one
-    generator step per token.  This writer appends the same text to one list
-    of parts and joins it once, so no level copies the text of the levels
-    inside it, and strings go through the C ``encode_basestring_ascii`` once
-    each.  Dict keys must be str and scalars exactly str, int, float, bool
-    or None (``TypeError`` otherwise); NaN and the infinities are spelled as
-    :mod:`json` spells them.
-    """
-    quoted = _QuotedStrings().__getitem__
-    scalars = {
-        str: quoted,
-        int: int.__repr__,
-        float: _json_float,
-        bool: _JSON_BOOL.__getitem__,
-        type(None): lambda _: "null",
-    }
-    parts: list[str] = []
-    write = parts.append
-
-    def encode(value, indent: str) -> None:
-        scalar = scalars.get(type(value))
-        if scalar is not None:
-            write(scalar(value))
-            return
-        inner = indent + "  "
-        if isinstance(value, (list, tuple)):
-            if not value:
-                write("[]")
-                return
-            write("[\n" + inner)
-            for v in value:
-                encode(v, inner)
-                write(",\n" + inner)
-            parts[-1] = "\n" + indent + "]"  # in place of the last separator
-        elif isinstance(value, dict):
-            if not value:
-                write("{}")
-                return
-            write("{\n" + inner)
-            for k, v in sorted(value.items()):
-                write(quoted(k) + ": ")
-                encode(v, inner)
-                write(",\n" + inner)
-            parts[-1] = "\n" + indent + "}"
-        else:
-            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-    encode(data, "")
-    write("\n")
-    return "".join(parts)
 
 
 def _entry_template(*keys: str) -> str:
@@ -256,6 +195,7 @@ def _reduce_report(result: strata.StratificationResult) -> Iterator[str]:
 def cmd_lattice(cfg: RunConfig) -> int:
     """Emit isotropy.dot and cl_strata.dot into the --out directory."""
     poset, _ = _resolve_source(cfg)
+    # the DOT draws the covers, so the frontier is never built here
     result = strata.cl_stratification(poset)
     out_dir = Path(cfg.out) if cfg.out else Path(".")
     _write_text(out_dir / "isotropy.dot", [poset_to_dot(poset)])
@@ -269,7 +209,8 @@ def cmd_reduce(cfg: RunConfig) -> int:
     """Full stratification report as JSON (stdout or --out file)."""
     poset, _ = _resolve_source(cfg)
     result = strata.cl_stratification(poset)
-    # the parts stream out, so the report text is never held whole
+    # the parts stream out, so the report text is never held whole; the
+    # frontier rows are built here, on the writer's first read
     parts = _reduce_report(result)
     if cfg.out:
         _write_text(Path(cfg.out), parts)
@@ -329,7 +270,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     report = checks.verify_fixture(
         fixture, seed=cfg.seed, count=cfg.count, band=cfg.tolerance
     )
-    text = _dump_json(report)
+    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if cfg.out:
         out_dir = Path(cfg.out)
         _write_text(out_dir / "report.json", [text])
@@ -391,7 +332,7 @@ def cmd_flow(cfg: RunConfig) -> int:
     }
     if cfg.out:
         _write_text(Path(cfg.out), [text])
-        sys.stdout.write(_dump_json(summary))
+        sys.stdout.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
         print(f"wrote {cfg.out}")
     else:
         sys.stdout.write(text)

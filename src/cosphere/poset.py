@@ -259,6 +259,12 @@ def poset_from_json(data: dict) -> IsotropyPoset:
                          dim_G=dim_g, dim_Q=dim_q)
 
 
+def _dot_quoted(text: str) -> str:
+    """``text`` escaped for the inside of a DOT double-quoted string, an ID
+    or a label: ``\\`` becomes ``\\\\`` and ``"`` becomes ``\\"``."""
+    return text.replace("\\", "\\\\").replace('"', '\\"')
+
+
 def poset_to_dot(poset: IsotropyPoset) -> str:
     """DOT rendering of the isotropy lattice (edges are covering relations).
 
@@ -267,11 +273,12 @@ def poset_to_dot(poset: IsotropyPoset) -> str:
     lines = ["digraph isotropy {", '  rankdir="BT";']
     for t in sorted(poset.types, key=lambda t: t.label):
         d = poset.dim_Q_of.get(t.label, "?")
+        label = _dot_quoted(t.label)
         lines.append(
-            f'  "{t.label}" [label="({t.label})\\ndim H = {t.dim_H}, '
+            f'  "{label}" [label="({label})\\ndim H = {t.dim_H}, '
             f'dim Q_(H) = {d}"];'
         )
     for a, b in sorted(covers(poset.order)):  # the stored order is closed
-        lines.append(f'  "{a}" -> "{b}";')
+        lines.append(f'  "{_dot_quoted(a)}" -> "{_dot_quoted(b)}";')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -38,14 +38,18 @@ space.  :func:`semifree_diagnostics` names the failed conditions.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
+from collections.abc import Iterator
+from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain
+from functools import cached_property
+
+import numpy as np
 
 from .poset import (
     IsotropyPoset,
     NoUniqueMinimumError,
     OrbitType,
+    _dot_quoted,
     covers,
     principal_type,
 )
@@ -95,24 +99,33 @@ class Relation:
 
 @dataclass(frozen=True)
 class StratificationResult:
-    """C-L pieces with their frontier.
+    """C-L pieces with the covers of their frontier.
 
-    ``frontier`` relates A to B when piece A is contained in the boundary
+    The frontier relates A to B when piece A is contained in the boundary
     of piece B; it is the product order on the (upper, lower) type pairs
     of the pieces, which is the transitive closure of the five generation
-    rules.  ``hasse`` is the covering relation of the frontier.  Both are
+    rules.  ``hasse`` is its covering relation, built with the pieces.
+    ``frontier`` itself is built on first use, from the pieces and
+    ``type_order`` (the poset's closed order), by :func:`frontier`, and
+    kept; of the CLI commands only ``reduce`` needs it.  Both are
     :class:`Relation` rows, so neither is ever a list of pairs in memory.
+    ``type_order`` takes no part in ``==``, ``hash`` or ``repr``: the
+    pieces and their covers already determine the frontier.
     ``smooth_total_space`` is true exactly when the action is almost
     semifree (see the module docstring).
     """
 
     cl_strata: tuple[Stratum, ...]
     contact_strata: tuple[Stratum, ...]
-    frontier: Relation
     hasse: Relation
     starred: tuple[str, ...]
     total_types: int
     smooth_total_space: bool
+    type_order: frozenset[tuple[str, str]] = field(compare=False, repr=False)
+
+    @cached_property
+    def frontier(self) -> Relation:
+        return Relation(tuple(frontier(self)))
 
 
 def quotient_dims(poset: IsotropyPoset) -> dict[str, int]:
@@ -192,7 +205,7 @@ def semifree_diagnostics(poset: IsotropyPoset) -> tuple[str, ...]:
 
 
 def cl_stratification(poset: IsotropyPoset) -> StratificationResult:
-    """The full C-L stratification with its frontier poset.
+    """The C-L stratification: its pieces and the covers of its frontier.
 
     Each piece is a pair (K, H) of types with H starred and H <= K: CC(H)
     is (H, H) and Seam(K>H) is (K, H).  The frontier is the product order
@@ -205,13 +218,13 @@ def cl_stratification(poset: IsotropyPoset) -> StratificationResult:
     cosphere-like piece over the principal type is the unique open dense
     stratum; without a unique minimal type there is none.
 
-    Both relations are built as rows, one per piece, already in report
-    order: for each piece A = (K', H') by name, its frontier row lists
-    B = (K, H) over H <= H' (H starred) and H <= K <= K', B != A, by name;
-    its ``hasse`` row lists the covers (K, H') with K covered by K' and
-    (K', H) with H covered by H' among the starred types.  Each name
-    arises once in a row, so no pair set, no second sort and no pair
-    tuple is needed; a piece with an empty row has no row.
+    Only ``hasse`` is built here, as rows, one per piece, already in
+    report order: for each piece A = (K', H') by name, its row lists the
+    covers (K, H') with K covered by K' and (K', H) with H covered by H'
+    among the starred types, by name; a piece with no cover has no row.
+    The frontier itself is built by :func:`frontier` when
+    ``result.frontier`` is first read, so ``cosphere lattice``, which draws
+    the covers, never builds it.
     """
     dims = quotient_dims(poset)
     starred = frozenset(label for label, d in dims.items() if d >= 1)
@@ -240,23 +253,13 @@ def cl_stratification(poset: IsotropyPoset) -> StratificationResult:
                 open_dense=k == h == open_label,
             )
 
-    # column[K', H] lists the pieces (K, H) with K <= K' by name
-    column = {
-        (k2, h): sorted(map(names[h].__getitem__, names[h].keys() & below[k2]))
-        for k2, h in pieces
-    }
     # poset.order is closed, and so is its restriction to the starred types
     upper_covers = _covered_by(poset.order)
     lower_covers = _covered_by(
         frozenset((a, b) for a, b in poset.order if a in starred and b in starred)
     )
-    frontier = []
     hasse = []
     for a, k2, h2 in sorted((p.name, p.upper, p.lower) for p in pieces.values()):
-        lows = sorted(chain.from_iterable([column[k2, h] for h in below[h2] & starred]))
-        lows.remove(a)
-        if lows:
-            frontier.append((a, tuple(lows)))
         covered = [names[h2][k] for k in upper_covers[k2] if k in names[h2]]
         covered += [names[h][k2] for h in lower_covers[h2]]
         if covered:
@@ -274,12 +277,63 @@ def cl_stratification(poset: IsotropyPoset) -> StratificationResult:
             ) for label in starred),
             key=lambda s: s.name,
         )),
-        frontier=Relation(tuple(frontier)),
         hasse=Relation(tuple(hasse)),
         starred=tuple(sorted(starred)),
         total_types=len(poset.types),
         smooth_total_space=not _semifree_diagnostics(poset, dims, principal),
+        type_order=poset.order,
     )
+
+
+_FRONTIER_CELLS = 1 << 18  # boolean cells per block of frontier rows
+
+
+def frontier(result: StratificationResult) -> Iterator[tuple[str, tuple[str, ...]]]:
+    """The frontier rows (A, (B, ...)) of a stratification, in report order.
+
+    Row A = (K', H') lists the pieces B = (K, H) != A with K <= K' and
+    H <= H', the product order, by name.  The pieces are ranked by name,
+    and the order on the types is a boolean matrix ``under``, true at
+    [t, s] when s <= t.  The rows are taken by lower type, in blocks of
+    ``_FRONTIER_CELLS // pieces`` rows.  The columns of a block are the
+    pieces B whose lower type lies under the lower type of one of its rows
+    A, and the block is ``under[upper of A][:, upper of B] &
+    under[lower of A][:, lower of B]`` with the diagonal cleared.
+    ``np.nonzero`` lists each row's pieces in rank order, which is name
+    order, and one gather from an object array of the names spells them.
+    A block holds at most ``_FRONTIER_CELLS`` cells, so the work arrays
+    stay small at any size; rows of one lower type share their columns,
+    so at 438 types the blocks hold 9 M cells where all rows against all
+    pieces would be 51 M.
+    """
+    pieces = sorted(result.cl_strata, key=lambda s: s.name)
+    # CC(L) is (L, L) for every starred L, so the uppers hold every lower
+    rank = {label: i for i, label in enumerate(sorted({s.upper for s in pieces}))}
+    under = np.eye(len(rank), dtype=bool)
+    for low, high in result.type_order:
+        if low in rank and high in rank:
+            under[rank[high], rank[low]] = True
+    upper = np.array([rank[s.upper] for s in pieces], dtype=np.intp)
+    lower = np.array([rank[s.lower] for s in pieces], dtype=np.intp)
+    names = np.array([s.name for s in pieces], dtype=object)
+    rows = [()] * len(pieces)
+    step = max(1, _FRONTIER_CELLS // max(1, len(pieces)))
+    order = np.argsort(lower, kind="stable")
+    for start in range(0, len(pieces), step):
+        block = order[start:start + step]
+        lower_under = under[lower[block]]
+        (cols,) = lower_under.any(axis=0)[lower].nonzero()
+        below = under[upper[block]][:, upper[cols]] & lower_under[:, lower[cols]]
+        below[np.arange(len(block)), cols.searchsorted(block)] = False
+        hit_rows, hit_cols = below.nonzero()
+        gathered = names[cols[hit_cols]].tolist()
+        end = 0
+        for a, count in zip(block.tolist(), np.bincount(hit_rows, minlength=len(block)).tolist()):
+            rows[a] = tuple(gathered[end:end + count])
+            end += count
+    for a, row in zip(names.tolist(), rows):
+        if row:
+            yield a, row
 
 
 def result_to_dot(result: StratificationResult) -> str:
@@ -287,10 +341,10 @@ def result_to_dot(result: StratificationResult) -> str:
     contained in the closure of B.  Nodes and edges are sorted."""
     lines = ["digraph cl_strata {", '  rankdir="BT";']
     for s in sorted(result.cl_strata, key=lambda s: s.name):
-        lines.append(
-            f'  "{s.name}" [label="{s.name}\\ndim {s.dim}, {s.kind.value}"];'
-        )
+        name = _dot_quoted(s.name)
+        lines.append(f'  "{name}" [label="{name}\\ndim {s.dim}, {s.kind.value}"];')
     for a, covered in result.hasse.rows:
-        lines.extend(f'  "{a}" -> "{b}";' for b in covered)
+        a = _dot_quoted(a)
+        lines.extend(f'  "{a}" -> "{_dot_quoted(b)}";' for b in covered)
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -227,18 +227,26 @@ def support_lattices(spec: TorusActionSpec) -> Mapping[int, tuple[tuple[int, ...
     a union of supports is an ``|``.  The table is built incrementally:
     combinations come by increasing size, so S minus its last plane j is
     already in the table, and HNF(S) is the HNF of that basis plus column
-    j, at most k + 1 columns whatever |S| is.  The stabilizer of support S
-    is labelled ``class_label(spec.k, table[S])`` and the rank of the weight
+    j, at most k + 1 columns whatever |S| is.  That HNF is a function of
+    (basis of S minus j, j) alone, and many supports share the pair, so each
+    pair is reduced once: the n = 12 spec of twelve equal weights needs 23
+    reductions for its 4,095 supports.  The stabilizer of support S is
+    labelled ``class_label(spec.k, table[S])`` and the rank of the weight
     matrix is the size of the basis of all planes.  The table is built once
     per spec and shared, so it is read-only.
     """
     columns = [spec.column(j) for j in range(spec.n)]
     basis_of = {0: ()}
+    reduced = {}  # (basis, j) -> HNF of basis plus column j
     for r in range(1, spec.n + 1):
         for planes in itertools.combinations(range(spec.n), r):
             j = planes[-1]
             mask = sum(1 << i for i in planes)
-            basis_of[mask] = _lattice_hnf(basis_of[mask ^ (1 << j)] + (columns[j],), spec.k)
+            key = basis_of[mask ^ (1 << j)], j
+            basis = reduced.get(key)
+            if basis is None:
+                basis = reduced[key] = _lattice_hnf(key[0] + (columns[j],), spec.k)
+            basis_of[mask] = basis
     return MappingProxyType(basis_of)
 
 

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import cosphere
-from cosphere import checks, cli, phase, poset as poset_mod, reeb, strata, torus
+from cosphere import cli, phase, poset as poset_mod, reeb, strata, torus
 from cosphere.cli import main
 from cosphere.poset import IsotropyPoset, OrbitType, poset_to_json
 from cosphere.torus import TorusActionSpec, build_isotropy_poset, spec_to_json
@@ -426,58 +427,6 @@ def json_oracle(value) -> str:
     return json.dumps(value, indent=2, sort_keys=True) + "\n"
 
 
-json_texts = st.text(st.sampled_from('a"\\/\n\t\x00\x1f\x7f×\u2028\U0001f600') | st.characters(),
-                     max_size=6)
-json_scalars = (
-    st.none() | st.booleans() | st.integers() | st.integers(-2 ** 200, 2 ** 200)
-    | st.floats() | st.sampled_from([-0.0, 1e-300, float("nan"), float("inf"), -float("inf")])
-    | json_texts
-)
-# equal-width rows of strings, including width 0 and 1
-json_string_rows = st.integers(0, 3).flatmap(lambda width: st.lists(
-    st.lists(json_texts, min_size=width, max_size=width) | st.tuples(*[json_texts] * width),
-    max_size=5,
-))
-# rows of two strings in runs of equal first cells, as the frontier pairs run
-json_pair_runs = st.lists(
-    st.tuples(st.sampled_from(["a", "b", '"×']), json_texts)
-    | st.lists(st.sampled_from(["a", "\\"]), min_size=2, max_size=2),
-    max_size=8,
-)
-json_values = st.recursive(
-    json_scalars | json_string_rows | json_pair_runs,
-    lambda inner: (
-        st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
-        | st.dictionaries(json_texts, inner, max_size=4)
-    ),
-    max_leaves=30,
-)
-
-
-@given(json_values)
-@example({"frontier": [("CC(e)", "Seam(T^2>e)"), ("a", "b")], "hasse": [], "starred": ["e"]})
-@example([["×"], ["\"\\"]])                       # width-1 rows
-@example([["a", "b"], ["c"], [], ("d", "e")])     # ragged rows
-@example([["a", 1], ["b", None], ["c", 0.5]])     # str mixed with non-str
-@example([("a", "b"), ("a", "c"), ["a", 1], ("b", "c")])  # a non-str cell in a run
-@example([("a", "b"), ("a", "c"), ("b", "b"), ["b", "a"], ("a", "b")])  # runs
-@example([[], []])
-@example({"x": [-0.0, 1e-300, float("nan"), float("inf"), -float("inf"), 2 ** 70, True]})
-def test_dump_json_matches_the_json_module(value):
-    assert cli._dump_json(value) == json_oracle(value)
-
-
-def test_dump_json_refuses_what_no_report_holds():
-    # json.dumps would write the key 1 as "1" and a str subclass as a str
-    class Label(str):
-        pass
-
-    for value in ({1: "a"}, {"a": [{None: 0}]}, {"a": Label("b")},
-                  {"a": [("b", "c"), ("b", Label("c"))]}):
-        with pytest.raises(TypeError):
-            cli._dump_json(value)
-
-
 def reduce_text(result) -> str:
     return "".join(cli._reduce_report(result))
 
@@ -500,8 +449,10 @@ def test_reports_match_the_json_module(tmp_path, capsys):
     text = report_file.read_text()
     assert code == 0 and len(json.loads(text)["frontier"]) == top["frontier_pairs"] == 30434
     assert text == json_oracle(json.loads(text))
-    report = checks.verify_fixture(cosphere.get_fixture("t2-on-r4"), seed=0, count=200)
-    assert cli._dump_json(report) == json_oracle(report)
+    code, _, _ = run(capsys, "verify", "--fixture", "t2-on-r4", "--count", "200",
+                     "--out", str(tmp_path / "verify"))
+    text = (tmp_path / "verify" / "report.json").read_text(encoding="utf-8")
+    assert code == 0 and text == json_oracle(json.loads(text))
     code, out, _ = run(
         capsys, "flow", "--fixture", "s1-on-r2", "--t-end", "0.5",
         "--out", str(tmp_path / "flow.csv"),
@@ -550,6 +501,92 @@ def test_reduce_report_edge_cases_reach_their_shapes():
     escaped = result_to_json(strata.cl_stratification(ESCAPED_LABELS))
     assert (escaped["piece_count"], len(escaped["frontier"]), len(escaped["hasse"])) == (8, 19, 10)
     assert {E, A, B} == set(escaped["starred"])
+
+
+def escaped_poset_file(tmp_path) -> Path:
+    path = tmp_path / "escaped.json"
+    path.write_text(json.dumps(poset_to_json(ESCAPED_LABELS)), encoding="utf-8")
+    return path
+
+
+def test_lattice_never_builds_the_frontier(tmp_path, capsys, monkeypatch):
+    # the DOT files draw the covers; only `reduce` reads the frontier
+    sources = [("--fixture", "s1-on-r2"), ("--fixture", "t2-on-r4"),
+               ("--action", str(escaped_poset_file(tmp_path)))]
+
+    def dot_files(tag):
+        for i, source in enumerate(sources):
+            out = tmp_path / tag / str(i)
+            assert run(capsys, "lattice", *source, "--out", str(out))[0] == 0
+            yield [(out / name).read_bytes() for name in ("isotropy.dot", "cl_strata.dot")]
+
+    drawn = list(dot_files("before"))
+
+    def refuse(result):
+        raise AssertionError("the frontier was built")
+
+    monkeypatch.setattr(strata, "frontier", refuse)
+    with pytest.raises(AssertionError):
+        strata.cl_stratification(ESCAPED_LABELS).frontier
+    assert list(dot_files("after")) == drawn
+
+
+def test_reduce_builds_the_frontier_once(capsys, monkeypatch):
+    plain = run(capsys, "reduce", "--fixture", "t2-on-r4")
+    builds = []
+    build, stratify = strata.frontier, strata.cl_stratification
+
+    def counted(result):
+        builds.append(result)
+        return build(result)
+
+    def traced(poset):
+        # a tracer counts the frontier pairs of every stratification
+        result = stratify(poset)
+        assert len(result.frontier) == 19
+        return result
+
+    monkeypatch.setattr(strata, "frontier", counted)
+    monkeypatch.setattr(strata, "cl_stratification", traced)
+    assert run(capsys, "reduce", "--fixture", "t2-on-r4") == plain
+    assert len(builds) == 1
+
+
+DOT_STRING = r'"((?:[^"\\]|\\.)*)"'
+DOT_NODE = re.compile(rf"  {DOT_STRING} \[label={DOT_STRING}\];")
+DOT_EDGE = re.compile(rf"  {DOT_STRING} -> {DOT_STRING};")
+
+
+def unescape_dot(text: str) -> str:
+    return re.sub(r"\\(.)", r"\1", text)
+
+
+def test_dot_files_escape_quotes_and_backslashes(tmp_path, capsys):
+    # every line of both files is a well-formed node or edge, and the
+    # unescaped names are the labels, the pieces and their covers
+    out = tmp_path / "dot"
+    assert run(capsys, "lattice", "--action", str(escaped_poset_file(tmp_path)),
+               "--out", str(out))[0] == 0
+    result = strata.cl_stratification(ESCAPED_LABELS)
+    expected = {
+        "isotropy.dot": ("isotropy", "({})\\n", {E, A, B, T},
+                         set(poset_mod.covers(ESCAPED_LABELS.order))),
+        "cl_strata.dot": ("cl_strata", "{}\\n", {s.name for s in result.cl_strata},
+                          {(a, b) for a, covered in result.hasse.rows for b in covered}),
+    }
+    for name, (graph, label_start, nodes, edges) in expected.items():
+        lines = (out / name).read_text(encoding="utf-8").splitlines()
+        assert lines[:2] == [f"digraph {graph} {{", '  rankdir="BT";'] and lines[-1] == "}"
+        drawn_nodes, drawn_edges = set(), set()
+        for line in lines[2:-1]:
+            node, edge = DOT_NODE.fullmatch(line), DOT_EDGE.fullmatch(line)
+            assert node or edge, line
+            if node:
+                assert node[2].startswith(label_start.format(node[1])), line
+                drawn_nodes.add(unescape_dot(node[1]))
+            else:
+                drawn_edges.add((unescape_dot(edge[1]), unescape_dot(edge[2])))
+        assert (drawn_nodes, drawn_edges) == (nodes, edges)
 
 
 # -------------------------------------------------------- the CSV writer

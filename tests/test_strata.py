@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, strategies as st
 
-from cosphere import torus
+from cosphere import strata as strata_mod, torus
 from cosphere.cli import _reduce_report
 from cosphere.poset import (
     MAX_TYPES,
@@ -38,7 +38,7 @@ from cosphere.strata import (
     semifree_diagnostics,
 )
 from cosphere.torus import ActionSpecError, TorusActionSpec, build_isotropy_poset
-from test_torus import weight_specs
+from test_torus import LADDER_K2_N8, weight_specs
 
 LABELS = "ABCDEFGH"
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "lattice_golden.json"
@@ -320,6 +320,30 @@ def assert_matches_oracle(poset):
 
 def test_two_plane_frontier_matches_the_rule_oracle():
     assert_matches_oracle(two_plane_poset())
+
+
+@pytest.mark.parametrize("cells", [1, 24, 64, 2000])
+@pytest.mark.parametrize("spec", [
+    TorusActionSpec(k=2, n=2, weights=((1, 0), (0, 1))),
+    LADDER_K2_N8,
+])
+def test_frontier_rows_do_not_depend_on_the_block_size(spec, cells, monkeypatch):
+    # blocks of one row, blocks of 3 rows with the last one cut short, one
+    # block of all 8 pieces of the two-plane lattice, and blocks across
+    # several lower types of the 38-type lattice
+    monkeypatch.setattr(strata_mod, "_FRONTIER_CELLS", cells)
+    assert_matches_oracle(build_isotropy_poset(spec))
+
+
+def test_frontier_is_built_on_first_read_and_kept():
+    result, other = cl_stratification(two_plane_poset()), cl_stratification(two_plane_poset())
+    assert "frontier" not in vars(result)
+    assert result.frontier is result.frontier
+    assert "frontier" in vars(result) and "frontier" not in vars(other)
+    # neither the kept frontier nor the type order it is read from takes
+    # part in ==, hash or repr
+    assert result == other and hash(result) == hash(other)
+    assert "type_order" not in repr(result) and "frontier" not in repr(result)
 
 
 def test_one_plane_inventory():

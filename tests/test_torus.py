@@ -25,6 +25,7 @@ from sympy import Matrix
 from sympy.matrices.normalforms import hermite_normal_form, invariant_factors
 
 import cosphere
+from cosphere import torus as torus_mod
 from cosphere.poset import principal_type
 from cosphere.strata import cl_stratification, semifree_diagnostics
 from cosphere.torus import (
@@ -279,6 +280,15 @@ LADDER_K3_N6 = TorusActionSpec(k=3, n=6, weights=(
     (-5, 4, -4, 2, -3, 3),
     (4, -2, 1, 3, 4, -2),
 ))
+# the k=3, n=7 reference spec of the ladder with exactly MAX_TYPES = 64
+# orbit types, and twelve equal planes, whose 4,095 supports share 23
+# (basis, plane) reductions
+LADDER_K3_N7 = TorusActionSpec(k=3, n=7, weights=(
+    (-2, 1, -5, 1, 4, 0, -1),
+    (-2, 4, -1, 3, -4, -1, 5),
+    (-2, -1, -1, 0, 4, 0, -1),
+))
+EQUAL_N12 = TorusActionSpec(k=1, n=12, weights=((2,) * 12,))
 
 
 def sympy_basis(spec, support):
@@ -291,9 +301,12 @@ def sympy_basis(spec, support):
 @given(weight_specs())
 @example(LADDER_K2_N8)
 @example(LADDER_K3_N6)
+@example(LADDER_K3_N7)
+@example(EQUAL_N12)
 def test_support_table_matches_the_per_support_oracle(spec):
     # the incremental table against one HNF per support, ours and sympy's,
-    # for the basis and for the label read off it
+    # for the basis and for the label read off it; the last two examples
+    # reuse most of their (basis, plane) reductions
     table = support_lattices(spec)
     assert len(table) == 2 ** spec.n
     for s in all_supports(spec.n):
@@ -302,6 +315,24 @@ def test_support_table_matches_the_per_support_oracle(spec):
         if s:
             assert basis == sympy_basis(spec, s), s
         assert class_label(spec.k, basis) == support_label(spec, s), s
+
+
+@pytest.mark.parametrize("spec", [EQUAL_N12, LADDER_K3_N7, LADDER_K2_N8])
+def test_support_table_reduces_each_basis_and_plane_once(spec, monkeypatch):
+    # support S is built from (basis of S minus its last plane j, j); each
+    # distinct pair is one HNF, however many supports share it
+    calls = []
+
+    def counted(columns, k):
+        calls.append(columns)
+        return _lattice_hnf(columns, k)
+
+    monkeypatch.setattr(torus_mod, "_lattice_hnf", counted)
+    table = support_lattices.__wrapped__(spec)  # past the per-spec cache
+    keys = {(table[s & ~(1 << (s.bit_length() - 1))], s.bit_length() - 1) for s in table if s}
+    assert len(calls) == len(keys) < len(table) - 1
+    if spec == EQUAL_N12:
+        assert (len(calls), len(table) - 1) == (23, 4095)
 
 
 @given(weight_specs())
