@@ -8,8 +8,10 @@ import json
 import math
 import os
 import re
+import struct
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -337,14 +339,55 @@ def test_flow_rejects_bad_starts(capsys):
 
 
 def test_flow_stdout_matches_file_output(tmp_path, capsys):
-    args = ["flow", "--fixture", "s1-on-r2", "--seed", "4",
-            "--t-end", "0.2", "--step", "0.05"]
-    code, out, _ = run(capsys, *args)
-    assert code == 0
+    # a short run, and the default 2,001 rows, spelled in eight blocks
+    for fixture, extra, lines in (("s1-on-r2", ["--t-end", "0.2", "--step", "0.05"], 6),
+                                  ("t2-on-r4", [], 2002)):
+        args = ["flow", "--fixture", fixture, "--seed", "4", *extra]
+        code, out, _ = run(capsys, *args)
+        assert code == 0
+        target = tmp_path / "t.csv"
+        code2, _, _ = run(capsys, *args, "--out", str(target))
+        assert code2 == 0
+        assert out == target.read_text()
+        assert out.count("\n") == lines
+    assert lines > 7 * cli._CSV_BLOCK
+
+
+def test_flow_fails_before_the_first_row_without_a_file(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise phase.PhaseError("no piece for you")
+
+    monkeypatch.setattr(phase, "locate_rows", refuse)
     target = tmp_path / "t.csv"
-    code2, _, _ = run(capsys, *args, "--out", str(target))
-    assert code2 == 0
-    assert out == target.read_text()
+    code, _, err = run(capsys, "flow", "--fixture", "s1-on-r2", "--out", str(target))
+    assert (code, err) == (2, "error: no piece for you\n")
+    assert not target.exists()
+
+
+def test_verdicts_fail_on_nan(capsys, monkeypatch):
+    # the builtin max returns its first argument past a NaN: max(0.0, nan) is 0.0
+    nan = math.nan
+    monkeypatch.setattr(reeb, "conservation_report", lambda traj: {
+        "p4_drift": 0.0, "plane_mass_drift": nan, "cosphere_sum_drift": nan})
+    code, out, _ = run(capsys, "flow", "--fixture", "s1-on-r2", "--t-end", "0.1",
+                       "--out", os.devnull)
+    assert code == 1 and '"passed": false' in out
+    fx = cosphere.get_fixture("s1-on-r2")
+    checks = cosphere.checks.flow_checks(fx, starts=10)["checks"]
+    assert checks == {"closed_form_matches_exact": True, "rk4_endpoint": True,
+                      "rk4_drift": False, "seam_flow_lands_in_cc": True}
+
+    # a NaN at the second grid time, and in the endpoint's u only
+    flowed_tables, flow_exact = reeb.flowed_tables, reeb.flow_exact
+    monkeypatch.setattr(reeb, "flowed_tables",
+                        lambda tables, t: flowed_tables(tables, t) + (nan if t == 0.5 else 0.0))
+    monkeypatch.setattr(reeb, "flow_exact", lambda point, t: types.SimpleNamespace(
+        x=flow_exact(point, t).x, u=np.full_like(point.u, nan)))
+    report = cosphere.checks.flow_checks(fx, starts=10)
+    assert math.isnan(report["closed_vs_exact_max"])
+    assert math.isnan(report["rk4_endpoint_error"])
+    assert not report["checks"]["closed_form_matches_exact"]
+    assert not report["checks"]["rk4_endpoint"]
 
 
 def record_public_calls(monkeypatch) -> tuple[set[str], set[str]]:
@@ -657,6 +700,40 @@ def test_csv_lines_match_the_csv_writer(data):
         assert text == csv_oracle(fx, x, u, phase.MEMBERSHIP_BAND, times)
     column = [row[-2] for row in csv.reader(io.StringIO(text, newline=""))][1:]
     assert column.count("(unresolved)") >= width and labels[0] in column
+
+
+def _float_of_bits(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+# equal cells within a block and across its edges: 0.0 and -0.0 are two bit
+# patterns spelled apart, the two NaN payloads two spelled alike
+BLOCK_POOL = np.array([0.0, -0.0, _float_of_bits(0x7FF8000000000001),
+                       _float_of_bits(0xFFF8000000000002), math.inf, -math.inf,
+                       5e-324, 1 / 3])
+
+
+@pytest.mark.parametrize("timed", [False, True])
+@pytest.mark.parametrize("extra", [-1, 0, 1, cli._CSV_BLOCK + 1])
+@pytest.mark.parametrize("name", ["s1-on-r2", "t2-on-r4"])
+def test_csv_lines_across_block_edges(name, extra, timed):
+    assert len(set(BLOCK_POOL.view(np.int64).tolist())) == len(BLOCK_POOL)
+    fx = cosphere.get_fixture(name)
+    rows = cli._CSV_BLOCK + extra
+    rng = np.random.default_rng(rows)
+    # a few points that resolve, then cells drawn from the pool
+    x, u = phase.zero_level_arrays(fx.spec, seed=rows, count=5)
+    width = 4 * fx.spec.n
+    drawn = BLOCK_POOL[rng.integers(len(BLOCK_POOL), size=(rows - 5, width))]
+    points = np.concatenate([np.hstack([x, u]), drawn])
+    x, u = points[:, :width // 2], points[:, width // 2:]
+    times = BLOCK_POOL[rng.integers(len(BLOCK_POOL), size=rows)] if timed else None
+    assert {0, -2**63} <= set(points[:cli._CSV_BLOCK].view(np.int64).ravel().tolist())
+    with np.errstate(all="ignore"):
+        text = "".join(cli._csv_lines(fx, x, u, phase.MEMBERSHIP_BAND, times))
+        assert text == csv_oracle(fx, x, u, phase.MEMBERSHIP_BAND, times)
+    assert text.count("\n") == rows + 1
+    assert {"0.0", "-0.0", "nan", "inf", "-inf", "5e-324"} <= set(re.split("[,\n]", text))
 
 
 def test_flow_stdout_is_utf8_whatever_the_locale(tmp_path):
