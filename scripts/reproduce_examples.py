@@ -11,6 +11,8 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from cosphere import checks, strata, torus
@@ -55,11 +57,12 @@ def show_fixture(name: str, seed: int, count: int) -> bool:
     report = checks.verify_fixture(fx, seed=seed, count=count)
     print(f"   sampling battery ({count} generic samples, seed {seed}):")
     for probe in report["probes"]:
-        worst = max(
+        # np.max, not max: a NaN error is printed as NaN
+        worst = np.max([
             probe["max_momentum"],
             probe["max_cosphere_error"],
             probe["max_cone_rel_error"],
-        )
+        ])
         print(
             f"     probe {probe['name']:<22} {probe['count']:>6} pts  "
             f"worst identity {worst:.2e}  "

@@ -58,7 +58,7 @@ def demo(fixture_name: str, seed: int, t_end: float, step: float) -> int:
         endpoint = reeb.flow_exact(point, t_end)
         err = float(np.max(np.abs(traj.xs[-1] - endpoint.x)))
         print(f"     rk4: endpoint error {err:.1e}, "
-              f"worst drift {max(drift.values()):.1e}")
+              f"worst drift {np.max(list(drift.values())):.1e}")
     if failures:
         print(f"   {failures} flowed points stayed on a seam")
     return 1 if failures else 0

@@ -120,14 +120,6 @@ def _write_text(path: Path, parts: Iterable[str]) -> None:
 _JSON_BOOL = {True: "true", False: "false"}
 
 
-class _QuotedStrings(dict):
-    """str -> its JSON text; a report repeats a few hundred labels."""
-
-    def __missing__(self, text: str) -> str:
-        quoted = self[text] = encode_basestring_ascii(text)
-        return quoted
-
-
 def _entry_template(*keys: str) -> str:
     """A ``cl_strata`` or ``contact_strata`` entry, one ``%s`` per key."""
     return "{\n      " + ",\n      ".join(f'"{key}": %s' for key in keys) + "\n    }"
@@ -142,10 +134,12 @@ def _json_list(items: Iterable[str]) -> Iterator[str]:
     """A list value of the report's top object, from its items' JSON text."""
     separator = "[\n    "
     for item in items:
-        yield separator
-        yield item
+        yield separator + item
         separator = ",\n    "
     yield "[]" if separator == "[\n    " else "\n  ]"
+
+
+_QUOTED_KIND = {kind: encode_basestring_ascii(kind.value) for kind in strata.StratumKind}
 
 
 def _reduce_report(result: strata.StratificationResult) -> Iterator[str]:
@@ -153,43 +147,60 @@ def _reduce_report(result: strata.StratificationResult) -> Iterator[str]:
     ``json.dumps(report, indent=2, sort_keys=True) + "\\n"``.
 
     Each entry states its pair of types as ``base_target`` (upper) and
-    ``parent_contact`` (Contact(lower)); a seam also as ``seam_upper``.  An
-    entry is one ``%`` template per key set, a frontier or ``hasse`` row
-    one join of its pairs [A, B], and the fixed keys literal text; every
-    name is escaped once by ``_QuotedStrings``.  No part is the whole text.
+    ``parent_contact`` (Contact(lower)); a seam also as ``seam_upper``.  The
+    parts are read off the piece table of ``result``: each type's label and
+    Contact(label) and each piece's name is escaped once, an entry is one
+    ``%`` template per key set, a frontier or ``hasse`` row one join of its
+    escaped names, and the fixed keys literal text.  The frontier rows come
+    from :func:`strata.frontier_rows`, gathered from an array of the escaped
+    names, so no :class:`strata.Stratum` and no ``result.frontier`` is
+    built.  No part is the whole text.
     """
-    quoted = _QuotedStrings().__getitem__
+    labels = [encode_basestring_ascii(label) for label in result.labels]
+    starred = [t for t in range(len(labels)) if result.starred_mask >> t & 1]
+    contacts = [encode_basestring_ascii(strata.contact_name(label)) for label in result.labels]
+    names = np.array([encode_basestring_ascii(name) for name in result.pieces], dtype=object)
+    quoted_names = names.tolist()
 
-    def entries(pieces: tuple[strata.Stratum, ...]) -> Iterator[str]:
-        for s in sorted(pieces, key=lambda s: s.name):
-            values = (quoted(s.upper), s.dim, quoted(s.kind.value), quoted(s.name),
-                      _JSON_BOOL[s.open_dense], quoted(strata.contact_name(s.lower)))
-            if s.upper == s.lower:
+    def entries() -> Iterator[str]:
+        for name, (_, kind, dim, k, h, open_dense) in zip(quoted_names, result.piece_rows()):
+            values = (labels[k], dim, _QUOTED_KIND[kind], name, _JSON_BOOL[open_dense],
+                      contacts[h])
+            if k == h:
                 yield _ENTRY % values
             else:
-                yield _SEAM_ENTRY % (*values, quoted(s.upper))
+                yield _SEAM_ENTRY % (*values, labels[k])
 
-    def rows(relation: strata.Relation) -> Iterator[str]:
-        for a, names in relation.rows:
-            start = f"[\n      {quoted(a)},\n      "
-            pairs = f"\n    ],\n    {start}".join(map(quoted, names))
-            yield f"{start}{pairs}\n    ]"
+    def contact_entries() -> Iterator[str]:
+        kind = _QUOTED_KIND[strata.StratumKind.CONTACT]
+        for t in sorted(starred, key=lambda t: strata.contact_name(result.labels[t])):
+            yield _ENTRY % (labels[t], 2 * result.dims[t] - 1, kind, contacts[t],
+                            _JSON_BOOL[False], contacts[t])
 
+    def rows(pairs: Iterable[tuple[str, list[str]]]) -> Iterator[str]:
+        for a, covered in pairs:
+            if covered:
+                start = f"[\n      {a},\n      "
+                joined = f"\n    ],\n    {start}".join(covered)
+                yield f"{start}{joined}\n    ]"
+
+    quoted = dict(zip(result.pieces, quoted_names))
     yield '{\n  "cl_strata": '
-    yield from _json_list(entries(result.cl_strata))
+    yield from _json_list(entries())
     yield ',\n  "contact_strata": '
-    yield from _json_list(entries(result.contact_strata))
+    yield from _json_list(contact_entries())
     # the C-L pieces always refine the contact strata, strictly exactly when
     # the lattice has more than one orbit type
     yield ',\n  "finer_than_contact": {\n    "finer": true,\n    "strict": %s\n  },' \
-        '\n  "frontier": ' % _JSON_BOOL[result.total_types > 1]
-    yield from _json_list(rows(result.frontier))
+        '\n  "frontier": ' % _JSON_BOOL[len(result.labels) > 1]
+    yield from _json_list(rows(zip(quoted_names, strata.frontier_rows(result, names))))
     yield ',\n  "hasse": '
-    yield from _json_list(rows(result.hasse))
+    yield from _json_list(rows((quoted[a], [quoted[b] for b in covered])
+                               for a, covered in result.hasse.rows))
     # an IsotropyPoset is valid by construction
     yield ',\n  "piece_count": %d,\n  "poset_valid": true,\n  "smooth_total_space": %s,' \
-        '\n  "starred": ' % (len(result.cl_strata), _JSON_BOOL[result.smooth_total_space])
-    yield from _json_list(map(quoted, result.starred))
+        '\n  "starred": ' % (len(result.pieces), _JSON_BOOL[result.smooth_total_space])
+    yield from _json_list(labels[t] for t in starred)
     yield "\n}\n"
 
 

@@ -37,9 +37,8 @@ space.  :func:`semifree_diagnostics` names the failed conditions.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
@@ -50,7 +49,6 @@ from .poset import (
     NoUniqueMinimumError,
     OrbitType,
     _dot_quoted,
-    covers,
     principal_type,
 )
 
@@ -97,31 +95,84 @@ class Relation:
         return sum(len(names) for _, names in self.rows)
 
 
+def _bits(mask: int) -> Iterator[int]:
+    """The positions of the set bits of a mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 @dataclass(frozen=True)
 class StratificationResult:
-    """C-L pieces with the covers of their frontier.
+    """The C-L stratification as one piece table.
 
-    The frontier relates A to B when piece A is contained in the boundary
-    of piece B; it is the product order on the (upper, lower) type pairs
-    of the pieces, which is the transitive closure of the five generation
-    rules.  ``hasse`` is its covering relation, built with the pieces.
-    ``frontier`` itself is built on first use, from the pieces and
-    ``type_order`` (the poset's closed order), by :func:`frontier`, and
-    kept; of the CLI commands only ``reduce`` needs it.  Both are
-    :class:`Relation` rows, so neither is ever a list of pairs in memory.
-    ``type_order`` takes no part in ``==``, ``hash`` or ``repr``: the
-    pieces and their covers already determine the frontier.
-    ``smooth_total_space`` is true exactly when the action is almost
-    semifree (see the module docstring).
+    The types are ranked by label: type t is ``labels[t]``, ``dims[t]`` is
+    its dim Q^(t), and ``below[t]`` is the bitmask of the types under it,
+    t included.  Bit t of ``starred_mask`` is set when t is starred, and
+    ``open_rank`` is the principal type's rank (None without a unique
+    minimal type).  Piece i, by name, is ``pieces[i]``, the pair of types
+    (``uppers[i]``, ``lowers[i]``).  ``hasse`` holds the covers of the
+    frontier, built with the table.
+
+    Everything else is read off the table on first use and kept:
+    ``cl_strata``, ``contact_strata`` and ``starred``, and ``frontier``,
+    the product order on the pairs (the transitive closure of the five
+    generation rules), built by :func:`frontier`.  The ``reduce`` writer
+    reads the table itself, so it builds none of them.  The views take no
+    part in ``==``, ``hash`` or ``repr``.  ``smooth_total_space`` is true
+    exactly when the action is almost semifree (see the module docstring).
     """
 
-    cl_strata: tuple[Stratum, ...]
-    contact_strata: tuple[Stratum, ...]
+    labels: tuple[str, ...]
+    dims: tuple[int, ...]
+    below: tuple[int, ...]
+    starred_mask: int
+    open_rank: int | None
+    pieces: tuple[str, ...]
+    uppers: tuple[int, ...]
+    lowers: tuple[int, ...]
     hasse: Relation
-    starred: tuple[str, ...]
-    total_types: int
     smooth_total_space: bool
-    type_order: frozenset[tuple[str, str]] = field(compare=False, repr=False)
+
+    def piece_rows(self) -> Iterator[tuple[str, StratumKind, int, int, int, bool]]:
+        """(name, kind, dim, upper rank, lower rank, open dense) of each
+        piece, by name: dim Seam(K>H) = dim Q^(K) + dim Q^(H) - 1, and a seam
+        is coisotropic when its upper type is starred."""
+        dims, starred, open_rank = self.dims, self.starred_mask, self.open_rank
+        for name, k, h in zip(self.pieces, self.uppers, self.lowers):
+            if k == h:
+                yield name, StratumKind.COSPHERE, 2 * dims[k] - 1, k, h, k == open_rank
+            else:
+                kind = (StratumKind.COISOTROPIC_SEAM if starred >> k & 1
+                        else StratumKind.LEGENDRIAN_SEAM)
+                yield name, kind, dims[k] + dims[h] - 1, k, h, False
+
+    @cached_property
+    def cl_strata(self) -> tuple[Stratum, ...]:
+        """The C-L pieces by decreasing dimension, then by name."""
+        labels = self.labels
+        pieces = [
+            Stratum(name=name, kind=kind, dim=dim, upper=labels[k], lower=labels[h],
+                    open_dense=open_dense)
+            for name, kind, dim, k, h, open_dense in self.piece_rows()
+        ]
+        return tuple(sorted(pieces, key=lambda s: -s.dim))  # stable: by name within a dim
+
+    @cached_property
+    def contact_strata(self) -> tuple[Stratum, ...]:
+        """One contact stratum Contact(L) per starred L, by name."""
+        return tuple(sorted(
+            (Stratum(name=contact_name(label), kind=StratumKind.CONTACT,
+                     dim=2 * self.dims[t] - 1, upper=label, lower=label)
+             for t, label in enumerate(self.labels) if self.starred_mask >> t & 1),
+            key=lambda s: s.name,
+        ))
+
+    @cached_property
+    def starred(self) -> tuple[str, ...]:
+        """The starred types, by label."""
+        return tuple(self.labels[t] for t in _bits(self.starred_mask))
 
     @cached_property
     def frontier(self) -> Relation:
@@ -144,14 +195,6 @@ def cc_name(label: str) -> str:
 
 def seam_name(upper: str, lower: str) -> str:
     return f"Seam({upper}>{lower})"
-
-
-def _covered_by(closed: frozenset[tuple[str, str]]) -> dict[str, list[str]]:
-    """Each type -> the types it covers in a closed order."""
-    down: dict[str, list[str]] = defaultdict(list)
-    for low, high in covers(closed):
-        down[high].append(low)
-    return down
 
 
 def _principal(poset: IsotropyPoset) -> OrbitType | None:
@@ -205,7 +248,7 @@ def semifree_diagnostics(poset: IsotropyPoset) -> tuple[str, ...]:
 
 
 def cl_stratification(poset: IsotropyPoset) -> StratificationResult:
-    """The C-L stratification: its pieces and the covers of its frontier.
+    """The C-L stratification: its piece table and the covers of its frontier.
 
     Each piece is a pair (K, H) of types with H starred and H <= K: CC(H)
     is (H, H) and Seam(K>H) is (K, H).  The frontier is the product order
@@ -218,108 +261,104 @@ def cl_stratification(poset: IsotropyPoset) -> StratificationResult:
     cosphere-like piece over the principal type is the unique open dense
     stratum; without a unique minimal type there is none.
 
-    Only ``hasse`` is built here, as rows, one per piece, already in
-    report order: for each piece A = (K', H') by name, its row lists the
-    covers (K, H') with K covered by K' and (K', H) with H covered by H'
-    among the starred types, by name; a piece with no cover has no row.
-    The frontier itself is built by :func:`frontier` when
-    ``result.frontier`` is first read, so ``cosphere lattice``, which draws
-    the covers, never builds it.
+    The types are ranked by label, and the closed order is read once into
+    down-set bitmasks.  The covers of t are the types under t that lie
+    under no other type under t, and among the starred types the same
+    with the other type starred, so neither cover relation is built as
+    pairs.  The pieces are sorted by name once.  ``hasse`` has one row per
+    piece A = (K', H') with a cover, by name: the covers (K, H') with K
+    covered by K' and H' <= K, and (K', H) with H covered by H' among the
+    starred types, by name.  The frontier is not built here (see
+    :func:`frontier_rows`).
     """
-    dims = quotient_dims(poset)
-    starred = frozenset(label for label, d in dims.items() if d >= 1)
-    below = {t.label: {t.label} for t in poset.types}  # L and every type under it
+    dims_of = quotient_dims(poset)
+    labels = tuple(sorted(dims_of))
+    rank = {label: t for t, label in enumerate(labels)}
+    dims = tuple(dims_of[label] for label in labels)
+    starred = sum(1 << t for t, d in enumerate(dims) if d >= 1)
+    below = [1 << t for t in range(len(labels))]  # t and every type under it
     for low, high in poset.order:
-        below[high].add(low)
-    principal = _principal(poset)
-    open_label = principal.label if principal else None
-    pieces = {}
-    names = {h: {} for h in starred}  # names[H][K] names the piece (K, H)
-    for k, under in below.items():
-        for h in under & starred:
-            if k == h:
-                name, kind = cc_name(h), StratumKind.COSPHERE
-            else:
-                name = seam_name(k, h)
-                kind = (StratumKind.COISOTROPIC_SEAM if k in starred
-                        else StratumKind.LEGENDRIAN_SEAM)
-            names[h][k] = name
-            pieces[k, h] = Stratum(
-                name=name,
-                kind=kind,
-                dim=dims[k] + dims[h] - 1,
-                upper=k,
-                lower=h,
-                open_dense=k == h == open_label,
-            )
+        below[rank[high]] |= 1 << rank[low]
+    covers, starred_covers = [], []
+    for t, mask in enumerate(below):
+        strict = mask ^ 1 << t
+        inner = inner_starred = 0  # the types under a type under t
+        for u in _bits(strict):
+            inner |= below[u] ^ 1 << u
+            if starred >> u & 1:
+                inner_starred |= below[u] ^ 1 << u
+        covers.append(list(_bits(strict & ~inner)))
+        starred_covers.append(list(_bits(strict & starred & ~inner_starred)))
 
-    # poset.order is closed, and so is its restriction to the starred types
-    upper_covers = _covered_by(poset.order)
-    lower_covers = _covered_by(
-        frozenset((a, b) for a, b in poset.order if a in starred and b in starred)
-    )
+    pieces = []
+    for k, label in enumerate(labels):
+        for h in _bits(below[k] & starred):
+            pieces.append((cc_name(label) if k == h else seam_name(label, labels[h]), k, h))
+    pieces.sort()
+    names = tuple(name for name, _, _ in pieces)
+    at: list[dict[int, int]] = [{} for _ in labels]  # at[K][H] indexes the piece (K, H)
+    for i, (_, k, h) in enumerate(pieces):
+        at[k][h] = i
     hasse = []
-    for a, k2, h2 in sorted((p.name, p.upper, p.lower) for p in pieces.values()):
-        covered = [names[h2][k] for k in upper_covers[k2] if k in names[h2]]
-        covered += [names[h][k2] for h in lower_covers[h2]]
+    for name, k, h in pieces:
+        covered = [at[c][h] for c in covers[k] if h in at[c]]
+        covered += [at[k][c] for c in starred_covers[h]]
         if covered:
-            hasse.append((a, tuple(sorted(covered))))
+            covered.sort()
+            hasse.append((name, tuple([names[i] for i in covered])))
 
+    principal = _principal(poset)
     return StratificationResult(
-        cl_strata=tuple(sorted(pieces.values(), key=lambda s: (-s.dim, s.name))),
-        contact_strata=tuple(sorted(
-            (Stratum(
-                name=contact_name(label),
-                kind=StratumKind.CONTACT,
-                dim=2 * dims[label] - 1,
-                upper=label,
-                lower=label,
-            ) for label in starred),
-            key=lambda s: s.name,
-        )),
+        labels=labels,
+        dims=dims,
+        below=tuple(below),
+        starred_mask=starred,
+        open_rank=rank[principal.label] if principal else None,
+        pieces=names,
+        uppers=tuple(k for _, k, _ in pieces),
+        lowers=tuple(h for _, _, h in pieces),
         hasse=Relation(tuple(hasse)),
-        starred=tuple(sorted(starred)),
-        total_types=len(poset.types),
-        smooth_total_space=not _semifree_diagnostics(poset, dims, principal),
-        type_order=poset.order,
+        smooth_total_space=not _semifree_diagnostics(poset, dims_of, principal),
     )
 
 
 _FRONTIER_CELLS = 1 << 18  # boolean cells per block of frontier rows
 
 
-def frontier(result: StratificationResult) -> Iterator[tuple[str, tuple[str, ...]]]:
-    """The frontier rows (A, (B, ...)) of a stratification, in report order.
+def frontier_rows(result: StratificationResult, names: np.ndarray) -> list[list]:
+    """Row i of the frontier of a stratification, spelled by ``names``.
 
-    Row A = (K', H') lists the pieces B = (K, H) != A with K <= K' and
-    H <= H', the product order, by name.  The pieces are ranked by name,
-    and the order on the types is a boolean matrix ``under``, true at
-    [t, s] when s <= t.  The rows are taken by lower type, in blocks of
-    ``_FRONTIER_CELLS // pieces`` rows.  The columns of a block are the
-    pieces B whose lower type lies under the lower type of one of its rows
-    A, and the block is ``under[upper of A][:, upper of B] &
-    under[lower of A][:, lower of B]`` with the diagonal cleared.
+    ``names`` is an object array with one entry per piece, by name; row i
+    lists ``names[j]`` for the pieces j = (K, H) != i = (K', H') with
+    K <= K' and H <= H', the product order, in name order.  The order on
+    the types is a boolean matrix ``under``, true at [t, s] when s <= t,
+    unpacked from the down-set masks.  The rows are taken by lower type,
+    in blocks of ``_FRONTIER_CELLS // pieces`` rows.  The columns of a
+    block are the pieces j whose lower type lies under the lower type of
+    one of its rows, and the block is ``under[upper of i][:, upper of j]
+    & under[lower of i][:, lower of j]`` with the diagonal cleared.
     ``np.nonzero`` lists each row's pieces in rank order, which is name
-    order, and one gather from an object array of the names spells them.
-    A block holds at most ``_FRONTIER_CELLS`` cells, so the work arrays
-    stay small at any size; rows of one lower type share their columns,
-    so at 438 types the blocks hold 9 M cells where all rows against all
-    pieces would be 51 M.
+    order, and one gather from ``names`` spells them.  A block holds at
+    most ``_FRONTIER_CELLS`` cells, so the work arrays stay small at any
+    size; rows of one lower type share their columns, so at 438 types the
+    blocks hold 9 M cells where all rows against all pieces would be 51 M.
+    :func:`frontier` and the ``reduce`` writer both read the rows from
+    here, the writer with its names already escaped.
     """
-    pieces = sorted(result.cl_strata, key=lambda s: s.name)
-    # CC(L) is (L, L) for every starred L, so the uppers hold every lower
-    rank = {label: i for i, label in enumerate(sorted({s.upper for s in pieces}))}
-    under = np.eye(len(rank), dtype=bool)
-    for low, high in result.type_order:
-        if low in rank and high in rank:
-            under[rank[high], rank[low]] = True
-    upper = np.array([rank[s.upper] for s in pieces], dtype=np.intp)
-    lower = np.array([rank[s.lower] for s in pieces], dtype=np.intp)
-    names = np.array([s.name for s in pieces], dtype=object)
-    rows = [()] * len(pieces)
-    step = max(1, _FRONTIER_CELLS // max(1, len(pieces)))
+    count = len(result.pieces)
+    rows: list[list] = [[]] * count
+    if not count:
+        return rows
+    types = len(result.labels)
+    width = (types + 7) // 8
+    packed = b"".join(mask.to_bytes(width, "little") for mask in result.below)
+    under = np.unpackbits(np.frombuffer(packed, dtype=np.uint8).reshape(types, width),
+                          axis=1, count=types, bitorder="little").view(bool)
+    upper = np.array(result.uppers, dtype=np.intp)
+    lower = np.array(result.lowers, dtype=np.intp)
+    step = max(1, _FRONTIER_CELLS // count)
     order = np.argsort(lower, kind="stable")
-    for start in range(0, len(pieces), step):
+    for start in range(0, count, step):
         block = order[start:start + step]
         lower_under = under[lower[block]]
         (cols,) = lower_under.any(axis=0)[lower].nonzero()
@@ -328,21 +367,29 @@ def frontier(result: StratificationResult) -> Iterator[tuple[str, tuple[str, ...
         hit_rows, hit_cols = below.nonzero()
         gathered = names[cols[hit_cols]].tolist()
         end = 0
-        for a, count in zip(block.tolist(), np.bincount(hit_rows, minlength=len(block)).tolist()):
-            rows[a] = tuple(gathered[end:end + count])
-            end += count
-    for a, row in zip(names.tolist(), rows):
+        for a, size in zip(block.tolist(), np.bincount(hit_rows, minlength=len(block)).tolist()):
+            rows[a] = gathered[end:end + size]
+            end += size
+    return rows
+
+
+def frontier(result: StratificationResult) -> Iterator[tuple[str, tuple[str, ...]]]:
+    """The frontier rows (A, (B, ...)) of a stratification, in report order:
+    one row per piece A below which some piece lies, A by name, its pieces
+    B by name (see :func:`frontier_rows`)."""
+    rows = frontier_rows(result, np.array(result.pieces, dtype=object))
+    for a, row in zip(result.pieces, rows):
         if row:
-            yield a, row
+            yield a, tuple(row)
 
 
 def result_to_dot(result: StratificationResult) -> str:
     """DOT rendering of the C-L frontier; an edge A -> B means A is
     contained in the closure of B.  Nodes and edges are sorted."""
     lines = ["digraph cl_strata {", '  rankdir="BT";']
-    for s in sorted(result.cl_strata, key=lambda s: s.name):
-        name = _dot_quoted(s.name)
-        lines.append(f'  "{name}" [label="{name}\\ndim {s.dim}, {s.kind.value}"];')
+    for name, kind, dim, *_ in result.piece_rows():
+        name = _dot_quoted(name)
+        lines.append(f'  "{name}" [label="{name}\\ndim {dim}, {kind.value}"];')
     for a, covered in result.hasse.rows:
         a = _dot_quoted(a)
         lines.extend(f'  "{a}" -> "{_dot_quoted(b)}";' for b in covered)

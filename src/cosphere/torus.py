@@ -28,7 +28,6 @@ here is floating point.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
@@ -221,32 +220,30 @@ def class_label(k: int, basis: tuple[tuple[int, ...], ...]) -> str:
 
 @lru_cache(maxsize=16)
 def support_lattices(spec: TorusActionSpec) -> Mapping[int, tuple[tuple[int, ...], ...]]:
-    """Canonical basis of Lambda_S for every plane support S, by increasing |S|.
+    """Canonical basis of Lambda_S for every plane support S, by bitmask.
 
     A support is keyed by its bitmask, the sum of 1 << j over its planes, so
     a union of supports is an ``|``.  The table is built incrementally:
-    combinations come by increasing size, so S minus its last plane j is
-    already in the table, and HNF(S) is the HNF of that basis plus column
-    j, at most k + 1 columns whatever |S| is.  That HNF is a function of
-    (basis of S minus j, j) alone, and many supports share the pair, so each
-    pair is reduced once: the n = 12 spec of twelve equal weights needs 23
-    reductions for its 4,095 supports.  The stabilizer of support S is
-    labelled ``class_label(spec.k, table[S])`` and the rank of the weight
-    matrix is the size of the basis of all planes.  The table is built once
-    per spec and shared, so it is read-only.
+    the masks come in increasing order, so S minus its highest plane j, a
+    smaller mask, is already in the table, and HNF(S) is the HNF of that
+    basis plus column j, at most k + 1 columns whatever |S| is.  That HNF
+    is a function of (basis of S minus j, j) alone, and many supports share
+    the pair, so each pair is reduced once: the n = 12 spec of twelve equal
+    weights needs 23 reductions for its 4,095 supports.  The stabilizer of
+    support S is labelled ``class_label(spec.k, table[S])`` and the rank of
+    the weight matrix is the size of the basis of all planes.  The table is
+    built once per spec and shared, so it is read-only.
     """
     columns = [spec.column(j) for j in range(spec.n)]
     basis_of = {0: ()}
     reduced = {}  # (basis, j) -> HNF of basis plus column j
-    for r in range(1, spec.n + 1):
-        for planes in itertools.combinations(range(spec.n), r):
-            j = planes[-1]
-            mask = sum(1 << i for i in planes)
-            key = basis_of[mask ^ (1 << j)], j
-            basis = reduced.get(key)
-            if basis is None:
-                basis = reduced[key] = _lattice_hnf(key[0] + (columns[j],), spec.k)
-            basis_of[mask] = basis
+    for mask in range(1, 1 << spec.n):
+        j = mask.bit_length() - 1
+        key = basis_of[mask ^ 1 << j], j
+        basis = reduced.get(key)
+        if basis is None:
+            basis = reduced[key] = _lattice_hnf(key[0] + (columns[j],), spec.k)
+        basis_of[mask] = basis
     return MappingProxyType(basis_of)
 
 
@@ -260,17 +257,18 @@ def build_isotropy_poset(spec: TorusActionSpec) -> IsotropyPoset:
     The union of two supports of one class is again in the class
     (Lambda_(S u T) = Lambda_S + Lambda_T), so the class has a unique top
     support, the union of all its supports, and dim_Q_of is twice its size.
-    Containment is the same union lookup: (a) < (b) exactly when the lattice
-    of b lies strictly inside that of a, i.e.
-    basis[S_a u S_b] == basis[S_a] != basis[S_b].
+    Containment is inclusion of top supports: (a) < (b) exactly when the
+    lattice of b lies strictly inside that of a, i.e. the union of their top
+    supports S_a and S_b is in the class of a, i.e. S_b lies strictly inside
+    S_a.  Inclusion is transitive, so the order is closed as built.
     A spec with more than ``MAX_TYPES`` classes is refused with
     :class:`ActionSpecError` as soon as the table is built, before the
     quadratic order pass.
     """
     basis_of = support_lattices(spec)
-    # supports come by increasing size, so the last one seen in a class is
-    # its largest, which is the union of the class
-    top = {basis: s for s, basis in basis_of.items()}
+    top: dict[tuple[tuple[int, ...], ...], int] = {}  # basis -> union of its supports
+    for support, basis in basis_of.items():
+        top[basis] = top.get(basis, 0) | support
     if len(top) > MAX_TYPES:
         raise ActionSpecError(f"{len(top)} orbit types exceeds the cap of {MAX_TYPES}")
     label_of = {basis: class_label(spec.k, basis) for basis in top}
@@ -291,12 +289,13 @@ def build_isotropy_poset(spec: TorusActionSpec) -> IsotropyPoset:
         dim_q_of[label_of[basis]] = 2 * support.bit_count()
 
     # (L) < (H) iff the subgroup L is strictly contained in H, i.e. the
-    # lattice of H is strictly contained in the lattice of L; distinct
-    # classes have distinct bases, so the containment is strict
+    # lattice of H is strictly contained in the lattice of L, i.e. the top
+    # support of H lies strictly inside that of L
     order = frozenset(
         (label_of[ba], label_of[bb])
-        for (ba, sa), (bb, sb) in itertools.permutations(top.items(), 2)
-        if basis_of[sa | sb] == ba
+        for ba, sa in top.items()
+        for bb, sb in top.items()
+        if sb & ~sa == 0 and sa != sb
     )
 
     types.sort(key=lambda t: (t.dim_H, t.label))

@@ -23,7 +23,11 @@ from cosphere import cli, phase, poset as poset_mod, reeb, strata, torus
 from cosphere.cli import main
 from cosphere.poset import IsotropyPoset, OrbitType, poset_to_json
 from cosphere.torus import TorusActionSpec, build_isotropy_poset, spec_to_json
-from test_strata import result_to_json, valid_posets
+from test_strata import (
+    assert_piece_table_matches_the_reference,
+    result_to_json,
+    valid_posets,
+)
 from test_torus import weight_specs
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "lattice_golden.json"
@@ -593,6 +597,38 @@ def test_reduce_builds_the_frontier_once(capsys, monkeypatch):
     monkeypatch.setattr(strata, "cl_stratification", traced)
     assert run(capsys, "reduce", "--fixture", "t2-on-r4") == plain
     assert len(builds) == 1
+
+
+def test_reduce_reads_only_the_piece_table(tmp_path, capsys, monkeypatch):
+    # the writer builds no Stratum and no view of the result, the frontier
+    # included, and writes the same bytes as with them
+    sources = [("--fixture", "s1-on-r2"), ("--fixture", "t2-on-r4"),
+               ("--action", str(escaped_poset_file(tmp_path)))]
+    plain = [run(capsys, "reduce", *source) for source in sources]
+    built, results = [], []
+    stratum, stratify = strata.Stratum, strata.cl_stratification
+
+    def counted(*args, **kwargs):
+        built.append(args or kwargs)
+        return stratum(*args, **kwargs)
+
+    def kept(poset):
+        results.append(stratify(poset))
+        return results[-1]
+
+    def refuse(result):
+        raise AssertionError("result.frontier was read")
+
+    monkeypatch.setattr(strata, "Stratum", counted)
+    monkeypatch.setattr(strata, "cl_stratification", kept)
+    monkeypatch.setattr(strata.StratificationResult, "frontier", property(refuse))
+    assert [run(capsys, "reduce", *source) for source in sources] == plain
+    assert built == [] and len(results) == len(sources)
+    assert not any({"cl_strata", "contact_strata", "starred"} & set(vars(r)) for r in results)
+
+
+def test_escaped_piece_table_matches_the_reference():
+    assert_piece_table_matches_the_reference(ESCAPED_LABELS)
 
 
 DOT_STRING = r'"((?:[^"\\]|\\.)*)"'

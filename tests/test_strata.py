@@ -208,7 +208,7 @@ def result_to_json(result):
         "piece_count": len(result.cl_strata),
         # the C-L pieces always refine the contact strata, strictly exactly
         # when the lattice has more than one orbit type
-        "finer_than_contact": {"finer": True, "strict": result.total_types > 1},
+        "finer_than_contact": {"finer": True, "strict": len(result.labels) > 1},
         "smooth_total_space": result.smooth_total_space,
         "poset_valid": True,
     }
@@ -311,6 +311,8 @@ def assert_matches_oracle(poset):
     assert_report_order(result.frontier)
     assert_report_order(result.hasse)
     assert set(pairs(result.frontier)) == frontier
+    # the writer spells its own frontier rows from the same block routine
+    assert [tuple(p) for p in report["frontier"]] == pairs(result.frontier)
     assert set(pairs(result.hasse)) == hasse
     assert report_closure_only(report) == closure_only
     # each piece fibers over its upper type (base_target, the bundle target)
@@ -340,10 +342,22 @@ def test_frontier_is_built_on_first_read_and_kept():
     assert "frontier" not in vars(result)
     assert result.frontier is result.frontier
     assert "frontier" in vars(result) and "frontier" not in vars(other)
-    # neither the kept frontier nor the type order it is read from takes
-    # part in ==, hash or repr
+    # the kept frontier takes no part in ==, hash or repr: the table does
     assert result == other and hash(result) == hash(other)
-    assert "type_order" not in repr(result) and "frontier" not in repr(result)
+    assert repr(result) == repr(other) and "frontier" not in repr(result)
+
+
+VIEWS = ("cl_strata", "contact_strata", "starred")
+
+
+def test_views_are_built_on_first_read_and_kept():
+    result, other = cl_stratification(two_plane_poset()), cl_stratification(two_plane_poset())
+    assert not set(VIEWS) & set(vars(result))
+    for view in VIEWS:
+        assert getattr(result, view) is getattr(result, view)
+    assert set(VIEWS) <= set(vars(result)) and not set(VIEWS) & set(vars(other))
+    assert result == other and hash(result) == hash(other)
+    assert repr(result) == repr(other) and "Stratum(" not in repr(result)
 
 
 def test_one_plane_inventory():
@@ -398,6 +412,82 @@ def valid_posets(draw):
         dim_G=dim_g,
         dim_Q=dim_q,
     )
+
+
+def piece_table_reference(poset):
+    """Each piece's (upper, lower), kind, dim and open_dense by name, and
+    the ``hasse`` pairs, from label sets and :func:`covers`: (K', H') covers
+    (K, H') when K' covers K in the lattice, and (K', H) when H' covers H
+    in the lattice restricted to starred types."""
+    dims, starred = quotient_dims_oracle(poset), starred_oracle(poset)
+    labels = [t.label for t in poset.types]
+    below = {k: {k} | {a for a, b in poset.order if b == k} for k in labels}
+    minimal = [k for k in labels if below[k] == {k}]
+    pieces, name_of = {}, {}
+    for k in labels:
+        for h in below[k] & starred:
+            if k == h:
+                name, kind = cc_name(h), StratumKind.COSPHERE
+            elif k in starred:
+                name, kind = seam_name(k, h), StratumKind.COISOTROPIC_SEAM
+            else:
+                name, kind = seam_name(k, h), StratumKind.LEGENDRIAN_SEAM
+            pieces[name] = ((k, h), kind, dims[k] + dims[h] - 1, minimal == [k] == [h])
+            name_of[k, h] = name
+    starred_order = frozenset((a, b) for a, b in poset.order if {a, b} <= starred)
+    hasse = {(name_of[k, h], name_of[c, h])
+             for c, k in covers(poset.order) for h in starred if (c, h) in name_of}
+    hasse |= {(name_of[k, h], name_of[k, c])
+              for c, h in covers(starred_order) for k in labels if (k, h) in name_of}
+    return pieces, hasse
+
+
+# labels that are prefixes of one another: "Z2 x" and "Z2×e" extend "Z2", so
+# Seam(Z2 x>e) < Seam(Z2>e) < Seam(Z2×e>e) by name, and Contact(Z2 x) <
+# Contact(Z2), while the types rank Z2 < Z2 x < Z2×e
+PREFIX_LABELS = IsotropyPoset(
+    types=(OrbitType("e", 0, is_identity=True), OrbitType("Z2", 0, finite_tag="2"),
+           OrbitType("Z2 x", 1), OrbitType("Z2×e", 1, finite_tag="2"), OrbitType("T", 2)),
+    order=frozenset({("e", "Z2"), ("Z2", "Z2 x"), ("Z2", "Z2×e"), ("Z2 x", "T"),
+                     ("Z2×e", "T")}),
+    dim_Q_of={"e": 6, "Z2": 4, "Z2 x": 3, "Z2×e": 4, "T": 0},
+    dim_G=2,
+    dim_Q=6,
+)
+
+
+def assert_piece_table_matches_the_reference(poset):
+    result = cl_stratification(poset)
+    pieces, hasse = piece_table_reference(poset)
+    assert result.labels == tuple(sorted(t.label for t in poset.types))
+    assert result.pieces == tuple(sorted(pieces))
+    assert {s.name: ((s.upper, s.lower), s.kind, s.dim, s.open_dense)
+            for s in result.cl_strata} == pieces
+    assert [s.name for s in result.cl_strata] == sorted(pieces, key=lambda a: (-pieces[a][2], a))
+    assert [s.name for s in result.contact_strata] == sorted(
+        contact_name(h) for h in starred_oracle(poset))
+    assert result.starred == tuple(sorted(starred_oracle(poset)))
+    assert_report_order(result.hasse)
+    assert set(pairs(result.hasse)) == hasse
+
+
+def test_prefix_labels_order_names_apart_from_types():
+    result = cl_stratification(PREFIX_LABELS)
+    assert result.labels == ("T", "Z2", "Z2 x", "Z2×e", "e")
+    seams = [name for name in result.pieces if name.startswith("Seam(Z2") and name.endswith(">e)")]
+    assert seams == ["Seam(Z2 x>e)", "Seam(Z2>e)", "Seam(Z2×e>e)"]
+    assert [s.name for s in result.contact_strata][:2] == ["Contact(Z2 x)", "Contact(Z2)"]
+    assert_piece_table_matches_the_reference(PREFIX_LABELS)
+    assert_matches_oracle(PREFIX_LABELS)
+
+
+@given(st.one_of(valid_posets(), weight_specs()))
+@example(PREFIX_LABELS)
+@example(LADDER_K2_N8)
+def test_fuzz_piece_table_matches_the_reference(source):
+    if isinstance(source, TorusActionSpec):
+        source = build_isotropy_poset(source)
+    assert_piece_table_matches_the_reference(source)
 
 
 # abstract posets, and torus lattices up to k=3, n=6 with the k=2, n=8 and

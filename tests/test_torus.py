@@ -428,6 +428,28 @@ def test_dim_q_of_is_twice_the_largest_support_of_each_class(spec):
 
 
 @given(weight_specs())
+@example(LADDER_K2_N8)
+@example(LADDER_K3_N6)
+def test_order_is_inclusion_of_top_supports(spec):
+    # the builder orders the classes by strict inclusion of their top
+    # supports; the union rule reads the same order off the table: (a) < (b)
+    # when the union of a top support of each is a support of class a
+    table = support_lattices(spec)
+    supports = {}
+    for s in sorted(table, key=int.bit_count):
+        supports.setdefault(table[s], []).append(s)
+    top = {basis: group[-1] for basis, group in supports.items()}  # the largest
+    assert all(s | top[basis] == top[basis] for basis, group in supports.items() for s in group)
+    label = {basis: class_label(spec.k, basis) for basis in top}
+    union_rule = {
+        (label[ba], label[bb])
+        for (ba, sa), (bb, sb) in itertools.permutations(top.items(), 2)
+        if table[sa | sb] == ba
+    }
+    assert build_isotropy_poset(spec).order == union_rule
+
+
+@given(weight_specs())
 def test_builder_is_deterministic(spec):
     assert build_isotropy_poset(spec) == build_isotropy_poset(spec)
 
