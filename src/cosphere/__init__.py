@@ -22,7 +22,6 @@ from .poset import (
     poset_to_dot,
     poset_to_json,
     principal_type,
-    transitive_closure,
 )
 from .reeb import Trajectory, flow_exact, flow_rk4
 from .strata import (
@@ -67,6 +66,5 @@ __all__ = [
     "semifree_diagnostics",
     "spec_from_json",
     "spec_to_json",
-    "transitive_closure",
     "zero_level_arrays",
 ]

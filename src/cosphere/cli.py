@@ -158,7 +158,8 @@ def _reduce_report(result: strata.StratificationResult) -> Iterator[str]:
     """
     labels = [encode_basestring_ascii(label) for label in result.labels]
     starred = [t for t in range(len(labels)) if result.starred_mask >> t & 1]
-    contacts = [encode_basestring_ascii(strata.contact_name(label)) for label in result.labels]
+    raw_contacts = [strata.contact_name(label) for label in result.labels]
+    contacts = [encode_basestring_ascii(name) for name in raw_contacts]
     names = np.array([encode_basestring_ascii(name) for name in result.pieces], dtype=object)
     quoted_names = names.tolist()
 
@@ -173,7 +174,8 @@ def _reduce_report(result: strata.StratificationResult) -> Iterator[str]:
 
     def contact_entries() -> Iterator[str]:
         kind = _QUOTED_KIND[strata.StratumKind.CONTACT]
-        for t in sorted(starred, key=lambda t: strata.contact_name(result.labels[t])):
+        # by the raw name: Contact(Z2 x) sorts before Contact(Z2), unlike the labels
+        for t in sorted(starred, key=raw_contacts.__getitem__):
             yield _ENTRY % (labels[t], 2 * result.dims[t] - 1, kind, contacts[t],
                             _JSON_BOOL[False], contacts[t])
 

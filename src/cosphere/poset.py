@@ -9,28 +9,27 @@ supplied by the caller (or by the torus-action builder in
 An :class:`IsotropyPoset` is valid by construction.  More than
 ``MAX_TYPES`` types, and order pairs that name a label of no type, are
 refused before any work on the order; the refusal names those pairs as
-given.  The supplied order pairs are then treated as generators and stored
-transitively closed, and the invariants are checked once, on the closed
-order.  A poset that breaks any of them, a cyclic order included (its
-closure contains reflexive pairs), is refused with
-:class:`InvalidPosetError`, which names every violation.
+given.  The supplied order pairs are then treated as generators, read
+into down-set bitmasks over the sorted labels and closed by one
+bit-parallel pass, :func:`transitive_closure`; the closed ``order`` pairs,
+the covers (:func:`covers`) and the principal type are read off the masks.
+The invariants are checked once, on the closed order.  A poset that breaks
+any of them, a cyclic order included (its closure contains reflexive
+pairs), is refused with :class:`InvalidPosetError`, which names every
+violation.
 """
 
 from __future__ import annotations
 
 import operator
-from collections import defaultdict
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from collections.abc import Iterator, Sequence
+from dataclasses import dataclass, field
+from typing import Mapping
 
 MAX_TYPES = 64
 
 
 class PosetError(ValueError):
-    pass
-
-
-class CyclicRelationError(PosetError):
     pass
 
 
@@ -53,37 +52,40 @@ def _integer(value, name: str, error: type[ValueError] = PosetError) -> int:
         raise error(f"{name} must be an integer, not {value!r}") from None
 
 
-def transitive_closure(pairs: Iterable[tuple[str, str]]) -> frozenset[tuple[str, str]]:
-    """Transitive closure of a finite relation given as ordered pairs."""
-    succ: dict[str, set[str]] = defaultdict(set)
-    for a, b in pairs:
-        succ[a].add(b)
-    closed: set[tuple[str, str]] = set()
-    for a in list(succ):
-        seen: set[str] = set()
-        stack = list(succ[a])
-        while stack:
-            b = stack.pop()
-            if b in seen:
-                continue
-            seen.add(b)
-            closed.add((a, b))
-            stack.extend(succ.get(b, ()))
-    return frozenset(closed)
+def _bits(mask: int) -> Iterator[int]:
+    """The positions of the set bits of a mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
-def covers(closed: frozenset[tuple[str, str]]) -> frozenset[tuple[str, str]]:
-    """Covering pairs of a transitively closed relation: (a, b) with no c
-    between them.  Raises :class:`CyclicRelationError` if the relation is
-    not a strict order, which for a closed one means a pair (a, a)."""
-    succ: dict[str, set[str]] = defaultdict(set)
-    pred: dict[str, set[str]] = defaultdict(set)
-    for a, b in closed:
-        if a == b:
-            raise CyclicRelationError(f"relation has a cycle through {a!r}")
-        succ[a].add(b)
-        pred[b].add(a)
-    return frozenset((a, b) for a, b in closed if succ[a].isdisjoint(pred[b]))
+def transitive_closure(under: Sequence[int]) -> tuple[int, ...]:
+    """Transitive closure of a relation on ranks 0..n-1 given as down-set
+    masks: bit s of ``under[t]`` means s < t.  One bit-parallel Warshall
+    pass; a rank on a cycle gets its own bit."""
+    closed = list(under)
+    for k in range(len(closed)):
+        bit, below_k = 1 << k, closed[k]
+        for t, mask in enumerate(closed):
+            if mask & bit:
+                closed[t] = mask | below_k
+    return tuple(closed)
+
+
+def covers(under: Sequence[int], within: int = -1) -> list[int]:
+    """Cover masks of a strict order given as closed down-set masks,
+    restricted to the ranks of ``within``: bit s of entry t is set when s
+    lies under t and in ``within``, and no other rank of ``within`` lies
+    between them."""
+    found = []
+    for mask in under:
+        strict = mask & within
+        inner = 0  # the ranks under a rank of `within` under t
+        for s in _bits(strict):
+            inner |= under[s]
+        found.append(strict & ~inner)
+    return found
 
 
 @dataclass(frozen=True)
@@ -106,7 +108,9 @@ class IsotropyPoset:
     """Orbit types of an action together with the strict subconjugation order.
 
     ``order`` holds pairs ``(a, b)`` meaning ``(a) < (b)``; it is stored as
-    the transitive closure of whatever generators were passed in.
+    the transitive closure of whatever generators were passed in, read off
+    ``under``: ``labels`` are the distinct labels sorted, and bit s of
+    ``under[t]`` is set when ``labels[s]`` lies strictly under ``labels[t]``.
     ``dim_Q_of`` maps each label to the dimension of its orbit-type manifold
     Q_(H), whose components are assumed equidimensional.  Construction
     raises :class:`InvalidPosetError` unless the data form a valid isotropy
@@ -118,6 +122,8 @@ class IsotropyPoset:
     dim_Q_of: Mapping[str, int]
     dim_G: int
     dim_Q: int
+    labels: tuple[str, ...] = field(init=False, compare=False, repr=False)
+    under: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "types", tuple(self.types))
@@ -130,9 +136,16 @@ class IsotropyPoset:
         elif unknown:
             bad = [f"order pair ({a!r}, {b!r}) references an unknown label" for a, b in unknown]
         else:
-            object.__setattr__(
-                self, "order", transitive_closure(tuple((a, b) for a, b in self.order))
-            )
+            labels = tuple(sorted(known))
+            rank = {label: t for t, label in enumerate(labels)}
+            under = [0] * len(labels)
+            for a, b in self.order:
+                under[rank[b]] |= 1 << rank[a]
+            under = transitive_closure(under)
+            object.__setattr__(self, "labels", labels)
+            object.__setattr__(self, "under", under)
+            object.__setattr__(self, "order", frozenset(
+                (labels[s], b) for b, mask in zip(labels, under) for s in _bits(mask)))
             object.__setattr__(self, "dim_Q_of", dict(self.dim_Q_of))
             bad = _violations(self)
         if bad:
@@ -205,14 +218,12 @@ def principal_type(poset: IsotropyPoset) -> OrbitType:
     Raises :class:`NoUniqueMinimumError` when minimality is not unique,
     which signals a disconnected quotient.
     """
-    have_something_below = {b for _, b in poset.order}
-    minimal = [t for t in poset.types if t.label not in have_something_below]
+    minimal = [label for label, mask in zip(poset.labels, poset.under) if not mask]
     if len(minimal) != 1:
         raise NoUniqueMinimumError(
-            f"expected exactly one minimal orbit type, found "
-            f"{sorted(t.label for t in minimal)}"
+            f"expected exactly one minimal orbit type, found {minimal}"
         )
-    return minimal[0]
+    return next(t for t in poset.types if t.label == minimal[0])
 
 
 def poset_to_json(poset: IsotropyPoset) -> dict:
@@ -222,7 +233,7 @@ def poset_to_json(poset: IsotropyPoset) -> dict:
         entry: dict = {
             "label": t.label,
             "dim_H": t.dim_H,
-            "dim_Q_of": poset.dim_Q_of.get(t.label),
+            "dim_Q_of": poset.dim_Q_of[t.label],
         }
         if t.finite_tag is not None:
             entry["finite_tag"] = t.finite_tag
@@ -272,13 +283,14 @@ def poset_to_dot(poset: IsotropyPoset) -> str:
     """
     lines = ["digraph isotropy {", '  rankdir="BT";']
     for t in sorted(poset.types, key=lambda t: t.label):
-        d = poset.dim_Q_of.get(t.label, "?")
         label = _dot_quoted(t.label)
         lines.append(
             f'  "{label}" [label="({label})\\ndim H = {t.dim_H}, '
-            f'dim Q_(H) = {d}"];'
+            f'dim Q_(H) = {poset.dim_Q_of[t.label]}"];'
         )
-    for a, b in sorted(covers(poset.order)):  # the stored order is closed
-        lines.append(f'  "{_dot_quoted(a)}" -> "{_dot_quoted(b)}";')
+    labels = [_dot_quoted(label) for label in poset.labels]
+    # ranks follow label order, so sorting by rank sorts the edges by label
+    edges = sorted((s, t) for t, mask in enumerate(covers(poset.under)) for s in _bits(mask))
+    lines.extend(f'  "{labels[s]}" -> "{labels[t]}";' for s, t in edges)
     lines.append("}")
     return "\n".join(lines) + "\n"

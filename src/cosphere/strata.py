@@ -48,7 +48,9 @@ from .poset import (
     IsotropyPoset,
     NoUniqueMinimumError,
     OrbitType,
+    _bits,
     _dot_quoted,
+    covers,
     principal_type,
 )
 
@@ -95,25 +97,17 @@ class Relation:
         return sum(len(names) for _, names in self.rows)
 
 
-def _bits(mask: int) -> Iterator[int]:
-    """The positions of the set bits of a mask, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 @dataclass(frozen=True)
 class StratificationResult:
     """The C-L stratification as one piece table.
 
-    The types are ranked by label: type t is ``labels[t]``, ``dims[t]`` is
-    its dim Q^(t), and ``below[t]`` is the bitmask of the types under it,
-    t included.  Bit t of ``starred_mask`` is set when t is starred, and
-    ``open_rank`` is the principal type's rank (None without a unique
-    minimal type).  Piece i, by name, is ``pieces[i]``, the pair of types
-    (``uppers[i]``, ``lowers[i]``).  ``hasse`` holds the covers of the
-    frontier, built with the table.
+    The types are ranked by label, as in the poset: type t is
+    ``labels[t]``, ``dims[t]`` is its dim Q^(t), and ``below[t]`` is the
+    bitmask of the types under it, t included.  Bit t of ``starred_mask``
+    is set when t is starred, and ``open_rank`` is the principal type's
+    rank (None without a unique minimal type).  Piece i, by name, is
+    ``pieces[i]``, the pair of types (``uppers[i]``, ``lowers[i]``).
+    ``hasse`` holds the covers of the frontier, built with the table.
 
     Everything else is read off the table on first use and kept:
     ``cl_strata``, ``contact_strata`` and ``starred``, and ``frontier``,
@@ -261,34 +255,22 @@ def cl_stratification(poset: IsotropyPoset) -> StratificationResult:
     cosphere-like piece over the principal type is the unique open dense
     stratum; without a unique minimal type there is none.
 
-    The types are ranked by label, and the closed order is read once into
-    down-set bitmasks.  The covers of t are the types under t that lie
-    under no other type under t, and among the starred types the same
-    with the other type starred, so neither cover relation is built as
-    pairs.  The pieces are sorted by name once.  ``hasse`` has one row per
-    piece A = (K', H') with a cover, by name: the covers (K, H') with K
-    covered by K' and H' <= K, and (K', H) with H covered by H' among the
-    starred types, by name.  The frontier is not built here (see
+    The ranked labels and down-set bitmasks are the poset's own.  Both
+    cover relations come from :func:`cosphere.poset.covers`, the starred
+    one within the starred mask, so neither is built as pairs.  The pieces
+    are sorted by name once.  ``hasse`` has one row per piece
+    A = (K', H') with a cover, by name: the covers (K, H') with K covered
+    by K' and H' <= K, and (K', H) with H covered by H' among the starred
+    types, by name.  The frontier is not built here (see
     :func:`frontier_rows`).
     """
     dims_of = quotient_dims(poset)
-    labels = tuple(sorted(dims_of))
-    rank = {label: t for t, label in enumerate(labels)}
+    labels = poset.labels
     dims = tuple(dims_of[label] for label in labels)
     starred = sum(1 << t for t, d in enumerate(dims) if d >= 1)
-    below = [1 << t for t in range(len(labels))]  # t and every type under it
-    for low, high in poset.order:
-        below[rank[high]] |= 1 << rank[low]
-    covers, starred_covers = [], []
-    for t, mask in enumerate(below):
-        strict = mask ^ 1 << t
-        inner = inner_starred = 0  # the types under a type under t
-        for u in _bits(strict):
-            inner |= below[u] ^ 1 << u
-            if starred >> u & 1:
-                inner_starred |= below[u] ^ 1 << u
-        covers.append(list(_bits(strict & ~inner)))
-        starred_covers.append(list(_bits(strict & starred & ~inner_starred)))
+    below = [mask | 1 << t for t, mask in enumerate(poset.under)]  # t included
+    type_covers = [list(_bits(mask)) for mask in covers(poset.under)]
+    starred_covers = [list(_bits(mask)) for mask in covers(poset.under, within=starred)]
 
     pieces = []
     for k, label in enumerate(labels):
@@ -301,7 +283,7 @@ def cl_stratification(poset: IsotropyPoset) -> StratificationResult:
         at[k][h] = i
     hasse = []
     for name, k, h in pieces:
-        covered = [at[c][h] for c in covers[k] if h in at[c]]
+        covered = [at[c][h] for c in type_covers[k] if h in at[c]]
         covered += [at[k][c] for c in starred_covers[h]]
         if covered:
             covered.sort()
@@ -313,7 +295,7 @@ def cl_stratification(poset: IsotropyPoset) -> StratificationResult:
         dims=dims,
         below=tuple(below),
         starred_mask=starred,
-        open_rank=rank[principal.label] if principal else None,
+        open_rank=labels.index(principal.label) if principal else None,
         pieces=names,
         uppers=tuple(k for _, k, _ in pieces),
         lowers=tuple(h for _, _, h in pieces),

@@ -260,7 +260,9 @@ def build_isotropy_poset(spec: TorusActionSpec) -> IsotropyPoset:
     Containment is inclusion of top supports: (a) < (b) exactly when the
     lattice of b lies strictly inside that of a, i.e. the union of their top
     supports S_a and S_b is in the class of a, i.e. S_b lies strictly inside
-    S_a.  Inclusion is transitive, so the order is closed as built.
+    S_a.  Inclusion is transitive, so the order is closed as built, and the
+    poset's bit pass (:func:`cosphere.poset.transitive_closure`) leaves it
+    unchanged.
     A spec with more than ``MAX_TYPES`` classes is refused with
     :class:`ActionSpecError` as soon as the table is built, before the
     quadratic order pass.

@@ -17,6 +17,7 @@ from cosphere.fixtures import get_fixture
 from cosphere.poset import IsotropyPoset, OrbitType, PosetError
 from cosphere.strata import StratumKind
 from cosphere.torus import TorusActionSpec
+from order_oracles import pair_closure
 from test_strata import pairs, report_closure_only, written_report
 
 MOMENTUM_TOL = 1e-10
@@ -181,8 +182,6 @@ def _random_weights(rng: random.Random) -> TorusActionSpec:
 
 def _structural_properties(poset: IsotropyPoset, tag: str, failures: list[str]) -> None:
     """Seam dimension formula, excess identity, piece count, frontier closure."""
-    from cosphere.poset import transitive_closure
-
     dims = {t.label: poset.dim_Q_of[t.label] - poset.dim_G + t.dim_H for t in poset.types}
     starred = {label for label, d in dims.items() if d >= 1}
     result = strata.cl_stratification(poset)
@@ -208,7 +207,7 @@ def _structural_properties(poset: IsotropyPoset, tag: str, failures: list[str]) 
         if legendrian != (excess == 0) or legendrian != (upper not in starred):
             failures.append(f"{tag}: kind of Seam({upper}>{lower}) mislabelled")
 
-    if transitive_closure(pairs(result.hasse)) != set(pairs(result.frontier)):
+    if pair_closure(pairs(result.hasse)) != set(pairs(result.frontier)):
         failures.append(f"{tag}: hasse reduction does not regenerate the frontier")
     names = {s.name for s in result.cl_strata}
     for a, b in pairs(result.frontier):

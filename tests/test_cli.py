@@ -23,6 +23,7 @@ from cosphere import cli, phase, poset as poset_mod, reeb, strata, torus
 from cosphere.cli import main
 from cosphere.poset import IsotropyPoset, OrbitType, poset_to_json
 from cosphere.torus import TorusActionSpec, build_isotropy_poset, spec_to_json
+from order_oracles import pair_covers
 from test_strata import (
     assert_piece_table_matches_the_reference,
     result_to_json,
@@ -112,6 +113,19 @@ def test_bad_inputs_exit_2(tmp_path, capsys):
         "order": [],
     }))
     assert run(capsys, "reduce", "--action", str(broken))[0] == 2
+
+    # a < b < a: the closure holds (a, a), so the poset is refused as it is
+    # built, naming the reflexive pairs
+    cyclic = tmp_path / "cyclic_poset.json"
+    cyclic.write_text(json.dumps({
+        "dim_Q": 2, "dim_G": 1,
+        "types": [{"label": "a", "dim_H": 0, "dim_Q_of": 2},
+                  {"label": "b", "dim_H": 1, "dim_Q_of": 1}],
+        "order": [["a", "b"], ["b", "a"]],
+    }))
+    assert run(capsys, "reduce", "--action", str(cyclic)) == (
+        2, "", "error: invalid isotropy poset: order is not irreflexive: ('a', 'a'); "
+        "order is not antisymmetric: 'a' and 'b'; order is not irreflexive: ('b', 'b')\n")
 
     # a spec over the orbit-type cap is refused, naming its type count
     (over,) = [r for r in json.loads(GOLDEN.read_text()) if r["types"] > poset_mod.MAX_TYPES]
@@ -427,7 +441,7 @@ def exercise_api(fixture, seed):
     poset = torus.build_isotropy_poset(spec)
     result = strata.cl_stratification(poset)
 
-    poset_mod.transitive_closure(poset.order)
+    assert poset_mod.transitive_closure(poset.under) == poset.under
     poset_mod.principal_type(poset)
     back = poset_mod.poset_from_json(poset_mod.poset_to_json(poset))
     assert back == poset
@@ -649,7 +663,7 @@ def test_dot_files_escape_quotes_and_backslashes(tmp_path, capsys):
     result = strata.cl_stratification(ESCAPED_LABELS)
     expected = {
         "isotropy.dot": ("isotropy", "({})\\n", {E, A, B, T},
-                         set(poset_mod.covers(ESCAPED_LABELS.order))),
+                         set(pair_covers(ESCAPED_LABELS.order))),
         "cl_strata.dot": ("cl_strata", "{}\\n", {s.name for s in result.cl_strata},
                           {(a, b) for a, covered in result.hasse.rows for b in covered}),
     }

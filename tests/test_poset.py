@@ -9,12 +9,12 @@ from hypothesis import given, strategies as st
 from cosphere import poset as poset_module
 from cosphere.poset import (
     MAX_TYPES,
-    CyclicRelationError,
     InvalidPosetError,
     IsotropyPoset,
     NoUniqueMinimumError,
     OrbitType,
     PosetError,
+    _bits,
     _violations,
     covers,
     poset_from_json,
@@ -23,12 +23,13 @@ from cosphere.poset import (
     principal_type,
     transitive_closure,
 )
+from order_oracles import pair_closure, pair_covers
 
 LABELS = "ABCDEFGH"
 
 
 def closure_oracle(pairs):
-    """Boolean matrix powering; independent of the DFS implementation."""
+    """Boolean matrix powering; independent of the bitmask and DFS closures."""
     nodes = sorted({x for p in pairs for x in p})
     idx = {v: i for i, v in enumerate(nodes)}
     n = len(nodes)
@@ -47,20 +48,16 @@ def closure_oracle(pairs):
 
 
 @st.composite
-def digraphs(draw, max_nodes=6):
-    n = draw(st.integers(min_value=0, max_value=max_nodes))
-    nodes = LABELS[:n]
-    pairs = draw(
-        st.lists(
-            st.tuples(st.sampled_from(nodes or "A"), st.sampled_from(nodes or "A")),
-            max_size=12,
-        )
-    ) if n else []
-    return [tuple(p) for p in pairs]
+def digraphs(draw, max_nodes=8):
+    """Labels and arbitrary pairs of them, cycles and loops included."""
+    nodes = LABELS[:draw(st.integers(min_value=1, max_value=max_nodes))]
+    pairs = draw(st.lists(st.tuples(st.sampled_from(nodes), st.sampled_from(nodes)),
+                          max_size=12))
+    return nodes, [tuple(p) for p in pairs]
 
 
 @st.composite
-def dags(draw, max_nodes=7):
+def dags(draw, max_nodes=8):
     """Pairs compatible with the alphabetical order, hence acyclic."""
     n = draw(st.integers(min_value=1, max_value=max_nodes))
     nodes = LABELS[:n]
@@ -69,42 +66,72 @@ def dags(draw, max_nodes=7):
     return nodes, [tuple(p) for p in chosen]
 
 
-@given(digraphs())
-def test_transitive_closure_matches_matrix_oracle(pairs):
-    assert transitive_closure(pairs) == closure_oracle(pairs)
+def tagged_poset(nodes, pairs):
+    """A poset on ``nodes`` with generators ``pairs``: the types share
+    dimension 0 and have distinct finite tags, so any acyclic order on them
+    is a valid isotropy lattice."""
+    types = tuple(OrbitType(label, 0, finite_tag=label) for label in nodes)
+    return IsotropyPoset(types, frozenset(pairs), dict.fromkeys(nodes, 0), 0, 0)
+
+
+def cover_pairs(poset, masks):
+    return {(poset.labels[s], poset.labels[t]) for t, mask in enumerate(masks)
+            for s in _bits(mask)}
 
 
 @given(digraphs())
-def test_transitive_closure_is_idempotent(pairs):
-    once = transitive_closure(pairs)
-    assert transitive_closure(once) == once
+def test_transitive_closure_matches_matrix_oracle(data):
+    nodes, pairs = data
+    closed = closure_oracle(pairs)
+    assert pair_closure(pairs) == closed
+    if any(a == b for a, b in closed):
+        with pytest.raises(InvalidPosetError, match="order is not irreflexive"):
+            tagged_poset(nodes, pairs)
+    else:
+        assert tagged_poset(nodes, pairs).order == closed
+
+
+@given(dags())
+def test_transitive_closure_is_idempotent(data):
+    poset = tagged_poset(*data)
+    assert transitive_closure(poset.under) == poset.under
+    again = tagged_poset(data[0], poset.order)
+    assert (again.order, again.under) == (poset.order, poset.under)
 
 
 @given(dags())
 def test_hasse_regenerates_the_closure(data):
-    _, pairs = data
-    reduced = covers(transitive_closure(pairs))
-    assert transitive_closure(reduced) == transitive_closure(pairs)
+    poset = tagged_poset(*data)
+    assert transitive_closure(covers(poset.under)) == poset.under
 
 
 @given(dags())
 def test_hasse_has_no_composite_edges(data):
-    _, pairs = data
-    closed = transitive_closure(pairs)
-    for a, b in covers(closed):
+    poset = tagged_poset(*data)
+    closed = poset.order
+    reduced = cover_pairs(poset, covers(poset.under))
+    for a, b in reduced:
         assert not any((a, c) in closed and (c, b) in closed for c, _ in closed)
+    assert reduced == pair_covers(closure_oracle(data[1]))
+    edges = set(re.findall(r'^  "(.*)" -> "(.*)";$', poset_to_dot(poset), re.M))
+    assert edges == reduced
 
 
 def test_hasse_drops_the_diagonal_shortcut():
-    closed = transitive_closure([("A", "B"), ("B", "C"), ("A", "C")])
-    assert covers(closed) == {("A", "B"), ("B", "C")}
+    poset = tagged_poset("ABC", [("A", "B"), ("B", "C"), ("A", "C")])
+    assert cover_pairs(poset, covers(poset.under)) == {("A", "B"), ("B", "C")}
+    # within A and C, C covers A; entry B lists its covers among them too
+    assert covers(poset.under, within=0b101) == [0, 0b001, 0b001]
 
 
 def test_hasse_rejects_cycles():
-    with pytest.raises(CyclicRelationError):
-        covers(transitive_closure([("A", "B"), ("B", "A")]))
-    with pytest.raises(CyclicRelationError):
-        covers(transitive_closure([("A", "A")]))
+    # a cyclic order never becomes a poset, so nothing reduces it
+    with pytest.raises(InvalidPosetError, match=re.escape(
+            "order is not irreflexive: ('A', 'A'); order is not antisymmetric: 'A' and 'B'")):
+        tagged_poset("AB", [("A", "B"), ("B", "A")])
+    with pytest.raises(InvalidPosetError, match=re.escape(
+            "invalid isotropy poset: order is not irreflexive: ('A', 'A')")):
+        tagged_poset("A", [("A", "A")])
 
 
 def two_plane_poset():
@@ -274,7 +301,7 @@ def chain_types(m):
 def test_the_type_cap_is_checked_before_the_closure(monkeypatch):
     assert len(IsotropyPoset(*chain_types(MAX_TYPES)).order) == MAX_TYPES * (MAX_TYPES - 1) // 2
 
-    def no_closure(pairs):
+    def no_closure(under):
         raise AssertionError("transitive_closure ran on an over-cap poset")
 
     monkeypatch.setattr(poset_module, "transitive_closure", no_closure)
@@ -287,7 +314,7 @@ def test_the_type_cap_is_checked_before_the_closure(monkeypatch):
 
 
 def test_unknown_order_labels_are_refused_before_the_closure(monkeypatch):
-    def no_closure(pairs):
+    def no_closure(under):
         raise AssertionError("transitive_closure ran on a poset with unknown labels")
 
     monkeypatch.setattr(poset_module, "transitive_closure", no_closure)

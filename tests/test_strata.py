@@ -24,8 +24,6 @@ from cosphere.poset import (
     InvalidPosetError,
     IsotropyPoset,
     OrbitType,
-    covers,
-    transitive_closure,
 )
 from cosphere.strata import (
     StratumKind,
@@ -38,6 +36,7 @@ from cosphere.strata import (
     semifree_diagnostics,
 )
 from cosphere.torus import ActionSpecError, TorusActionSpec, build_isotropy_poset
+from order_oracles import pair_closure, pair_covers
 from test_torus import LADDER_K2_N8, weight_specs
 
 LABELS = "ABCDEFGH"
@@ -168,7 +167,7 @@ def test_two_plane_frontier_closure_and_hasse():
     assert len(result.frontier) == len(pairs(result.frontier)) == 19
     assert pairs(result.hasse) == sorted(EXPECTED_TWO_PLANE_HASSE)
     assert report_closure_only(written_report(result)) == EXPECTED_TWO_PLANE_CLOSURE_ONLY
-    assert transitive_closure(pairs(result.hasse)) == set(pairs(result.frontier))
+    assert pair_closure(pairs(result.hasse)) == set(pairs(result.frontier))
 
 
 def pairs(relation):
@@ -255,8 +254,8 @@ def frontier_oracle(poset):
             and (h2, k) in order
         ):
             pairs.add((seam_name(k, h2), seam_name(k, h)))
-    closed = transitive_closure(pairs)
-    return closed, closed - pairs, covers(closed)
+    closed = pair_closure(pairs)
+    return closed, closed - pairs, pair_covers(closed)
 
 
 def pair_oracle(poset):
@@ -416,7 +415,7 @@ def valid_posets(draw):
 
 def piece_table_reference(poset):
     """Each piece's (upper, lower), kind, dim and open_dense by name, and
-    the ``hasse`` pairs, from label sets and :func:`covers`: (K', H') covers
+    the ``hasse`` pairs, from label sets and :func:`pair_covers`: (K', H') covers
     (K, H') when K' covers K in the lattice, and (K', H) when H' covers H
     in the lattice restricted to starred types."""
     dims, starred = quotient_dims_oracle(poset), starred_oracle(poset)
@@ -436,9 +435,9 @@ def piece_table_reference(poset):
             name_of[k, h] = name
     starred_order = frozenset((a, b) for a, b in poset.order if {a, b} <= starred)
     hasse = {(name_of[k, h], name_of[c, h])
-             for c, k in covers(poset.order) for h in starred if (c, h) in name_of}
+             for c, k in pair_covers(poset.order) for h in starred if (c, h) in name_of}
     hasse |= {(name_of[k, h], name_of[k, c])
-              for c, h in covers(starred_order) for k in labels if (k, h) in name_of}
+              for c, h in pair_covers(starred_order) for k in labels if (k, h) in name_of}
     return pieces, hasse
 
 
@@ -522,7 +521,7 @@ def test_fuzz_piece_inventory_shape(poset):
         assert a in names and b in names
         assert a != b
     assert set(pairs(result.hasse)) <= set(pairs(result.frontier))
-    assert transitive_closure(pairs(result.hasse)) == set(pairs(result.frontier))
+    assert pair_closure(pairs(result.hasse)) == set(pairs(result.frontier))
 
 
 @given(valid_posets())
