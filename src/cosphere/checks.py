@@ -13,8 +13,6 @@ with sorted keys so repeated runs are byte-identical.
 
 from __future__ import annotations
 
-from collections import Counter
-
 import numpy as np
 
 from . import phase, reeb, strata, torus
@@ -85,15 +83,15 @@ def verify_fixture(
         )
         tables = invariant_tables(x, u)
         images = reduced_images(tables)
-        labels = orbit_labels(spec, support_masks(tables))
-        is_starred = np.isin(labels, result.starred)
+        labels, index = orbit_labels(spec, support_masks(tables))
+        is_starred = np.array([label in result.starred for label in labels], dtype=bool)[index]
         piece, residual = locate_rows(fixture, images, band)
         located = is_starred & (piece >= 0)
 
         failures: list[str] = []
         for i in np.flatnonzero(~located)[:MAX_REPORTED_FAILURES]:
             if not is_starred[i]:
-                failures.append(f"classified into unstarred type ({labels[i]})")
+                failures.append(f"classified into unstarred type ({labels[index[i]]})")
                 continue
             try:
                 check_reduced_membership(fixture, images[i], band=band)
@@ -105,8 +103,9 @@ def verify_fixture(
         max_cosphere = _max(np.abs(cosphere_sums(tables) - 2.0))
         max_cone = _max(np.abs(cone_residuals(tables)) / scale)
         max_residual = _max(residual[located])
-        class_counts = Counter(labels.tolist())
-        piece_counts = Counter(names[piece[located]].tolist())
+        class_counts = dict(zip(labels, np.bincount(index, minlength=len(labels)).tolist()))
+        counts = np.bincount(piece[located], minlength=len(names)).tolist()
+        piece_counts = dict(sorted((names[i], c) for i, c in enumerate(counts) if c))
         k0_err = 0.0
         if geometric:
             xs = x[located].reshape(-1, spec.n, 2)
@@ -119,9 +118,7 @@ def verify_fixture(
 
         n_points = len(x)
         fraction = piece_counts.get(cell.name, 0) / n_points if n_points else 0.0
-        class_fraction = (
-            class_counts.get(cell.expect_class, 0) / n_points if n_points else 0.0
-        )
+        class_fraction = class_counts.get(cell.expect_class, 0) / n_points if n_points else 0.0
         checks = {
             "momentum_zero": max_j <= SUPPORT_TOL,
             "cosphere_sum": max_cosphere <= IDENTITY_TOL,
@@ -145,8 +142,8 @@ def verify_fixture(
                 "max_cone_rel_error": max_cone,
                 "max_membership_residual": max_residual,
                 "k0_max_error": k0_err if geometric else None,
-                "class_counts": dict(sorted(class_counts.items())),
-                "piece_counts": dict(sorted(piece_counts.items())),
+                "class_counts": class_counts,
+                "piece_counts": piece_counts,
                 "expected_fraction": fraction,
                 "checks": checks,
                 "failures": failures,

@@ -29,14 +29,14 @@ outside (:func:`hilbert_map`, the Reeb flows).
 
 The zero-level sampler solves J = 0 exactly in the covector: for fixed x
 the momentum is linear, J = M(x) u, so a Gaussian covector is projected
-onto ker M(x) by a Gram solve on the rows of M(x) that are independent.
-Which rows those are, and so the rank, is exact integer data: the pivot
-rows of the canonical lattice basis of the planes where base point and
-covector may both be nonzero, read once per support pattern.  One
-call draws all its base points and covectors as one row-major block from
-one generator seeded with ``seed``, so sample i depends only on
-(seed, i), not on the count.  Singular strata are reached by forcing exact
-zeros through support patterns, never by thresholding noise.
+onto ker M(x) through the independent rows of M(x), made orthonormal by
+classical Gram-Schmidt run twice.  Which rows those are, and so the rank,
+is exact integer data: the pivot rows of the canonical lattice basis of
+the planes where base point and covector may both be nonzero, read once
+per support pattern.  One call draws all its base points and covectors as
+one row-major block from one generator seeded with ``seed``, so sample i
+depends only on (seed, i), not on the count.  Singular strata come from
+exact zeros forced through support patterns, never from thresholded noise.
 """
 
 from __future__ import annotations
@@ -147,15 +147,11 @@ class PhasePoint:
         return self.x.size // 2
 
 
-def _planes(v: np.ndarray) -> np.ndarray:
-    """(..., 2n) coordinates as (..., n, 2): one row per plane."""
-    v = np.asarray(v, dtype=float)
-    return v.reshape(v.shape[:-1] + (v.shape[-1] // 2, 2))
-
-
 def invariant_tables(x: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Invariant tables (..., n, 4) of one point (2n,) or of (N, 2n) rows."""
-    xs, us = _planes(x), _planes(u)
+    x, u = np.asarray(x, dtype=float), np.asarray(u, dtype=float)
+    xs = x.reshape(x.shape[:-1] + (x.shape[-1] // 2, 2))
+    us = u.reshape(u.shape[:-1] + (u.shape[-1] // 2, 2))
     xx = np.sum(xs * xs, axis=-1)
     uu = np.sum(us * us, axis=-1)
     return np.stack([
@@ -224,29 +220,18 @@ def support_masks(tables: np.ndarray, tol: float = SUPPORT_TOL) -> np.ndarray:
     return np.sqrt(tables[..., 0]) > tol
 
 
-def orbit_labels(spec: TorusActionSpec, masks: np.ndarray) -> np.ndarray:
-    """Orbit-type label of each (N, n) support row, as an object array.
+def orbit_labels(spec: TorusActionSpec, masks: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """Orbit types of (N, n) support rows as (labels, index): the sorted
+    distinct labels, and the position in them of each row's label.
 
     A row is keyed by its support bitmask, and each distinct support is
     labelled once from the support table.
     """
     table = support_lattices(spec)
     keys, inverse = np.unique(masks @ (1 << np.arange(spec.n)), return_inverse=True)
-    labels = np.array([class_label(spec.k, table[key]) for key in keys.tolist()], dtype=object)
-    return labels[inverse.reshape(-1)]
-
-
-def momentum_matrix(spec: TorusActionSpec, x: np.ndarray) -> np.ndarray:
-    """The k x 2n matrix M(x) with J(x, u) = M(x) u (momentum is linear in u).
-
-    For (N, 2n) rows of base points the result has shape (N, k, 2n).
-    """
-    weights = np.array(spec.weights, dtype=float)
-    xs = _planes(x)
-    m = np.zeros(xs.shape[:-2] + (spec.k, 2 * spec.n))
-    m[..., 0::2] = -weights * xs[..., None, :, 1]
-    m[..., 1::2] = weights * xs[..., None, :, 0]
-    return m
+    of_key = [class_label(spec.k, table[key]) for key in keys.tolist()]
+    labels, position = np.unique(np.array(of_key, dtype=str), return_inverse=True)
+    return labels.tolist(), position[inverse.reshape(-1)]
 
 
 def _as_plane_set(pattern: Iterable[int] | None, n: int) -> tuple[int, ...]:
@@ -270,6 +255,15 @@ def _independent_rows(spec: TorusActionSpec, planes: Iterable[int]) -> np.ndarra
     return np.array([max(i for i, a in enumerate(col) if a) for col in basis], dtype=int)
 
 
+def _project_out(v: np.ndarray, basis: list[np.ndarray]) -> None:
+    """Classical Gram-Schmidt run twice on ``v`` against orthonormal ``basis``,
+    in place; the second pass removes what roundoff left."""
+    for _ in range(2):
+        coefficients = [(v * q).sum(axis=0) for q in basis]
+        for c, q in zip(coefficients, basis):
+            v -= c * q
+
+
 def _zero_level_rows(
     spec: TorusActionSpec,
     xcols: np.ndarray,
@@ -282,29 +276,37 @@ def _zero_level_rows(
     The first columns of a row are the base coordinates on ``xcols``, the
     rest a Gaussian covector g on ``ucols``, projected onto ker M(x)
     restricted to ``ucols``.  While no base plane vanishes that is ker M_R,
-    M_R the independent weight ``rows`` of M, and g - M_R^T (M_R M_R^T)^-1
-    M_R g is applied twice, the second pass removing what roundoff left.
+    M_R the independent weight ``rows`` of M (row i is a_ij (-x_j2, x_j1) on
+    plane j), orthonormalized by :func:`_project_out`, which also projects g.
     Returns (x, u, ok); ok is false, and the row must be redrawn, when the
-    projection is shorter than ``MIN_COVECTOR_NORM`` or the base point is
-    exactly zero on a plane of ``xcols`` (M_R may then drop rank).
+    base point is exactly zero on a plane of ``xcols``, when a pivot is
+    shorter than |ucols| eps times its row (an SVD's rank cut) or its square
+    underflows (it then stays that short, so no later row grows), or when
+    the projection is shorter than ``MIN_COVECTOR_NORM``.
     """
     base = draws[:, : xcols.size]
     x = np.zeros((len(draws), 2 * spec.n))
     x[:, xcols] = base
-    g = draws[:, xcols.size :, None]
-    live = (base.reshape(len(base), xcols.size // 2, 2) != 0).any(axis=2).all(axis=1)
-    if rows.size:
-        m = momentum_matrix(spec, x)[:, rows[:, None], ucols]
-        mt = m.transpose(0, 2, 1)
-        gram = m @ mt
-        gram[~live] = np.eye(rows.size)
-        for _ in range(2):
-            g = g - mt @ np.linalg.solve(gram, m @ g)
-    g = g[:, :, 0]
-    norm = np.linalg.norm(g, axis=1)
-    ok = live & (norm >= MIN_COVECTOR_NORM)
+    ok = (base.reshape(len(base), xcols.size // 2, 2) != 0).any(axis=2).all(axis=1)
+    # one coordinate per array row, so products and sums run along contiguous rows
+    g = draws[:, xcols.size :].T.copy()
+    swapped, signs = x.T[ucols ^ 1], np.resize([-1.0, 1.0], ucols.size)
+    cut = (ucols.size * np.finfo(float).eps) ** 2
+    basis: list[np.ndarray] = []
+    for row in np.array(spec.weights, dtype=float)[rows][:, ucols // 2] * signs:
+        v = row[:, None] * swapped
+        floor = np.maximum(np.finfo(float).tiny, cut * (v * v).sum(axis=0))
+        _project_out(v, basis)
+        square = (v * v).sum(axis=0)
+        ok &= square >= floor
+        v /= np.sqrt(np.maximum(square, floor))
+        basis.append(v)
+    _project_out(g, basis)
+    norm = np.sqrt((g * g).sum(axis=0))
+    ok &= norm >= MIN_COVECTOR_NORM
+    g /= np.where(ok, norm, 1.0)
     u = np.zeros_like(x)
-    u[:, ucols] = g / np.where(ok, norm, 1.0)[:, None]
+    u[:, ucols] = g.T
     return x, u, ok
 
 
@@ -322,16 +324,17 @@ def zero_level_arrays(
     exactly zero elsewhere; the covector is a Gaussian on the
     ``covector_pattern`` planes projected onto ker M(x) restricted to those
     planes, then normalized, so |J| vanishes to machine precision.  The
-    projection is the exact-rank Gram solve of :func:`_zero_level_rows` on
-    the independent weight rows of the planes in both patterns.  All draws
-    of one call come as one row-major block from ``default_rng(seed)``, one
-    row per sample, so sample i is the same for every ``count`` above i.  A
-    row whose projected covector is shorter than 1e-8, or whose base point
-    is exactly zero on a plane of ``support_pattern``, is redrawn from
-    ``default_rng([seed, i, attempt])`` for attempt = 1, 2, ...; after
-    ``MAX_RETRIES`` draws in all, :class:`RetriesExhaustedError` is raised.
-    A negative seed or count, or a count over ``MAX_SAMPLES``, is refused
-    with :class:`PhaseError`.
+    projection is the twice-orthogonalized row basis of
+    :func:`_zero_level_rows` on the independent weight rows of the planes in
+    both patterns.  All draws of one call come as one row-major block from
+    ``default_rng(seed)``, one row per sample, so sample i is the same for
+    every ``count`` above i.  A row whose projected covector is shorter than
+    1e-8, whose base point is exactly zero on a plane of
+    ``support_pattern``, or whose row basis has a numerically zero pivot, is
+    redrawn from ``default_rng([seed, i, attempt])`` for attempt = 1, 2,
+    ...; after ``MAX_RETRIES`` draws in all, :class:`RetriesExhaustedError`
+    is raised.  A negative seed or count, or a count over ``MAX_SAMPLES``,
+    is refused with :class:`PhaseError`.
     """
     planes_x = _as_plane_set(support_pattern, spec.n)
     planes_u = _as_plane_set(covector_pattern, spec.n)

@@ -117,8 +117,8 @@ def test_probe_samples_land_in_the_piece_of_their_supports(spec):
         assert labels == [cell.name] * len(x)
         assert located_names(fx, x, u).tolist() == labels
         tables = phase.invariant_tables(x, u)
-        classes = phase.orbit_labels(spec, phase.support_masks(tables))
-        assert set(classes) == {cell.expect_class}
+        labels, index = phase.orbit_labels(spec, phase.support_masks(tables))
+        assert set(np.array(labels, dtype=object)[index]) == {cell.expect_class}
 
 
 @pytest.mark.parametrize("spec", [get_fixture(name).spec for name in FIXTURES] + list(OTHER_SPECS),

@@ -1,8 +1,11 @@
 """Phase-level layer: invariants, momentum, sampling, membership, base chart."""
 
+import warnings
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from cosphere import phase
 from cosphere.fixtures import Cell, Fixture, get_fixture
@@ -26,7 +29,6 @@ from cosphere.phase import (
     k0_project,
     locate_rows,
     momenta,
-    momentum_matrix,
     orbit_labels,
     reduced_images,
     support_masks,
@@ -161,7 +163,9 @@ def test_support_and_classification():
     u = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.5, 0.5, 0.5, 0.5]])
     masks = support_masks(invariant_tables(x, u))
     assert masks.tolist() == [[True, False], [False, True], [True, True]]
-    assert orbit_labels(T2, masks).tolist() == ["e×S^1", "S^1×e", "e"]
+    labels, index = orbit_labels(T2, masks)
+    assert labels == ["S^1×e", "e", "e×S^1"]
+    assert np.array(labels, dtype=object)[index].tolist() == ["e×S^1", "S^1×e", "e"]
 
 
 def test_support_tolerance():
@@ -249,8 +253,8 @@ def test_sampler_redraws_rows_without_a_covector(monkeypatch):
 
 
 def test_sampler_redraws_a_row_with_a_zero_base_plane(monkeypatch):
-    # x_0 = 0 on a drawn plane zeroes a row of M(x), so the Gram matrix of
-    # the independent rows is singular: that row is redrawn from its own
+    # x_0 = 0 on a drawn plane zeroes a row of M(x), so the independent
+    # rows may drop rank: that row is redrawn from its own
     # default_rng([seed, index, 1]), the others keep their draws
     real_rng = np.random.default_rng
     block = real_rng(4).standard_normal((3, 8))
@@ -270,10 +274,64 @@ def test_sampler_redraws_a_row_with_a_zero_base_plane(monkeypatch):
     assert np.max(np.abs(momenta(T2, invariant_tables(x, u)))) < 1e-12
 
 
+DEGENERATE_WEIGHTS = {
+    "diagonal": ((1, 0), (0, 1)),
+    "coupled": ((1, 1), (0, 1)),
+    "ill-conditioned": ((16, 15), (15, 14)),
+    # eight planes, eight independent rows
+    "eight-planes": tuple(tuple((3 * i + 5 * j) % 7 - 3 + 9 * (i == j) for j in range(8))
+                          for i in range(8)),
+}
+
+
+# an exactly zero plane on the diagonal weights is the test above
+@pytest.mark.parametrize("name, value", [(name, 1e-200) for name in DEGENERATE_WEIGHTS]
+                         + [(name, 0.0) for name in DEGENERATE_WEIGHTS if name != "diagonal"])
+def test_sampler_redraws_a_row_with_a_degenerate_base_plane(monkeypatch, name, value):
+    # base coordinates of 1e-200 on plane 0 are not zero, but a pivot of M_R
+    # is then numerically zero: its square underflows to 0, or it falls
+    # under the rank cut.  That row is redrawn from its own
+    # default_rng([seed, index, 1]) rather than losing a constraint, with no
+    # warning, as is a row whose plane 0 is exactly zero, also when its
+    # other pivots must not grow through eight rows
+    weights = DEGENERATE_WEIGHTS[name]
+    n = len(weights[0])
+    spec = TorusActionSpec(k=len(weights), n=n, weights=weights)
+    real_rng = np.random.default_rng
+    block = real_rng(4).standard_normal((3, 4 * n))
+    block[1, :2] = value
+
+    class FixedBlock:
+        def standard_normal(self, shape):
+            return block
+
+    monkeypatch.setattr(
+        np.random, "default_rng",
+        lambda seed: real_rng(seed) if isinstance(seed, list) else FixedBlock(),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x, u = zero_level_arrays(spec, seed=4, count=3)
+    assert x[1].tolist() == real_rng([4, 1, 1]).standard_normal(4 * n)[: 2 * n].tolist()
+    assert x[[0, 2]].tolist() == block[[0, 2], : 2 * n].tolist()
+    assert np.max(np.abs(momenta(spec, invariant_tables(x, u)))) <= 1e-13
+
+
+def momentum_matrix(spec, x):
+    """The k x 2n matrix M(x) with J(x, u) = M(x) u (momentum is linear in
+    u); for (N, 2n) rows of base points the result has shape (N, k, 2n)."""
+    weights = np.array(spec.weights, dtype=float)
+    xs = x.reshape(x.shape[:-1] + (spec.n, 2))
+    m = np.zeros(xs.shape[:-2] + (spec.k, 2 * spec.n))
+    m[..., 0::2] = -weights * xs[..., None, :, 1]
+    m[..., 1::2] = weights * xs[..., None, :, 0]
+    return m
+
+
 def svd_zero_level_rows(spec, xcols, ucols, draws):
     """The sampler's rows with the covector projected onto an orthonormal
     basis of ker M(x) from one batched SVD, with null_space's rank cut:
-    the oracle for the exact-rank Gram projection."""
+    the oracle for the Gram-Schmidt projection."""
     x = np.zeros((len(draws), 2 * spec.n))
     x[:, xcols] = draws[:, : xcols.size]
     g = draws[:, xcols.size :]
@@ -289,6 +347,43 @@ def svd_zero_level_rows(spec, xcols, ucols, draws):
     u = np.zeros_like(x)
     u[:, ucols] = u_active / np.where(ok, norm, 1.0)[:, None]
     return x, u, ok
+
+
+def exact_unit_projection(spec, x, g, rows, ucols):
+    """g projected onto ker M_R in exact rational arithmetic, by Gram-Schmidt
+    without normalization, then normalized in floating point."""
+    xs = [Fraction(float(v)) for v in x]
+    turned = [-xs[c + 1] if c % 2 == 0 else xs[c - 1] for c in ucols]
+    basis = []
+    for i in rows:
+        v = [spec.weights[i][c // 2] * t for c, t in zip(ucols, turned)]
+        for q in basis:
+            c = sum(a * b for a, b in zip(v, q)) / sum(b * b for b in q)
+            v = [a - c * b for a, b in zip(v, q)]
+        basis.append(v)
+    p = [Fraction(float(v)) for v in g]
+    for q in basis:
+        c = sum(a * b for a, b in zip(p, q)) / sum(b * b for b in q)
+        p = [a - c * b for a, b in zip(p, q)]
+    return np.array([float(a) for a in p]) / float(sum(a * a for a in p)) ** 0.5
+
+
+ILL_CONDITIONED = TorusActionSpec(k=2, n=2, weights=((16, 15), (15, 14)))
+
+
+@pytest.mark.parametrize("seed", [7, 25])
+def test_projection_of_ill_conditioned_weights_matches_exact_arithmetic(seed):
+    # seeds at which the SVD oracle's covectors are off by 1.0e-12 and
+    # 5.6e-12 from the exact projection
+    cols = phase._plane_columns((0, 1))
+    draws = np.random.default_rng(seed).standard_normal((16, 8))
+    rows = phase._independent_rows(ILL_CONDITIONED, {0, 1})
+    x, u, ok = phase._zero_level_rows(ILL_CONDITIONED, cols, cols, rows, draws)
+    assert ok.all()
+    exact = [exact_unit_projection(ILL_CONDITIONED, xi, gi, rows, cols)
+             for xi, gi in zip(x, draws[:, 4:])]
+    assert float(np.max(np.abs(u[:, cols] - exact))) <= 1e-12
+    assert float(np.max(np.abs(momenta(ILL_CONDITIONED, invariant_tables(x, u))))) <= 1e-13
 
 
 @st.composite
@@ -322,6 +417,14 @@ def sampler_cases(draw):
 
 
 @given(sampler_cases())
+# ill-conditioned weights (det -1, condition number about 900), and a k = 3
+# spec of rank 2 whose third column is the sum of the first two; on the
+# ill-conditioned weights the SVD oracle itself is off by up to 5.6e-12 at
+# some seeds, which the exact projection below checks instead
+@example((ILL_CONDITIONED, {0, 1}, {0, 1}, 0))
+@example((TorusActionSpec(k=2, n=3, weights=((16, 15, 1), (15, 14, 1))), {0, 1}, {0, 1, 2}, 3))
+@example((TorusActionSpec(k=3, n=3, weights=((1, 0, 1), (1, 1, 2), (0, 1, 1))),
+          {0, 1, 2}, {0, 1, 2}, 11))
 def test_gram_projection_matches_the_svd_oracle(case):
     spec, planes_x, planes_u, seed = case
     xcols = phase._plane_columns(tuple(sorted(planes_x)))
@@ -561,8 +664,8 @@ def test_sampled_probes_land_in_their_pieces(fixture_name):
             )
             assert residual <= MEMBERSHIP_BAND
             assert name == cell.name
-        labels = orbit_labels(fx.spec, support_masks(invariant_tables(x, u)))
-        assert set(labels) == {cell.expect_class}
+        labels, index = orbit_labels(fx.spec, support_masks(invariant_tables(x, u)))
+        assert set(np.array(labels, dtype=object)[index]) == {cell.expect_class}
 
 
 def test_get_fixture_unknown_name():

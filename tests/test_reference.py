@@ -162,11 +162,14 @@ def ref_label_row(fixture, table: np.ndarray, band: float):
     return matches[0] if len(matches) == 1 else ("(unresolved)", float("nan"))
 
 
-def ref_verify(fixture, seed: int, count: int, band: float = MEMBERSHIP_BAND) -> dict:
+def ref_verify(fixture, seed: int, count: int, band: float = MEMBERSHIP_BAND,
+               unstarred: frozenset = frozenset()) -> dict:
+    """The sampling battery point by point; the labels in ``unstarred`` are
+    left out of the starred types."""
     spec = fixture.spec
     poset = torus.build_isotropy_poset(spec)
     starred = {t.label for t in poset.types
-               if poset.dim_Q_of[t.label] - poset.dim_G + t.dim_H >= 1}
+               if poset.dim_Q_of[t.label] - poset.dim_G + t.dim_H >= 1} - unstarred
     result = strata.cl_stratification(poset)
     principal_cc = strata.cc_name(poset_mod.principal_type(poset).label)
     probe_reports = []
@@ -408,8 +411,9 @@ def test_every_probe_matches_the_per_point_reference(fixture_name):
         images = phase.reduced_images(tables)
         assert same_bits(tables, [ref_table(p) for p in points])
         assert same_bits(phase.momenta(spec, tables), [ref_momentum(spec, p) for p in points])
-        labels = phase.orbit_labels(spec, phase.support_masks(tables))
-        assert labels.tolist() == [ref_classify(spec, p) for p in points]
+        labels, index = phase.orbit_labels(spec, phase.support_masks(tables))
+        assert np.array(labels, dtype=object)[index].tolist() == \
+            [ref_classify(spec, p) for p in points]
         piece, residual = phase.locate_rows(fx, images)
         names = [fx.cells[i].name for i in piece]
         ref = [ref_check(fx, ref_image(ref_table(p))) for p in points]
@@ -431,6 +435,27 @@ def test_verify_failure_texts_match_the_per_point_reference():
         report = checks.verify_fixture(fx, seed=2, count=300, band=1e-17)
         assert report["probes"][0]["failures"]
         assert report == ref_verify(fx, 2, 300, band=1e-17)
+
+
+@pytest.mark.parametrize("fixture_name, dropped", [
+    ("s1-on-r2", "e"), ("t2-on-r4", "e×S^1"), ("t2-on-r4", "S^1×e"),
+])
+def test_unstarred_classes_fail_as_the_per_point_reference(monkeypatch, fixture_name, dropped):
+    # with one starred type taken out of the starred set, every sample of
+    # that type fails as classified into an unstarred type
+    starred = strata.StratificationResult.starred
+    monkeypatch.setattr(strata.StratificationResult, "starred", property(
+        lambda self: tuple(label for label in starred.func(self) if label != dropped)
+    ))
+    fx = get_fixture(fixture_name)
+    report = checks.verify_fixture(fx, seed=3, count=300)
+    assert report == ref_verify(fx, 3, 300, unstarred=frozenset({dropped}))
+    hit = [p for p in report["probes"] if p["class_counts"].get(dropped)]
+    assert hit and not report["passed"]
+    for probe in hit:
+        assert not probe["checks"]["classification_starred"]
+        assert probe["failures"] == [f"classified into unstarred type ({dropped})"] * 10
+        assert probe["piece_counts"] == {}
 
 
 @pytest.mark.parametrize("fixture_name", FIXTURES)
