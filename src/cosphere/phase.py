@@ -148,18 +148,22 @@ class PhasePoint:
 
 
 def invariant_tables(x: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Invariant tables (..., n, 4) of one point (2n,) or of (N, 2n) rows."""
+    """Invariant tables (..., n, 4) of one point (2n,) or of (N, 2n) rows.
+
+    Each sum over a plane's two coordinates starts from +0.0, as a numpy
+    reduction does, so p2 of an exactly zero base plane is +0.0 whatever
+    the signs of its zeros and of the covector.
+    """
     x, u = np.asarray(x, dtype=float), np.asarray(u, dtype=float)
-    xs = x.reshape(x.shape[:-1] + (x.shape[-1] // 2, 2))
-    us = u.reshape(u.shape[:-1] + (u.shape[-1] // 2, 2))
-    xx = np.sum(xs * xs, axis=-1)
-    uu = np.sum(us * us, axis=-1)
-    return np.stack([
-        xx + uu,
-        2.0 * np.sum(xs * us, axis=-1),
-        uu - xx,
-        xs[..., 0] * us[..., 1] - xs[..., 1] * us[..., 0],
-    ], axis=-1)
+    x1, x2, u1, u2 = x[..., 0::2], x[..., 1::2], u[..., 0::2], u[..., 1::2]
+    xx = x1 * x1 + x2 * x2
+    uu = u1 * u1 + u2 * u2
+    tables = np.empty(xx.shape + (4,))
+    np.add(xx, uu, out=tables[..., 0])
+    np.multiply(2.0, x1 * u1 + x2 * u2 + 0.0, out=tables[..., 1])
+    np.subtract(uu, xx, out=tables[..., 2])
+    np.subtract(x1 * u2, x2 * u1, out=tables[..., 3])
+    return tables
 
 
 def reduced_images(tables: np.ndarray) -> np.ndarray:
@@ -228,7 +232,10 @@ def orbit_labels(spec: TorusActionSpec, masks: np.ndarray) -> tuple[list[str], n
     labelled once from the support table.
     """
     table = support_lattices(spec)
-    keys, inverse = np.unique(masks @ (1 << np.arange(spec.n)), return_inverse=True)
+    key = np.zeros(masks.shape[:-1], dtype=np.int64)
+    for j in range(spec.n):
+        key |= masks[..., j] << j
+    keys, inverse = np.unique(key, return_inverse=True)
     of_key = [class_label(spec.k, table[key]) for key in keys.tolist()]
     labels, position = np.unique(np.array(of_key, dtype=str), return_inverse=True)
     return labels.tolist(), position[inverse.reshape(-1)]
@@ -287,7 +294,9 @@ def _zero_level_rows(
     base = draws[:, : xcols.size]
     x = np.zeros((len(draws), 2 * spec.n))
     x[:, xcols] = base
-    ok = (base.reshape(len(base), xcols.size // 2, 2) != 0).any(axis=2).all(axis=1)
+    ok = np.ones(len(draws), dtype=bool)
+    for c in range(0, xcols.size, 2):
+        ok &= (base[:, c] != 0) | (base[:, c + 1] != 0)
     # one coordinate per array row, so products and sums run along contiguous rows
     g = draws[:, xcols.size :].T.copy()
     swapped, signs = x.T[ucols ^ 1], np.resize([-1.0, 1.0], ucols.size)
@@ -362,28 +371,23 @@ def zero_level_arrays(
     return x, u
 
 
-def _band_tests(images: np.ndarray, band: float):
-    """The per-plane band tests of (N, 3n) reduced images.
+def _plane_tests(images: np.ndarray, j: int, band: float):
+    """The band tests of plane j of (N, 3n) reduced images.
 
-    Returns the (N, n) columns p1, p1 - p3 and the cone value, the (N,)
-    cosphere sums, and (N, n) masks: on S, on S_x, and the plane's test
-    passed.  The sum adds -2, p1_1, p3_1, p1_2, ... in that order and the
-    cone value is (p1 p1 - p2 p2) - p3 p3, so the residuals do not depend
-    on numpy's pairwise summation.
+    Returns the (N,) columns p1, p3, p1 - p3 and the cone value
+    (p1 p1 - p2 p2) - p3 p3, and (N,) masks: on S, on S_x, and the plane's
+    test passed.
     """
-    p1, p2, p3 = images[:, 0::3], images[:, 1::3], images[:, 2::3]
+    p1, p2, p3 = images[:, 3 * j], images[:, 3 * j + 1], images[:, 3 * j + 2]
     diff = p1 - p3
     cone = (p1 * p1 - p2 * p2) - p3 * p3
-    total = np.full(len(images), -2.0)
-    for j in range(p1.shape[1]):
-        total = total + p1[:, j] + p3[:, j]
     on = p1 > band
     on_x = on & (diff > band)
     # each test in complement form, so that a NaN fails it
-    plane_ok = (np.abs(p1) <= band) | (
+    passed = (np.abs(p1) <= band) | (
         on & (np.abs(cone) <= band) & (on_x | (np.abs(diff) <= band))
     )
-    return p1, diff, cone, total, on, on_x, plane_ok
+    return p1, p3, diff, cone, on, on_x, passed
 
 
 def locate_rows(
@@ -399,27 +403,52 @@ def locate_rows(
     and S nonempty.  Any other value, a NaN among them, leaves the row
     unlocated; :func:`check_reduced_membership` on it names the test that
     failed.  The residual is the largest of |p1_j| off S, the cone value on
-    S, |p1_j - p3_j| on S minus S_x, and the sum.  A band that is not
-    finite and positive is refused with :class:`PhaseError`.
+    S, |p1_j - p3_j| on S minus S_x, and the sum.  The sum adds -2, p1_1,
+    p3_1, p1_2, ... in that order, so it does not depend on numpy's
+    pairwise summation.  A band that is not finite and positive, or rows
+    that are not 3n wide for the n planes of the fixture, are refused with
+    :class:`PhaseError`.
     """
     check_run_inputs(band=band)
     images = np.asarray(images, dtype=float)
-    p1, diff, cone, total, on, on_x, plane_ok = _band_tests(images, band)
-    ok = plane_ok.all(axis=1) & (np.abs(total) <= band) & on.any(axis=1)
-    planes = np.where(
-        on, np.fmax(np.abs(cone), np.where(on_x, 0.0, np.abs(diff))), np.abs(p1)
-    )
-    residual = np.fmax(np.max(planes, axis=1), np.abs(total))
+    n = fixture.spec.n
+    if images.ndim != 2 or images.shape[1] != 3 * n:
+        raise PhaseError(
+            f"reduced images of shape {images.shape}, expected (N, {3 * n}) "
+            f"for n = {n} on {fixture.name}"
+        )
+    total = np.full(len(images), -2.0)
+    ok = np.ones(len(images), dtype=bool)
+    any_on = np.zeros(len(images), dtype=bool)
     # the pair (S_x, S) of a row as one integer, S_x in the high n bits
-    n = p1.shape[1]
-    bits = 1 << np.arange(n)
-    keys, inverse = np.unique((on_x @ bits) << n | on @ bits, return_inverse=True)
-    cell_of = {
-        sum(1 << j for j in c.support_x) << n | sum(1 << j for j in c.support): i
-        for i, c in enumerate(fixture.cells)
-    }
-    found = np.array([cell_of.get(k, -1) for k in keys.tolist()], dtype=int)
-    piece = np.where(ok, found[inverse.reshape(-1)], -1)
+    key = np.zeros(len(images), dtype=np.int64)
+    # every plane's residual is +0.0 or more, or NaN
+    worst = np.zeros(len(images))
+    for j in range(n):
+        p1, p3, diff, cone, on, on_x, passed = _plane_tests(images, j, band)
+        total += p1
+        total += p3
+        ok &= passed
+        any_on |= on
+        key |= on_x << (n + j) | on << j
+        plane = np.where(
+            on, np.fmax(np.abs(cone), np.where(on_x, 0.0, np.abs(diff))), np.abs(p1)
+        )
+        # np.maximum, like np.max, keeps a NaN
+        np.maximum(worst, plane, out=worst)
+    sum_err = np.abs(total)
+    residual = np.fmax(worst, sum_err)
+    # the cell keys after a sentinel key -1 of cell -1, looked up in sorted
+    # order; a row takes the last cell of its key, as a dict built in cell
+    # order would
+    cell_keys = np.array([-1] + [
+        sum(1 << j for j in c.support_x) << n | sum(1 << j for j in c.support)
+        for c in fixture.cells
+    ])
+    order = np.argsort(cell_keys, kind="stable")
+    at = order[np.searchsorted(cell_keys[order], key, side="right") - 1]
+    found = np.where(cell_keys[at] == key, at - 1, -1)
+    piece = np.where(ok & any_on & (sum_err <= band), found, -1)
     return piece, np.where(piece >= 0, residual, np.nan)
 
 
@@ -430,28 +459,32 @@ def check_reduced_membership(
     image, located as by :func:`locate_rows`.
 
     Raises :class:`NoMatchingStratumError` naming the first band test that
-    fails: the planes in order, then the cosphere sum, then S nonempty.
+    fails: the planes in order, then the cosphere sum, then S nonempty.  An
+    image that is not 3n wide for the n planes of the fixture is refused
+    with :class:`PhaseError`.
     """
-    image = np.asarray(image, dtype=float)[None, :]
-    piece, residual = locate_rows(fixture, image, band)
+    rows = np.asarray(image, dtype=float)[None, :]
+    piece, residual = locate_rows(fixture, rows, band)
     if piece[0] >= 0:
         return fixture.cells[piece[0]].name, float(residual[0])
-    p1, diff, cone, total, on, _, plane_ok = _band_tests(image, band)
     failed = "no cell for these supports"
-    for j in range(p1.shape[1]):
-        if not plane_ok[0, j]:
+    total, any_on = -2.0, False
+    for j in range(fixture.spec.n):
+        p1, p3, diff, cone, on, _, passed = _plane_tests(rows, j, band)
+        total, any_on = total + p1[0] + p3[0], any_on or on[0]
+        if not passed[0]:
             k = j + 1
-            if not on[0, j]:
-                failed = f"p1_{k} = {p1[0, j]:.3e}"
-            elif not abs(cone[0, j]) <= band:
-                failed = f"p1_{k}^2 - p2_{k}^2 - p3_{k}^2 = {cone[0, j]:.3e}"
+            if not on[0]:
+                failed = f"p1_{k} = {p1[0]:.3e}"
+            elif not abs(cone[0]) <= band:
+                failed = f"p1_{k}^2 - p2_{k}^2 - p3_{k}^2 = {cone[0]:.3e}"
             else:
-                failed = f"p1_{k} - p3_{k} = {diff[0, j]:.3e}"
+                failed = f"p1_{k} - p3_{k} = {diff[0]:.3e}"
             break
     else:
-        if not abs(total[0]) <= band:
-            failed = f"sum(p1 + p3) - 2 = {total[0]:.3e}"
-        elif not on.any():
+        if not abs(total) <= band:
+            failed = f"sum(p1 + p3) - 2 = {total:.3e}"
+        elif not any_on:
             failed = f"no plane has p1_j > {band:.3e}"
     raise NoMatchingStratumError(f"no stratum matches the image ({failed})")
 

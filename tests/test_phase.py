@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from cosphere import phase
-from cosphere.fixtures import Cell, Fixture, get_fixture
+from cosphere.fixtures import Cell, Fixture, generate_fixture, get_fixture
 from cosphere.phase import (
     EmptyKernelError,
     MAX_SAMPLES,
@@ -35,7 +35,7 @@ from cosphere.phase import (
     zero_level_arrays,
 )
 from cosphere.reeb import flow_exact, flowed_base
-from cosphere.torus import TorusActionSpec
+from cosphere.torus import TorusActionSpec, class_label, support_lattices
 from test_torus import weight_specs
 
 T2 = TorusActionSpec(k=2, n=2, weights=((1, 0), (0, 1)))
@@ -668,9 +668,233 @@ def test_sampled_probes_land_in_their_pieces(fixture_name):
         assert set(np.array(labels, dtype=object)[index]) == {cell.expect_class}
 
 
+@pytest.mark.parametrize("fixture_name, width", [("s1-on-r2", 6), ("s1-on-r2", 2),
+                                                 ("t2-on-r4", 7)])
+def test_membership_refuses_images_of_another_width(fixture_name, width):
+    # read as planes of the image, the 6-wide image on one plane was located
+    # in Seam(S^1>e), the 2-wide one raised IndexError and the 7-wide one on
+    # two planes ValueError
+    fx = get_fixture(fixture_name)
+    image = np.array([1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0])[:width]
+    for call in (lambda: check_reduced_membership(fx, image),
+                 lambda: locate_rows(fx, image[None, :]),
+                 lambda: locate_rows(fx, image)):
+        with pytest.raises(PhaseError, match=f"expected .*{3 * fx.spec.n}") as err:
+            call()
+        assert type(err.value) is PhaseError
+
+
 def test_get_fixture_unknown_name():
     with pytest.raises(KeyError):
         get_fixture("nope")
+
+
+# -------------------------------------------------------- kernel oracles
+#
+# The phase kernels as they stood when they reduced over a plane's two
+# coordinates and over the planes; the kernels on per-plane columns must
+# give the same bits.
+
+def reference_invariant_tables(x, u):
+    x, u = np.asarray(x, dtype=float), np.asarray(u, dtype=float)
+    xs = x.reshape(x.shape[:-1] + (x.shape[-1] // 2, 2))
+    us = u.reshape(u.shape[:-1] + (u.shape[-1] // 2, 2))
+    xx = np.sum(xs * xs, axis=-1)
+    uu = np.sum(us * us, axis=-1)
+    return np.stack([
+        xx + uu,
+        2.0 * np.sum(xs * us, axis=-1),
+        uu - xx,
+        xs[..., 0] * us[..., 1] - xs[..., 1] * us[..., 0],
+    ], axis=-1)
+
+
+def reference_locate_rows(fixture, images, band):
+    p1, p2, p3 = images[:, 0::3], images[:, 1::3], images[:, 2::3]
+    diff = p1 - p3
+    cone = (p1 * p1 - p2 * p2) - p3 * p3
+    total = np.full(len(images), -2.0)
+    for j in range(p1.shape[1]):
+        total = total + p1[:, j] + p3[:, j]
+    on = p1 > band
+    on_x = on & (diff > band)
+    plane_ok = (np.abs(p1) <= band) | (
+        on & (np.abs(cone) <= band) & (on_x | (np.abs(diff) <= band))
+    )
+    ok = plane_ok.all(axis=1) & (np.abs(total) <= band) & on.any(axis=1)
+    planes = np.where(
+        on, np.fmax(np.abs(cone), np.where(on_x, 0.0, np.abs(diff))), np.abs(p1)
+    )
+    residual = np.fmax(np.max(planes, axis=1), np.abs(total))
+    n = p1.shape[1]
+    bits = 1 << np.arange(n)
+    keys, inverse = np.unique((on_x @ bits) << n | on @ bits, return_inverse=True)
+    cell_of = {
+        sum(1 << j for j in c.support_x) << n | sum(1 << j for j in c.support): i
+        for i, c in enumerate(fixture.cells)
+    }
+    found = np.array([cell_of.get(k, -1) for k in keys.tolist()], dtype=int)
+    piece = np.where(ok, found[inverse.reshape(-1)], -1)
+    return piece, np.where(piece >= 0, residual, np.nan)
+
+
+def reference_orbit_labels(spec, masks):
+    table = support_lattices(spec)
+    keys, inverse = np.unique(masks @ (1 << np.arange(spec.n)), return_inverse=True)
+    of_key = [class_label(spec.k, table[key]) for key in keys.tolist()]
+    labels, position = np.unique(np.array(of_key, dtype=str), return_inverse=True)
+    return labels.tolist(), position[inverse.reshape(-1)]
+
+
+def reference_base_ok(base):
+    return (base.reshape(len(base), base.shape[1] // 2, 2) != 0).any(axis=2).all(axis=1)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+ZEROS = [0.0, -0.0]
+NANS = [np.nan, -np.nan, float(np.array(0x7FF8_0000_0000_0001).view(float))]
+# a plane is exactly zero, mixes a signed zero or a NaN with a number, or is
+# drawn; the numbers stay below 1e100, so no square overflows
+NUMBERS = st.floats(-1e100, 1e100)
+PLANES = st.one_of(
+    st.tuples(st.sampled_from(ZEROS), st.sampled_from(ZEROS)),
+    st.tuples(st.sampled_from(ZEROS + [np.nan, 1.0]), NUMBERS).flatmap(st.permutations),
+    st.tuples(NUMBERS, NUMBERS),
+)
+# also infinities and NaNs of either sign and any payload
+ANY_PLANES = PLANES | st.tuples(st.floats(width=64), st.sampled_from(NANS + [np.inf, 0.0]))
+
+
+@st.composite
+def coordinate_rows(draw, planes=PLANES, max_planes=4, max_rows=6):
+    n = draw(st.integers(1, max_planes))
+    rows = st.lists(planes, min_size=n, max_size=n).map(lambda ps: [c for p in ps for c in p])
+    count = draw(st.integers(0, max_rows))
+    x = np.array(draw(st.lists(rows, min_size=count, max_size=count)), dtype=float)
+    u = np.array(draw(st.lists(rows, min_size=count, max_size=count)), dtype=float)
+    return x.reshape(count, 2 * n), u.reshape(count, 2 * n)
+
+
+@given(coordinate_rows())
+@example((np.array([[0.0, 0.0]]), np.array([[-0.6, -0.8]])))
+@example((np.array([[-0.0, 0.0, 1.0, 0.0]]), np.array([[0.6, -0.0, -0.8, 0.0]])))
+@example((np.full((3, 4), np.nan), np.full((3, 4), np.nan)))
+def test_invariant_tables_match_the_reference_bit_for_bit(rows):
+    x, u = rows
+    assert same_bits(invariant_tables(x, u), reference_invariant_tables(x, u))
+    for xi, ui in zip(x, u):
+        assert same_bits(invariant_tables(xi, ui), reference_invariant_tables(xi, ui))
+
+
+# Where two different NaNs meet in one operation (a NaN input and the
+# negative NaN of inf - inf, say), which comes out depends on the inner
+# loop numpy picks for the size and layout of the arrays: the reference
+# itself gives other NaN bits for a row alone than for the row in a batch.
+# No output tells NaNs apart, so here only the numbers keep their bits.
+@given(coordinate_rows(ANY_PLANES))
+def test_invariant_tables_match_the_reference_up_to_nan_payloads(rows):
+    x, u = rows
+    with np.errstate(all="ignore"):
+        tables, reference = invariant_tables(x, u), reference_invariant_tables(x, u)
+    nan = np.isnan(reference)
+    assert (np.isnan(tables) == nan).all()
+    assert same_bits(tables[~nan], reference[~nan])
+
+
+def test_p2_of_a_zero_base_plane_is_positive_zero():
+    # a bare x1 u1 + x2 u2 would give -0.0 here, which a CSV spells -0.0
+    table = invariant_tables(np.array([0.0, -0.0]), np.array([-0.6, 0.8]))
+    assert np.copysign(1.0, table[0, 1]) == 1.0
+
+
+# a fixture whose cells are a drawn list of the cells of a generated one:
+# some support pairs have no cell, and a pair may have two
+@st.composite
+def fixtures_with_drawn_cells(draw):
+    spec = draw(st.one_of(
+        st.sampled_from([S1, T2]),
+        weight_specs(max_n=3).filter(lambda s: len(support_lattices(s)[(1 << s.n) - 1]) == s.n),
+    ))
+    full = generate_fixture("drawn", "", spec)
+    cells = draw(st.one_of(
+        st.just(full.cells),
+        st.lists(st.sampled_from(full.cells), max_size=len(full.cells) + 2),
+    ))
+    return full, Fixture("drawn cells", "", spec, tuple(cells))
+
+
+BAND_EDGES = [BAND, -BAND, beyond(BAND), beyond(-BAND), H, 0.0, -0.0] + NANS
+
+
+@st.composite
+def image_rows(draw, full):
+    """(N, 3n) reduced images of sampled probes of ``full``, with drawn
+    coordinates set to or moved by a value at an edge of the band, and the
+    locator's boundary cases when they have the width."""
+    n = full.spec.n
+    cell = draw(st.sampled_from(full.cells))
+    x, u = zero_level_arrays(
+        full.spec, seed=draw(st.integers(0, 2**16)), count=draw(st.integers(0, 6)),
+        support_pattern=cell.support_x, covector_pattern=cell.support,
+    )
+    images = reduced_images(invariant_tables(x, u))
+    for _ in range(draw(st.integers(0, 4)) if len(images) else 0):
+        i, c = draw(st.integers(0, len(images) - 1)), draw(st.integers(0, 3 * n - 1))
+        value = draw(st.sampled_from(BAND_EDGES))
+        if draw(st.booleans()):
+            value = images[i, c] + value
+        images[i, c] = value
+    cases = [image for image, _, _ in LOCATOR_CASES.values() if len(image) == 3 * n]
+    extra = draw(st.lists(st.sampled_from(cases), max_size=3)) if cases else []
+    return np.concatenate([images, np.array(extra, dtype=float).reshape(-1, 3 * n)])
+
+
+@given(st.data())
+def test_locate_rows_matches_the_reference_bit_for_bit(data):
+    full, fx = data.draw(fixtures_with_drawn_cells())
+    images = data.draw(image_rows(full))
+    band = data.draw(st.sampled_from([BAND, MEMBERSHIP_BAND, 1e-3]))
+    with np.errstate(all="ignore"):
+        piece, residual = locate_rows(fx, images, band)
+        ref_piece, ref_residual = reference_locate_rows(fx, images, band)
+    assert same_bits(piece, ref_piece)
+    assert same_bits(residual, ref_residual)
+
+
+@given(weight_specs(max_n=4), st.data())
+def test_orbit_labels_match_the_reference(spec, data):
+    count = data.draw(st.integers(0, 12))
+    masks = np.array(
+        data.draw(st.lists(st.lists(st.booleans(), min_size=spec.n, max_size=spec.n),
+                           min_size=count, max_size=count)),
+        dtype=bool,
+    ).reshape(count, spec.n)
+    labels, index = orbit_labels(spec, masks)
+    ref_labels, ref_index = reference_orbit_labels(spec, masks)
+    assert labels == ref_labels
+    assert same_bits(index, ref_index)
+
+
+@given(st.integers(1, 4).flatmap(lambda planes: st.lists(
+    st.lists(PLANES, min_size=planes, max_size=planes), max_size=6)))
+@example([[(0.0, -0.0), (1.0, 0.0)], [(-0.0, -0.0), (-0.0, 0.0)], [(np.nan, 0.0), (0.0, 2.0)]])
+def test_base_plane_check_matches_the_reference(rows):
+    # base planes on all but the last plane and a unit covector on it, with
+    # no weight rows to orthogonalize: a row is refused exactly when a base
+    # plane is zero
+    planes = len(rows[0]) if rows else 1
+    base = np.array(rows, dtype=float).reshape(len(rows), 2 * planes)
+    spec = TorusActionSpec(k=1, n=planes + 1, weights=((1,) * (planes + 1),))
+    draws = np.concatenate([base, np.ones((len(base), 2))], axis=1)
+    _, _, ok = phase._zero_level_rows(
+        spec, np.arange(2 * planes), np.arange(2 * planes, 2 * planes + 2),
+        np.zeros(0, dtype=int), draws,
+    )
+    assert same_bits(ok, reference_base_ok(base))
 
 
 # -------------------------------------------------------------- base chart
