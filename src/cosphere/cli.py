@@ -23,7 +23,6 @@ import itertools
 import json
 import sys
 import tempfile
-from dataclasses import dataclass
 from collections.abc import Iterable, Iterator
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -39,20 +38,6 @@ EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_INVALID = 2
 EXIT_IO = 3
-
-
-@dataclass
-class RunConfig:
-    command: str
-    action: str | None = None
-    fixture: str | None = None
-    seed: int = 0
-    count: int = 10000
-    t_end: float = 2.0
-    step: float = 1e-3
-    out: str | None = None
-    tolerance: float = phase.MEMBERSHIP_BAND
-    start: str | None = None
 
 
 class CliInputError(ValueError):
@@ -77,34 +62,28 @@ def _read_json(path: str) -> dict:
     return data
 
 
-def _resolve_source(cfg: RunConfig) -> tuple[IsotropyPoset, TorusActionSpec | None]:
+def _resolve_source(args: argparse.Namespace) -> tuple[IsotropyPoset, TorusActionSpec | None]:
     """Load the isotropy data from --fixture or --action (spec or poset JSON)."""
-    if (cfg.fixture is None) == (cfg.action is None):
+    if (args.fixture is None) == (args.action is None):
         raise CliInputError("provide exactly one of --fixture or --action")
-    if cfg.fixture is not None:
-        try:
-            fixture = get_fixture(cfg.fixture)
-        except KeyError as exc:
-            raise CliInputError(str(exc)) from exc
-        return torus.build_isotropy_poset(fixture.spec), fixture.spec
-    data = _read_json(cfg.action)
+    if args.fixture is not None:
+        spec = get_fixture(args.fixture).spec
+        return torus.build_isotropy_poset(spec), spec
+    data = _read_json(args.action)
     if "weights" in data:
         spec = spec_from_json(data)
         return torus.build_isotropy_poset(spec), spec
     if "types" in data:
         return poset_from_json(data), None  # an invalid poset is refused as it is built
     raise CliInputError(
-        f"{cfg.action}: neither an action spec (weights) nor a poset (types)"
+        f"{args.action}: neither an action spec (weights) nor a poset (types)"
     )
 
 
-def _require_fixture(cfg: RunConfig) -> Fixture:
-    if cfg.fixture is None:
+def _require_fixture(args: argparse.Namespace) -> Fixture:
+    if args.fixture is None:
         raise CliInputError("this command needs --fixture (builtin example name)")
-    try:
-        return get_fixture(cfg.fixture)
-    except KeyError as exc:
-        raise CliInputError(str(exc)) from exc
+    return get_fixture(args.fixture)
 
 
 def _write_text(path: Path, parts: Iterable[str]) -> None:
@@ -206,12 +185,12 @@ def _reduce_report(result: strata.StratificationResult) -> Iterator[str]:
     yield "\n}\n"
 
 
-def cmd_lattice(cfg: RunConfig) -> int:
+def cmd_lattice(args: argparse.Namespace) -> int:
     """Emit isotropy.dot and cl_strata.dot into the --out directory."""
-    poset, _ = _resolve_source(cfg)
+    poset, _ = _resolve_source(args)
     # the DOT draws the covers, so the frontier is never built here
     result = strata.cl_stratification(poset)
-    out_dir = Path(cfg.out) if cfg.out else Path(".")
+    out_dir = Path(args.out) if args.out else Path(".")
     _write_text(out_dir / "isotropy.dot", [poset_to_dot(poset)])
     _write_text(out_dir / "cl_strata.dot", [strata.result_to_dot(result)])
     print(f"wrote {out_dir / 'isotropy.dot'}")
@@ -219,16 +198,16 @@ def cmd_lattice(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_reduce(cfg: RunConfig) -> int:
+def cmd_reduce(args: argparse.Namespace) -> int:
     """Full stratification report as JSON (stdout or --out file)."""
-    poset, _ = _resolve_source(cfg)
+    poset, _ = _resolve_source(args)
     result = strata.cl_stratification(poset)
     # the parts stream out, so the report text is never held whole; the
     # frontier rows are built here, on the writer's first read
     parts = _reduce_report(result)
-    if cfg.out:
-        _write_text(Path(cfg.out), parts)
-        print(f"wrote {cfg.out}")
+    if args.out:
+        _write_text(Path(args.out), parts)
+        print(f"wrote {args.out}")
     else:
         sys.stdout.writelines(parts)
     return EXIT_OK
@@ -295,19 +274,19 @@ def _csv_lines(
     return itertools.chain([_csv_line(header)], _csv_rows(templates, piece, numbers))
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     """Sampling battery on a builtin fixture; writes report.json (+ samples.csv)."""
-    fixture = _require_fixture(cfg)
+    fixture = _require_fixture(args)
     report = checks.verify_fixture(
-        fixture, seed=cfg.seed, count=cfg.count, band=cfg.tolerance
+        fixture, seed=args.seed, count=args.count, band=args.band
     )
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    if cfg.out:
-        out_dir = Path(cfg.out)
+    if args.out:
+        out_dir = Path(args.out)
         _write_text(out_dir / "report.json", [text])
-        csv_count = min(cfg.count, 1000)
-        x, u = phase.zero_level_arrays(fixture.spec, seed=cfg.seed, count=csv_count)
-        _write_text(out_dir / "samples.csv", _csv_lines(fixture, x, u, cfg.tolerance))
+        csv_count = min(args.count, 1000)
+        x, u = phase.zero_level_arrays(fixture.spec, seed=args.seed, count=csv_count)
+        _write_text(out_dir / "samples.csv", _csv_lines(fixture, x, u, args.band))
         print(f"wrote {out_dir / 'report.json'}")
         print(f"wrote {out_dir / 'samples.csv'}")
     else:
@@ -338,44 +317,46 @@ def _parse_start(fixture: Fixture, text: str) -> phase.PhasePoint:
     return point
 
 
-def cmd_flow(cfg: RunConfig) -> int:
+def cmd_flow(args: argparse.Namespace) -> int:
     """Integrate the Reeb flow; CSV trajectory to --out or stdout."""
-    fixture = _require_fixture(cfg)
+    fixture = _require_fixture(args)
     spec = fixture.spec
-    if cfg.start is not None:
-        point = _parse_start(fixture, cfg.start)
+    if args.start is not None:
+        point = _parse_start(fixture, args.start)
     else:
-        x, u = phase.zero_level_arrays(spec, seed=cfg.seed, count=1)
+        x, u = phase.zero_level_arrays(spec, seed=args.seed, count=1)
         point = phase.PhasePoint(x[0], u[0])
 
-    traj = reeb.flow_rk4(point, t_end=cfg.t_end, step=cfg.step)
-    lines = _csv_lines(fixture, traj.xs, traj.us, cfg.tolerance, traj.times)
+    traj = reeb.flow_rk4(point, t_end=args.t_end, step=args.step)
+    lines = _csv_lines(fixture, traj.xs, traj.us, args.band, traj.times)
 
     drift = reeb.conservation_report(traj)
     summary = {
         "fixture": fixture.name,
-        "seed": cfg.seed,
-        "t_end": cfg.t_end,
-        "step": cfg.step,
+        "seed": args.seed,
+        "t_end": args.t_end,
+        "step": args.step,
         "rows": len(traj),
         "drift": drift,
         "passed": all(v <= phase.IDENTITY_TOL for v in drift.values()),
     }
-    if cfg.out:
-        _write_text(Path(cfg.out), lines)
+    if args.out:
+        _write_text(Path(args.out), lines)
         sys.stdout.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-        print(f"wrote {cfg.out}")
+        print(f"wrote {args.out}")
     else:
         sys.stdout.writelines(lines)
     return EXIT_OK if summary["passed"] else EXIT_VERIFICATION
 
 
-def cmd_examples(cfg: RunConfig) -> int:
+def cmd_examples(args: argparse.Namespace) -> int:
     """Run the complete battery on both builtin fixtures and print a table.
 
-    Artifacts go into --out or a temp dir.
+    Artifacts go into --out or a temp dir.  Each command runs on a copy of
+    these arguments, so --seed, --count, --t-end, --step and --tolerance
+    reach every one, and each runs even when another has failed.
     """
-    out_dir = Path(cfg.out) if cfg.out else Path(tempfile.mkdtemp(prefix="cosphere-"))
+    out_dir = Path(args.out) if args.out else Path(tempfile.mkdtemp(prefix="cosphere-"))
     lines: list[str] = []
     all_passed = True
 
@@ -394,37 +375,15 @@ def cmd_examples(cfg: RunConfig) -> int:
             )
         lines.append(f"  frontier arrows (A -> B = A in closure(B)): {len(result.hasse)}")
 
-        sub = RunConfig(
-            command="",
-            fixture=name,
-            seed=cfg.seed,
-            count=cfg.count,
-            tolerance=cfg.tolerance,
-            out=str(out_dir / name),
-        )
-        rc_lattice = cmd_lattice(RunConfig(command="", fixture=name, out=str(out_dir / name)))
-        rc_reduce = cmd_reduce(
-            RunConfig(command="", fixture=name, out=str(out_dir / name / "reduce.json"))
-        )
-        rc_verify = cmd_verify(sub)
-        rc_flow = cmd_flow(
-            RunConfig(
-                command="",
-                fixture=name,
-                seed=cfg.seed,
-                t_end=cfg.t_end,
-                step=cfg.step,
-                out=str(out_dir / name / "trajectory.csv"),
-            )
-        )
-        flow_report = checks.flow_checks(fixture, seed=cfg.seed, starts=200)
-        ok = (
-            rc_lattice == EXIT_OK
-            and rc_reduce == EXIT_OK
-            and rc_verify == EXIT_OK
-            and rc_flow == EXIT_OK
-            and flow_report["passed"]
-        )
+        base = out_dir / name
+        codes = [
+            cmd(argparse.Namespace(**{**vars(args), "fixture": name, "action": None,
+                                      "start": None, "out": str(out)}))
+            for cmd, out in ((cmd_lattice, base), (cmd_reduce, base / "reduce.json"),
+                             (cmd_verify, base), (cmd_flow, base / "trajectory.csv"))
+        ]
+        flow_report = checks.flow_checks(fixture, seed=args.seed, starts=200)
+        ok = all(code == EXIT_OK for code in codes) and flow_report["passed"]
         lines.append(f"  battery: {'PASS' if ok else 'FAIL'}")
         all_passed = all_passed and ok
 
@@ -434,47 +393,41 @@ def cmd_examples(cfg: RunConfig) -> int:
     return EXIT_OK if all_passed else EXIT_VERIFICATION
 
 
+def _flag(*names: str, **kwargs) -> argparse.ArgumentParser:
+    """A parent parser holding one flag, for the subcommands that take it."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*names, **kwargs)
+    return parent
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cosphere",
         description="Stratified reduction of cosphere bundles at zero momentum.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser, *sources: str) -> None:
-        if "action" in sources:
-            p.add_argument("--action", help="path to an action-spec or poset JSON file")
-        if "fixture" in sources:
-            p.add_argument(
-                "--fixture", choices=sorted(BUILTIN_FIXTURES),
-                help="builtin example name",
-            )
-        p.add_argument("--out", help="output path (directory for multi-file commands)")
-
-    p = sub.add_parser("lattice", help="emit isotropy and C-L DOT files")
-    add_common(p, "action", "fixture")
-    p = sub.add_parser("reduce", help="stratification report as JSON")
-    add_common(p, "action", "fixture")
-    p = sub.add_parser("verify", help="sampling battery on a builtin fixture")
-    add_common(p, "fixture")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=10000)
-    p.add_argument("--tolerance", type=float, default=phase.MEMBERSHIP_BAND)
-    p = sub.add_parser("flow", help="Reeb flow trajectory as CSV")
-    add_common(p, "fixture")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--t-end", type=float, default=2.0)
-    p.add_argument("--step", type=float, default=1e-3)
-    p.add_argument("--tolerance", type=float, default=phase.MEMBERSHIP_BAND)
-    p.add_argument("--start", help="comma-separated start point (x then u)")
-    # runs both fixtures, so it takes no --fixture
-    p = sub.add_parser("examples", help="full battery on both builtin fixtures")
-    add_common(p)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=10000)
-    p.add_argument("--t-end", type=float, default=2.0)
-    p.add_argument("--step", type=float, default=1e-3)
-    p.add_argument("--tolerance", type=float, default=phase.MEMBERSHIP_BAND)
+    action = _flag("--action", help="path to an action-spec or poset JSON file")
+    fixture = _flag("--fixture", choices=sorted(BUILTIN_FIXTURES), help="builtin example name")
+    out = _flag("--out", help="output path (directory for multi-file commands)")
+    seed = _flag("--seed", type=int, default=0)
+    count = _flag("--count", type=int, default=10000)
+    t_end = _flag("--t-end", type=float, default=2.0)
+    step = _flag("--step", type=float, default=1e-3)
+    band = _flag("--tolerance", dest="band", metavar="TOLERANCE", type=float,
+                 default=phase.MEMBERSHIP_BAND)
+    start = _flag("--start", help="comma-separated start point (x then u)")
+    for name, run, help_text, parents in (
+        ("lattice", cmd_lattice, "emit isotropy and C-L DOT files", [action, fixture, out]),
+        ("reduce", cmd_reduce, "stratification report as JSON", [action, fixture, out]),
+        ("verify", cmd_verify, "sampling battery on a builtin fixture",
+         [fixture, out, seed, count, band]),
+        ("flow", cmd_flow, "Reeb flow trajectory as CSV",
+         [fixture, out, seed, t_end, step, band, start]),
+        # runs both fixtures, so it takes no --fixture
+        ("examples", cmd_examples, "full battery on both builtin fixtures",
+         [out, seed, count, t_end, step, band]),
+    ):
+        sub.add_parser(name, help=help_text, parents=parents).set_defaults(run=run)
     return parser
 
 
@@ -486,20 +439,14 @@ def main(argv: list[str] | None = None) -> int:
     # a StringIO has no encoding to change
     if hasattr(sys.stdout, "reconfigure"):
         sys.stdout.reconfigure(encoding="utf-8")
-    cfg = RunConfig(**vars(PARSER.parse_args(argv)))
-    commands = {
-        "lattice": cmd_lattice,
-        "reduce": cmd_reduce,
-        "verify": cmd_verify,
-        "flow": cmd_flow,
-        "examples": cmd_examples,
-    }
+    args = PARSER.parse_args(argv)
     try:
-        # every run parameter is refused here, before a command writes anything
+        # every run parameter the command takes is refused here, before it
+        # writes anything; one it does not take is None, not checked
         phase.check_run_inputs(
-            seed=cfg.seed, count=cfg.count, band=cfg.tolerance, t_end=cfg.t_end, step=cfg.step
+            **{key: vars(args).get(key) for key in ("seed", "count", "band", "t_end", "step")}
         )
-        return commands[cfg.command](cfg)
+        return args.run(args)
     except (CliInputError, PosetError, ActionSpecError, phase.PhaseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -16,15 +16,11 @@ base point on S_x and the covector on S.  Every sample of a cell lands
 wholly in its piece and in the orbit type of S.
 
 :func:`phase.locate_rows` reads the two supports off an image by band
-tests, one per plane: |p1_j| within the band puts j off S, p1_j above it
-on S.  On S the cone value p1_j^2 - p2_j^2 - p3_j^2 must be within the
-band, and |p1_j - p3_j| within the band puts j off S_x, p1_j - p3_j
-above it on S_x.  The cosphere sum sum(p1 + p3) - 2 must be within the
-band and S nonempty; any other value leaves the image unlocated.  Each
-test has two complementary outcomes at one band, so every zero-level
-image has exactly one pair of supports.  S_x is read from p1 - p3, never from
-the implied p2 = 0: on the cone p1 - p3 = e forces |p2| ~ sqrt(2 p1 e),
-so an image with e inside the band has |p2| far outside it.
+tests, one per plane, stated in its docstring.  Each test has two
+complementary outcomes at one band, so every zero-level image has exactly
+one pair of supports.  S_x is read from p1 - p3, never from the implied
+p2 = 0: on the cone p1 - p3 = e forces |p2| ~ sqrt(2 p1 e), so an image
+with e inside the band has |p2| far outside it.
 """
 
 from __future__ import annotations

@@ -17,13 +17,9 @@ point per row, give invariant tables of shape (N, n, 4)
 (:func:`invariant_tables`), momenta of shape (N, k) (:func:`momenta`),
 orbit-type labels (:func:`orbit_labels`) and reduced images of shape
 (N, 3n) (:func:`reduced_images`), located in the fixture cells by
-:func:`locate_rows`.  Its rule is one band test per plane and one for the
-cosphere sum: |p1_j| within the band puts plane j off the support S,
-p1_j above it on S; on S the cone value p1_j^2 - p2_j^2 - p3_j^2 must be
-within the band, and |p1_j - p3_j| within it or p1_j - p3_j above it
-puts j off or on S_x; sum(p1 + p3) - 2 must be within the band and S
-nonempty.  The cell is the one of the pair (S_x, S).  :func:`check_reduced_membership` takes
-one image and names the test that leaves it unlocated.
+:func:`locate_rows`, whose docstring states the band tests that read the
+pair (S_x, S) naming a cell.  :func:`check_reduced_membership` takes one
+image and names the test that leaves it unlocated.
 :class:`PhasePoint` is the validated type of a single point given from
 outside (:func:`hilbert_map`, the Reeb flows).
 

@@ -68,6 +68,11 @@ class TorusActionSpec:
             raise ActionSpecError(
                 f"n = {self.n} planes: support enumeration is 2^n, capped at {MAX_PLANES}"
             )
+        if self.k > MAX_PLANES:
+            raise ActionSpecError(
+                f"k = {self.k} torus factors: each support lattice has k rows, "
+                f"capped at {MAX_PLANES}"
+            )
         if len(self.weights) != self.k or any(len(r) != self.n for r in self.weights):
             raise ActionSpecError("weight matrix must be k rows by n columns")
         for row in self.weights:

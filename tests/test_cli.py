@@ -11,6 +11,7 @@ import re
 import struct
 import subprocess
 import sys
+import time
 import types
 from pathlib import Path
 
@@ -225,10 +226,67 @@ def test_bad_inputs_exit_2(tmp_path, capsys):
     assert not refused.exists()
 
 
+def test_reduce_refuses_a_torus_rank_past_the_plane_cap(tmp_path, capsys):
+    # k rows per support lattice: refused as the spec is built, before any
+    # normal form, however many rows the file holds
+    rng = np.random.default_rng(0)
+    for k in (torus.MAX_PLANES + 1, 1000):
+        weights = rng.integers(-torus.MAX_WEIGHT, torus.MAX_WEIGHT + 1, size=(k, 12))
+        weights[0] = 1  # no zero column
+        spec = tmp_path / f"k{k}.json"
+        spec.write_text(json.dumps({"k": k, "n": 12, "weights": weights.tolist()}))
+        start = time.process_time()
+        code, out, err = run(capsys, "reduce", "--action", str(spec))
+        assert time.process_time() - start < 0.2
+        assert (code, out) == (2, "")
+        assert err == f"error: k = {k} torus factors: each support lattice has k rows, " \
+            f"capped at {torus.MAX_PLANES}\n"
+    weights = [[1, 0], [0, 1]] + [[j % 5 - 2, 1] for j in range(torus.MAX_PLANES - 2)]
+    spec = tmp_path / "k12.json"
+    spec.write_text(json.dumps({"k": torus.MAX_PLANES, "n": 2, "weights": weights}))
+    code, out, _ = run(capsys, "reduce", "--action", str(spec))
+    assert code == 0 and json.loads(out)["poset_valid"] is True
+
+
 def test_argparse_rejects_unknown_subcommands():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+# each subcommand's flags in --help order, as (option, type, default)
+PARSER_FLAGS = {
+    "lattice": [("--action", None, None), ("--fixture", None, None), ("--out", None, None)],
+    "reduce": [("--action", None, None), ("--fixture", None, None), ("--out", None, None)],
+    "verify": [("--fixture", None, None), ("--out", None, None), ("--seed", int, 0),
+               ("--count", int, 10000), ("--tolerance", float, 1e-8)],
+    "flow": [("--fixture", None, None), ("--out", None, None), ("--seed", int, 0),
+             ("--t-end", float, 2.0), ("--step", float, 1e-3), ("--tolerance", float, 1e-8),
+             ("--start", None, None)],
+    "examples": [("--out", None, None), ("--seed", int, 0), ("--count", int, 10000),
+                 ("--t-end", float, 2.0), ("--step", float, 1e-3),
+                 ("--tolerance", float, 1e-8)],
+}
+
+
+def test_parser_flags_and_defaults_are_pinned(capsys):
+    (commands,) = [a.choices for a in cli.PARSER._actions if a.choices]
+    assert list(commands) == list(PARSER_FLAGS)
+    for name, parser in commands.items():
+        flags = [(a.option_strings[-1], a.type, a.default)
+                 for a in parser._actions if a.option_strings != ["-h", "--help"]]
+        assert flags == PARSER_FLAGS[name], name
+        # usage names each value by its flag, --tolerance TOLERANCE among them
+        usage = parser.format_usage()
+        for flag, _, _ in PARSER_FLAGS[name]:
+            if flag != "--fixture":
+                assert f"[{flag} {flag[2:].upper().replace('-', '_')}]" in usage, (name, flag)
+    # the commands that need a source refuse none or two with one error line
+    for args in (["verify"], ["flow"], ["reduce"], ["lattice"],
+                 ["reduce", "--fixture", "s1-on-r2", "--action", "spec.json"],
+                 ["lattice", "--fixture", "s1-on-r2", "--action", "spec.json"]):
+        code, out, err = run(capsys, *args)
+        assert (code, out) == (2, "") and err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_lattice_writes_deterministic_dot_files(tmp_path, capsys):
@@ -480,6 +538,27 @@ def test_examples_runs_the_full_battery_and_covers_the_api(tmp_path, capsys, mon
         for artifact in ("isotropy.dot", "cl_strata.dot", "reduce.json",
                          "report.json", "samples.csv", "trajectory.csv"):
             assert (base / artifact).exists()
+
+
+def test_examples_passes_its_arguments_to_every_command(tmp_path, capsys):
+    # a band of 1e-300 leaves almost every row unlocated, so verify fails;
+    # the flow export still runs, on the same band
+    argv = ["--seed", "3", "--t-end", "0.3", "--step", "0.01", "--tolerance", "1e-300"]
+    code, out, _ = run(capsys, "examples", "--count", "150", *argv,
+                       "--out", str(tmp_path / "examples"))
+    assert code == 1 and "examples: FAIL" in out
+    for name in ("s1-on-r2", "t2-on-r4"):
+        solo = tmp_path / "solo" / name
+        run(capsys, "lattice", "--fixture", name, "--out", str(solo))
+        run(capsys, "reduce", "--fixture", name, "--out", str(solo / "reduce.json"))
+        run(capsys, "verify", "--fixture", name, "--count", "150", "--seed", "3",
+            "--tolerance", "1e-300", "--out", str(solo))
+        run(capsys, "flow", "--fixture", name, *argv, "--out", str(solo / "trajectory.csv"))
+        for artifact in ("isotropy.dot", "cl_strata.dot", "reduce.json",
+                         "report.json", "samples.csv", "trajectory.csv"):
+            assert (tmp_path / "examples" / name / artifact).read_bytes() == \
+                (solo / artifact).read_bytes(), (name, artifact)
+        assert "(unresolved)" in (solo / "trajectory.csv").read_text()
 
 
 # ------------------------------------------------------- the JSON writer
