@@ -38,10 +38,12 @@ exact zeros forced through support patterns, never from thresholded noise.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
 
+from .poset import _integer
 from .torus import TorusActionSpec, class_label, support_lattices
 
 SUPPORT_TOL = 1e-10
@@ -91,17 +93,18 @@ def check_run_inputs(
 
     The one copy of the rules that the sampler, the membership test, the
     Reeb flow and the command line share: seed and sample count
-    nonnegative, the membership band and the flow's ``t_end`` and ``step``
-    finite and positive.  At most ``MAX_SAMPLES`` samples and
-    ``MAX_STEPS`` = t_end / step flow steps, so that an absurd size is
-    refused before its arrays are allocated.  A parameter left None is not
-    checked; ``t_end`` and ``step`` are checked together.
+    nonnegative integers (a bool or a float is refused, not truncated; a
+    numpy integer is accepted), the membership band and the flow's
+    ``t_end`` and ``step`` finite and positive.  At most ``MAX_SAMPLES``
+    samples and ``MAX_STEPS`` = t_end / step flow steps, so that an absurd
+    size is refused before its arrays are allocated.  A parameter left None
+    is not checked; ``t_end`` and ``step`` are checked together.
     """
-    if seed is not None and int(seed) < 0:
+    if seed is not None and _integer(seed, "seed", PhaseError) < 0:
         raise PhaseError(f"seed must be nonnegative, got {seed}")
-    if count is not None and int(count) < 0:
+    if count is not None and _integer(count, "sample count", PhaseError) < 0:
         raise PhaseError(f"sample count must be nonnegative, got {count}")
-    if count is not None and int(count) > MAX_SAMPLES:
+    if count is not None and count > MAX_SAMPLES:
         raise PhaseError(f"sample count {count} exceeds the cap of {MAX_SAMPLES}")
     if t_end is not None and not (0 < t_end < np.inf and 0 < step < np.inf):
         raise PhaseError(f"need finite positive t_end and step, got {t_end} and {step}")
@@ -169,7 +172,7 @@ def reduced_images(tables: np.ndarray) -> np.ndarray:
 
 def cone_residuals(tables: np.ndarray) -> np.ndarray:
     """p1^2 - p2^2 - p3^2 - 4 p4^2 per plane of (..., n, 4) tables."""
-    p1, p2, p3, p4 = np.moveaxis(tables, -1, 0)
+    p1, p2, p3, p4 = (tables[..., c] for c in range(4))
     return p1**2 - p2**2 - p3**2 - 4.0 * p4**2
 
 
@@ -179,9 +182,15 @@ def cosphere_sums(tables: np.ndarray) -> np.ndarray:
 
 
 def momenta(spec: TorusActionSpec, tables: np.ndarray) -> np.ndarray:
-    """J = A p4 of (..., n, 4) invariant tables, shape (..., k)."""
-    weights = np.array(spec.weights, dtype=float)
-    return (weights @ tables[..., 3, None])[..., 0]
+    """J = A p4 of (..., n, 4) invariant tables, shape (..., k).
+
+    One 2-D product of the (..., n) p4 columns with A^T.  On weights of 0
+    and 1 with a single 1 per row, as in both builtin fixtures, every
+    product and sum is exact.  On other weights J may differ in its last
+    bits between orders of summation, and which order numpy takes may
+    depend on its BLAS kernel.
+    """
+    return tables[..., 3] @ np.array(spec.weights, dtype=float).T
 
 
 def check_full_rank(spec: TorusActionSpec) -> None:
@@ -199,11 +208,14 @@ def hilbert_map(
 ) -> np.ndarray:
     """Reduced-space coordinates of a zero-level point.
 
-    Raises :class:`PhaseError` when the point and the spec differ in their
-    number of planes, :class:`RankDeficientError` when the weight matrix
-    has rank below n, and :class:`NotOnZeroLevelError` when |J| exceeds
-    ``tol``; the momentum components are dropped from the output.
+    Raises :class:`PhaseError` when ``tol`` is not finite and positive or
+    the point and the spec differ in their number of planes,
+    :class:`RankDeficientError` when the weight matrix has rank below n,
+    and :class:`NotOnZeroLevelError` when |J| exceeds ``tol``; the
+    momentum components are dropped from the output.
     """
+    if not 0 < tol < np.inf:
+        raise PhaseError(f"zero-level tolerance must be finite and positive, got {tol}")
     if point.n != spec.n:
         raise PhaseError(f"point has {point.n} planes, spec has {spec.n}")
     check_full_rank(spec)
@@ -224,17 +236,22 @@ def orbit_labels(spec: TorusActionSpec, masks: np.ndarray) -> tuple[list[str], n
     """Orbit types of (N, n) support rows as (labels, index): the sorted
     distinct labels, and the position in them of each row's label.
 
-    A row is keyed by its support bitmask, and each distinct support is
-    labelled once from the support table.
+    A row is keyed by its support bitmask.  The distinct keys are those
+    that ``np.bincount`` counts at least once among the 2^n, each is
+    labelled once from the support table, and each row reads its position
+    from a 2^n lookup table indexed by its key.
     """
     table = support_lattices(spec)
     key = np.zeros(masks.shape[:-1], dtype=np.int64)
     for j in range(spec.n):
         key |= masks[..., j] << j
-    keys, inverse = np.unique(key, return_inverse=True)
-    of_key = [class_label(spec.k, table[key]) for key in keys.tolist()]
-    labels, position = np.unique(np.array(of_key, dtype=str), return_inverse=True)
-    return labels.tolist(), position[inverse.reshape(-1)]
+    keys = np.flatnonzero(np.bincount(key.reshape(-1), minlength=1 << spec.n))
+    of_key = [class_label(spec.k, table[k]) for k in keys.tolist()]
+    labels = sorted(set(of_key))
+    rank = {label: i for i, label in enumerate(labels)}
+    position = np.zeros(1 << spec.n, dtype=np.intp)
+    position[keys] = [rank[label] for label in of_key]
+    return labels, position[key.reshape(-1)]
 
 
 def _as_plane_set(pattern: Iterable[int] | None, n: int) -> tuple[int, ...]:
@@ -262,7 +279,7 @@ def _project_out(v: np.ndarray, basis: list[np.ndarray]) -> None:
     """Classical Gram-Schmidt run twice on ``v`` against orthonormal ``basis``,
     in place; the second pass removes what roundoff left."""
     for _ in range(2):
-        coefficients = [(v * q).sum(axis=0) for q in basis]
+        coefficients = [np.add.reduce(v * q) for q in basis]
         for c, q in zip(coefficients, basis):
             v -= c * q
 
@@ -295,19 +312,27 @@ def _zero_level_rows(
         ok &= (base[:, c] != 0) | (base[:, c + 1] != 0)
     # one coordinate per array row, so products and sums run along contiguous rows
     g = draws[:, xcols.size :].T.copy()
-    swapped, signs = x.T[ucols ^ 1], np.resize([-1.0, 1.0], ucols.size)
+    # M's entry on covector column c is -a x_{c+1} for even c, a x_{c-1} for odd
+    swapped = x.T[ucols ^ 1]
+    signed = np.array([
+        [spec.weights[i][c >> 1] * (1.0 if c & 1 else -1.0) for c in ucols.tolist()]
+        for i in rows.tolist()
+    ]).reshape(rows.size, ucols.size)
     cut = (ucols.size * np.finfo(float).eps) ** 2
     basis: list[np.ndarray] = []
-    for row in np.array(spec.weights, dtype=float)[rows][:, ucols // 2] * signs:
+    for row in signed:
         v = row[:, None] * swapped
-        floor = np.maximum(np.finfo(float).tiny, cut * (v * v).sum(axis=0))
-        _project_out(v, basis)
-        square = (v * v).sum(axis=0)
+        square = np.add.reduce(v * v)
+        floor = np.maximum(np.finfo(float).tiny, cut * square)
+        # the first row has nothing to be projected off
+        if basis:
+            _project_out(v, basis)
+            square = np.add.reduce(v * v)
         ok &= square >= floor
         v /= np.sqrt(np.maximum(square, floor))
         basis.append(v)
     _project_out(g, basis)
-    norm = np.sqrt((g * g).sum(axis=0))
+    norm = np.sqrt(np.add.reduce(g * g))
     ok &= norm >= MIN_COVECTOR_NORM
     g /= np.where(ok, norm, 1.0)
     u = np.zeros_like(x)
@@ -367,23 +392,37 @@ def zero_level_arrays(
     return x, u
 
 
-def _plane_tests(images: np.ndarray, j: int, band: float):
-    """The band tests of plane j of (N, 3n) reduced images.
+def _plane_tests(columns: np.ndarray, j: int, band: float):
+    """The band tests of plane j of reduced images given as (3n, N) columns.
 
     Returns the (N,) columns p1, p3, p1 - p3 and the cone value
     (p1 p1 - p2 p2) - p3 p3, and (N,) masks: on S, on S_x, and the plane's
     test passed.
     """
-    p1, p2, p3 = images[:, 3 * j], images[:, 3 * j + 1], images[:, 3 * j + 2]
+    p1, p2, p3 = columns[3 * j], columns[3 * j + 1], columns[3 * j + 2]
     diff = p1 - p3
     cone = (p1 * p1 - p2 * p2) - p3 * p3
     on = p1 > band
     on_x = on & (diff > band)
-    # each test in complement form, so that a NaN fails it
-    passed = (np.abs(p1) <= band) | (
-        on & (np.abs(cone) <= band) & (on_x | (np.abs(diff) <= band))
-    )
+    # each test in complement form, so that a NaN fails it; on S, the plane
+    # is on S_x or within the band of p1 = p3 exactly when diff >= -band
+    passed = (np.abs(p1) <= band) | (on & (np.abs(cone) <= band) & (diff >= -band))
     return p1, p3, diff, cone, on, on_x, passed
+
+
+@lru_cache(maxsize=16)
+def _cell_table(fixture) -> np.ndarray:
+    """The cell index of each pair (S_x, S) by its base-3 number, -1 where
+    the fixture has no cell; see :func:`locate_rows`.  Read-only."""
+    n = fixture.spec.n
+    table = np.full(3**n, -1, dtype=np.intp)
+    # a pair with two cells names the later one
+    for i, c in enumerate(fixture.cells):
+        table[sum(3**j for j in c.support) + sum(3**j for j in c.support_x)] = i
+    # S empty names no cell
+    table[0] = -1
+    table.setflags(write=False)
+    return table
 
 
 def locate_rows(
@@ -404,6 +443,12 @@ def locate_rows(
     pairwise summation.  A band that is not finite and positive, or rows
     that are not 3n wide for the n planes of the fixture, are refused with
     :class:`PhaseError`.
+
+    The tests run on a transposed copy of the images, one contiguous row
+    per coordinate.  The pair (S_x, S) of a row is the base-3 number whose
+    digit j is 0 off S, 1 on S minus S_x and 2 on S_x, and names its cell
+    through a table of the 3^n such numbers, as many as the pairs S_x ⊆ S
+    that a generated fixture has cells for.
     """
     check_run_inputs(band=band)
     images = np.asarray(images, dtype=float)
@@ -413,39 +458,27 @@ def locate_rows(
             f"reduced images of shape {images.shape}, expected (N, {3 * n}) "
             f"for n = {n} on {fixture.name}"
         )
+    columns = images.T.copy()
     total = np.full(len(images), -2.0)
     ok = np.ones(len(images), dtype=bool)
-    any_on = np.zeros(len(images), dtype=bool)
-    # the pair (S_x, S) of a row as one integer, S_x in the high n bits
-    key = np.zeros(len(images), dtype=np.int64)
+    key = np.zeros(len(images), dtype=np.intp)
     # every plane's residual is +0.0 or more, or NaN
     worst = np.zeros(len(images))
     for j in range(n):
-        p1, p3, diff, cone, on, on_x, passed = _plane_tests(images, j, band)
+        p1, p3, diff, cone, on, on_x, passed = _plane_tests(columns, j, band)
         total += p1
         total += p3
         ok &= passed
-        any_on |= on
-        key |= on_x << (n + j) | on << j
+        key += np.add(on, on_x, dtype=np.intp) * 3**j
         plane = np.where(
             on, np.fmax(np.abs(cone), np.where(on_x, 0.0, np.abs(diff))), np.abs(p1)
         )
         # np.maximum, like np.max, keeps a NaN
         np.maximum(worst, plane, out=worst)
     sum_err = np.abs(total)
-    residual = np.fmax(worst, sum_err)
-    # the cell keys after a sentinel key -1 of cell -1, looked up in sorted
-    # order; a row takes the last cell of its key, as a dict built in cell
-    # order would
-    cell_keys = np.array([-1] + [
-        sum(1 << j for j in c.support_x) << n | sum(1 << j for j in c.support)
-        for c in fixture.cells
-    ])
-    order = np.argsort(cell_keys, kind="stable")
-    at = order[np.searchsorted(cell_keys[order], key, side="right") - 1]
-    found = np.where(cell_keys[at] == key, at - 1, -1)
-    piece = np.where(ok & any_on & (sum_err <= band), found, -1)
-    return piece, np.where(piece >= 0, residual, np.nan)
+    ok &= sum_err <= band
+    piece = np.where(ok, _cell_table(fixture)[key], -1)
+    return piece, np.where(piece >= 0, np.fmax(worst, sum_err), np.nan)
 
 
 def check_reduced_membership(
@@ -466,7 +499,7 @@ def check_reduced_membership(
     failed = "no cell for these supports"
     total, any_on = -2.0, False
     for j in range(fixture.spec.n):
-        p1, p3, diff, cone, on, _, passed = _plane_tests(rows, j, band)
+        p1, p3, diff, cone, on, _, passed = _plane_tests(rows.T, j, band)
         total, any_on = total + p1[0] + p3[0], any_on or on[0]
         if not passed[0]:
             k = j + 1

@@ -41,7 +41,8 @@ class Trajectory:
         us = np.array(self.us, dtype=float)
         if t.ndim != 1 or xs.shape != us.shape or xs.shape[0] != t.size:
             raise ValueError("times, xs, us must agree in length")
-        if np.any(np.diff(t) <= 0):
+        # in complement form, so that a NaN time fails it
+        if not np.all(np.diff(t) > 0):
             raise ValueError("times must be strictly increasing")
         for arr in (t, xs, us):
             arr.setflags(write=False)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from cosphere import phase
+from cosphere import checks, phase
 from cosphere.fixtures import Cell, Fixture, generate_fixture, get_fixture
 from cosphere.phase import (
     EmptyKernelError,
@@ -35,7 +35,7 @@ from cosphere.phase import (
     zero_level_arrays,
 )
 from cosphere.reeb import flow_exact, flowed_base
-from cosphere.torus import TorusActionSpec, class_label, support_lattices
+from cosphere.torus import MAX_PLANES, TorusActionSpec, class_label, support_lattices
 from test_torus import weight_specs
 
 T2 = TorusActionSpec(k=2, n=2, weights=((1, 0), (0, 1)))
@@ -140,6 +140,18 @@ def test_hilbert_map_requires_zero_momentum():
     off = PhasePoint(np.array([1.0, 0.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0, 0.0]))
     with pytest.raises(NotOnZeroLevelError):
         hilbert_map(T2, off)
+
+
+@pytest.mark.parametrize("tol", [np.nan, -1.0, 0.0, np.inf])
+def test_hilbert_map_refuses_a_tolerance_that_is_not_finite_and_positive(tol):
+    # |J| = 1 at the second point: a NaN tolerance let it through, and a
+    # negative one refused the first, on the zero level, as off it
+    on = PhasePoint(np.array([1.0, 0.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0, 0.0]))
+    off = PhasePoint(np.array([1.0, 0.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0, 0.0]))
+    for point in (on, off):
+        with pytest.raises(PhaseError, match="tolerance must be finite and positive") as err:
+            hilbert_map(T2, point, tol=tol)
+        assert type(err.value) is PhaseError
 
 
 def test_hilbert_map_refuses_weights_of_rank_below_n():
@@ -439,6 +451,24 @@ def test_gram_projection_matches_the_svd_oracle(case):
     assert float(np.max(np.abs(momenta(spec, invariant_tables(x, u))), initial=0.0)) <= 1e-13
 
 
+def test_seeds_and_counts_must_be_integers():
+    # a float or bool is refused, not truncated to the run of another seed
+    # or count; a numpy integer is an integer
+    for bad in ({"seed": 7.9}, {"seed": True}, {"seed": np.float64(7.0)},
+                {"count": 2.9}, {"count": False}, {"seed": "7"}):
+        with pytest.raises(PhaseError, match="must be an integer, not"):
+            check_run_inputs(**bad)
+    with pytest.raises(PhaseError, match="seed must be an integer, not 7.9"):
+        zero_level_arrays(T2, seed=7.9, count=2)
+    with pytest.raises(PhaseError, match="sample count must be an integer, not 2.9"):
+        zero_level_arrays(T2, seed=7, count=2.9)
+    with pytest.raises(PhaseError, match="seed must be an integer, not 7.5"):
+        checks.verify_fixture(get_fixture("s1-on-r2"), seed=7.5, count=1)
+    x, u = zero_level_arrays(T2, seed=np.int64(7), count=np.int32(2))
+    ex, eu = zero_level_arrays(T2, seed=7, count=2)
+    assert x.tobytes() == ex.tobytes() and u.tobytes() == eu.tobytes()
+
+
 def test_run_sizes_are_capped():
     # the caps themselves pass; one more sample or step is refused, and so
     # is a size that would not fit in memory
@@ -567,6 +597,18 @@ def test_membership_names_a_pair_of_supports_without_a_cell():
     with pytest.raises(NoMatchingStratumError,
                        match=r"\(no cell for these supports\)$"):
         check_reduced_membership(fx, np.array([1.0, 0.0, 1.0]))
+
+
+def test_membership_names_no_cell_for_an_empty_support():
+    # every plane test and the sum pass with S empty (p3 is not tested off
+    # S); a hand-built cell of the empty pair still names nothing
+    fx = Fixture("empty cell", "", T2, (Cell("CC(e)", (0, 1), (0, 1), "e"),
+                                        Cell("nowhere", (), (), "T^2")))
+    image = np.array([0.0, 0.0, 1.0, 0.0, 0.0, 1.0])
+    piece, residual = locate_rows(fx, image[None, :])
+    assert piece.tolist() == [-1] and np.isnan(residual).all()
+    with pytest.raises(NoMatchingStratumError, match="no plane has p1_j > "):
+        check_reduced_membership(fx, image)
 
 
 def test_membership_matches_the_seam_strictly_just_off_it():
@@ -746,6 +788,11 @@ def reference_orbit_labels(spec, masks):
     return labels.tolist(), position[inverse.reshape(-1)]
 
 
+def reference_momenta(spec, tables):
+    weights = np.array(spec.weights, dtype=float)
+    return (weights @ tables[..., 3, None])[..., 0]
+
+
 def reference_base_ok(base):
     return (base.reshape(len(base), base.shape[1] // 2, 2) != 0).any(axis=2).all(axis=1)
 
@@ -811,6 +858,44 @@ def test_p2_of_a_zero_base_plane_is_positive_zero():
     assert np.copysign(1.0, table[0, 1]) == 1.0
 
 
+BUILTIN_SPECS = {fx.spec.n: fx.spec for fx in map(get_fixture, ("s1-on-r2", "t2-on-r4"))}
+
+
+@given(coordinate_rows(max_planes=max(BUILTIN_SPECS)))
+@example((np.array([[0.0, 0.0, 1.0, 0.0]]), np.array([[-0.0, 0.6, -0.8, -0.0]])))
+@example((np.array([[np.nan, 0.0, 1.0, -0.0]]), np.array([[0.0, 1.0, np.nan, 2.0]])))
+def test_momenta_of_the_builtin_weights_match_the_reference_bit_for_bit(rows):
+    # weights of 0 and 1: every product is exact, and the 2-D product keeps
+    # the stacked product's bits, its signed zeros and NaNs among them
+    x, u = rows
+    spec = BUILTIN_SPECS[x.shape[1] // 2]
+    tables = invariant_tables(x, u)
+    assert same_bits(momenta(spec, tables), reference_momenta(spec, tables))
+    for table in tables:
+        assert same_bits(momenta(spec, table), reference_momenta(spec, table))
+
+
+@given(weight_specs(max_k=MAX_PLANES, max_n=MAX_PLANES, max_weight=16), st.data())
+def test_momenta_are_within_roundoff_of_the_exact_sum(spec, data):
+    # n rounded products and n - 1 rounded sums, in any order, with or
+    # without fused multiply-adds: |J - exact| <= gamma_n sum |a p4| with
+    # gamma_n = n u / (1 - n u) <= n eps; an underflowing sum is exact
+    count = data.draw(st.integers(0, 4))
+    p4 = np.array(data.draw(st.lists(
+        st.lists(st.floats(-1e100, 1e100), min_size=spec.n, max_size=spec.n),
+        min_size=count, max_size=count,
+    )), dtype=float).reshape(count, spec.n)
+    tables = np.zeros((count, spec.n, 4))
+    tables[..., 3] = p4
+    j = momenta(spec, tables)
+    assert j.shape == (count, spec.k)
+    bound = spec.n * Fraction(np.finfo(float).eps)
+    for row, values in zip(p4.tolist(), j.tolist()):
+        for weights, value in zip(spec.weights, values):
+            terms = [Fraction(a) * Fraction(p) for a, p in zip(weights, row)]
+            assert abs(Fraction(value) - sum(terms)) <= bound * sum(map(abs, terms))
+
+
 # a fixture whose cells are a drawn list of the cells of a generated one:
 # some support pairs have no cell, and a pair may have two
 @st.composite
@@ -865,14 +950,33 @@ def test_locate_rows_matches_the_reference_bit_for_bit(data):
     assert same_bits(residual, ref_residual)
 
 
-@given(weight_specs(max_n=4), st.data())
-def test_orbit_labels_match_the_reference(spec, data):
-    count = data.draw(st.integers(0, 12))
+@st.composite
+def specs_with_masks(draw):
+    spec = draw(weight_specs(max_n=4))
+    count = draw(st.integers(0, 12))
     masks = np.array(
-        data.draw(st.lists(st.lists(st.booleans(), min_size=spec.n, max_size=spec.n),
-                           min_size=count, max_size=count)),
+        draw(st.lists(st.lists(st.booleans(), min_size=spec.n, max_size=spec.n),
+                      min_size=count, max_size=count)),
         dtype=bool,
     ).reshape(count, spec.n)
+    return spec, masks
+
+
+# at the plane cap with weights up to 16, where the count table has all
+# 2^12 = 4,096 entries
+CAP_SPEC = TorusActionSpec(k=2, n=MAX_PLANES, weights=(
+    (16, -16, 1, 2, 3, 5, 7, 11, 13, -3, 0, 4),
+    (1, 16, 0, -16, 5, 9, -7, 2, 15, 6, 8, -1),
+))
+EVERY_SUPPORT = (np.arange(1 << MAX_PLANES)[:, None] >> np.arange(MAX_PLANES)) & 1 == 1
+
+
+@given(specs_with_masks())
+@example((CAP_SPEC, np.zeros((3, MAX_PLANES), dtype=bool)))
+@example((CAP_SPEC, np.zeros((0, MAX_PLANES), dtype=bool)))
+@example((CAP_SPEC, EVERY_SUPPORT[::-1]))
+def test_orbit_labels_match_the_reference(case):
+    spec, masks = case
     labels, index = orbit_labels(spec, masks)
     ref_labels, ref_index = reference_orbit_labels(spec, masks)
     assert labels == ref_labels

@@ -140,6 +140,16 @@ def test_trajectory_validation():
         )
 
 
+def test_trajectory_refuses_nan_times():
+    # every comparison with a NaN is false, so "no step <= 0" held here
+    with pytest.raises(ValueError, match="strictly increasing"):
+        Trajectory(
+            times=np.array([0.0, np.nan, 1.0]),
+            xs=np.zeros((3, 2)),
+            us=np.zeros((3, 2)),
+        )
+
+
 def test_trajectory_invariants_shape():
     traj = flow_rk4(PhasePoint(np.zeros(4), np.array([1.0, 0.0, 0.0, 0.0])), 1.0, 0.5)
     tables = invariant_tables(traj.xs, traj.us)
