@@ -36,6 +36,10 @@ from .phase import (
 
 PROBE_SEED_STRIDE = 1000003
 MAX_REPORTED_FAILURES = 10
+# the flow battery checks the closed form at FLOW_T_GRID and runs RK4 to FLOW_T_END
+FLOW_T_GRID = (0.1, 0.5, 1.0, 2.0)
+FLOW_T_END = 2.0
+FLOW_STEP = 1e-3
 
 
 def _probe_seed(seed: int, probe_index: int) -> int:
@@ -171,14 +175,7 @@ def verify_fixture(
     }
 
 
-def flow_checks(
-    fixture: Fixture,
-    seed: int = 0,
-    starts: int = 1000,
-    t_grid: tuple[float, ...] = (0.1, 0.5, 1.0, 2.0),
-    t_end: float = 2.0,
-    step: float = 1e-3,
-) -> dict:
+def flow_checks(fixture: Fixture, seed: int = 0, starts: int = 1000) -> dict:
     """Reeb-flow verification: closed form vs exact flow vs RK4, plus the
     seam-to-cosphere dynamical check: each seam start, flowed to
     min(0.5, t*/2) with t* its first crossing time, lies in the
@@ -191,12 +188,12 @@ def flow_checks(
     closed_vs_exact = _max([
         _max(np.abs(invariant_tables(reeb.flowed_base(x, u, t), u)
                     - reeb.flowed_tables(tables, t)))
-        for t in t_grid
+        for t in FLOW_T_GRID
     ])
 
     start = phase.PhasePoint(x[0], u[0])
-    traj = reeb.flow_rk4(start, t_end=t_end, step=step)
-    endpoint = reeb.flow_exact(start, t_end)
+    traj = reeb.flow_rk4(start, t_end=FLOW_T_END, step=FLOW_STEP)
+    endpoint = reeb.flow_exact(start, FLOW_T_END)
     rk4_endpoint_err = _max(np.abs(np.concatenate(
         [traj.xs[-1] - endpoint.x, traj.us[-1] - endpoint.u]
     )))
@@ -255,7 +252,7 @@ def flow_checks(
         "fixture": fixture.name,
         "seed": seed,
         "starts": starts,
-        "t_grid": list(t_grid),
+        "t_grid": list(FLOW_T_GRID),
         "closed_vs_exact_max": closed_vs_exact,
         "rk4_endpoint_error": rk4_endpoint_err,
         "drift": drift,

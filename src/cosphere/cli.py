@@ -284,8 +284,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.out:
         out_dir = Path(args.out)
         _write_text(out_dir / "report.json", [text])
-        csv_count = min(args.count, 1000)
-        x, u = phase.zero_level_arrays(fixture.spec, seed=args.seed, count=csv_count)
+        x, u = phase.zero_level_arrays(  # the first samples of the generic probe
+            fixture.spec, seed=checks._probe_seed(args.seed, 0), count=min(args.count, 1000))
         _write_text(out_dir / "samples.csv", _csv_lines(fixture, x, u, args.band))
         print(f"wrote {out_dir / 'report.json'}")
         print(f"wrote {out_dir / 'samples.csv'}")
@@ -373,7 +373,8 @@ def cmd_examples(args: argparse.Namespace) -> int:
             lines.append(
                 f"    {s.name:<18} {s.kind.value:<17} dim {s.dim}  over ({s.upper}){open_mark}"
             )
-        lines.append(f"  frontier arrows (A -> B = A in closure(B)): {len(result.hasse)}")
+        lines.append(f"  frontier: {len(result.frontier)} pairs, "
+                     f"{len(result.hasse)} covering arrows")
 
         base = out_dir / name
         codes = [

@@ -226,10 +226,10 @@ def hilbert_map(
     return reduced_images(tables)
 
 
-def support_masks(tables: np.ndarray, tol: float = SUPPORT_TOL) -> np.ndarray:
-    """(..., n) mask of the planes where (x_j, u_j) is nonzero beyond ``tol``,
+def support_masks(tables: np.ndarray) -> np.ndarray:
+    """(..., n) mask of the planes where (x_j, u_j) is nonzero beyond ``SUPPORT_TOL``,
     read off (..., n, 4) invariant tables: |(x_j, u_j)| = sqrt(p1_j)."""
-    return np.sqrt(tables[..., 0]) > tol
+    return np.sqrt(tables[..., 0]) > SUPPORT_TOL
 
 
 def orbit_labels(spec: TorusActionSpec, masks: np.ndarray) -> tuple[list[str], np.ndarray]:

@@ -52,6 +52,13 @@ def _integer(value, name: str, error: type[ValueError] = PosetError) -> int:
         raise error(f"{name} must be an integer, not {value!r}") from None
 
 
+def _label(value) -> str:
+    """``value`` as a type label: a string, refused otherwise, not spelled by ``str``."""
+    if not isinstance(value, str):
+        raise PosetError(f"a label must be a string, not {value!r}")
+    return value
+
+
 def _bits(mask: int) -> Iterator[int]:
     """The positions of the set bits of a mask, lowest first."""
     while mask:
@@ -251,17 +258,18 @@ def poset_from_json(data: dict) -> IsotropyPoset:
 
     ``is_identity`` is not serialized: an untagged zero-dimensional type is
     taken to be the trivial class, so finite nontrivial stabilizers must
-    carry a ``finite_tag``.
+    carry a ``finite_tag``.  Labels and order entries must be JSON strings.
     """
     try:
         types, dim_q_of = [], {}
         for t in data["types"]:
             dim_h = _integer(t["dim_H"], "dim_H")
             tag = None if t.get("finite_tag") is None else str(t["finite_tag"])
-            types.append(OrbitType(label=str(t["label"]), dim_H=dim_h,
+            label = _label(t["label"])
+            types.append(OrbitType(label=label, dim_H=dim_h,
                                    is_identity=(dim_h == 0 and tag is None), finite_tag=tag))
-            dim_q_of[str(t["label"])] = _integer(t["dim_Q_of"], "dim_Q_of")
-        order = frozenset((str(a), str(b)) for a, b in data["order"])
+            dim_q_of[label] = _integer(t["dim_Q_of"], "dim_Q_of")
+        order = frozenset((_label(a), _label(b)) for a, b in data["order"])
         dim_g, dim_q = _integer(data["dim_G"], "dim_G"), _integer(data["dim_Q"], "dim_Q")
     except (KeyError, TypeError, ValueError) as exc:
         raise PosetError(f"malformed isotropy poset JSON: {exc}") from exc

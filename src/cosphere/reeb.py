@@ -101,8 +101,7 @@ def flow_rk4(point: PhasePoint, t_end: float, step: float) -> Trajectory:
     stop = t_end - max(SLIVER * step, 1e-15)
     while grid[-1] + step < stop:
         grid.append(grid[-1] + step)
-    if t_end - grid[-1] > 1e-15:
-        grid.append(t_end)
+    grid.append(t_end)
     times = np.array(grid)
 
     h = np.diff(times)[:, None]

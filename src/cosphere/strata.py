@@ -312,25 +312,21 @@ def frontier_rows(result: StratificationResult, names: np.ndarray) -> list[list]
 
     ``names`` is an object array with one entry per piece, by name; row i
     lists ``names[j]`` for the pieces j = (K, H) != i = (K', H') with
-    K <= K' and H <= H', the product order, in name order.  The order on
-    the types is a boolean matrix ``under``, true at [t, s] when s <= t,
-    unpacked from the down-set masks.  The rows are taken by lower type,
-    in blocks of ``_FRONTIER_CELLS // pieces`` rows.  The columns of a
-    block are the pieces j whose lower type lies under the lower type of
-    one of its rows, and the block is ``under[upper of i][:, upper of j]
-    & under[lower of i][:, lower of j]`` with the diagonal cleared.
-    ``np.nonzero`` lists each row's pieces in rank order, which is name
-    order, and one gather from ``names`` spells them.  A block holds at
-    most ``_FRONTIER_CELLS`` cells, so the work arrays stay small at any
-    size; rows of one lower type share their columns, so at 438 types the
-    blocks hold 9 M cells where all rows against all pieces would be 51 M.
-    :func:`frontier` and the ``reduce`` writer both read the rows from
-    here, the writer with its names already escaped.
+    K <= K' and H <= H', the product order, in name order.  The type order
+    is a boolean matrix ``under``, true at [t, s] when s <= t, unpacked
+    from the down-set masks; its columns are gathered once at the pieces'
+    upper and once at their lower types.  The rows go in name order, in
+    blocks of ``_FRONTIER_CELLS // pieces`` rows against all pieces: the
+    two gathers' rows and-ed, the diagonal cleared, ``np.flatnonzero``
+    listing each row's pieces in rank order, which is name order, and one
+    gather from ``names`` spelling them.  At most 2,080 pieces pass
+    ``MAX_TYPES``, so a block is at least 126 rows and at most
+    ``_FRONTIER_CELLS`` cells.  :func:`frontier` and the ``reduce`` writer
+    both read the rows from here, the writer with its names escaped.
     """
     count = len(result.pieces)
-    rows: list[list] = [[]] * count
     if not count:
-        return rows
+        return []
     types = len(result.labels)
     width = (types + 7) // 8
     packed = b"".join(mask.to_bytes(width, "little") for mask in result.below)
@@ -338,19 +334,17 @@ def frontier_rows(result: StratificationResult, names: np.ndarray) -> list[list]
                           axis=1, count=types, bitorder="little").view(bool)
     upper = np.array(result.uppers, dtype=np.intp)
     lower = np.array(result.lowers, dtype=np.intp)
+    upper_under, lower_under = under[:, upper], under[:, lower]
     step = max(1, _FRONTIER_CELLS // count)
-    order = np.argsort(lower, kind="stable")
+    rows: list[list] = []
     for start in range(0, count, step):
-        block = order[start:start + step]
-        lower_under = under[lower[block]]
-        (cols,) = lower_under.any(axis=0)[lower].nonzero()
-        below = under[upper[block]][:, upper[cols]] & lower_under[:, lower[cols]]
-        below[np.arange(len(block)), cols.searchsorted(block)] = False
-        hit_rows, hit_cols = below.nonzero()
-        gathered = names[cols[hit_cols]].tolist()
+        block = np.arange(start, min(start + step, count))
+        below = upper_under[upper[block]] & lower_under[lower[block]]
+        below[block - start, block] = False
+        gathered = names[np.flatnonzero(below) % count]
         end = 0
-        for a, size in zip(block.tolist(), np.bincount(hit_rows, minlength=len(block)).tolist()):
-            rows[a] = gathered[end:end + size]
+        for size in np.count_nonzero(below, axis=1).tolist():
+            rows.append(gathered[end:end + size].tolist())
             end += size
     return rows
 

@@ -132,14 +132,11 @@ def test_criterion_5_reeb_flow_battery():
         assert table0.tolist() == [[1.0, 0.0, 1.0, 0.0]]
         assert reeb.flowed_tables(table0, 1.0).tolist() == [[2.0, 2.0, 0.0, 0.0]]
         for name in ("s1-on-r2", "t2-on-r4"):
-            report = checks.flow_checks(
-                get_fixture(name),
-                seed=0,
-                starts=FLOW_STARTS,
-                t_grid=(0.1, 0.5, 1.0, 2.0),
-                t_end=2.0,
-                step=1e-3,
-            )
+            report = checks.flow_checks(get_fixture(name), seed=0, starts=FLOW_STARTS)
+            # the closed form is checked at these times, RK4 run to t = 2 in
+            # steps of 1e-3
+            assert report["t_grid"] == [0.1, 0.5, 1.0, 2.0]
+            assert (checks.FLOW_T_END, checks.FLOW_STEP) == (2.0, 1e-3)
             assert report["passed"], report
             assert report["closed_vs_exact_max"] <= IDENTITY_TOL
             assert report["rk4_endpoint_error"] <= IDENTITY_TOL

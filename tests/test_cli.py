@@ -115,6 +115,22 @@ def test_bad_inputs_exit_2(tmp_path, capsys):
     }))
     assert run(capsys, "reduce", "--action", str(broken))[0] == 2
 
+    # labels and order entries that are not JSON strings are malformed, not
+    # spelled by str() into types such as ['e'] or 1
+    circle = {"dim_Q": 2, "dim_G": 1,
+              "types": [{"label": "e", "dim_H": 0, "dim_Q_of": 2},
+                        {"label": "S^1", "dim_H": 1, "dim_Q_of": 0}],
+              "order": [["e", "S^1"]]}
+    for label, order, bad in ((["e"], [[["e"], "S^1"]], "['e']"), (1, [[1, "S^1"]], "1"),
+                              (None, [], "None"), ("e", [["e", ["S^1"]]], "['S^1']"),
+                              ("e", [[0, "S^1"]], "0")):
+        poset = tmp_path / "nonstring_poset.json"
+        poset.write_text(json.dumps({**circle, "types": [{**circle["types"][0], "label": label},
+                                                         circle["types"][1]],
+                                     "order": order}))
+        assert run(capsys, "reduce", "--action", str(poset)) == (2, "", (
+            f"error: malformed isotropy poset JSON: a label must be a string, not {bad}\n"))
+
     # a < b < a: the closure holds (a, a), so the poset is refused as it is
     # built, naming the reflexive pairs
     cyclic = tmp_path / "cyclic_poset.json"
@@ -323,6 +339,32 @@ def test_verify_writes_report_and_samples(tmp_path, capsys):
     assert "CC(e)" in strata_seen
 
 
+@pytest.mark.parametrize("fixture, seed, count", [
+    ("s1-on-r2", 0, 1200), ("t2-on-r4", 7, 150),
+])
+def test_verify_samples_are_the_first_verified_samples(fixture, seed, count, tmp_path,
+                                                        capsys, monkeypatch):
+    # record what the battery draws: its first call is the generic probe
+    drawn = []
+
+    def recording(*args, **kwargs):
+        drawn.append(phase.zero_level_arrays(*args, **kwargs))
+        return drawn[-1]
+
+    monkeypatch.setattr(cosphere.checks, "zero_level_arrays", recording)
+    code, _, _ = run(capsys, "verify", "--fixture", fixture, "--seed", str(seed),
+                     "--count", str(count), "--out", str(tmp_path))
+    assert code == 0
+    header, *rows = csv.reader(io.StringIO((tmp_path / "samples.csv").read_text()))
+    dim = 4 * cosphere.get_fixture(fixture).spec.n  # the x and u columns
+    assert header[:dim] == [f"{c}_{i + 1}" for c in "xu" for i in range(dim // 2)]
+    x, u = drawn[0]
+    assert len(rows) == min(count, 1000) and len(x) == count
+    # bit for bit, signed zeros included
+    assert np.array([[float(c) for c in row[:dim]] for row in rows]).view(np.int64).tolist() \
+        == np.hstack([x, u])[:len(rows)].view(np.int64).tolist()
+
+
 def test_verify_with_no_generic_samples_fails_as_a_verdict(tmp_path, capsys):
     # zero rows are an empty sample, not a crash: the generic probe fails
     code, out, err = run(
@@ -529,6 +571,8 @@ def test_examples_runs_the_full_battery_and_covers_the_api(tmp_path, capsys, mon
     assert code == 0
     assert "examples: PASS" in out
     assert "s1-on-r2" in out and "t2-on-r4" in out
+    # the frontier of each fixture counted by pairs and by covering arrows
+    assert "  frontier: 19 pairs, 10 covering arrows" in out.splitlines()
     for name in ("s1-on-r2", "t2-on-r4"):
         exercise_api(cosphere.get_fixture(name), seed=0)
     assert called == public

@@ -185,7 +185,6 @@ def test_support_tolerance():
         np.array([1e-12, 0.0, 1.0, 0.0]), np.array([0.0, 0.0, 1.0, 0.0])
     )
     assert support_masks(table).tolist() == [False, True]
-    assert support_masks(table, tol=1e-13).tolist() == [True, True]
 
 
 # -------------------------------------------------------------- sampling

@@ -116,6 +116,10 @@ def test_rk4_grid_lands_exactly_on_t_end():
     traj = flow_rk4(fiber_point(), t_end=0.25, step=0.1)
     assert traj.times.tolist() == [0.0, 0.1, 0.2, 0.25]
     assert len(traj) == 4
+    # t_end within 1e-15 of the start: the flow still takes its one step
+    traj = flow_rk4(fiber_point(), t_end=1e-20, step=1e-3)
+    assert traj.times.tolist() == [0.0, 1e-20]
+    assert traj.xs.tolist() == [[0.0, 0.0], [1e-20, 0.0]]
     with pytest.raises(ValueError):
         flow_rk4(fiber_point(), t_end=0.0, step=0.1)
     with pytest.raises(ValueError):

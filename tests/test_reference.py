@@ -354,7 +354,7 @@ def ref_rk4_grid(t_end: float, step: float) -> list[float]:
         grid.append(grid[-1] + step)
     if len(grid) > 1 and t_end - grid[-1] < reeb.SLIVER * step:
         grid[-1] = t_end
-    elif t_end - grid[-1] > 1e-15:
+    else:
         grid.append(t_end)
     return grid
 
@@ -528,6 +528,7 @@ def random_phase_point(rng, n: int) -> PhasePoint:
     (1.0, 0.3),
     (0.05, 0.1),   # step > t_end
     (0.5, 0.01),
+    (1e-20, 1e-3),  # t_end within 1e-15 of the start: one step
 ])
 def test_rk4_matches_the_per_step_loop(t_end, step):
     rng = np.random.default_rng(int(1e6 * t_end + 1e3 * step))

@@ -14,6 +14,7 @@ import itertools
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -37,6 +38,7 @@ from cosphere.strata import (
 )
 from cosphere.torus import ActionSpecError, TorusActionSpec, build_isotropy_poset
 from order_oracles import pair_closure, pair_covers
+from test_poset import chain_types
 from test_torus import LADDER_K2_N8, weight_specs
 
 LABELS = "ABCDEFGH"
@@ -334,6 +336,30 @@ def test_frontier_rows_do_not_depend_on_the_block_size(spec, cells, monkeypatch)
     # several lower types of the 38-type lattice
     monkeypatch.setattr(strata_mod, "_FRONTIER_CELLS", cells)
     assert_matches_oracle(build_isotropy_poset(spec))
+
+
+@pytest.mark.parametrize("rows_per_block", [None, 1, 2, 7])
+def test_frontier_rows_at_the_type_cap(rows_per_block, monkeypatch):
+    # t0 < t1 < ... < t63, every type starred: the most pieces the type cap
+    # admits, at the default block size, in blocks of one row, of two, and of
+    # seven with the last one cut short
+    result = cl_stratification(IsotropyPoset(*chain_types(MAX_TYPES)))
+    count = len(result.pieces)
+    if rows_per_block is not None:
+        monkeypatch.setattr(strata_mod, "_FRONTIER_CELLS", rows_per_block * count)
+    rows = strata_mod.frontier_rows(result, np.array(result.pieces, dtype=object))
+    assert count == len(rows) == 2080
+    # each piece as its pair of chain positions (K, H), t_i at position i
+    position = [int(label[1:]) for label in result.labels]
+    pair = [(position[k], position[h]) for k, h in zip(result.uppers, result.lowers)]
+    # row (K', H'): the pieces (K, H) with H <= H' and H <= K <= K', but itself
+    assert [len(row) for row in rows] == [
+        sum(top - h + 1 for h in range(low + 1)) - 1 for top, low in pair]
+    assert sum(map(len, rows)) == 1_485_120
+    for i in range(0, count, 37):
+        top, low = pair[i]
+        assert rows[i] == [result.pieces[j] for j, (k, h) in enumerate(pair)
+                           if j != i and h <= k <= top and h <= low]
 
 
 def test_frontier_is_built_on_first_read_and_kept():
