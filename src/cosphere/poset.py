@@ -6,23 +6,27 @@ occurring in a proper group action, partially ordered by subconjugation:
 supplied by the caller (or by the torus-action builder in
 :mod:`cosphere.torus`); it is never inferred from group data here.
 
+The order is stored once, as down-set bitmasks over the sorted labels.
+The constructor closes the generator masks it is given by one bit-parallel
+pass, :func:`transitive_closure`; the covers (:func:`covers`), the
+principal type and, only when read, the ``order`` pairs come from the
+closed masks.  Pairs given by hand or in JSON reach the masks through one
+conversion, :meth:`IsotropyPoset.from_pairs`.
+
 An :class:`IsotropyPoset` is valid by construction.  More than
-``MAX_TYPES`` types, and order pairs that name a label of no type, are
-refused before any work on the order; the refusal names those pairs as
-given.  The supplied order pairs are then treated as generators, read
-into down-set bitmasks over the sorted labels and closed by one
-bit-parallel pass, :func:`transitive_closure`; the closed ``order`` pairs,
-the covers (:func:`covers`) and the principal type are read off the masks.
-The invariants are checked once, on the closed order.  A poset that breaks
-any of them, a cyclic order included (its closure contains reflexive
-pairs), is refused with :class:`InvalidPosetError`, which names every
-violation.
+``MAX_TYPES`` types, order pairs that name a label of no type (listed as
+given) and masks of the wrong shape are refused before any work on the
+order.  The invariants are then checked once, by mask tests on the closed
+masks; only a failing test spells its violations pair by pair.  A poset
+that breaks any invariant, a cyclic order included (its closure sets a
+rank's own bit), is refused with :class:`InvalidPosetError`, which names
+every violation.
 """
 
 from __future__ import annotations
 
 import operator
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -52,10 +56,10 @@ def _integer(value, name: str, error: type[ValueError] = PosetError) -> int:
         raise error(f"{name} must be an integer, not {value!r}") from None
 
 
-def _label(value) -> str:
-    """``value`` as a type label: a string, refused otherwise, not spelled by ``str``."""
+def _string(value, name: str = "label") -> str:
+    """``value`` as a label or tag: a string, refused otherwise, not spelled by ``str``."""
     if not isinstance(value, str):
-        raise PosetError(f"a label must be a string, not {value!r}")
+        raise PosetError(f"a {name} must be a string, not {value!r}")
     return value
 
 
@@ -110,59 +114,82 @@ class OrbitType:
     finite_tag: str | None = None
 
 
+def _refuse(bad: list[str]) -> None:
+    """Raise :class:`InvalidPosetError` naming the violations ``bad``, if any."""
+    if bad:
+        raise InvalidPosetError("invalid isotropy poset: " + "; ".join(bad))
+
+
+def _refuse_over_cap(types: tuple[OrbitType, ...]) -> None:
+    # the closure is cubic in the number of labels, so the cap comes first
+    if len(types) > MAX_TYPES:
+        _refuse([f"{len(types)} orbit types exceeds the cap of {MAX_TYPES}"])
+
+
 @dataclass(frozen=True, eq=True)
 class IsotropyPoset:
     """Orbit types of an action together with the strict subconjugation order.
 
-    ``order`` holds pairs ``(a, b)`` meaning ``(a) < (b)``; it is stored as
-    the transitive closure of whatever generators were passed in, read off
-    ``under``: ``labels`` are the distinct labels sorted, and bit s of
-    ``under[t]`` is set when ``labels[s]`` lies strictly under ``labels[t]``.
-    ``dim_Q_of`` maps each label to the dimension of its orbit-type manifold
-    Q_(H), whose components are assumed equidimensional.  Construction
-    raises :class:`InvalidPosetError` unless the data form a valid isotropy
-    lattice (see the module docstring).
+    ``under`` is the one stored order: ``labels`` are the distinct labels
+    of ``types`` sorted, and bit s of ``under[t]`` is set when ``labels[s]``
+    lies strictly under ``labels[t]``.  The masks passed in are generators,
+    stored as their transitive closure; :attr:`order` derives the pairs
+    from them.  ``dim_Q_of`` maps each label to the dimension of its
+    orbit-type manifold Q_(H), whose components are assumed
+    equidimensional.  Construction raises :class:`InvalidPosetError` unless
+    the data form a valid isotropy lattice (see the module docstring).
     """
 
     types: tuple[OrbitType, ...]
-    order: frozenset[tuple[str, str]]
+    under: tuple[int, ...]
     dim_Q_of: Mapping[str, int]
     dim_G: int
     dim_Q: int
     labels: tuple[str, ...] = field(init=False, compare=False, repr=False)
-    under: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "types", tuple(self.types))
-        known = {t.label for t in self.types}
-        # the closure is cubic in the number of labels, so the cap and the
-        # labels of the generator pairs come first
-        unknown = sorted((a, b) for a, b in self.order if a not in known or b not in known)
-        if len(self.types) > MAX_TYPES:
-            bad = [f"{len(self.types)} orbit types exceeds the cap of {MAX_TYPES}"]
-        elif unknown:
-            bad = [f"order pair ({a!r}, {b!r}) references an unknown label" for a, b in unknown]
-        else:
-            labels = tuple(sorted(known))
-            rank = {label: t for t, label in enumerate(labels)}
-            under = [0] * len(labels)
-            for a, b in self.order:
-                under[rank[b]] |= 1 << rank[a]
-            under = transitive_closure(under)
-            object.__setattr__(self, "labels", labels)
-            object.__setattr__(self, "under", under)
-            object.__setattr__(self, "order", frozenset(
-                (labels[s], b) for b, mask in zip(labels, under) for s in _bits(mask)))
-            object.__setattr__(self, "dim_Q_of", dict(self.dim_Q_of))
-            bad = _violations(self)
-        if bad:
-            raise InvalidPosetError("invalid isotropy poset: " + "; ".join(bad))
+        types = tuple(self.types)
+        _refuse_over_cap(types)
+        labels = tuple(sorted({t.label for t in types}))
+        under, top = tuple(self.under), 1 << len(labels)
+        if len(under) != len(labels) or any(not 0 <= mask < top for mask in under):
+            _refuse([f"order masks must be one per label, {len(labels)} in all, "
+                     f"each of bits below {len(labels)}"])
+        object.__setattr__(self, "types", types)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "under", transitive_closure(under))
+        object.__setattr__(self, "dim_Q_of", dict(self.dim_Q_of))
+        _refuse(_violations(self))
+
+    @classmethod
+    def from_pairs(cls, types: Sequence[OrbitType], order: Iterable[tuple[str, str]],
+                   dim_Q_of: Mapping[str, int], dim_G: int, dim_Q: int) -> IsotropyPoset:
+        """The poset whose order is generated by the pairs ``(a, b)`` of
+        ``order``, each meaning ``(a) < (b)``.  Past the type cap, or with
+        pairs that name a label of no type, it is refused before any mask
+        is built."""
+        types, order = tuple(types), tuple(order)
+        _refuse_over_cap(types)
+        rank = {label: t for t, label in enumerate(sorted({t.label for t in types}))}
+        _refuse([f"order pair ({a!r}, {b!r}) references an unknown label"
+                 for a, b in sorted({(a, b) for a, b in order
+                                     if a not in rank or b not in rank})])
+        under = [0] * len(rank)
+        for a, b in order:
+            under[rank[b]] |= 1 << rank[a]
+        return cls(types, tuple(under), dim_Q_of, dim_G, dim_Q)
+
+    @property
+    def order(self) -> frozenset[tuple[str, str]]:
+        """The closed order as pairs ``(a, b)`` meaning ``(a) < (b)``."""
+        labels = self.labels
+        return frozenset((labels[s], b) for b, mask in zip(labels, self.under)
+                         for s in _bits(mask))
 
 
 def _violations(poset: IsotropyPoset) -> list[str]:
     """Every violated isotropy-lattice invariant of a poset of at most
-    ``MAX_TYPES`` types whose order is closed and names only their labels;
-    empty when it is valid."""
+    ``MAX_TYPES`` types whose masks are closed; empty when it is valid."""
     bad: list[str] = []
     labels = [t.label for t in poset.types]
     if not labels:
@@ -197,11 +224,26 @@ def _violations(poset: IsotropyPoset) -> list[str]:
     for extra in sorted(set(poset.dim_Q_of) - known):
         bad.append(f"dim_Q_of entry {extra!r} matches no orbit type")
 
-    # strict order: closure is built in, so failures here mean cycles
-    for a, b in sorted(poset.order):
+    # strict order: nothing under a rank may have a larger dim_H, or equal
+    # dim_H and an equal finite tag, the rank itself included; a cycle of
+    # the closed masks sets a rank's own bit, so that test finds it too
+    ranked = [by_label[label] for label in poset.labels]
+    same: dict[tuple, int] = {}  # (dim_H, finite_tag) -> its ranks
+    at: dict[int, int] = {}  # dim_H -> its ranks
+    for r, t in enumerate(ranked):
+        same[t.dim_H, t.finite_tag] = same.get((t.dim_H, t.finite_tag), 0) | 1 << r
+        at[t.dim_H] = at.get(t.dim_H, 0) | 1 << r
+    above, larger = {}, 0  # dim_H -> the ranks of larger dim_H
+    for d in sorted(at, reverse=True):
+        above[d], larger = larger, larger | at[d]
+    if all(not mask & (above[t.dim_H] | same[t.dim_H, t.finite_tag])
+           for t, mask in zip(ranked, poset.under)):
+        return bad
+    order = poset.order
+    for a, b in sorted(order):
         if a == b:
             bad.append(f"order is not irreflexive: ({a!r}, {a!r})")
-        elif (b, a) in poset.order:
+        elif (b, a) in order:
             if a < b:
                 bad.append(f"order is not antisymmetric: {a!r} and {b!r}")
         else:
@@ -258,24 +300,24 @@ def poset_from_json(data: dict) -> IsotropyPoset:
 
     ``is_identity`` is not serialized: an untagged zero-dimensional type is
     taken to be the trivial class, so finite nontrivial stabilizers must
-    carry a ``finite_tag``.  Labels and order entries must be JSON strings.
+    carry a ``finite_tag``.  Labels, tags and order entries must be JSON
+    strings.
     """
     try:
         types, dim_q_of = [], {}
         for t in data["types"]:
             dim_h = _integer(t["dim_H"], "dim_H")
-            tag = None if t.get("finite_tag") is None else str(t["finite_tag"])
-            label = _label(t["label"])
+            tag = None if t.get("finite_tag") is None else _string(t["finite_tag"], "finite_tag")
+            label = _string(t["label"])
             types.append(OrbitType(label=label, dim_H=dim_h,
                                    is_identity=(dim_h == 0 and tag is None), finite_tag=tag))
             dim_q_of[label] = _integer(t["dim_Q_of"], "dim_Q_of")
-        order = frozenset((_label(a), _label(b)) for a, b in data["order"])
+        order = [(_string(a), _string(b)) for a, b in data["order"]]
         dim_g, dim_q = _integer(data["dim_G"], "dim_G"), _integer(data["dim_Q"], "dim_Q")
     except (KeyError, TypeError, ValueError) as exc:
         raise PosetError(f"malformed isotropy poset JSON: {exc}") from exc
     # outside the try: an invalid poset is refused as such, not as malformed
-    return IsotropyPoset(types=tuple(types), order=order, dim_Q_of=dim_q_of,
-                         dim_G=dim_g, dim_Q=dim_q)
+    return IsotropyPoset.from_pairs(types, order, dim_q_of, dim_g, dim_q)
 
 
 def _dot_quoted(text: str) -> str:

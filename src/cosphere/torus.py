@@ -167,7 +167,14 @@ def _nontrivial_divisors(columns: Sequence[tuple[int, ...]], k: int) -> tuple[in
     m = [list(c) for c in columns if any(c)]
     divisors = []
     while m:
-        _, i, j = min((abs(v), i, j) for i, row in enumerate(m) for j, v in enumerate(row) if v)
+        # the first entry of least |v| in row-major order; none is below 1
+        least = 0
+        for r, row in enumerate(m):
+            for c, v in enumerate(row):
+                if v and (not least or abs(v) < least):
+                    least, i, j = abs(v), r, c
+            if least == 1:
+                break
         m[0], m[i] = m[i], m[0]
         for row in m:
             row[0], row[j] = row[j], row[0]
@@ -265,12 +272,15 @@ def build_isotropy_poset(spec: TorusActionSpec) -> IsotropyPoset:
     Containment is inclusion of top supports: (a) < (b) exactly when the
     lattice of b lies strictly inside that of a, i.e. the union of their top
     supports S_a and S_b is in the class of a, i.e. S_b lies strictly inside
-    S_a.  Inclusion is transitive, so the order is closed as built, and the
-    poset's bit pass (:func:`cosphere.poset.transitive_closure`) leaves it
-    unchanged.
+    S_a.  The order is built as the poset stores it, one down-set mask per
+    class over the sorted labels, and no order pairs are formed: the classes
+    under b are those whose top support holds every plane of S_b, b itself
+    excepted, an AND of one mask per plane.  Inclusion is transitive, so the
+    masks are closed as built, and the poset's bit pass
+    (:func:`cosphere.poset.transitive_closure`) leaves them unchanged.
     A spec with more than ``MAX_TYPES`` classes is refused with
     :class:`ActionSpecError` as soon as the table is built, before the
-    quadratic order pass.
+    order is formed.
     """
     basis_of = support_lattices(spec)
     top: dict[tuple[tuple[int, ...], ...], int] = {}  # basis -> union of its supports
@@ -297,18 +307,21 @@ def build_isotropy_poset(spec: TorusActionSpec) -> IsotropyPoset:
 
     # (L) < (H) iff the subgroup L is strictly contained in H, i.e. the
     # lattice of H is strictly contained in the lattice of L, i.e. the top
-    # support of H lies strictly inside that of L
-    order = frozenset(
-        (label_of[ba], label_of[bb])
-        for ba, sa in top.items()
-        for bb, sb in top.items()
-        if sb & ~sa == 0 and sa != sb
-    )
+    # support of H lies strictly inside that of L; ranks follow the labels
+    tops = [top[basis] for basis in sorted(top, key=label_of.__getitem__)]
+    holding = [sum(1 << r for r, s in enumerate(tops) if s >> j & 1) for j in range(spec.n)]
+    under = []
+    for r, s in enumerate(tops):
+        mask = ((1 << len(tops)) - 1) ^ (1 << r)
+        for j in range(spec.n):
+            if s >> j & 1:
+                mask &= holding[j]
+        under.append(mask)
 
     types.sort(key=lambda t: (t.dim_H, t.label))
     return IsotropyPoset(
         types=tuple(types),
-        order=order,
+        under=tuple(under),
         dim_Q_of=dim_q_of,
         dim_G=spec.k,
         dim_Q=2 * spec.n,

@@ -159,7 +159,7 @@ def _random_poset(rng: random.Random) -> IsotropyPoset:
         for a, b in itertools.combinations(labels, 2)
         if rng.random() < 0.4
     ]
-    return IsotropyPoset(
+    return IsotropyPoset.from_pairs(
         types=types, order=frozenset(pairs), dim_Q_of=dims, dim_G=dim_g, dim_Q=dim_q
     )
 

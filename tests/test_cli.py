@@ -131,6 +131,22 @@ def test_bad_inputs_exit_2(tmp_path, capsys):
         assert run(capsys, "reduce", "--action", str(poset)) == (2, "", (
             f"error: malformed isotropy poset JSON: a label must be a string, not {bad}\n"))
 
+    # so are finite tags, which str() once spelled as "['2']" or "True"; the
+    # lattice command draws nothing
+    z2 = {**circle, "types": [circle["types"][0],
+                              {"label": "Z2", "dim_H": 0, "dim_Q_of": 2, "finite_tag": "2"}],
+          "order": [["e", "Z2"]]}
+    for tag, bad in ((["2"], "['2']"), (True, "True"), (2, "2")):
+        poset = tmp_path / "tagged_poset.json"
+        poset.write_text(json.dumps({**z2, "types": [z2["types"][0],
+                                                     {**z2["types"][1], "finite_tag": tag}]}))
+        drawn = tmp_path / "tagged"
+        assert run(capsys, "lattice", "--action", str(poset), "--out", str(drawn)) == (2, "", (
+            f"error: malformed isotropy poset JSON: a finite_tag must be a string, not {bad}\n"))
+        assert not drawn.exists()
+    poset.write_text(json.dumps(z2))
+    assert run(capsys, "lattice", "--action", str(poset), "--out", str(drawn))[0] == 0
+
     # a < b < a: the closure holds (a, a), so the poset is refused as it is
     # built, naming the reflexive pairs
     cyclic = tmp_path / "cyclic_poset.json"
@@ -648,7 +664,7 @@ def test_reports_match_the_json_module(tmp_path, capsys):
 def hand_poset(labels, dim_q_of, dim_h, order, dim_g, dim_q):
     types = tuple(OrbitType(label, h, is_identity=(i == 0))
                   for i, (label, h) in enumerate(zip(labels, dim_h)))
-    return IsotropyPoset(types, frozenset(order), dict(zip(labels, dim_q_of)), dim_g, dim_q)
+    return IsotropyPoset.from_pairs(types, order, dict(zip(labels, dim_q_of)), dim_g, dim_q)
 
 
 # one type: empty frontier and hasse

@@ -343,7 +343,7 @@ def test_frontier_rows_at_the_type_cap(rows_per_block, monkeypatch):
     # t0 < t1 < ... < t63, every type starred: the most pieces the type cap
     # admits, at the default block size, in blocks of one row, of two, and of
     # seven with the last one cut short
-    result = cl_stratification(IsotropyPoset(*chain_types(MAX_TYPES)))
+    result = cl_stratification(IsotropyPoset.from_pairs(*chain_types(MAX_TYPES)))
     count = len(result.pieces)
     if rows_per_block is not None:
         monkeypatch.setattr(strata_mod, "_FRONTIER_CELLS", rows_per_block * count)
@@ -400,7 +400,7 @@ def test_cl_stratification_rejects_invalid_posets():
     # an invalid poset is refused when it is built, so none reaches
     # cl_stratification
     with pytest.raises(InvalidPosetError, match=r"dim_Q_of = 9 outside \[0, dim_Q\]"):
-        IsotropyPoset(
+        IsotropyPoset.from_pairs(
             (OrbitType("A", 0, is_identity=True),),
             frozenset(),
             {"A": 9},
@@ -430,7 +430,7 @@ def valid_posets(draw):
         lab: draw(st.integers(min_value=dim_g - i, max_value=dim_q))
         for i, lab in enumerate(labels)
     }
-    return IsotropyPoset(
+    return IsotropyPoset.from_pairs(
         types=types,
         order=frozenset(pairs),
         dim_Q_of=dims,
@@ -470,7 +470,7 @@ def piece_table_reference(poset):
 # labels that are prefixes of one another: "Z2 x" and "Z2×e" extend "Z2", so
 # Seam(Z2 x>e) < Seam(Z2>e) < Seam(Z2×e>e) by name, and Contact(Z2 x) <
 # Contact(Z2), while the types rank Z2 < Z2 x < Z2×e
-PREFIX_LABELS = IsotropyPoset(
+PREFIX_LABELS = IsotropyPoset.from_pairs(
     types=(OrbitType("e", 0, is_identity=True), OrbitType("Z2", 0, finite_tag="2"),
            OrbitType("Z2 x", 1), OrbitType("Z2×e", 1, finite_tag="2"), OrbitType("T", 2)),
     order=frozenset({("e", "Z2"), ("Z2", "Z2 x"), ("Z2", "Z2×e"), ("Z2 x", "T"),
@@ -667,7 +667,7 @@ def test_unstarred_middle_type_emits_no_ghost_seam():
         OrbitType("B", 1),
         OrbitType("C", 2),
     )
-    poset = IsotropyPoset(
+    poset = IsotropyPoset.from_pairs(
         types=types,
         order={("A", "B"), ("B", "C")},
         dim_Q_of={"A": 4, "B": 1, "C": 0},
@@ -687,7 +687,7 @@ def test_finer_than_contact():
         return written_report(cl_stratification(poset))["finer_than_contact"]
 
     assert finer(two_plane_poset()) == {"finer": True, "strict": True}
-    single = IsotropyPoset(
+    single = IsotropyPoset.from_pairs(
         (OrbitType("e", 0, is_identity=True),),
         frozenset(),
         {"e": 3},
@@ -739,7 +739,7 @@ def test_semifree_decomposition_rejects_the_two_plane_torus():
 
 
 def test_semifree_decomposition_needs_a_principal_minimum():
-    antichain = IsotropyPoset(
+    antichain = IsotropyPoset.from_pairs(
         (OrbitType("A", 0, is_identity=True), OrbitType("B", 0, finite_tag="2")),
         frozenset(),
         {"A": 2, "B": 2},
@@ -763,13 +763,13 @@ E = OrbitType("e", 0, is_identity=True)
     ((E,), (), {"e": 2}, 4, "the free part is not open dense: dim Q_(e) = 2 < dim Q = 4"),
 ])
 def test_hand_posets_that_are_not_semifree(types, order, dim_q_of, dim_q, diagnostic):
-    poset = IsotropyPoset(types, frozenset(order), dim_q_of, 1, dim_q)
+    poset = IsotropyPoset.from_pairs(types, frozenset(order), dim_q_of, 1, dim_q)
     assert semifree_diagnostics(poset) == (diagnostic,)
     assert not cl_stratification(poset).smooth_total_space
 
 
 def test_single_type_reduce():
-    free = IsotropyPoset(
+    free = IsotropyPoset.from_pairs(
         (OrbitType("e", 0, is_identity=True),),
         frozenset(),
         {"e": 3},
@@ -780,7 +780,7 @@ def test_single_type_reduce():
     assert (s.name, s.dim, s.kind) == ("CC(e)", 5, StratumKind.COSPHERE)
     assert s.open_dense
     # transitive action: the quotient is a point, C_0 is empty
-    point = IsotropyPoset(
+    point = IsotropyPoset.from_pairs(
         (OrbitType("e", 0, is_identity=True),),
         frozenset(),
         {"e": 2},

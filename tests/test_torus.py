@@ -25,6 +25,7 @@ from sympy import Matrix
 from sympy.matrices.normalforms import hermite_normal_form, invariant_factors
 
 import cosphere
+from cosphere import poset as poset_mod
 from cosphere import torus as torus_mod
 from cosphere.poset import principal_type
 from cosphere.strata import cl_stratification, semifree_diagnostics
@@ -280,13 +281,18 @@ LADDER_K3_N6 = TorusActionSpec(k=3, n=6, weights=(
     (-5, 4, -4, 2, -3, 3),
     (4, -2, 1, 3, 4, -2),
 ))
-# the k=3, n=7 reference spec of the ladder with exactly MAX_TYPES = 64
-# orbit types, and twelve equal planes, whose 4,095 supports share 23
-# (basis, plane) reductions
+# the k=3, n=7 reference specs of the ladder at the type cap: one with
+# exactly MAX_TYPES = 64 orbit types (599 pieces), one with 67, and twelve
+# equal planes, whose 4,095 supports share 23 (basis, plane) reductions
 LADDER_K3_N7 = TorusActionSpec(k=3, n=7, weights=(
     (-2, 1, -5, 1, 4, 0, -1),
     (-2, 4, -1, 3, -4, -1, 5),
     (-2, -1, -1, 0, 4, 0, -1),
+))
+LADDER_K3_N7_OVER = TorusActionSpec(k=3, n=7, weights=(
+    (4, 3, 4, -5, -5, 1, -2),
+    (4, 1, 2, -2, 2, 0, 2),
+    (-1, 1, -5, -1, -2, -1, -2),
 ))
 EQUAL_N12 = TorusActionSpec(k=1, n=12, weights=((2,) * 12,))
 
@@ -430,10 +436,13 @@ def test_dim_q_of_is_twice_the_largest_support_of_each_class(spec):
 @given(weight_specs())
 @example(LADDER_K2_N8)
 @example(LADDER_K3_N6)
+@example(LADDER_K3_N7)
 def test_order_is_inclusion_of_top_supports(spec):
     # the builder orders the classes by strict inclusion of their top
     # supports; the union rule reads the same order off the table: (a) < (b)
-    # when the union of a top support of each is a support of class a
+    # when the union of a top support of each is a support of class a.  The
+    # builder's masks are that order by rank of the sorted labels, and the
+    # pairs the poset derives from them are its pairs
     table = support_lattices(spec)
     supports = {}
     for s in sorted(table, key=int.bit_count):
@@ -446,7 +455,45 @@ def test_order_is_inclusion_of_top_supports(spec):
         for (ba, sa), (bb, sb) in itertools.permutations(top.items(), 2)
         if table[sa | sb] == ba
     }
-    assert build_isotropy_poset(spec).order == union_rule
+    poset = build_isotropy_poset(spec)
+    assert poset.labels == tuple(sorted(label.values()))
+    rank = {name: r for r, name in enumerate(poset.labels)}
+    masks = [0] * len(rank)
+    for a, b in union_rule:
+        masks[rank[b]] |= 1 << rank[a]
+    assert poset.under == tuple(masks)
+    assert poset.order == union_rule
+
+
+def test_the_type_cap_specs_of_the_ladder(monkeypatch):
+    # 64 types: masks closed as built, so the closure returns them as given,
+    # and the finite tag of each class is sympy's nontrivial invariant
+    # factors of its basis
+    closure, given_masks = poset_mod.transitive_closure, []
+    monkeypatch.setattr(poset_mod, "transitive_closure",
+                        lambda under: given_masks.append(under) or closure(under))
+    poset = build_isotropy_poset(LADDER_K3_N7)
+    assert len(poset.types) == poset_mod.MAX_TYPES
+    assert given_masks == [poset.under]
+    assert len(cl_stratification(poset).pieces) == 599
+    tag = {t.label: t.finite_tag for t in poset.types}
+    for basis in set(support_lattices(LADDER_K3_N7).values()):
+        divisors = _nontrivial_divisors(basis, 3)
+        if basis:
+            m = Matrix([[c[i] for c in basis] for i in range(3)])
+            assert divisors == tuple(int(d) for d in invariant_factors(m) if d not in (0, 1))
+        assert tag[class_label(3, basis)] == (",".join(map(str, divisors)) or None)
+
+    # 67 types: refused as soon as the support table is built, before any
+    # label, finite tag or order is formed
+    def no_order_work(*args):
+        raise AssertionError("order work ran on an over-cap spec")
+
+    for name in ("class_label", "_nontrivial_divisors", "IsotropyPoset"):
+        monkeypatch.setattr(torus_mod, name, no_order_work)
+    monkeypatch.setattr(poset_mod, "transitive_closure", no_order_work)
+    with pytest.raises(ActionSpecError, match=r"^67 orbit types exceeds the cap of 64$"):
+        build_isotropy_poset(LADDER_K3_N7_OVER)
 
 
 @given(weight_specs())
