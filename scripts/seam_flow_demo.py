@@ -24,26 +24,28 @@ def demo(fixture_name: str, seed: int, t_end: float, step: float) -> int:
     fx = get_fixture(fixture_name)
     grid = [0.0] + [t_end * i / 6 for i in range(1, 7)]
 
-    seam_cells = [c for c in fx.cells if c.name.startswith("Seam(")]
-    if not seam_cells:
-        print(f"{fixture_name}: no seam cells")
+    result = fx.result
+    seams = [(result.pieces[i], sx, s) for i, sx, s in fx.probes
+             if result.uppers[i] != result.lowers[i]]
+    if not seams:
+        print(f"{fixture_name}: no seams")
         return 0
 
     print(f"== {fx.name}: {fx.title}")
     failures = 0
-    for cell in seam_cells:
+    for seam, support_x, support in seams:
         x, u = phase.zero_level_arrays(
             fx.spec,
             seed=seed,
             count=1,
-            support_pattern=cell.support_x,
-            covector_pattern=cell.support,
+            support_pattern=support_x,
+            covector_pattern=support,
         )
         point = phase.PhasePoint(x[0], u[0])
         start_piece, _ = phase.check_reduced_membership(
             fx, phase.hilbert_map(fx.spec, point)
         )
-        print(f"   start on {start_piece}  (cell: {cell.name})")
+        print(f"   start on {start_piece}  (cell: {seam})")
         for t in grid:
             flowed = reeb.flow_exact(point, t) if t else point
             name, residual = phase.check_reduced_membership(

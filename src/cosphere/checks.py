@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import phase, reeb, strata, torus
+from . import phase, reeb, strata
 from .fixtures import Fixture
 from .phase import (
     IDENTITY_TOL,
@@ -58,32 +58,32 @@ def verify_fixture(
 ) -> dict:
     """Sampling verification of one fixture; see module docstring.
 
-    The generic probe draws ``count`` samples, the singular probes a tenth
-    each (at least 200).  Every sample must sit on the zero level within
-    1e-10, satisfy the cosphere and cone identities within 1e-9, classify
-    into a starred orbit type, and be located in one fixture cell.
-    A negative seed is refused with :class:`phase.PhaseError`.
+    One probe per piece (``fixture.probes``): the generic probe draws
+    ``count`` samples, the singular probes a tenth each (at least 200).
+    Every sample must sit on the zero level within 1e-10, satisfy the
+    cosphere and cone identities within 1e-9, classify into a starred
+    orbit type, and be located in its probe's piece.  A negative seed is
+    refused with :class:`phase.PhaseError`.
     """
     phase.check_run_inputs(seed=seed)
-    spec = fixture.spec
-    result = strata.cl_stratification(torus.build_isotropy_poset(spec))
-    principal_cc = next(s.name for s in result.cl_strata if s.open_dense)
+    spec, result = fixture.spec, fixture.result
+    principal_cc = strata.cc_name(result.labels[result.open_rank])
 
-    names = np.array([c.name for c in fixture.cells], dtype=object)
+    names = np.array(result.pieces, dtype=object)
     # the base projection (p1 - 1, 0, 1 - p1) per plane assumes the plane
     # carries the whole covector mass, which holds on every piece only with
     # a single plane
     geometric = spec.n == 1
     probe_reports = []
     all_passed = True
-    for idx, cell in enumerate(fixture.cells):
-        n_samples = count if len(cell.support_x) == spec.n else max(200, count // 10)
+    for idx, (probe, support_x, support) in enumerate(fixture.probes):
+        n_samples = count if len(support_x) == spec.n else max(200, count // 10)
         x, u = zero_level_arrays(
             spec,
             seed=_probe_seed(seed, idx),
             count=n_samples,
-            support_pattern=cell.support_x,
-            covector_pattern=cell.support,
+            support_pattern=support_x,
+            covector_pattern=support,
         )
         tables = invariant_tables(x, u)
         images = reduced_images(tables)
@@ -121,8 +121,9 @@ def verify_fixture(
             k0_err = _max(np.abs(k0 - base))
 
         n_points = len(x)
-        fraction = piece_counts.get(cell.name, 0) / n_points if n_points else 0.0
-        class_fraction = class_counts.get(cell.expect_class, 0) / n_points if n_points else 0.0
+        expect_class = result.labels[result.lowers[probe]]
+        fraction = piece_counts.get(names[probe], 0) / n_points if n_points else 0.0
+        class_fraction = class_counts.get(expect_class, 0) / n_points if n_points else 0.0
         checks = {
             "momentum_zero": max_j <= SUPPORT_TOL,
             "cosphere_sum": max_cosphere <= IDENTITY_TOL,
@@ -139,7 +140,7 @@ def verify_fixture(
         all_passed = all_passed and passed
         probe_reports.append(
             {
-                "name": cell.name,
+                "name": names[probe],
                 "count": n_points,
                 "max_momentum": max_j,
                 "max_cosphere_error": max_cosphere,
@@ -166,7 +167,7 @@ def verify_fixture(
         "count": count,
         "band": band,
         "starred": list(result.starred),
-        "pieces": sorted(c.name for c in fixture.cells),
+        "pieces": sorted(result.pieces),
         "cl_strata": sorted(s.name for s in result.cl_strata),
         "principal_cc": principal_cc,
         "principal_fraction": principal_fraction,
@@ -200,22 +201,21 @@ def flow_checks(fixture: Fixture, seed: int = 0, starts: int = 1000) -> dict:
     drift = reeb.conservation_report(traj)
 
     seam_flow_failures: list[str] = []
-    result = strata.cl_stratification(torus.build_isotropy_poset(spec))
-    # seam -> the cosphere-like piece of its contact stratum
-    parent_cc = {s.name: strata.cc_name(s.lower) for s in result.cl_strata
-                 if s.upper != s.lower}
-    names = np.array([c.name for c in fixture.cells], dtype=object)
-    is_seam = np.array([name in parent_cc for name in names])
-    expected_cc = np.array([parent_cc.get(name) for name in names], dtype=object)
-    for idx, cell in enumerate(fixture.cells):
-        if cell.name not in parent_cc:
+    result = fixture.result
+    names = np.array(result.pieces, dtype=object)
+    is_seam = np.not_equal(result.uppers, result.lowers)
+    # piece (K, H) -> CC(H), the cosphere-like piece of its contact stratum
+    expected_cc = np.array([strata.cc_name(result.labels[h]) for h in result.lowers],
+                           dtype=object)
+    for idx, (probe, support_x, support) in enumerate(fixture.probes):
+        if not is_seam[probe]:
             continue
         sx, su = zero_level_arrays(
             spec,
             seed=_probe_seed(seed, idx) + 17,
             count=200,
-            support_pattern=cell.support_x,
-            covector_pattern=cell.support,
+            support_pattern=support_x,
+            covector_pattern=support,
         )
         start_tables = invariant_tables(sx, su)
         # x_j is parallel to u_j on the zero level, so the line x_j + t u_j

@@ -238,13 +238,14 @@ def _csv_rows(templates: list[str], piece: np.ndarray, numbers: np.ndarray) -> I
 def _csv_lines(
     fixture: Fixture, x: np.ndarray, u: np.ndarray, band: float,
     times: np.ndarray | None = None,
-) -> Iterator[str]:
-    """The CSV export of the points (x, u): a header, then per point the
-    time (when ``times`` is given), x, u, J, the invariant table, the piece
-    label and its residual.
+) -> tuple[Iterator[str], int]:
+    """The CSV lines of the points (x, u) and their count of ``(unresolved)``
+    rows: a header, then per point the time (when ``times`` is given), x,
+    u, J, the invariant table, the piece label and its residual.
 
-    Labels come from :func:`phase.locate_rows` at ``band``, the call the
-    batteries use; a row with no single match is ``(unresolved)``, NaN.
+    Labels are ``fixture.result.pieces`` as :func:`phase.locate_rows` at
+    ``band`` names them, the call the batteries use; a row with no single
+    match is ``(unresolved)``, NaN.
     Each number is its Python ``repr``, spelled once per distinct float of
     a block of ``_CSV_BLOCK`` rows (a Reeb trajectory repeats its ``u`` and
     ``J`` cells).  A row is one ``%`` template per piece, whose label cell
@@ -268,10 +269,11 @@ def _csv_lines(
         header.insert(0, "t")
     numbers = np.concatenate(columns, axis=1)
     # piece -1 takes the last template, the unresolved one
-    names = [cell.name for cell in fixture.cells] + ["(unresolved)"]
+    names = [*fixture.result.pieces, "(unresolved)"]
     cells = ["%s"] * (len(header) - 2)
     templates = [_csv_line(cells + [name.replace("%", "%%"), "%s"]) for name in names]
-    return itertools.chain([_csv_line(header)], _csv_rows(templates, piece, numbers))
+    lines = itertools.chain([_csv_line(header)], _csv_rows(templates, piece, numbers))
+    return lines, int(np.count_nonzero(piece < 0))
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -286,7 +288,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         _write_text(out_dir / "report.json", [text])
         x, u = phase.zero_level_arrays(  # the first samples of the generic probe
             fixture.spec, seed=checks._probe_seed(args.seed, 0), count=min(args.count, 1000))
-        _write_text(out_dir / "samples.csv", _csv_lines(fixture, x, u, args.band))
+        _write_text(out_dir / "samples.csv", _csv_lines(fixture, x, u, args.band)[0])
         print(f"wrote {out_dir / 'report.json'}")
         print(f"wrote {out_dir / 'samples.csv'}")
     else:
@@ -318,7 +320,8 @@ def _parse_start(fixture: Fixture, text: str) -> phase.PhasePoint:
 
 
 def cmd_flow(args: argparse.Namespace) -> int:
-    """Integrate the Reeb flow; CSV trajectory to --out or stdout."""
+    """Integrate the Reeb flow; CSV trajectory to --out or stdout.  The run
+    fails on an ``(unresolved)`` row or an RK4 drift over ``IDENTITY_TOL``."""
     fixture = _require_fixture(args)
     spec = fixture.spec
     if args.start is not None:
@@ -328,7 +331,7 @@ def cmd_flow(args: argparse.Namespace) -> int:
         point = phase.PhasePoint(x[0], u[0])
 
     traj = reeb.flow_rk4(point, t_end=args.t_end, step=args.step)
-    lines = _csv_lines(fixture, traj.xs, traj.us, args.band, traj.times)
+    lines, unresolved = _csv_lines(fixture, traj.xs, traj.us, args.band, traj.times)
 
     drift = reeb.conservation_report(traj)
     summary = {
@@ -338,7 +341,8 @@ def cmd_flow(args: argparse.Namespace) -> int:
         "step": args.step,
         "rows": len(traj),
         "drift": drift,
-        "passed": all(v <= phase.IDENTITY_TOL for v in drift.values()),
+        "unresolved": unresolved,
+        "passed": unresolved == 0 and all(v <= phase.IDENTITY_TOL for v in drift.values()),
     }
     if args.out:
         _write_text(Path(args.out), lines)
@@ -363,7 +367,7 @@ def cmd_examples(args: argparse.Namespace) -> int:
     for name in sorted(BUILTIN_FIXTURES):
         fixture = get_fixture(name)
         poset = torus.build_isotropy_poset(fixture.spec)
-        result = strata.cl_stratification(poset)
+        result = fixture.result
 
         lines.append(f"{name} ({fixture.title})")
         lines.append(f"  orbit types: {', '.join(t.label for t in poset.types)}")

@@ -16,10 +16,10 @@ Everything is computed on arrays: ``x`` and ``u`` of shape (N, 2n), one
 point per row, give invariant tables of shape (N, n, 4)
 (:func:`invariant_tables`), momenta of shape (N, k) (:func:`momenta`),
 orbit-type labels (:func:`orbit_labels`) and reduced images of shape
-(N, 3n) (:func:`reduced_images`), located in the fixture cells by
+(N, 3n) (:func:`reduced_images`), located in the pieces of a fixture by
 :func:`locate_rows`, whose docstring states the band tests that read the
-pair (S_x, S) naming a cell.  :func:`check_reduced_membership` takes one
-image and names the test that leaves it unlocated.
+supports (S_x, S) whose types name a piece.  :func:`check_reduced_membership`
+takes one image and names the test that leaves it unlocated.
 :class:`PhasePoint` is the validated type of a single point given from
 outside (:func:`hilbert_map`, the Reeb flows).
 
@@ -232,26 +232,38 @@ def support_masks(tables: np.ndarray) -> np.ndarray:
     return np.sqrt(tables[..., 0]) > SUPPORT_TOL
 
 
+@lru_cache(maxsize=16)
+def support_types(spec: TorusActionSpec) -> tuple[tuple[str, ...], np.ndarray]:
+    """The sorted orbit-type labels of a spec, as its poset ranks them, and
+    the rank of the type of every plane support: a read-only (2^n,) array
+    indexed by the support's bitmask.  Each distinct lattice is labelled once."""
+    label_of: dict = {}
+    of_mask = [label_of.setdefault(basis, class_label(spec.k, basis))
+               for basis in support_lattices(spec).values()]
+    labels = tuple(sorted(set(label_of.values())))
+    rank = {label: t for t, label in enumerate(labels)}
+    types = np.array([rank[label] for label in of_mask], dtype=np.intp)
+    types.setflags(write=False)
+    return labels, types
+
+
 def orbit_labels(spec: TorusActionSpec, masks: np.ndarray) -> tuple[list[str], np.ndarray]:
     """Orbit types of (N, n) support rows as (labels, index): the sorted
     distinct labels, and the position in them of each row's label.
 
-    A row is keyed by its support bitmask.  The distinct keys are those
-    that ``np.bincount`` counts at least once among the 2^n, each is
-    labelled once from the support table, and each row reads its position
-    from a 2^n lookup table indexed by its key.
+    A row is keyed by its support bitmask and reads its type from
+    :func:`support_types`; the types that ``np.bincount`` counts at least
+    once are the labels.
     """
-    table = support_lattices(spec)
-    key = np.zeros(masks.shape[:-1], dtype=np.int64)
+    labels, types = support_types(spec)
+    key = np.zeros(masks.shape[:-1], dtype=np.intp)
     for j in range(spec.n):
         key |= masks[..., j] << j
-    keys = np.flatnonzero(np.bincount(key.reshape(-1), minlength=1 << spec.n))
-    of_key = [class_label(spec.k, table[k]) for k in keys.tolist()]
-    labels = sorted(set(of_key))
-    rank = {label: i for i, label in enumerate(labels)}
-    position = np.zeros(1 << spec.n, dtype=np.intp)
-    position[keys] = [rank[label] for label in of_key]
-    return labels, position[key.reshape(-1)]
+    rank = types[key.reshape(-1)]
+    present = np.flatnonzero(np.bincount(rank, minlength=len(labels)))
+    position = np.zeros(len(labels), dtype=np.intp)
+    position[present] = np.arange(present.size)
+    return [labels[t] for t in present.tolist()], position[rank]
 
 
 def _as_plane_set(pattern: Iterable[int] | None, n: int) -> tuple[int, ...]:
@@ -396,59 +408,43 @@ def _plane_tests(columns: np.ndarray, j: int, band: float):
     """The band tests of plane j of reduced images given as (3n, N) columns.
 
     Returns the (N,) columns p1, p3, p1 - p3 and the cone value
-    (p1 p1 - p2 p2) - p3 p3, and (N,) masks: on S, on S_x, and the plane's
-    test passed.
+    (p1 p1 - p2 p2) - p3 p3, and (N,) masks: on S, on S_x, the cone test
+    passed, and the plane's test passed.  The cone value's rounding error
+    grows like eps p1^2, so its band is ``band`` max(1, p1^2).
     """
     p1, p2, p3 = columns[3 * j], columns[3 * j + 1], columns[3 * j + 2]
     diff = p1 - p3
-    cone = (p1 * p1 - p2 * p2) - p3 * p3
+    square = p1 * p1
+    cone = (square - p2 * p2) - p3 * p3
     on = p1 > band
     on_x = on & (diff > band)
     # each test in complement form, so that a NaN fails it; on S, the plane
     # is on S_x or within the band of p1 = p3 exactly when diff >= -band
-    passed = (np.abs(p1) <= band) | (on & (np.abs(cone) <= band) & (diff >= -band))
-    return p1, p3, diff, cone, on, on_x, passed
-
-
-@lru_cache(maxsize=16)
-def _cell_table(fixture) -> np.ndarray:
-    """The cell index of each pair (S_x, S) by its base-3 number, -1 where
-    the fixture has no cell; see :func:`locate_rows`.  Read-only."""
-    n = fixture.spec.n
-    table = np.full(3**n, -1, dtype=np.intp)
-    # a pair with two cells names the later one
-    for i, c in enumerate(fixture.cells):
-        table[sum(3**j for j in c.support) + sum(3**j for j in c.support_x)] = i
-    # S empty names no cell
-    table[0] = -1
-    table.setflags(write=False)
-    return table
+    cone_ok = np.abs(cone) <= band * np.maximum(1.0, square)
+    passed = (np.abs(p1) <= band) | (on & cone_ok & (diff >= -band))
+    return p1, p3, diff, cone, on, on_x, cone_ok, passed
 
 
 def locate_rows(
     fixture, images: np.ndarray, band: float = MEMBERSHIP_BAND
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Index of the fixture cell of each (N, 3n) reduced image row (-1 when
-    a band test fails) and its worst equality residual (NaN on a -1 row).
+    """Index in ``fixture.result.pieces`` of the piece of each (N, 3n)
+    reduced image row (-1 when a band test fails) and its worst equality
+    residual (NaN on a -1 row).
 
     Per plane j: |p1_j| <= ``band`` puts j off S and p1_j > ``band`` on S.
-    On S the cone value |p1_j^2 - p2_j^2 - p3_j^2| must be within the band,
-    and |p1_j - p3_j| <= ``band`` puts j off S_x, p1_j - p3_j > ``band``
-    on S_x.  The cosphere sum |sum(p1 + p3) - 2| must be within the band
-    and S nonempty.  Any other value, a NaN among them, leaves the row
-    unlocated; :func:`check_reduced_membership` on it names the test that
-    failed.  The residual is the largest of |p1_j| off S, the cone value on
-    S, |p1_j - p3_j| on S minus S_x, and the sum.  The sum adds -2, p1_1,
-    p3_1, p1_2, ... in that order, so it does not depend on numpy's
-    pairwise summation.  A band that is not finite and positive, or rows
-    that are not 3n wide for the n planes of the fixture, are refused with
-    :class:`PhaseError`.
-
-    The tests run on a transposed copy of the images, one contiguous row
-    per coordinate.  The pair (S_x, S) of a row is the base-3 number whose
-    digit j is 0 off S, 1 on S minus S_x and 2 on S_x, and names its cell
-    through a table of the 3^n such numbers, as many as the pairs S_x ⊆ S
-    that a generated fixture has cells for.
+    On S the cone value |p1_j^2 - p2_j^2 - p3_j^2| must be within
+    ``band`` max(1, p1_j^2), and |p1_j - p3_j| <= ``band`` puts j off S_x,
+    p1_j - p3_j > ``band`` on S_x.  The cosphere sum |sum(p1 + p3) - 2|
+    must be within the band and S nonempty.  Any other value, a NaN among
+    them, leaves the row unlocated; :func:`check_reduced_membership` names
+    the test that failed.  The residual is the largest of the unscaled
+    |p1_j| off S, cone value on S, |p1_j - p3_j| on S minus S_x, and sum,
+    which adds -2, p1_1, p3_1, p1_2, ... in that order.  A band that is not
+    finite and positive, or rows not 3n wide, are refused with
+    :class:`PhaseError`.  The tests run on a transposed copy of the images,
+    one contiguous row per coordinate, and the row's piece is
+    ``fixture.piece_at`` at the :func:`support_types` of its S_x and S.
     """
     check_run_inputs(band=band)
     images = np.asarray(images, dtype=float)
@@ -461,23 +457,28 @@ def locate_rows(
     columns = images.T.copy()
     total = np.full(len(images), -2.0)
     ok = np.ones(len(images), dtype=bool)
-    key = np.zeros(len(images), dtype=np.intp)
+    support = np.zeros(len(images), dtype=np.intp)
+    support_x = np.zeros(len(images), dtype=np.intp)
     # every plane's residual is +0.0 or more, or NaN
     worst = np.zeros(len(images))
     for j in range(n):
-        p1, p3, diff, cone, on, on_x, passed = _plane_tests(columns, j, band)
+        p1, p3, diff, cone, on, on_x, _, passed = _plane_tests(columns, j, band)
         total += p1
         total += p3
         ok &= passed
-        key += np.add(on, on_x, dtype=np.intp) * 3**j
+        support |= on << j
+        support_x |= on_x << j
         plane = np.where(
             on, np.fmax(np.abs(cone), np.where(on_x, 0.0, np.abs(diff))), np.abs(p1)
         )
         # np.maximum, like np.max, keeps a NaN
         np.maximum(worst, plane, out=worst)
     sum_err = np.abs(total)
-    ok &= sum_err <= band
-    piece = np.where(ok, _cell_table(fixture)[key], -1)
+    ok &= (sum_err <= band) & (support != 0)
+    _, types = support_types(fixture.spec)
+    # piece_at[type(S_x), type(S)], read off the flat table in one gather
+    at = fixture.piece_at
+    piece = np.where(ok, at.ravel()[types[support_x] * len(at) + types[support]], -1)
     return piece, np.where(piece >= 0, np.fmax(worst, sum_err), np.nan)
 
 
@@ -495,17 +496,17 @@ def check_reduced_membership(
     rows = np.asarray(image, dtype=float)[None, :]
     piece, residual = locate_rows(fixture, rows, band)
     if piece[0] >= 0:
-        return fixture.cells[piece[0]].name, float(residual[0])
-    failed = "no cell for these supports"
+        return fixture.result.pieces[piece[0]], float(residual[0])
+    failed = "no piece for these supports"
     total, any_on = -2.0, False
     for j in range(fixture.spec.n):
-        p1, p3, diff, cone, on, _, passed = _plane_tests(rows.T, j, band)
+        p1, p3, diff, cone, on, _, cone_ok, passed = _plane_tests(rows.T, j, band)
         total, any_on = total + p1[0] + p3[0], any_on or on[0]
         if not passed[0]:
             k = j + 1
             if not on[0]:
                 failed = f"p1_{k} = {p1[0]:.3e}"
-            elif not abs(cone[0]) <= band:
+            elif not cone_ok[0]:
                 failed = f"p1_{k}^2 - p2_{k}^2 - p3_{k}^2 = {cone[0]:.3e}"
             else:
                 failed = f"p1_{k} - p3_{k} = {diff[0]:.3e}"

@@ -1,6 +1,6 @@
 """The reduced spaces of the two builtin fixtures, piece by piece, as
-hand-written constraint lists: the oracle that the generated membership
-cells of ``cosphere.fixtures`` are checked against.
+hand-written constraint lists: the oracle that the pieces located by
+``cosphere.phase.locate_rows`` are checked against.
 
 Each piece is a name and a list of (kind, text, polynomial) constraints
 over the reduced coordinates.  An ``eq`` holds within the band; ``gt``,

@@ -448,6 +448,37 @@ def test_flow_csv_labels_every_row_within_the_band(capsys, start, row, label):
     assert all(float(r["residual"]) < phase.MEMBERSHIP_BAND for r in rows)
 
 
+def test_flow_labels_every_row_far_from_the_origin(tmp_path, capsys):
+    # from t = 92 on the base point has |x| > 90, where the cone value's
+    # rounding, about eps p1^2, exceeds a band of 1e-8 that does not scale
+    # with p1^2
+    target = tmp_path / "long.csv"
+    code, out, _ = run(capsys, "flow", "--fixture", "s1-on-r2", "--t-end", "300",
+                       "--step", "0.5", "--out", str(target))
+    summary = json.loads(out[: out.index("wrote")])
+    assert (code, summary["unresolved"], summary["passed"], summary["rows"]) == (0, 0, True, 601)
+    rows = list(csv.DictReader(io.StringIO(target.read_text())))
+    assert len(rows) == 601 and all(r["stratum"] == "CC(e)" for r in rows)
+    # a start with |x| = 100: p1_1 = 10,001, and the t = 0.01 row as well
+    code, out, _ = run(capsys, "flow", "--fixture", "t2-on-r4",
+                       "--start", "100,0,0,0,1,0,0,0", "--t-end", "0.01", "--step", "0.01")
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert code == 0 and [r["stratum"] for r in rows] == ["CC(e×S^1)"] * 2
+
+
+def test_flow_fails_on_unresolved_rows(tmp_path, capsys):
+    # a band of 1e-300 leaves rows unlocated: the summary counts them and
+    # the run fails, with the CSV written all the same
+    target = tmp_path / "tight.csv"
+    code, out, _ = run(capsys, "flow", "--fixture", "t2-on-r4", "--t-end", "0.1",
+                       "--tolerance", "1e-300", "--out", str(target))
+    summary = json.loads(out[: out.index("wrote")])
+    labels = [r["stratum"] for r in csv.DictReader(io.StringIO(target.read_text()))]
+    assert code == 1 and summary["passed"] is False
+    assert summary["unresolved"] == labels.count("(unresolved)") > 0
+    assert all(v <= phase.IDENTITY_TOL for v in summary["drift"].values())
+
+
 def test_flow_rejects_bad_starts(capsys):
     # off the zero level: u has angular mass
     code, _, err = run(
@@ -827,7 +858,7 @@ def csv_oracle(fixture, x, u, band, times=None) -> str:
     """The CSV text as ``csv.writer`` wrote it, one ``repr`` per float cell."""
     tables = phase.invariant_tables(x, u)
     piece, residuals = phase.locate_rows(fixture, phase.reduced_images(tables), band)
-    names = [fixture.cells[p].name if p >= 0 else "(unresolved)" for p in piece]
+    names = [fixture.result.pieces[p] if p >= 0 else "(unresolved)" for p in piece]
     numbers = np.concatenate(
         [x, u, phase.momenta(fixture.spec, tables),
          tables.reshape(len(x), 4 * fixture.spec.n), residuals[:, None]],
@@ -876,19 +907,21 @@ def test_csv_lines_match_the_csv_writer(data):
     points = np.concatenate([np.hstack([x, u]), np.array(odd + drawn)])
     points = points[data.draw(st.permutations(range(len(points))))]
     x, u = points[:, :width // 2], points[:, width // 2:]
-    # the principal cell's label needs quoting; the others are drawn
-    labels = ['a,"b%s'] + data.draw(st.lists(csv_labels, min_size=len(fx.cells) - 1,
-                                              max_size=len(fx.cells) - 1))
-    fx = dataclasses.replace(fx, cells=tuple(
-        dataclasses.replace(cell, name=label) for cell, label in zip(fx.cells, labels)
-    ))
+    # the principal piece's label needs quoting; the others are drawn
+    principal = fx.probes[0][0]
+    labels = data.draw(st.lists(csv_labels, min_size=len(fx.result.pieces),
+                                max_size=len(fx.result.pieces)))
+    labels[principal] = 'a,"b%s'
+    fx = dataclasses.replace(fx, result=dataclasses.replace(fx.result, pieces=tuple(labels)))
     times = data.draw(st.none() | st.lists(csv_floats, min_size=len(points),
                                            max_size=len(points)).map(np.array))
     with np.errstate(all="ignore"):
-        text = "".join(cli._csv_lines(fx, x, u, phase.MEMBERSHIP_BAND, times))
+        lines, unresolved = cli._csv_lines(fx, x, u, phase.MEMBERSHIP_BAND, times)
+        text = "".join(lines)
         assert text == csv_oracle(fx, x, u, phase.MEMBERSHIP_BAND, times)
     column = [row[-2] for row in csv.reader(io.StringIO(text, newline=""))][1:]
-    assert column.count("(unresolved)") >= width and labels[0] in column
+    assert column.count("(unresolved)") == unresolved >= width
+    assert labels[principal] in column
 
 
 def _float_of_bits(bits: int) -> float:
@@ -919,7 +952,7 @@ def test_csv_lines_across_block_edges(name, extra, timed):
     times = BLOCK_POOL[rng.integers(len(BLOCK_POOL), size=rows)] if timed else None
     assert {0, -2**63} <= set(points[:cli._CSV_BLOCK].view(np.int64).ravel().tolist())
     with np.errstate(all="ignore"):
-        text = "".join(cli._csv_lines(fx, x, u, phase.MEMBERSHIP_BAND, times))
+        text = "".join(cli._csv_lines(fx, x, u, phase.MEMBERSHIP_BAND, times)[0])
         assert text == csv_oracle(fx, x, u, phase.MEMBERSHIP_BAND, times)
     assert text.count("\n") == rows + 1
     assert {"0.0", "-0.0", "nan", "inf", "-inf", "5e-324"} <= set(re.split("[,\n]", text))

@@ -1,17 +1,19 @@
-"""The generated membership cells against independent routes: the
+"""The fixtures' probes and piece names against independent routes: the
 hand-written pieces (``hand_pieces``), the exact supports of the sampled
-points, and the C-L stratification."""
+points, the cells of every support pair (``test_reference``), and the C-L
+stratification."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cosphere import checks, phase, poset as poset_mod, reeb, strata, torus
-from cosphere.fixtures import generate_fixture, get_fixture
+from cosphere.fixtures import build_fixture, get_fixture
 from cosphere.phase import RankDeficientError
-from cosphere.torus import TorusActionSpec
+from cosphere.torus import TorusActionSpec, support_lattices
 
 from hand_pieces import oracle_labels
-from test_torus import support_label
+from test_reference import fixture_probe_cells, piece_name, ref_probe_cells
 
 FIXTURES = ("s1-on-r2", "t2-on-r4")
 
@@ -26,8 +28,8 @@ OTHER_SPECS = (
 
 
 def probe_samples(fixture, seed, count):
-    """(cell, x, u) per cell, drawn from the cell's probe seed as verify does."""
-    for idx, cell in enumerate(fixture.cells):
+    """(cell, x, u) per probe, drawn from the probe's seed as verify does."""
+    for idx, cell in enumerate(fixture_probe_cells(fixture)):
         x, u = phase.zero_level_arrays(
             fixture.spec, seed=checks._probe_seed(seed, idx), count=count,
             support_pattern=cell.support_x, covector_pattern=cell.support,
@@ -39,7 +41,7 @@ def located_names(fixture, x, u):
     piece, _ = phase.locate_rows(
         fixture, phase.reduced_images(phase.invariant_tables(x, u))
     )
-    names = np.array([c.name for c in fixture.cells] + ["(unlocated)"], dtype=object)
+    names = np.array([*fixture.result.pieces, "(unlocated)"], dtype=object)
     return names[piece]
 
 
@@ -49,21 +51,14 @@ def support_labels(spec, x, u):
     xs, us = x.reshape(len(x), -1, 2), u.reshape(len(u), -1, 2)
     on_x = (xs != 0).any(axis=-1)
     on = on_x | (us != 0).any(axis=-1)
-    labels = []
-    for sx, s in zip(on_x, on):
-        upper = support_label(spec, np.flatnonzero(sx))
-        lower = support_label(spec, np.flatnonzero(s))
-        labels.append(f"CC({lower})" if upper == lower else f"Seam({upper}>{lower})")
-    return labels
+    return [piece_name(spec, np.flatnonzero(sx), np.flatnonzero(s))
+            for sx, s in zip(on_x, on)]
 
 
 def test_builtin_cells_keep_the_probe_order():
-    # the cell order fixes each probe's seed, and so every sample stream
-    cells = {
-        name: [(c.name, c.support_x, c.support, c.expect_class)
-               for c in get_fixture(name).cells]
-        for name in FIXTURES
-    }
+    # the probe order fixes each probe's seed, and so every sample stream
+    cells = {name: [tuple(c) for c in fixture_probe_cells(get_fixture(name))]
+             for name in FIXTURES}
     assert cells["s1-on-r2"] == [
         ("CC(e)", (0,), (0,), "e"),
         ("Seam(S^1>e)", (), (0,), "e"),
@@ -93,7 +88,7 @@ def test_generated_labels_agree_with_the_hand_written_pieces(fixture_name):
                 got = located_names(fx, xt, u)
                 assert got.tolist() == want.tolist(), (seed, cell.name, t)
                 rows += len(x)
-    assert rows == 32 * 4 * 200 * len(fx.cells)
+    assert rows == 32 * 4 * 200 * len(fx.probes)
 
 
 def test_the_vertex_band_follows_p1_minus_p3_not_p2():
@@ -104,14 +99,14 @@ def test_the_vertex_band_follows_p1_minus_p3_not_p2():
     fx = get_fixture("s1-on-r2")
     assert oracle_labels("s1-on-r2", images).tolist() == ["Seam(S^1>e)"] * 2
     piece, residual = phase.locate_rows(fx, images)
-    assert [fx.cells[p].name for p in piece] == ["Seam(S^1>e)"] * 2
+    assert [fx.result.pieces[p] for p in piece] == ["Seam(S^1>e)"] * 2
     assert (residual <= phase.MEMBERSHIP_BAND).all()
 
 
 @pytest.mark.parametrize("spec", [get_fixture(name).spec for name in FIXTURES] + list(OTHER_SPECS),
                          ids=lambda spec: str(spec.weights))
 def test_probe_samples_land_in_the_piece_of_their_supports(spec):
-    fx = generate_fixture("generated", "", spec)
+    fx = build_fixture("generated", "", spec)
     for cell, x, u in probe_samples(fx, 3, 100):
         labels = support_labels(spec, x, u)
         assert labels == [cell.name] * len(x)
@@ -124,17 +119,36 @@ def test_probe_samples_land_in_the_piece_of_their_supports(spec):
 @pytest.mark.parametrize("spec", [get_fixture(name).spec for name in FIXTURES] + list(OTHER_SPECS),
                          ids=lambda spec: str(spec.weights))
 def test_every_generated_name_is_a_piece_of_the_stratification(spec):
-    fx = generate_fixture("generated", "", spec)
+    fx = build_fixture("generated", "", spec)
     poset = torus.build_isotropy_poset(spec)
-    result = strata.cl_stratification(poset)
-    names = [c.name for c in fx.cells]
-    # one cell per pair S_x ⊆ S of plane sets, S nonempty
+    assert fx.result == strata.cl_stratification(poset)
+    names = [c.name for c in fixture_probe_cells(fx)]
+    # at full rank one probe per pair S_x ⊆ S of plane sets, S nonempty,
+    # each pair its own piece
+    assert sorted(names) == sorted(fx.result.pieces) == sorted(s.name for s in fx.result.cl_strata)
     assert len(set(names)) == len(names) == 3 ** spec.n - 1
-    assert set(names) <= {s.name for s in result.cl_strata}
     assert names[0] == strata.cc_name(poset_mod.principal_type(poset).label)
     assert checks.verify_fixture(fx, seed=1, count=300)["passed"]
 
 
 def test_generator_refuses_weights_of_rank_below_n():
     with pytest.raises(RankDeficientError, match="rank 1 < n = 2"):
-        generate_fixture("diagonal", "", TorusActionSpec(k=1, n=2, weights=((1, 1),)))
+        build_fixture("diagonal", "", TorusActionSpec(k=1, n=2, weights=((1, 1),)))
+
+
+@st.composite
+def full_rank_specs(draw, max_n=4, max_weight=5):
+    n = draw(st.integers(1, max_n))
+    k = draw(st.integers(n, n + 2))
+    column = st.lists(st.integers(-max_weight, max_weight), min_size=k, max_size=k)
+    columns = draw(st.lists(column.filter(any), min_size=n, max_size=n))
+    return TorusActionSpec(k=k, n=n, weights=tuple(zip(*columns)))
+
+
+@settings(max_examples=200)
+@given(full_rank_specs().filter(lambda s: len(support_lattices(s)[(1 << s.n) - 1]) == s.n))
+def test_probes_are_the_cells_of_every_support_pair(spec):
+    # one probe per piece, at the top supports of its two types, is at full
+    # rank one per support pair S_x ⊆ S, in the order of the pairs
+    fx = build_fixture("drawn", "", spec)
+    assert fixture_probe_cells(fx) == ref_probe_cells(spec)

@@ -1,5 +1,6 @@
 """Phase-level layer: invariants, momentum, sampling, membership, base chart."""
 
+import dataclasses
 import warnings
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from cosphere import checks, phase
-from cosphere.fixtures import Cell, Fixture, generate_fixture, get_fixture
+from cosphere.fixtures import build_fixture, get_fixture
 from cosphere.phase import (
     EmptyKernelError,
     MAX_SAMPLES,
@@ -36,6 +37,7 @@ from cosphere.phase import (
 )
 from cosphere.reeb import flow_exact, flowed_base
 from cosphere.torus import MAX_PLANES, TorusActionSpec, class_label, support_lattices
+from test_reference import fixture_probe_cells
 from test_torus import weight_specs
 
 T2 = TorusActionSpec(k=2, n=2, weights=((1, 0), (0, 1)))
@@ -557,10 +559,11 @@ LOCATOR_CASES = {
                              "CC(e)", pytest.approx(BAND / 4)),
     "p1 - p3 beyond -band": ([0.125 - H, 0.0, beyond(0.125 + H), 1.09375, 0.875, 0.65625],
                              None, "p1_1 - p3_1 = -7.451e-09"),
-    # the cone value 1.5625 - p2^2 - 0.5625 at and just over the band
-    "cone at band": ([1.25, 1.0 - H, 0.75], "CC(e)", BAND),
-    "cone beyond band": ([1.25, np.nextafter(1.0 - H, 0.0), 0.75], None,
-                         "p1_1^2 - p2_1^2 - p3_1^2 = 7.451e-09"),
+    # the cone value 4 - p2^2 - 0 at and just over its band, the band
+    # times max(1, p1^2) = 4: (2 - band)^2 rounds to 4 - 4 band
+    "cone at band": ([2.0, 2.0 - BAND, 0.0], "CC(e)", 4 * BAND),
+    "cone beyond band": ([2.0, np.nextafter(2.0 - BAND, 0.0), 0.0], None,
+                         "p1_1^2 - p2_1^2 - p3_1^2 = 2.980e-08"),
     # the sum p1 + p3 - 2 at and just over the band, p2 on the cone
     "sum at band": ([1.25 + H, np.sqrt(1.0 + H), 0.75 + H], "CC(e)", BAND),
     "sum beyond band": ([1.25 + H, np.sqrt(1.0 + H), beyond(0.75 + H)], None,
@@ -584,25 +587,36 @@ def test_locator_at_each_boundary_of_the_band(case):
             check_reduced_membership(fx, image, BAND)
         assert str(err.value) == f"no stratum matches the image ({expected})"
     else:
-        assert fx.cells[piece[0]].name == piece_name
+        assert fx.result.pieces[piece[0]] == piece_name
         assert residual[0] == expected
         assert check_reduced_membership(fx, image, BAND) == (piece_name, expected)
 
 
+def with_pieces(fixture, pieces):
+    """The fixture with its stratification's pieces replaced by ``pieces``,
+    (name, upper label, lower label) triples; a pair may repeat."""
+    result = fixture.result
+    ranks = [(result.labels.index(k), result.labels.index(h)) for _, k, h in pieces]
+    return dataclasses.replace(fixture, result=dataclasses.replace(
+        result, pieces=tuple(name for name, _, _ in pieces),
+        uppers=tuple(k for k, _ in ranks), lowers=tuple(h for _, h in ranks),
+    ))
+
+
 def test_membership_names_a_pair_of_supports_without_a_cell():
-    # every test passes, but a hand-built fixture may lack the cell
-    fx = Fixture("generic only", "", S1, (Cell("CC(e)", (0,), (0,), "e"),))
+    # every test passes, but a hand-built stratification may lack the piece
+    fx = with_pieces(get_fixture("s1-on-r2"), [("CC(e)", "e", "e")])
     assert check_reduced_membership(fx, np.array([1.25, 1.0, 0.75])) == ("CC(e)", 0.0)
     with pytest.raises(NoMatchingStratumError,
-                       match=r"\(no cell for these supports\)$"):
+                       match=r"\(no piece for these supports\)$"):
         check_reduced_membership(fx, np.array([1.0, 0.0, 1.0]))
 
 
 def test_membership_names_no_cell_for_an_empty_support():
     # every plane test and the sum pass with S empty (p3 is not tested off
-    # S); a hand-built cell of the empty pair still names nothing
-    fx = Fixture("empty cell", "", T2, (Cell("CC(e)", (0, 1), (0, 1), "e"),
-                                        Cell("nowhere", (), (), "T^2")))
+    # S); a hand-built piece of the empty pair's types still names nothing
+    fx = with_pieces(get_fixture("t2-on-r4"),
+                     [("CC(e)", "e", "e"), ("nowhere", "T^2", "T^2")])
     image = np.array([0.0, 0.0, 1.0, 0.0, 0.0, 1.0])
     piece, residual = locate_rows(fx, image[None, :])
     assert piece.tolist() == [-1] and np.isnan(residual).all()
@@ -616,7 +630,7 @@ def test_membership_matches_the_seam_strictly_just_off_it():
     fx = get_fixture("t2-on-r4")
     image = np.array([0.625, 0.5, 0.375, 0.5 + 2.5e-9, 1e-5, 0.5 - 2.5e-9])
     piece, residual = locate_rows(fx, image[None, :])
-    assert fx.cells[piece[0]].name == "Seam(e×S^1>e)"
+    assert fx.result.pieces[piece[0]] == "Seam(e×S^1>e)"
     # the worst equality is p1_2 - p3_2 itself
     assert residual[0] == pytest.approx(5e-9)
     assert check_reduced_membership(fx, image) == ("Seam(e×S^1>e)", residual[0])
@@ -636,7 +650,7 @@ def test_membership_band_hands_off_without_gaps_or_overlap():
         for e, sign in ((5e-9, 1.0), (5e-9, -1.0), (2e-8, 1.0), (2e-8, -1.0))
     ])
     piece, _ = locate_rows(fx, images)
-    assert [fx.cells[p].name for p in piece] == [
+    assert [fx.result.pieces[p] for p in piece] == [
         "Seam(S^1>e)", "Seam(S^1>e)", "CC(e)", "CC(e)"
     ]
 
@@ -677,7 +691,7 @@ def test_flowed_probe_samples_match_exactly_one_piece(fixture_name):
     fx = get_fixture(fixture_name)
     times = np.linspace(0.0, 2.0, 101)
     for seed in range(4):
-        for cell in fx.cells:
+        for cell in fixture_probe_cells(fx):
             x, u = zero_level_arrays(
                 fx.spec, seed=seed, count=200,
                 support_pattern=cell.support_x, covector_pattern=cell.support,
@@ -688,10 +702,28 @@ def test_flowed_probe_samples_match_exactly_one_piece(fixture_name):
             assert (piece >= 0).all(), (seed, cell.name, int(np.sum(piece < 0)))
 
 
+@given(st.sampled_from(["s1-on-r2", "t2-on-r4"]), st.integers(0, 2**16),
+       st.floats(1.0, 1e3))
+@example("s1-on-r2", 0, 1e3)
+@example("t2-on-r4", 0, 1e3)
+def test_scaled_base_points_stay_in_their_pieces(fixture_name, seed, scale):
+    # scaling the base point by s keeps J = 0, |u| = 1 and both supports,
+    # while the cone value's rounding grows like eps p1^2 ~ eps s^4 |x|^4;
+    # its band scales with p1^2, so every row keeps its piece
+    fx = get_fixture(fixture_name)
+    for idx, (probe, support_x, support) in enumerate(fx.probes):
+        x, u = zero_level_arrays(fx.spec, seed=seed + idx, count=200,
+                                 support_pattern=support_x, covector_pattern=support)
+        at_one, _ = locate_rows(fx, reduced_images(invariant_tables(x, u)))
+        scaled, _ = locate_rows(fx, reduced_images(invariant_tables(scale * x, u)))
+        assert (at_one == probe).all()
+        assert scaled.tolist() == at_one.tolist(), (idx, int(np.sum(scaled != at_one)))
+
+
 @pytest.mark.parametrize("fixture_name", ["s1-on-r2", "t2-on-r4"])
 def test_sampled_probes_land_in_their_pieces(fixture_name):
     fx = get_fixture(fixture_name)
-    for cell in fx.cells:
+    for cell in fixture_probe_cells(fx):
         x, u = zero_level_arrays(
             fx.spec,
             seed=101,
@@ -760,7 +792,8 @@ def reference_locate_rows(fixture, images, band):
     on = p1 > band
     on_x = on & (diff > band)
     plane_ok = (np.abs(p1) <= band) | (
-        on & (np.abs(cone) <= band) & (on_x | (np.abs(diff) <= band))
+        on & (np.abs(cone) <= band * np.maximum(1.0, p1 * p1))
+        & (on_x | (np.abs(diff) <= band))
     )
     ok = plane_ok.all(axis=1) & (np.abs(total) <= band) & on.any(axis=1)
     planes = np.where(
@@ -770,11 +803,17 @@ def reference_locate_rows(fixture, images, band):
     n = p1.shape[1]
     bits = 1 << np.arange(n)
     keys, inverse = np.unique((on_x @ bits) << n | on @ bits, return_inverse=True)
-    cell_of = {
-        sum(1 << j for j in c.support_x) << n | sum(1 << j for j in c.support): i
-        for i, c in enumerate(fixture.cells)
-    }
-    found = np.array([cell_of.get(k, -1) for k in keys.tolist()], dtype=int)
+    # the piece of the labels of the two supports, the later one of a pair
+    # listed twice
+    result, table = fixture.result, support_lattices(fixture.spec)
+    piece_of = {(result.labels[k], result.labels[h]): i
+                for i, (k, h) in enumerate(zip(result.uppers, result.lowers))}
+
+    def label(mask):
+        return class_label(fixture.spec.k, table[mask])
+
+    found = np.array([piece_of.get((label(k >> n), label(k & (1 << n) - 1)), -1)
+                      for k in keys.tolist()], dtype=int)
     piece = np.where(ok, found[inverse.reshape(-1)], -1)
     return piece, np.where(piece >= 0, residual, np.nan)
 
@@ -895,20 +934,23 @@ def test_momenta_are_within_roundoff_of_the_exact_sum(spec, data):
             assert abs(Fraction(value) - sum(terms)) <= bound * sum(map(abs, terms))
 
 
-# a fixture whose cells are a drawn list of the cells of a generated one:
-# some support pairs have no cell, and a pair may have two
+# a fixture whose pieces are a drawn list of the pieces of a generated one:
+# some support pairs have no piece, and a pair may have two
 @st.composite
 def fixtures_with_drawn_cells(draw):
     spec = draw(st.one_of(
         st.sampled_from([S1, T2]),
         weight_specs(max_n=3).filter(lambda s: len(support_lattices(s)[(1 << s.n) - 1]) == s.n),
     ))
-    full = generate_fixture("drawn", "", spec)
-    cells = draw(st.one_of(
-        st.just(full.cells),
-        st.lists(st.sampled_from(full.cells), max_size=len(full.cells) + 2),
+    full = build_fixture("drawn", "", spec)
+    r = full.result
+    pieces = [(name, r.labels[k], r.labels[h])
+              for name, k, h in zip(r.pieces, r.uppers, r.lowers)]
+    drawn = draw(st.one_of(
+        st.just(pieces),
+        st.lists(st.sampled_from(pieces), max_size=len(pieces) + 2),
     ))
-    return full, Fixture("drawn cells", "", spec, tuple(cells))
+    return full, with_pieces(full, drawn)
 
 
 BAND_EDGES = [BAND, -BAND, beyond(BAND), beyond(-BAND), H, 0.0, -0.0] + NANS
@@ -920,7 +962,7 @@ def image_rows(draw, full):
     coordinates set to or moved by a value at an edge of the band, and the
     locator's boundary cases when they have the width."""
     n = full.spec.n
-    cell = draw(st.sampled_from(full.cells))
+    cell = draw(st.sampled_from(fixture_probe_cells(full)))
     x, u = zero_level_arrays(
         full.spec, seed=draw(st.integers(0, 2**16)), count=draw(st.integers(0, 6)),
         support_pattern=cell.support_x, covector_pattern=cell.support,

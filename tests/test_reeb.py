@@ -163,15 +163,15 @@ def test_trajectory_invariants_shape():
 
 
 def test_seam_flow_check_probes_before_the_first_crossing():
-    # flow_checks' seam start 93 of cell 1 at seed 180: plane 0's base point
-    # x_0 + t u_0 passes through 0 at t* = -p2 / (p1 + p3) = 0.49990, so the
-    # image at the old fixed t = 0.5 lies in the band of the other seam,
-    # while the image at t*/2 lies in CC(e)
+    # flow_checks' seam start 93 of probe 1 at seed 180: plane 0's base
+    # point x_0 + t u_0 passes through 0 at t* = -p2 / (p1 + p3) = 0.49990,
+    # so the image at the old fixed t = 0.5 lies in the band of the other
+    # seam, while the image at t*/2 lies in CC(e)
     fx = get_fixture("t2-on-r4")
-    cell = fx.cells[1]
+    _, support_x, support = fx.probes[1]
     x, u = zero_level_arrays(
         fx.spec, seed=checks._probe_seed(180, 1) + 17, count=200,
-        support_pattern=cell.support_x, covector_pattern=cell.support,
+        support_pattern=support_x, covector_pattern=support,
     )
     x, u = x[93], u[93]
     p1, p2, p3, _ = invariant_tables(x, u)[0]

@@ -4,8 +4,10 @@ The functions below are the per-point implementations of invariants,
 momentum, classification, membership, CSV row labelling and the two
 batteries as they stood before the zero level was computed on arrays.
 Membership is stated there as one list of polynomial constraints per
-piece, evaluated point by point, where the array code reads the two
-supports of an image off its band tests.
+support pair, evaluated point by point, where the array code reads the two
+supports of an image off its band tests and names the piece of their types.
+The probes are drawn from the cells those pairs enumerate
+(:func:`ref_probe_cells`), where the fixtures draw one probe per piece.
 They are kept here as the reference: on the same sampled points the array
 code must give bitwise-equal tables, the same labels, piece counts and
 residuals, and the same failure texts.  The per-step RK4 loop is kept the
@@ -14,6 +16,7 @@ same way: the array integrator must give bitwise-equal times and states.
 
 import csv
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -69,35 +72,69 @@ def ref_image(table: np.ndarray) -> np.ndarray:
     return table[:, :3].reshape(-1).copy()
 
 
+def subsets(planes):
+    return [c for r in range(len(planes) + 1) for c in combinations(planes, r)]
+
+
+def piece_name(spec, support_x, support):
+    upper, lower = support_label(spec, support_x), support_label(spec, support)
+    return strata.cc_name(lower) if upper == lower else strata.seam_name(upper, lower)
+
+
+class Cell(NamedTuple):
+    """A support pair (S_x, S), the piece ``name`` of its images, and the
+    orbit type ``expect_class`` of S."""
+
+    name: str
+    support_x: tuple[int, ...]
+    support: tuple[int, ...]
+    expect_class: str
+
+
+def ref_probe_cells(spec):
+    """The cells of a rank-n action as fixtures enumerated them before
+    they read the piece table: one per support pair (S_x, S) with S
+    nonempty, ordered by (-|S|, -|S_x|, S_x, S)."""
+    pairs = sorted(
+        ((sx, s) for s in subsets(range(spec.n)) if s for sx in subsets(s)),
+        key=lambda pair: (-len(pair[1]), -len(pair[0]), pair[0], pair[1]),
+    )
+    return [Cell(piece_name(spec, sx, s), sx, s, support_label(spec, s)) for sx, s in pairs]
+
+
+def fixture_probe_cells(fixture):
+    """The probes of a fixture as cells (name, S_x, S, class of S)."""
+    result = fixture.result
+    return [Cell(result.pieces[i], sx, s, result.labels[result.lowers[i]])
+            for i, sx, s in fixture.probes]
+
+
 def ref_cells(spec):
     """The constraint lists of the membership pieces, one per support pair
-    S_x ⊆ S, as (name, [(kind, poly, text), ...]).
+    S_x ⊆ S, as (name, [(kind, poly, text, scale), ...]).
 
     Off S a plane states ``eq(p1_j)``; on S it states ``gt(p1_j)``, the
     cone equation and ``eq(p1_j - p3_j)`` off S_x or ``gt(p1_j - p3_j)`` on
-    S_x; every list ends with the cosphere equation.  The pair with S
-    empty names no piece (None): an image that meets its whole list has no
-    plane on S.
+    S_x; every list ends with the cosphere equation.  The cone equation
+    holds within the band times max(1, p1_j^2), its ``scale`` the poly
+    p1_j; every other constraint's scale is None.  The pair with S empty
+    names no piece (None): an image that meets its whole list has no plane
+    on S.
     """
     n = spec.n
     p1, diff, cone = [], [], []
     for j in range(n):
         i, k = 3 * j, j + 1
-        p1.append((Poly(linear=((1.0, i),)), f"p1_{k}"))
-        diff.append((Poly(linear=((1.0, i), (-1.0, i + 2))), f"p1_{k} - p3_{k}"))
+        p1_poly = Poly(linear=((1.0, i),))
+        p1.append((p1_poly, f"p1_{k}", None))
+        diff.append((Poly(linear=((1.0, i), (-1.0, i + 2))), f"p1_{k} - p3_{k}", None))
         cone.append((
             Poly(quad=((1.0, i, i), (-1.0, i + 1, i + 1), (-1.0, i + 2, i + 2))),
-            f"p1_{k}^2 - p2_{k}^2 - p3_{k}^2",
+            f"p1_{k}^2 - p2_{k}^2 - p3_{k}^2", p1_poly,
         ))
     total = ("eq", Poly(const=-2.0, linear=tuple((1.0, 3 * j + c)
                                                  for j in range(n) for c in (0, 2))),
-             "sum(p1 + p3) - 2")
-
-    def subsets(planes):
-        return [c for r in range(len(planes) + 1) for c in combinations(planes, r)]
-
-    def label(planes):
-        return support_label(spec, planes)
+             "sum(p1 + p3) - 2", None)
 
     cells = []
     for s in subsets(range(n)):
@@ -109,9 +146,7 @@ def ref_cells(spec):
                 else:
                     constraints += [("gt",) + p1[j], ("eq",) + cone[j],
                                     ("gt" if j in sx else "eq",) + diff[j]]
-            upper, lower = label(sx), label(s)
-            name = None if not s else \
-                strata.cc_name(lower) if upper == lower else strata.seam_name(upper, lower)
+            name = piece_name(spec, sx, s) if s else None
             cells.append((name, constraints + [total]))
     return cells
 
@@ -133,9 +168,11 @@ def ref_candidates(fixture, image: np.ndarray, band: float = MEMBERSHIP_BAND):
     longest, explanation = -1, None
     for name, constraints in ref_cells(fixture.spec):
         residual = 0.0
-        for pos, (kind, poly, text) in enumerate(constraints):
+        for pos, (kind, poly, text, scale) in enumerate(constraints):
             val = ref_poly(poly, image)
-            if not (abs(val) <= band if kind == "eq" else val > band):
+            p1 = 0.0 if scale is None else ref_poly(scale, image)
+            bound = band * max(1.0, p1 * p1)
+            if not (abs(val) <= bound if kind == "eq" else val > band):
                 if pos > longest:
                     longest, explanation = pos, f"{text} = {val:.3e}"
                 break
@@ -174,7 +211,8 @@ def ref_verify(fixture, seed: int, count: int, band: float = MEMBERSHIP_BAND,
     principal_cc = strata.cc_name(poset_mod.principal_type(poset).label)
     probe_reports = []
     all_passed = True
-    for idx, cell in enumerate(fixture.cells):
+    cells = ref_probe_cells(spec)
+    for idx, cell in enumerate(cells):
         n_samples = count if len(cell.support_x) == spec.n else max(200, count // 10)
         points = ref_points(
             spec,
@@ -256,7 +294,7 @@ def ref_verify(fixture, seed: int, count: int, band: float = MEMBERSHIP_BAND,
         "count": count,
         "band": band,
         "starred": sorted(starred),
-        "pieces": sorted(c.name for c in fixture.cells),
+        "pieces": sorted(c.name for c in cells),
         "cl_strata": sorted(s.name for s in result.cl_strata),
         "principal_cc": principal_cc,
         "principal_fraction": principal_fraction,
@@ -297,7 +335,7 @@ def ref_flow_checks(fixture, seed: int, starts: int) -> dict:
     by_name = {s.name: s for s in result.cl_strata}
     cc_of_lower = {s.lower: s.name for s in result.cl_strata
                    if s.kind is strata.StratumKind.COSPHERE}
-    for idx, cell in enumerate(fixture.cells):
+    for idx, cell in enumerate(ref_probe_cells(spec)):
         if by_name[cell.name].kind is strata.StratumKind.COSPHERE:
             continue
         for p in ref_points(
@@ -401,7 +439,7 @@ def same_bits(a, b) -> bool:
 def test_every_probe_matches_the_per_point_reference(fixture_name):
     fx = get_fixture(fixture_name)
     spec = fx.spec
-    for idx, cell in enumerate(fx.cells):
+    for idx, cell in enumerate(ref_probe_cells(spec)):
         x, u = phase.zero_level_arrays(
             spec, seed=checks._probe_seed(4, idx), count=300,
             support_pattern=cell.support_x, covector_pattern=cell.support,
@@ -415,7 +453,7 @@ def test_every_probe_matches_the_per_point_reference(fixture_name):
         assert np.array(labels, dtype=object)[index].tolist() == \
             [ref_classify(spec, p) for p in points]
         piece, residual = phase.locate_rows(fx, images)
-        names = [fx.cells[i].name for i in piece]
+        names = [fx.result.pieces[i] for i in piece]
         ref = [ref_check(fx, ref_image(ref_table(p))) for p in points]
         assert names == [name for name, _ in ref]
         assert same_bits(residual, [r for _, r in ref])
@@ -473,7 +511,7 @@ def test_membership_and_row_labels_match_near_the_bands(fixture_name, scale):
     fx = get_fixture(fixture_name)
     rng = np.random.default_rng(17)
     xs, us = [], []
-    for cell in fx.cells:
+    for cell in ref_probe_cells(fx.spec):
         x, u = phase.zero_level_arrays(
             fx.spec, seed=5, count=20,
             support_pattern=cell.support_x, covector_pattern=cell.support,
@@ -489,7 +527,7 @@ def test_membership_and_row_labels_match_near_the_bands(fixture_name, scale):
         expected = outcome(ref_check, fx, image)
         assert outcome(phase.check_reduced_membership, fx, image) == expected
         if piece[i] >= 0:
-            assert (fx.cells[piece[i]].name, residual[i]) == expected
+            assert (fx.result.pieces[piece[i]], residual[i]) == expected
         else:
             assert isinstance(expected[1], str)
     # _csv_lines derives its tables from x and u, so its rows take the noise
@@ -497,11 +535,13 @@ def test_membership_and_row_labels_match_near_the_bands(fixture_name, scale):
     x = x + scale * rng.standard_normal(x.shape)
     u = u + scale * rng.standard_normal(u.shape)
     u /= np.linalg.norm(u, axis=1, keepdims=True)
-    header, *rows = csv.reader(cli._csv_lines(fx, x, u, MEMBERSHIP_BAND))
+    lines, unresolved = cli._csv_lines(fx, x, u, MEMBERSHIP_BAND)
+    header, *rows = csv.reader(lines)
     assert header[-2:] == ["stratum", "residual"] and len(rows) == len(x)
     ref = [ref_label_row(fx, ref_table(PhasePoint(xi, ui)), MEMBERSHIP_BAND)
            for xi, ui in zip(x, u)]
     assert [row[-2] for row in rows] == [name for name, _ in ref]
+    assert unresolved == [name for name, _ in ref].count("(unresolved)")
     assert same_bits([float(row[-1]) for row in rows], [r for _, r in ref])
 
 
