@@ -168,7 +168,6 @@ def verify_fixture(
         "band": band,
         "starred": list(result.starred),
         "pieces": sorted(result.pieces),
-        "cl_strata": sorted(s.name for s in result.cl_strata),
         "principal_cc": principal_cc,
         "principal_fraction": principal_fraction,
         "probes": probe_reports,
@@ -202,11 +201,10 @@ def flow_checks(fixture: Fixture, seed: int = 0, starts: int = 1000) -> dict:
 
     seam_flow_failures: list[str] = []
     result = fixture.result
-    names = np.array(result.pieces, dtype=object)
+    names = result.pieces
     is_seam = np.not_equal(result.uppers, result.lowers)
     # piece (K, H) -> CC(H), the cosphere-like piece of its contact stratum
-    expected_cc = np.array([strata.cc_name(result.labels[h]) for h in result.lowers],
-                           dtype=object)
+    expected_cc = fixture.piece_at[result.lowers, result.lowers]
     for idx, (probe, support_x, support) in enumerate(fixture.probes):
         if not is_seam[probe]:
             continue
@@ -235,10 +233,10 @@ def flow_checks(fixture: Fixture, seed: int = 0, starts: int = 1000) -> dict:
             # raise what the first unlocated row raises, start before end
             check_reduced_membership(fixture, start_images[unlocated[0]])
             check_reduced_membership(fixture, end_images[unlocated[0]])
-        wrong = from_seam & (names[end_piece] != expected_cc[start_piece])
+        wrong = from_seam & (end_piece != expected_cc[start_piece])
         seam_flow_failures += [
             f"{names[start_piece[i]]} flowed to {names[end_piece[i]]} "
-            f"at t = {t[i]!r}, expected {expected_cc[start_piece[i]]}"
+            f"at t = {t[i]!r}, expected {names[expected_cc[start_piece[i]]]}"
             for i in np.flatnonzero(wrong)
         ]
 

@@ -311,11 +311,7 @@ def _parse_start(fixture: Fixture, text: str) -> phase.PhasePoint:
         point = phase.PhasePoint(np.array(values[:dim]), np.array(values[dim:]))
     except phase.PhaseError as exc:
         raise CliInputError(str(exc)) from exc
-    j = phase.momenta(fixture.spec, phase.invariant_tables(point.x, point.u))
-    if float(np.max(np.abs(j))) > phase.SUPPORT_TOL:
-        raise phase.NotOnZeroLevelError(
-            f"start point has |J| = {float(np.max(np.abs(j)))}, not on the zero level"
-        )
+    phase.hilbert_map(fixture.spec, point)  # refuses a start off the zero level
     return point
 
 

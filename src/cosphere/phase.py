@@ -222,7 +222,7 @@ def hilbert_map(
     tables = invariant_tables(point.x, point.u)
     norm = float(np.max(np.abs(momenta(spec, tables))))
     if norm > tol:
-        raise NotOnZeroLevelError(f"|J| = {norm} exceeds {tol}")
+        raise NotOnZeroLevelError(f"|J| = {norm} exceeds {tol}: not on the zero level")
     return reduced_images(tables)
 
 
@@ -237,12 +237,11 @@ def support_types(spec: TorusActionSpec) -> tuple[tuple[str, ...], np.ndarray]:
     """The sorted orbit-type labels of a spec, as its poset ranks them, and
     the rank of the type of every plane support: a read-only (2^n,) array
     indexed by the support's bitmask.  Each distinct lattice is labelled once."""
-    label_of: dict = {}
-    of_mask = [label_of.setdefault(basis, class_label(spec.k, basis))
-               for basis in support_lattices(spec).values()]
+    bases = list(support_lattices(spec).values())
+    label_of = {basis: class_label(spec.k, basis) for basis in set(bases)}
     labels = tuple(sorted(set(label_of.values())))
     rank = {label: t for t, label in enumerate(labels)}
-    types = np.array([rank[label] for label in of_mask], dtype=np.intp)
+    types = np.array([rank[label_of[basis]] for basis in bases], dtype=np.intp)
     types.setflags(write=False)
     return labels, types
 
@@ -489,9 +488,10 @@ def check_reduced_membership(
     image, located as by :func:`locate_rows`.
 
     Raises :class:`NoMatchingStratumError` naming the first band test that
-    fails: the planes in order, then the cosphere sum, then S nonempty.  An
-    image that is not 3n wide for the n planes of the fixture is refused
-    with :class:`PhaseError`.
+    fails, with its value (a cone value in full, beside its band ``band``
+    max(1, p1^2)): the planes in order, then the cosphere sum, then S
+    nonempty.  An image that is not 3n wide for the n planes of the
+    fixture is refused with :class:`PhaseError`.
     """
     rows = np.asarray(image, dtype=float)[None, :]
     piece, residual = locate_rows(fixture, rows, band)
@@ -507,7 +507,9 @@ def check_reduced_membership(
             if not on[0]:
                 failed = f"p1_{k} = {p1[0]:.3e}"
             elif not cone_ok[0]:
-                failed = f"p1_{k}^2 - p2_{k}^2 - p3_{k}^2 = {cone[0]:.3e}"
+                bound = band * max(1.0, p1[0] * p1[0])
+                failed = (f"p1_{k}^2 - p2_{k}^2 - p3_{k}^2 = {float(cone[0])!r}, "
+                          f"beyond band * max(1, p1_{k}^2) = {float(bound)!r}")
             else:
                 failed = f"p1_{k} - p3_{k} = {diff[0]:.3e}"
             break

@@ -560,10 +560,13 @@ LOCATOR_CASES = {
     "p1 - p3 beyond -band": ([0.125 - H, 0.0, beyond(0.125 + H), 1.09375, 0.875, 0.65625],
                              None, "p1_1 - p3_1 = -7.451e-09"),
     # the cone value 4 - p2^2 - 0 at and just over its band, the band
-    # times max(1, p1^2) = 4: (2 - band)^2 rounds to 4 - 4 band
+    # times max(1, p1^2) = 4: (2 - band)^2 rounds to 4 - 4 band; the failed
+    # test states the value and the band in full, which differ in the
+    # eighth digit
     "cone at band": ([2.0, 2.0 - BAND, 0.0], "CC(e)", 4 * BAND),
     "cone beyond band": ([2.0, np.nextafter(2.0 - BAND, 0.0), 0.0], None,
-                         "p1_1^2 - p2_1^2 - p3_1^2 = 2.980e-08"),
+                         "p1_1^2 - p2_1^2 - p3_1^2 = 2.980232327587373e-08, "
+                         "beyond band * max(1, p1_1^2) = 2.9802322387695312e-08"),
     # the sum p1 + p3 - 2 at and just over the band, p2 on the cone
     "sum at band": ([1.25 + H, np.sqrt(1.0 + H), 0.75 + H], "CC(e)", BAND),
     "sum beyond band": ([1.25 + H, np.sqrt(1.0 + H), beyond(0.75 + H)], None,
@@ -637,7 +640,8 @@ def test_membership_matches_the_seam_strictly_just_off_it():
     # at a band below 5e-9 the plane moves to S_x, and its cone value
     # 5e-9 - 1e-10 fails there
     with pytest.raises(NoMatchingStratumError,
-                       match=r"\(p1_2\^2 - p2_2\^2 - p3_2\^2 = 4.900e-09\)"):
+                       match=r"\(p1_2\^2 - p2_2\^2 - p3_2\^2 = 4.899999961338608e-09, "
+                             r"beyond band \* max\(1, p1_2\^2\) = 4e-09\)$"):
         check_reduced_membership(fx, image, band=4e-9)
 
 
@@ -1022,6 +1026,25 @@ def test_orbit_labels_match_the_reference(case):
     ref_labels, ref_index = reference_orbit_labels(spec, masks)
     assert labels == ref_labels
     assert same_bits(index, ref_index)
+
+
+@pytest.mark.parametrize("spec, lattices", [
+    # twelve equal weights: Z on every nonempty support, 0 on the empty one
+    (TorusActionSpec(k=1, n=MAX_PLANES, weights=((1,) * MAX_PLANES,)), 2),
+    (CAP_SPEC, len(set(support_lattices(CAP_SPEC).values()))),
+])
+def test_support_types_labels_each_distinct_lattice_once(monkeypatch, spec, lattices):
+    calls = []
+
+    def counted(k, basis):
+        calls.append(basis)
+        return class_label(k, basis)
+
+    monkeypatch.setattr(phase, "class_label", counted)
+    labels, types = phase.support_types.__wrapped__(spec)
+    assert len(calls) == len(set(calls)) == lattices
+    assert types.size == 1 << MAX_PLANES
+    assert labels == tuple(sorted({class_label(spec.k, b) for b in calls}))
 
 
 @given(st.integers(1, 4).flatmap(lambda planes: st.lists(

@@ -10,6 +10,7 @@ from cosphere.phase import (
     PhasePoint,
     check_reduced_membership,
     invariant_tables,
+    locate_rows,
     reduced_images,
     zero_level_arrays,
 )
@@ -189,3 +190,28 @@ def test_seam_flow_check_probes_before_the_first_crossing():
     assert piece_at(0.5) == "Seam(S^1×e>e)"
     report = checks.flow_checks(fx, seed=180, starts=10)
     assert report["checks"]["seam_flow_lands_in_cc"], report["seam_flow_failures"]
+
+
+# t = 0 and the grid 0.2, 0.4, ..., 1.2
+SEAM_GRID = 1.2 * np.arange(7) / 6
+
+
+@pytest.mark.parametrize("fixture_name", ["s1-on-r2", "t2-on-r4"])
+def test_seam_starts_cross_into_their_cosphere_piece(fixture_name):
+    # the Reeb flow crosses a seam and never follows it: a start drawn at
+    # seed 0 on each seam (K, H) sits on that seam at t = 0, and its exact
+    # image at every later grid time lies in CC(H)
+    fx = get_fixture(fixture_name)
+    result = fx.result
+    seams = [p for p in fx.probes if result.uppers[p[0]] != result.lowers[p[0]]]
+    assert seams
+    for probe, support_x, support in seams:
+        x, u = zero_level_arrays(fx.spec, seed=0, count=1,
+                                 support_pattern=support_x, covector_pattern=support)
+        xs = flowed_base(x, u, SEAM_GRID)
+        images = reduced_images(invariant_tables(xs, np.repeat(u, len(xs), axis=0)))
+        piece, _ = locate_rows(fx, images)
+        lower = result.lowers[probe]
+        cc = result.pieces[fx.piece_at[lower, lower]]
+        assert [result.pieces[i] if i >= 0 else None for i in piece] == (
+            [result.pieces[probe]] + [cc] * (len(SEAM_GRID) - 1))

@@ -175,6 +175,10 @@ def ref_candidates(fixture, image: np.ndarray, band: float = MEMBERSHIP_BAND):
             if not (abs(val) <= bound if kind == "eq" else val > band):
                 if pos > longest:
                     longest, explanation = pos, f"{text} = {val:.3e}"
+                    if scale is not None:
+                        p1_name = text.split("^")[0]
+                        explanation = (f"{text} = {val!r}, "
+                                       f"beyond band * max(1, {p1_name}^2) = {bound!r}")
                 break
             if kind == "eq":
                 residual = max(residual, abs(val))
@@ -207,7 +211,6 @@ def ref_verify(fixture, seed: int, count: int, band: float = MEMBERSHIP_BAND,
     poset = torus.build_isotropy_poset(spec)
     starred = {t.label for t in poset.types
                if poset.dim_Q_of[t.label] - poset.dim_G + t.dim_H >= 1} - unstarred
-    result = strata.cl_stratification(poset)
     principal_cc = strata.cc_name(poset_mod.principal_type(poset).label)
     probe_reports = []
     all_passed = True
@@ -295,7 +298,6 @@ def ref_verify(fixture, seed: int, count: int, band: float = MEMBERSHIP_BAND,
         "band": band,
         "starred": sorted(starred),
         "pieces": sorted(c.name for c in cells),
-        "cl_strata": sorted(s.name for s in result.cl_strata),
         "principal_cc": principal_cc,
         "principal_fraction": principal_fraction,
         "probes": probe_reports,
