@@ -199,46 +199,43 @@ def flow_checks(fixture: Fixture, seed: int = 0, starts: int = 1000) -> dict:
     )))
     drift = reeb.conservation_report(traj)
 
-    seam_flow_failures: list[str] = []
     result = fixture.result
     names = result.pieces
     is_seam = np.not_equal(result.uppers, result.lowers)
     # piece (K, H) -> CC(H), the cosphere-like piece of its contact stratum
     expected_cc = fixture.piece_at[result.lowers, result.lowers]
-    for idx, (probe, support_x, support) in enumerate(fixture.probes):
-        if not is_seam[probe]:
-            continue
-        sx, su = zero_level_arrays(
-            spec,
-            seed=_probe_seed(seed, idx) + 17,
-            count=200,
-            support_pattern=support_x,
-            covector_pattern=support,
-        )
-        start_tables = invariant_tables(sx, su)
-        # x_j is parallel to u_j on the zero level, so the line x_j + t u_j
-        # passes through 0 at t_j = -p2_j / (p1_j + p3_j); the image is taken
-        # at min(0.5, t*/2), before the least positive crossing t*
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t_cross = -start_tables[..., 1] / (start_tables[..., 0] + start_tables[..., 2])
-        t_star = np.min(np.where(t_cross > 0, t_cross, np.inf), axis=-1)
-        t = np.minimum(0.5, t_star / 2)
-        start_images = reduced_images(start_tables)
-        end_images = reduced_images(invariant_tables(reeb.flowed_base(sx, su, t), su))
-        start_piece, _ = locate_rows(fixture, start_images)
-        end_piece, _ = locate_rows(fixture, end_images)
-        from_seam = (start_piece >= 0) & is_seam[start_piece]
-        unlocated = np.flatnonzero((start_piece < 0) | (from_seam & (end_piece < 0)))
-        if unlocated.size:
-            # raise what the first unlocated row raises, start before end
-            check_reduced_membership(fixture, start_images[unlocated[0]])
-            check_reduced_membership(fixture, end_images[unlocated[0]])
-        wrong = from_seam & (end_piece != expected_cc[start_piece])
-        seam_flow_failures += [
-            f"{names[start_piece[i]]} flowed to {names[end_piece[i]]} "
-            f"at t = {t[i]!r}, expected {names[expected_cc[start_piece[i]]]}"
-            for i in np.flatnonzero(wrong)
-        ]
+    # each seam probe draws its own starts; they are flowed and located together
+    drawn = [
+        zero_level_arrays(spec, seed=_probe_seed(seed, idx) + 17, count=200,
+                          support_pattern=support_x, covector_pattern=support)
+        for idx, (probe, support_x, support) in enumerate(fixture.probes)
+        if is_seam[probe]
+    ]
+    sx = np.concatenate([x for x, _ in drawn])
+    su = np.concatenate([u for _, u in drawn])
+    start_tables = invariant_tables(sx, su)
+    # x_j is parallel to u_j on the zero level, so the line x_j + t u_j
+    # passes through 0 at t_j = -p2_j / (p1_j + p3_j); the image is taken
+    # at min(0.5, t*/2), before the least positive crossing t*
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_cross = -start_tables[..., 1] / (start_tables[..., 0] + start_tables[..., 2])
+    t_star = np.min(np.where(t_cross > 0, t_cross, np.inf), axis=-1)
+    t = np.minimum(0.5, t_star / 2)
+    start_images = reduced_images(start_tables)
+    end_images = reduced_images(invariant_tables(reeb.flowed_base(sx, su, t), su))
+    start_piece, _ = locate_rows(fixture, start_images)
+    end_piece, _ = locate_rows(fixture, end_images)
+    from_seam = (start_piece >= 0) & is_seam[start_piece]
+    unlocated = np.flatnonzero((start_piece < 0) | (from_seam & (end_piece < 0)))
+    if unlocated.size:
+        # raise what the first unlocated row raises, start before end
+        check_reduced_membership(fixture, start_images[unlocated[0]])
+        check_reduced_membership(fixture, end_images[unlocated[0]])
+    seam_flow_failures = [
+        f"{names[start_piece[i]]} flowed to {names[end_piece[i]]} "
+        f"at t = {float(t[i])!r}, expected {names[expected_cc[start_piece[i]]]}"
+        for i in np.flatnonzero(from_seam & (end_piece != expected_cc[start_piece]))
+    ]
 
     checks = {
         "closed_form_matches_exact": closed_vs_exact <= IDENTITY_TOL,

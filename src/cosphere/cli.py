@@ -223,25 +223,25 @@ _CSV_BLOCK = 256
 
 
 def _csv_rows(templates: list[str], piece: np.ndarray, numbers: np.ndarray) -> Iterator[str]:
-    """Row p of ``numbers`` filled into ``templates[piece[p]]``, one ``repr``
-    per distinct bit pattern of a block: 0.0 and -0.0, or two NaN payloads,
-    are spelled apart, each by its own ``repr``."""
+    """Blocks of ``_CSV_BLOCK`` rows, row p of ``numbers`` filled into
+    ``templates[piece[p]]``: one ``repr`` per distinct bit pattern of a block
+    (0.0 and -0.0, or two NaN payloads, spelled apart) and one ``%``."""
     for start in range(0, len(numbers), _CSV_BLOCK):
         block = numbers[start:start + _CSV_BLOCK]
         bits, inverse = np.unique(block.view(np.int64), return_inverse=True)
-        spelled = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
-        spellings = spelled[inverse.reshape(block.shape)].tolist()
-        for p, row in zip(piece[start:start + _CSV_BLOCK].tolist(), spellings):
-            yield templates[p] % tuple(row)
+        spelled = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+        rows = "".join(map(templates.__getitem__, piece[start:start + _CSV_BLOCK].tolist()))
+        yield rows % tuple(spelled[inverse.ravel()].tolist())
 
 
 def _csv_lines(
     fixture: Fixture, x: np.ndarray, u: np.ndarray, band: float,
     times: np.ndarray | None = None,
 ) -> tuple[Iterator[str], int]:
-    """The CSV lines of the points (x, u) and their count of ``(unresolved)``
-    rows: a header, then per point the time (when ``times`` is given), x,
-    u, J, the invariant table, the piece label and its residual.
+    """The CSV text of the points (x, u) in parts of whole rows, and their
+    count of ``(unresolved)`` rows: a header line, then per point the time
+    (when ``times`` is given), x, u, J, the invariant table, the piece label
+    and its residual, in one part per block of ``_CSV_BLOCK`` rows.
 
     Labels are ``fixture.result.pieces`` as :func:`phase.locate_rows` at
     ``band`` names them, the call the batteries use; a row with no single
@@ -249,8 +249,9 @@ def _csv_lines(
     Each number is its Python ``repr``, spelled once per distinct float of
     a block of ``_CSV_BLOCK`` rows (a Reeb trajectory repeats its ``u`` and
     ``J`` cells).  A row is one ``%`` template per piece, whose label cell
-    the :mod:`csv` dialect quoted once.  Everything that can raise runs in
-    this call; only the spelling waits for the reader of the lines.
+    the :mod:`csv` dialect quoted once, and a block one ``%`` over its rows'
+    joined templates.  Everything that can raise runs in this call; only
+    the spelling waits for the reader of the parts.
     """
     spec = fixture.spec
     tables = phase.invariant_tables(x, u)

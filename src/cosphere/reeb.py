@@ -81,12 +81,13 @@ def flowed_tables(tables: np.ndarray, t: float) -> np.ndarray:
 def flow_rk4(point: PhasePoint, t_end: float, step: float) -> Trajectory:
     """Classical fourth-order Runge-Kutta integration of the Reeb field.
 
-    The time grid is uniform, built by repeated addition of ``step``, with a
-    final partial step landing exactly on ``t_end``.  When that final step
-    would be shorter than ``SLIVER * step`` it is roundoff of the repeated
-    addition, not a step, and the last grid point moves to ``t_end``
-    instead.  Exists as the independent numerical route against the
-    closed-form flow; the two must agree to roundoff.
+    The time grid is uniform, built by repeated addition of ``step`` (one
+    ``np.add.accumulate``, which adds in order), with a final partial step
+    landing exactly on ``t_end``.  When that final step would be shorter
+    than ``SLIVER * step`` it is roundoff of the repeated addition, not a
+    step, and the last grid point moves to ``t_end`` instead.  Exists as
+    the independent numerical route against the closed-form flow; the two
+    must agree to roundoff.
 
     The field (u, 0) does not depend on x, so the steps run as array
     operations: the u chain first, then the four stages of every step at
@@ -97,12 +98,12 @@ def flow_rk4(point: PhasePoint, t_end: float, step: float) -> Trajectory:
     t_end = float(t_end)
     step = float(step)
     check_run_inputs(t_end=t_end, step=step)
-    grid = [0.0]
     stop = t_end - max(SLIVER * step, 1e-15)
-    while grid[-1] + step < stop:
-        grid.append(grid[-1] + step)
-    grid.append(t_end)
-    times = np.array(grid)
+    # the sums step, step + step, ... of the repeated addition, kept while
+    # below stop; at most int(t_end / step) of them are, as their roundoff
+    # stays under 1e-4 of a step up to MAX_STEPS, below the SLIVER margin
+    sums = np.add.accumulate(np.full(int(t_end / step), step))
+    times = np.concatenate([[0.0], sums[sums < stop], [t_end]])
 
     h = np.diff(times)[:, None]
     k_u = np.zeros((h.size, point.u.size))  # every stage's du/dt

@@ -1,10 +1,13 @@
 """Reeb flow: closed-form invariants vs direct evaluation vs RK4."""
 
+import json
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from flow_oracles import loop_grid, per_probe_flow_checks
+from hypothesis import example, given, strategies as st
 
-from cosphere import checks
+from cosphere import checks, reeb
 from cosphere.fixtures import get_fixture
 from cosphere.phase import (
     PhasePoint,
@@ -130,6 +133,25 @@ def test_rk4_grid_lands_exactly_on_t_end():
         flow_rk4(fiber_point(), t_end=2.0, step=1e-300)
 
 
+# a step, and a t_end of at most 10^5 of them
+grid_inputs = st.floats(1e-6, 1e3).flatmap(
+    lambda step: st.tuples(st.floats(0.0, 1e5 * step, exclude_min=True), st.just(step)))
+
+
+@given(grid_inputs)
+@example((1e-20, 1e-3))
+@example((1.0, 0.125))  # an exact multiple of the step
+@example((1.0 + 1e-5, 0.1))  # a sliver past the grid point 0.9999999999999999
+@example((1.0005, 0.5))  # the grid point 1.0 exactly at the sliver margin
+@example((2.0, 1e-3))  # the CLI defaults
+def test_rk4_grid_is_the_repeated_addition(grid):
+    t_end, step = grid
+    times = flow_rk4(fiber_point(), t_end=t_end, step=step).times
+    assert times.tobytes() == np.array(loop_grid(t_end, step)).tobytes()
+    if grid == (2.0, 1e-3):
+        assert len(times) == 2001
+
+
 def test_trajectory_validation():
     with pytest.raises(ValueError):
         Trajectory(
@@ -215,3 +237,50 @@ def test_seam_starts_cross_into_their_cosphere_piece(fixture_name):
         cc = result.pieces[fx.piece_at[lower, lower]]
         assert [result.pieces[i] if i >= 0 else None for i in piece] == (
             [result.pieces[probe]] + [cc] * (len(SEAM_GRID) - 1))
+
+
+@pytest.mark.parametrize("fixture_name", ["s1-on-r2", "t2-on-r4"])
+@pytest.mark.parametrize("flowed", ["exact", "frozen"])
+def test_batched_seam_check_matches_the_per_probe_loop(fixture_name, flowed, monkeypatch):
+    # frozen: no start moves, so every seam start is reported, in probe order
+    if flowed == "frozen":
+        monkeypatch.setattr(reeb, "flowed_base", lambda x, u, t: x)
+    fx = get_fixture(fixture_name)
+    for seed in (0, 7, 140, 180, 299):
+        report = checks.flow_checks(fx, seed=seed, starts=50)
+        assert json.dumps(report, sort_keys=True) == json.dumps(
+            per_probe_flow_checks(fx, seed=seed, starts=50), sort_keys=True)
+        assert report["checks"]["seam_flow_lands_in_cc"] == (flowed == "exact")
+
+
+@pytest.mark.parametrize("fixture_name", ["s1-on-r2", "t2-on-r4"])
+def test_batched_seam_check_raises_what_the_per_probe_loop_raises(fixture_name, monkeypatch):
+    # row i of a probe's starts flows to x + i/1000 J u, J the quarter turn
+    # of each plane, off the zero level (p4 = -i/1000 |u_j|^2) from row 1 on,
+    # each row by its own amount, so the first unlocated image, and the text
+    # it raises, is that of row 1 of the first seam probe
+    flowed_base = reeb.flowed_base
+
+    def turned_base(x, u, t):
+        if x.ndim == 1:  # the endpoint of the RK4 check
+            return flowed_base(x, u, t)
+        turn = np.stack([-u[:, 1::2], u[:, 0::2]], axis=-1).reshape(u.shape)
+        return x + 1e-3 * np.arange(len(x))[:, None] * turn
+
+    monkeypatch.setattr(reeb, "flowed_base", turned_base)
+    fx = get_fixture(fixture_name)
+    with pytest.raises(checks.phase.PhaseError) as batched:
+        checks.flow_checks(fx, seed=0, starts=50)
+    with pytest.raises(checks.phase.PhaseError) as looped:
+        per_probe_flow_checks(fx, seed=0, starts=50)
+    assert (type(batched.value), str(batched.value)) == (type(looped.value), str(looped.value))
+
+
+def test_seam_flow_failures_spell_the_time_as_a_float(monkeypatch):
+    # not np.float64(0.5), whose repr depends on the numpy version
+    monkeypatch.setattr(reeb, "flowed_base", lambda x, u, t: x)
+    failures = checks.flow_checks(get_fixture("t2-on-r4"), seed=0, starts=50)["seam_flow_failures"]
+    assert failures[0] == "Seam(e×S^1>e) flowed to Seam(e×S^1>e) at t = 0.5, expected CC(e)"
+    for failure in failures:
+        t = failure.split(" at t = ")[1].split(",")[0]
+        assert repr(float(t)) == t, failure

@@ -15,6 +15,7 @@ same way: the array integrator must give bitwise-equal times and states.
 """
 
 import csv
+import io
 from itertools import combinations
 from typing import NamedTuple
 
@@ -537,8 +538,9 @@ def test_membership_and_row_labels_match_near_the_bands(fixture_name, scale):
     x = x + scale * rng.standard_normal(x.shape)
     u = u + scale * rng.standard_normal(u.shape)
     u /= np.linalg.norm(u, axis=1, keepdims=True)
-    lines, unresolved = cli._csv_lines(fx, x, u, MEMBERSHIP_BAND)
-    header, *rows = csv.reader(lines)
+    parts, unresolved = cli._csv_lines(fx, x, u, MEMBERSHIP_BAND)
+    # the parts are blocks of whole rows, so they are joined before the split
+    header, *rows = csv.reader(io.StringIO("".join(parts), newline=""))
     assert header[-2:] == ["stratum", "residual"] and len(rows) == len(x)
     ref = [ref_label_row(fx, ref_table(PhasePoint(xi, ui)), MEMBERSHIP_BAND)
            for xi, ui in zip(x, u)]
