@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import phase, reeb, strata
+from . import phase, reeb
 from .fixtures import Fixture
 from .phase import (
     IDENTITY_TOL,
@@ -67,7 +67,7 @@ def verify_fixture(
     """
     phase.check_run_inputs(seed=seed)
     spec, result = fixture.spec, fixture.result
-    principal_cc = strata.cc_name(result.labels[result.open_rank])
+    principal_cc = result.pieces[fixture.piece_at[result.open_rank, result.open_rank]]
 
     names = np.array(result.pieces, dtype=object)
     # the base projection (p1 - 1, 0, 1 - p1) per plane assumes the plane
@@ -197,7 +197,7 @@ def flow_checks(fixture: Fixture, seed: int = 0, starts: int = 1000) -> dict:
     rk4_endpoint_err = _max(np.abs(np.concatenate(
         [traj.xs[-1] - endpoint.x, traj.us[-1] - endpoint.u]
     )))
-    drift = reeb.conservation_report(traj)
+    drift = reeb.conservation_report(invariant_tables(traj.xs, traj.us))
 
     result = fixture.result
     names = result.pieces

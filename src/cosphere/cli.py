@@ -235,13 +235,14 @@ def _csv_rows(templates: list[str], piece: np.ndarray, numbers: np.ndarray) -> I
 
 
 def _csv_lines(
-    fixture: Fixture, x: np.ndarray, u: np.ndarray, band: float,
+    fixture: Fixture, x: np.ndarray, u: np.ndarray, tables: np.ndarray, band: float,
     times: np.ndarray | None = None,
 ) -> tuple[Iterator[str], int]:
-    """The CSV text of the points (x, u) in parts of whole rows, and their
-    count of ``(unresolved)`` rows: a header line, then per point the time
-    (when ``times`` is given), x, u, J, the invariant table, the piece label
-    and its residual, in one part per block of ``_CSV_BLOCK`` rows.
+    """The CSV text of the points (x, u) of (N, n, 4) invariant ``tables`` in
+    parts of whole rows, and their count of ``(unresolved)`` rows: a header
+    line, then per point the time (when ``times`` is given), x, u, J, the
+    invariant table, the piece label and its residual, in one part per
+    block of ``_CSV_BLOCK`` rows.
 
     Labels are ``fixture.result.pieces`` as :func:`phase.locate_rows` at
     ``band`` names them, the call the batteries use; a row with no single
@@ -254,7 +255,6 @@ def _csv_lines(
     the spelling waits for the reader of the parts.
     """
     spec = fixture.spec
-    tables = phase.invariant_tables(x, u)
     piece, residuals = phase.locate_rows(fixture, phase.reduced_images(tables), band)
     columns = [x, u, phase.momenta(spec, tables),
                tables.reshape(len(x), 4 * spec.n), residuals[:, None]]
@@ -289,7 +289,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         _write_text(out_dir / "report.json", [text])
         x, u = phase.zero_level_arrays(  # the first samples of the generic probe
             fixture.spec, seed=checks._probe_seed(args.seed, 0), count=min(args.count, 1000))
-        _write_text(out_dir / "samples.csv", _csv_lines(fixture, x, u, args.band)[0])
+        tables = phase.invariant_tables(x, u)
+        _write_text(out_dir / "samples.csv", _csv_lines(fixture, x, u, tables, args.band)[0])
         print(f"wrote {out_dir / 'report.json'}")
         print(f"wrote {out_dir / 'samples.csv'}")
     else:
@@ -328,9 +329,9 @@ def cmd_flow(args: argparse.Namespace) -> int:
         point = phase.PhasePoint(x[0], u[0])
 
     traj = reeb.flow_rk4(point, t_end=args.t_end, step=args.step)
-    lines, unresolved = _csv_lines(fixture, traj.xs, traj.us, args.band, traj.times)
-
-    drift = reeb.conservation_report(traj)
+    tables = phase.invariant_tables(traj.xs, traj.us)
+    lines, unresolved = _csv_lines(fixture, traj.xs, traj.us, tables, args.band, traj.times)
+    drift = reeb.conservation_report(tables)
     summary = {
         "fixture": fixture.name,
         "seed": args.seed,

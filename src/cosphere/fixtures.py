@@ -25,9 +25,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .phase import check_full_rank, support_types
 from .strata import StratificationResult, cl_stratification
-from .torus import TorusActionSpec, build_isotropy_poset
+from .torus import TorusActionSpec, build_isotropy_poset, check_full_rank, support_types
 
 
 @dataclass(frozen=True)
@@ -57,11 +56,8 @@ class Fixture:
         """One probe (piece, S_x, S) per piece (K, H), S_x = top(K) and
         S = top(H) as plane tuples, ordered by (-|S|, -|S_x|, S_x, S); see
         the module docstring.  The principal piece comes first."""
-        n = self.spec.n
-        top = [0] * len(self.result.labels)
-        for mask, t in enumerate(support_types(self.spec)[1].tolist()):
-            top[t] |= mask
-        planes = [tuple(j for j in range(n) if mask >> j & 1) for mask in top]
+        n, tops = self.spec.n, support_types(self.spec)[2]
+        planes = [tuple(j for j in range(n) if top >> j & 1) for top in tops]
         probes = [(i, planes[k], planes[h])
                   for i, (k, h) in enumerate(zip(self.result.uppers, self.result.lowers))]
         return tuple(sorted(probes, key=lambda p: (-len(p[2]), -len(p[1]), p[1], p[2])))
@@ -69,7 +65,7 @@ class Fixture:
 
 def build_fixture(name: str, title: str, spec: TorusActionSpec) -> Fixture:
     """The fixture of a weight matrix of rank n; one of rank below n is
-    refused with :class:`phase.RankDeficientError`."""
+    refused with :class:`torus.RankDeficientError`."""
     check_full_rank(spec)
     return Fixture(name, title, spec, cl_stratification(build_isotropy_poset(spec)))
 

@@ -38,13 +38,12 @@ exact zeros forced through support patterns, never from thresholded noise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
 
 from .poset import _integer
-from .torus import TorusActionSpec, class_label, support_lattices
+from .torus import TorusActionSpec, check_full_rank, support_lattices, support_types
 
 SUPPORT_TOL = 1e-10
 IDENTITY_TOL = 1e-9
@@ -71,11 +70,6 @@ class EmptyKernelError(PhaseError):
 
 class RetriesExhaustedError(PhaseError):
     pass
-
-
-class RankDeficientError(PhaseError):
-    """The weight matrix has rank below n: per-plane invariants do not
-    separate the orbits, so the reduced coordinates are not a chart."""
 
 
 class NoMatchingStratumError(PhaseError):
@@ -193,16 +187,6 @@ def momenta(spec: TorusActionSpec, tables: np.ndarray) -> np.ndarray:
     return tables[..., 3] @ np.array(spec.weights, dtype=float).T
 
 
-def check_full_rank(spec: TorusActionSpec) -> None:
-    """Refuse a weight matrix of rank below n with :class:`RankDeficientError`."""
-    rank = len(support_lattices(spec)[(1 << spec.n) - 1])
-    if rank < spec.n:
-        raise RankDeficientError(
-            f"weight matrix has rank {rank} < n = {spec.n}: "
-            "per-plane invariants do not separate orbits"
-        )
-
-
 def hilbert_map(
     spec: TorusActionSpec, point: PhasePoint, tol: float = SUPPORT_TOL
 ) -> np.ndarray:
@@ -210,7 +194,7 @@ def hilbert_map(
 
     Raises :class:`PhaseError` when ``tol`` is not finite and positive or
     the point and the spec differ in their number of planes,
-    :class:`RankDeficientError` when the weight matrix has rank below n,
+    :class:`torus.RankDeficientError` when the weight matrix has rank below n,
     and :class:`NotOnZeroLevelError` when |J| exceeds ``tol``; the
     momentum components are dropped from the output.
     """
@@ -232,33 +216,19 @@ def support_masks(tables: np.ndarray) -> np.ndarray:
     return np.sqrt(tables[..., 0]) > SUPPORT_TOL
 
 
-@lru_cache(maxsize=16)
-def support_types(spec: TorusActionSpec) -> tuple[tuple[str, ...], np.ndarray]:
-    """The sorted orbit-type labels of a spec, as its poset ranks them, and
-    the rank of the type of every plane support: a read-only (2^n,) array
-    indexed by the support's bitmask.  Each distinct lattice is labelled once."""
-    bases = list(support_lattices(spec).values())
-    label_of = {basis: class_label(spec.k, basis) for basis in set(bases)}
-    labels = tuple(sorted(set(label_of.values())))
-    rank = {label: t for t, label in enumerate(labels)}
-    types = np.array([rank[label_of[basis]] for basis in bases], dtype=np.intp)
-    types.setflags(write=False)
-    return labels, types
-
-
 def orbit_labels(spec: TorusActionSpec, masks: np.ndarray) -> tuple[list[str], np.ndarray]:
     """Orbit types of (N, n) support rows as (labels, index): the sorted
     distinct labels, and the position in them of each row's label.
 
     A row is keyed by its support bitmask and reads its type from
-    :func:`support_types`; the types that ``np.bincount`` counts at least
-    once are the labels.
+    :func:`torus.support_types`; the types that ``np.bincount`` counts at
+    least once are the labels.
     """
-    labels, types = support_types(spec)
+    labels, types, _ = support_types(spec)
     key = np.zeros(masks.shape[:-1], dtype=np.intp)
     for j in range(spec.n):
         key |= masks[..., j] << j
-    rank = types[key.reshape(-1)]
+    rank = np.array(types, dtype=np.intp)[key.reshape(-1)]
     present = np.flatnonzero(np.bincount(rank, minlength=len(labels)))
     position = np.zeros(len(labels), dtype=np.intp)
     position[present] = np.arange(present.size)
@@ -443,7 +413,7 @@ def locate_rows(
     finite and positive, or rows not 3n wide, are refused with
     :class:`PhaseError`.  The tests run on a transposed copy of the images,
     one contiguous row per coordinate, and the row's piece is
-    ``fixture.piece_at`` at the :func:`support_types` of its S_x and S.
+    ``fixture.piece_at`` at the :func:`torus.support_types` of its S_x and S.
     """
     check_run_inputs(band=band)
     images = np.asarray(images, dtype=float)
@@ -474,7 +444,7 @@ def locate_rows(
         np.maximum(worst, plane, out=worst)
     sum_err = np.abs(total)
     ok &= (sum_err <= band) & (support != 0)
-    _, types = support_types(fixture.spec)
+    types = np.array(support_types(fixture.spec)[1], dtype=np.intp)
     # piece_at[type(S_x), type(S)], read off the flat table in one gather
     at = fixture.piece_at
     piece = np.where(ok, at.ravel()[types[support_x] * len(at) + types[support]], -1)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .phase import PhasePoint, check_run_inputs, invariant_tables
+from .phase import PhasePoint, check_run_inputs
 
 # a final RK4 step shorter than this fraction of the step is grid roundoff
 SLIVER = 1e-3
@@ -118,13 +118,13 @@ def flow_rk4(point: PhasePoint, t_end: float, step: float) -> Trajectory:
     return Trajectory(times=times, xs=xs, us=us)
 
 
-def conservation_report(traj: Trajectory) -> dict[str, float]:
-    """Worst-case drift of the conserved quantities along a trajectory.
+def conservation_report(tables: np.ndarray) -> dict[str, float]:
+    """Worst-case drift of the conserved quantities along a trajectory,
+    given its (N, n, 4) invariant tables.
 
     Reports the max deviation of per-plane p4 and p1 + p3 from their
     initial values, and of the cosphere sum from 2.
     """
-    tables = invariant_tables(traj.xs, traj.us)
     p4 = tables[:, :, 3]
     mass = tables[:, :, 0] + tables[:, :, 2]
     return {

@@ -16,10 +16,10 @@ lattice: its Hermite normal form over Z, computed in Python ints by the
 column reduction of Cohen, *A Course in Computational Algebraic Number
 Theory*, GTM 138, Algorithm 2.4.5: bottom row up, extended-gcd column
 operations, positive pivots, entries right of a pivot reduced into
-[0, pivot).  Every stabilizer is read off that table: the orbit types and
-their order, the label of a sampled point's support, the rank of the
-weight matrix and the cells of a fixture.  Containment needs no further
-normal form:
+[0, pivot).  Every stabilizer is read off that table: the rank of the
+weight matrix, and the orbit type of every support, labelled once per spec
+by :func:`support_types`, whose table the poset, the fixtures and the
+sampled points read.  Containment needs no further normal form:
 Lambda_S + Lambda_T = Lambda_(S u T), so Lambda_T lies in Lambda_S exactly
 when the support table gives S u T the basis of S.  The finite part of a
 stabilizer comes from a Smith elimination of the canonical basis.  Nothing
@@ -241,10 +241,8 @@ def support_lattices(spec: TorusActionSpec) -> Mapping[int, tuple[tuple[int, ...
     basis plus column j, at most k + 1 columns whatever |S| is.  That HNF
     is a function of (basis of S minus j, j) alone, and many supports share
     the pair, so each pair is reduced once: the n = 12 spec of twelve equal
-    weights needs 23 reductions for its 4,095 supports.  The stabilizer of
-    support S is labelled ``class_label(spec.k, table[S])`` and the rank of
-    the weight matrix is the size of the basis of all planes.  The table is
-    built once per spec and shared, so it is read-only.
+    weights needs 23 reductions for its 4,095 supports.  The table is built
+    once per spec and shared, so it is read-only.
     """
     columns = [spec.column(j) for j in range(spec.n)]
     basis_of = {0: ()}
@@ -259,56 +257,88 @@ def support_lattices(spec: TorusActionSpec) -> Mapping[int, tuple[tuple[int, ...
     return MappingProxyType(basis_of)
 
 
-def build_isotropy_poset(spec: TorusActionSpec) -> IsotropyPoset:
-    """Isotropy lattice of the lifted action, from exhaustive support classes.
+@lru_cache(maxsize=16)
+def support_types(
+    spec: TorusActionSpec,
+) -> tuple[tuple[str, ...], tuple[int, ...], tuple[int, ...]]:
+    """The orbit types of a spec as (labels, types, tops), built once per
+    spec and shared.
 
-    HNF runs once per support, incrementally on the basis of the support
-    minus one plane (see :func:`support_lattices`); everything else is read
-    off that support table.  Each stabilizer class contributes one orbit
-    type, whose finite part is one Smith elimination of the class basis.
-    The union of two supports of one class is again in the class
-    (Lambda_(S u T) = Lambda_S + Lambda_T), so the class has a unique top
-    support, the union of all its supports, and dim_Q_of is twice its size.
-    Containment is inclusion of top supports: (a) < (b) exactly when the
-    lattice of b lies strictly inside that of a, i.e. the union of their top
-    supports S_a and S_b is in the class of a, i.e. S_b lies strictly inside
-    S_a.  The order is built as the poset stores it, one down-set mask per
-    class over the sorted labels, and no order pairs are formed: the classes
-    under b are those whose top support holds every plane of S_b, b itself
-    excepted, an AND of one mask per plane.  Inclusion is transitive, so the
-    masks are closed as built, and the poset's bit pass
-    (:func:`cosphere.poset.transitive_closure`) leaves them unchanged.
-    A spec with more than ``MAX_TYPES`` classes is refused with
-    :class:`ActionSpecError` as soon as the table is built, before the
-    order is formed.
+    ``labels`` are the sorted stabilizer labels, one per distinct lattice of
+    :func:`support_lattices` (each labelled once; :func:`class_label` is
+    injective), and their order ranks the poset's types.  ``types[S]`` is
+    the rank of the type of support S, by bitmask, and ``tops[t]`` the top
+    support of type t: the union of its supports, again of type t, since
+    Lambda_(S u T) = Lambda_S + Lambda_T.
     """
     basis_of = support_lattices(spec)
     top: dict[tuple[tuple[int, ...], ...], int] = {}  # basis -> union of its supports
     for support, basis in basis_of.items():
         top[basis] = top.get(basis, 0) | support
-    if len(top) > MAX_TYPES:
-        raise ActionSpecError(f"{len(top)} orbit types exceeds the cap of {MAX_TYPES}")
     label_of = {basis: class_label(spec.k, basis) for basis in top}
+    ranked = sorted(top, key=label_of.__getitem__)
+    rank = {basis: t for t, basis in enumerate(ranked)}
+    types = tuple(rank[basis] for basis in basis_of.values())
+    return tuple(map(label_of.get, ranked)), types, tuple(map(top.get, ranked))
 
+
+class RankDeficientError(ActionSpecError):
+    """The weight matrix has rank below n: per-plane invariants do not
+    separate the orbits, so the reduced coordinates are not a chart."""
+
+
+def check_full_rank(spec: TorusActionSpec) -> None:
+    """Refuse a weight matrix of rank below n with :class:`RankDeficientError`;
+    the rank is the size of the basis of all planes."""
+    rank = len(support_lattices(spec)[(1 << spec.n) - 1])
+    if rank < spec.n:
+        raise RankDeficientError(
+            f"weight matrix has rank {rank} < n = {spec.n}: "
+            "per-plane invariants do not separate orbits"
+        )
+
+
+def build_isotropy_poset(spec: TorusActionSpec) -> IsotropyPoset:
+    """Isotropy lattice of the lifted action, from exhaustive support classes.
+
+    The labels and top supports are read off :func:`support_types`.  Each
+    stabilizer class contributes one orbit type, whose finite part is one
+    Smith elimination of the basis of its top support, and dim_Q_of is
+    twice the size of that top support.  Containment is inclusion of top
+    supports: (a) < (b) exactly when the lattice of b lies strictly inside
+    that of a, i.e. the union of their top supports S_a and S_b is in the
+    class of a, i.e. S_b lies strictly inside S_a.  The order is built as
+    the poset stores it, one down-set mask per class over the sorted
+    labels, and no order pairs are formed: the classes under b are those
+    whose top support holds every plane of S_b, b itself excepted, an AND
+    of one mask per plane.  Inclusion is transitive, so the masks are
+    closed as built, and the poset's bit pass
+    (:func:`cosphere.poset.transitive_closure`) leaves them unchanged.  A
+    spec with more than ``MAX_TYPES`` distinct lattices (one per class) is
+    refused with :class:`ActionSpecError` before any label is formed.
+    """
+    basis_of = support_lattices(spec)
+    count = len(set(basis_of.values()))
+    if count > MAX_TYPES:
+        raise ActionSpecError(f"{count} orbit types exceeds the cap of {MAX_TYPES}")
+    labels, _, tops = support_types(spec)
     types: list[OrbitType] = []
-    dim_q_of: dict[str, int] = {}
-    for basis, support in top.items():
+    for label, support in zip(labels, tops):
+        basis = basis_of[support]
         divisors = _nontrivial_divisors(basis, spec.k)
         dim_stab = spec.k - len(basis)
         types.append(
             OrbitType(
-                label=label_of[basis],
+                label=label,
                 dim_H=dim_stab,
                 is_identity=(dim_stab == 0 and not divisors),
                 finite_tag=",".join(str(d) for d in divisors) or None,
             )
         )
-        dim_q_of[label_of[basis]] = 2 * support.bit_count()
 
     # (L) < (H) iff the subgroup L is strictly contained in H, i.e. the
     # lattice of H is strictly contained in the lattice of L, i.e. the top
-    # support of H lies strictly inside that of L; ranks follow the labels
-    tops = [top[basis] for basis in sorted(top, key=label_of.__getitem__)]
+    # support of H lies strictly inside that of L
     holding = [sum(1 << r for r, s in enumerate(tops) if s >> j & 1) for j in range(spec.n)]
     under = []
     for r, s in enumerate(tops):
@@ -322,7 +352,7 @@ def build_isotropy_poset(spec: TorusActionSpec) -> IsotropyPoset:
     return IsotropyPoset(
         types=tuple(types),
         under=tuple(under),
-        dim_Q_of=dim_q_of,
+        dim_Q_of={label: 2 * s.bit_count() for label, s in zip(labels, tops)},
         dim_G=spec.k,
         dim_Q=2 * spec.n,
     )

@@ -53,7 +53,7 @@ def per_probe_flow_checks(fixture, seed: int = 0, starts: int = 1000) -> dict:
     rk4_endpoint_err = _max(np.abs(np.concatenate(
         [traj.xs[-1] - endpoint.x, traj.us[-1] - endpoint.u]
     )))
-    drift = reeb.conservation_report(traj)
+    drift = reeb.conservation_report(invariant_tables(traj.xs, traj.us))
 
     seam_flow_failures = []
     result = fixture.result

@@ -532,7 +532,7 @@ def test_flow_fails_before_the_first_row_without_a_file(tmp_path, capsys, monkey
 def test_verdicts_fail_on_nan(capsys, monkeypatch):
     # the builtin max returns its first argument past a NaN: max(0.0, nan) is 0.0
     nan = math.nan
-    monkeypatch.setattr(reeb, "conservation_report", lambda traj: {
+    monkeypatch.setattr(reeb, "conservation_report", lambda tables: {
         "p4_drift": 0.0, "plane_mass_drift": nan, "cosphere_sum_drift": nan})
     code, out, _ = run(capsys, "flow", "--fixture", "s1-on-r2", "--t-end", "0.1",
                        "--out", os.devnull)
@@ -916,7 +916,8 @@ def test_csv_lines_match_the_csv_writer(data):
     times = data.draw(st.none() | st.lists(csv_floats, min_size=len(points),
                                            max_size=len(points)).map(np.array))
     with np.errstate(all="ignore"):
-        lines, unresolved = cli._csv_lines(fx, x, u, phase.MEMBERSHIP_BAND, times)
+        tables = phase.invariant_tables(x, u)
+        lines, unresolved = cli._csv_lines(fx, x, u, tables, phase.MEMBERSHIP_BAND, times)
         text = "".join(lines)
         assert text == csv_oracle(fx, x, u, phase.MEMBERSHIP_BAND, times)
     column = [row[-2] for row in csv.reader(io.StringIO(text, newline=""))][1:]
@@ -952,7 +953,8 @@ def test_csv_lines_across_block_edges(name, extra, timed):
     times = BLOCK_POOL[rng.integers(len(BLOCK_POOL), size=rows)] if timed else None
     assert {0, -2**63} <= set(points[:cli._CSV_BLOCK].view(np.int64).ravel().tolist())
     with np.errstate(all="ignore"):
-        text = "".join(cli._csv_lines(fx, x, u, phase.MEMBERSHIP_BAND, times)[0])
+        tables = phase.invariant_tables(x, u)
+        text = "".join(cli._csv_lines(fx, x, u, tables, phase.MEMBERSHIP_BAND, times)[0])
         assert text == csv_oracle(fx, x, u, phase.MEMBERSHIP_BAND, times)
     assert text.count("\n") == rows + 1
     assert {"0.0", "-0.0", "nan", "inf", "-inf", "5e-324"} <= set(re.split("[,\n]", text))

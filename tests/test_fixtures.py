@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from cosphere import checks, phase, poset as poset_mod, reeb, strata, torus
 from cosphere.fixtures import build_fixture, get_fixture
-from cosphere.phase import RankDeficientError
+from cosphere.torus import RankDeficientError
 from cosphere.torus import TorusActionSpec, support_lattices
 
 from hand_pieces import oracle_labels

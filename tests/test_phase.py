@@ -19,7 +19,6 @@ from cosphere.phase import (
     NotOnZeroLevelError,
     PhaseError,
     PhasePoint,
-    RankDeficientError,
     RetriesExhaustedError,
     check_reduced_membership,
     check_run_inputs,
@@ -36,9 +35,15 @@ from cosphere.phase import (
     zero_level_arrays,
 )
 from cosphere.reeb import flow_exact, flowed_base
-from cosphere.torus import MAX_PLANES, TorusActionSpec, class_label, support_lattices
+from cosphere.torus import (
+    MAX_PLANES,
+    RankDeficientError,
+    TorusActionSpec,
+    class_label,
+    support_lattices,
+)
 from test_reference import fixture_probe_cells
-from test_torus import weight_specs
+from test_torus import CAP_SPEC, weight_specs
 
 T2 = TorusActionSpec(k=2, n=2, weights=((1, 0), (0, 1)))
 S1 = TorusActionSpec(k=1, n=1, weights=((1,),))
@@ -1007,12 +1012,6 @@ def specs_with_masks(draw):
     return spec, masks
 
 
-# at the plane cap with weights up to 16, where the count table has all
-# 2^12 = 4,096 entries
-CAP_SPEC = TorusActionSpec(k=2, n=MAX_PLANES, weights=(
-    (16, -16, 1, 2, 3, 5, 7, 11, 13, -3, 0, 4),
-    (1, 16, 0, -16, 5, 9, -7, 2, 15, 6, 8, -1),
-))
 EVERY_SUPPORT = (np.arange(1 << MAX_PLANES)[:, None] >> np.arange(MAX_PLANES)) & 1 == 1
 
 
@@ -1026,25 +1025,6 @@ def test_orbit_labels_match_the_reference(case):
     ref_labels, ref_index = reference_orbit_labels(spec, masks)
     assert labels == ref_labels
     assert same_bits(index, ref_index)
-
-
-@pytest.mark.parametrize("spec, lattices", [
-    # twelve equal weights: Z on every nonempty support, 0 on the empty one
-    (TorusActionSpec(k=1, n=MAX_PLANES, weights=((1,) * MAX_PLANES,)), 2),
-    (CAP_SPEC, len(set(support_lattices(CAP_SPEC).values()))),
-])
-def test_support_types_labels_each_distinct_lattice_once(monkeypatch, spec, lattices):
-    calls = []
-
-    def counted(k, basis):
-        calls.append(basis)
-        return class_label(k, basis)
-
-    monkeypatch.setattr(phase, "class_label", counted)
-    labels, types = phase.support_types.__wrapped__(spec)
-    assert len(calls) == len(set(calls)) == lattices
-    assert types.size == 1 << MAX_PLANES
-    assert labels == tuple(sorted({class_label(spec.k, b) for b in calls}))
 
 
 @given(st.integers(1, 4).flatmap(lambda planes: st.lists(

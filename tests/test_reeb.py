@@ -110,7 +110,7 @@ def test_rk4_agrees_with_the_exact_flow():
         endpoint = flow_exact(p, 2.0)
         assert np.max(np.abs(traj.xs[-1] - endpoint.x)) < 1e-12
         assert np.max(np.abs(traj.us[-1] - endpoint.u)) < 1e-12
-        report = conservation_report(traj)
+        report = conservation_report(invariant_tables(traj.xs, traj.us))
         assert report["p4_drift"] < 1e-12
         assert report["plane_mass_drift"] < 1e-12
         assert report["cosphere_sum_drift"] < 1e-12

@@ -533,12 +533,12 @@ def test_membership_and_row_labels_match_near_the_bands(fixture_name, scale):
             assert (fx.result.pieces[piece[i]], residual[i]) == expected
         else:
             assert isinstance(expected[1], str)
-    # _csv_lines derives its tables from x and u, so its rows take the noise
+    # _csv_lines is given the tables of x and u, so its rows take the noise
     # on the points (off the zero level, covector renormalized)
     x = x + scale * rng.standard_normal(x.shape)
     u = u + scale * rng.standard_normal(u.shape)
     u /= np.linalg.norm(u, axis=1, keepdims=True)
-    parts, unresolved = cli._csv_lines(fx, x, u, MEMBERSHIP_BAND)
+    parts, unresolved = cli._csv_lines(fx, x, u, phase.invariant_tables(x, u), MEMBERSHIP_BAND)
     # the parts are blocks of whole rows, so they are joined before the split
     header, *rows = csv.reader(io.StringIO("".join(parts), newline=""))
     assert header[-2:] == ["stratum", "residual"] and len(rows) == len(x)

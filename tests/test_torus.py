@@ -30,6 +30,7 @@ from cosphere import torus as torus_mod
 from cosphere.poset import principal_type
 from cosphere.strata import cl_stratification, semifree_diagnostics
 from cosphere.torus import (
+    MAX_PLANES,
     ActionSpecError,
     TorusActionSpec,
     _lattice_hnf,
@@ -39,6 +40,7 @@ from cosphere.torus import (
     spec_from_json,
     spec_to_json,
     support_lattices,
+    support_types,
 )
 
 
@@ -339,6 +341,63 @@ def test_support_table_reduces_each_basis_and_plane_once(spec, monkeypatch):
     assert len(calls) == len(keys) < len(table) - 1
     if spec == EQUAL_N12:
         assert (len(calls), len(table) - 1) == (23, 4095)
+
+
+# at the plane cap with weights up to 16, where the support table has all
+# 2^12 = 4,096 entries and 93 distinct lattices, past the type cap, which
+# the table does not enforce; and twelve equal weights, with 2 lattices
+CAP_SPEC = TorusActionSpec(k=2, n=MAX_PLANES, weights=(
+    (16, -16, 1, 2, 3, 5, 7, 11, 13, -3, 0, 4),
+    (1, 16, 0, -16, 5, 9, -7, 2, 15, 6, 8, -1),
+))
+EQUAL_ONES_N12 = TorusActionSpec(k=1, n=MAX_PLANES, weights=((1,) * MAX_PLANES,))
+
+
+def grouped_support_types(spec):
+    """(labels, types, tops) by grouping: the supports of one basis form a
+    class, the union of a class is its top, each class is labelled by
+    ``class_label`` and the labels are sorted."""
+    table = support_lattices(spec)
+    top = {}
+    for s, basis in table.items():
+        top[basis] = top.get(basis, 0) | s
+    label = {basis: class_label(spec.k, basis) for basis in top}
+    labels = tuple(sorted(label.values()))
+    rank = {basis: labels.index(label[basis]) for basis in top}
+    tops = tuple(top[basis] for basis in sorted(top, key=rank.__getitem__))
+    return labels, tuple(rank[table[s]] for s in range(1 << spec.n)), tops
+
+
+@given(weight_specs())
+@example(EQUAL_ONES_N12)
+@example(CAP_SPEC)
+def test_support_types_match_the_grouping_oracle(spec):
+    labels, types, tops = support_types(spec)
+    ref_labels, ref_types, ref_tops = grouped_support_types(spec)
+    assert labels == ref_labels
+    assert types == ref_types
+    assert tops == ref_tops
+    # each top is a support of its own type
+    assert [types[s] for s in tops] == list(range(len(labels)))
+
+
+@pytest.mark.parametrize("spec, lattices", [
+    # twelve equal weights: Z on every nonempty support, 0 on the empty one
+    (EQUAL_ONES_N12, 2),
+    (CAP_SPEC, len(set(support_lattices(CAP_SPEC).values()))),
+])
+def test_support_types_labels_each_distinct_lattice_once(monkeypatch, spec, lattices):
+    calls = []
+
+    def counted(k, basis):
+        calls.append(basis)
+        return class_label(k, basis)
+
+    monkeypatch.setattr(torus_mod, "class_label", counted)
+    labels, types, tops = support_types.__wrapped__(spec)  # past the per-spec cache
+    assert len(calls) == len(set(calls)) == lattices
+    assert len(types) == 1 << MAX_PLANES and len(tops) == len(labels)
+    assert labels == tuple(sorted({class_label(spec.k, b) for b in calls}))
 
 
 @given(weight_specs())
