@@ -24,15 +24,17 @@ takes one image and names the test that leaves it unlocated.
 outside (:func:`hilbert_map`, the Reeb flows).
 
 The zero-level sampler solves J = 0 exactly in the covector: for fixed x
-the momentum is linear, J = M(x) u, so a Gaussian covector is projected
+the momentum is linear, J = M(x) u, so a drawn covector is projected
 onto ker M(x) through the independent rows of M(x), made orthonormal by
 classical Gram-Schmidt run twice.  Which rows those are, and so the rank,
 is exact integer data: the pivot rows of the canonical lattice basis of
 the planes where base point and covector may both be nonzero, read once
-per support pattern.  One call draws all its base points and covectors as
-one row-major block from one generator seeded with ``seed``, so sample i
-depends only on (seed, i), not on the count.  Singular strata come from
-exact zeros forced through support patterns, never from thresholded noise.
+per support pattern.  The draws are uniform on (-1, 1) and come from a
+counter-based stream of integer arithmetic (:func:`_draws`): draw (i, c)
+is a pure function of the seed, the sample index i, the column c and the
+attempt, the same bits on every CPU, so sample i depends only on
+(seed, i), not on the count.  Singular strata come from exact zeros forced
+through support patterns, never from thresholded noise.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ IDENTITY_TOL = 1e-9
 MEMBERSHIP_BAND = 1e-8
 UNIT_TOL = 1e-12
 MIN_COVECTOR_NORM = 1e-8
+# the sampler's counter (see _draws) holds attempts below 2^6 and samples below 2^20
 MAX_RETRIES = 64
 # at least 100 times every default, acceptance and benchmark run size
 MAX_SAMPLES = 10**6
@@ -272,10 +275,10 @@ def _zero_level_rows(
     rows: np.ndarray,
     draws: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Zero-level points from (N, |xcols| + |ucols|) standard normal draws.
+    """Zero-level points from (N, |xcols| + |ucols|) draws.
 
     The first columns of a row are the base coordinates on ``xcols``, the
-    rest a Gaussian covector g on ``ucols``, projected onto ker M(x)
+    rest a covector g on ``ucols``, projected onto ker M(x)
     restricted to ``ucols``.  While no base plane vanishes that is ker M_R,
     M_R the independent weight ``rows`` of M (row i is a_ij (-x_j2, x_j1) on
     plane j), orthonormalized by :func:`_project_out`, which also projects g.
@@ -321,6 +324,58 @@ def _zero_level_rows(
     return x, u, ok
 
 
+# the odd golden-ratio increment and the two multipliers of SplitMix64
+_GOLDEN = 0x9E3779B97F4A7C15
+_MIX = (0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
+
+
+def _mix64(z: np.ndarray) -> None:
+    """SplitMix64's finalizer on a uint64 array, in place and wrapping: a
+    bijection of 64-bit words (Steele, Lea and Flood, OOPSLA 2014)."""
+    scratch = np.right_shift(z, 30)
+    z ^= scratch
+    z *= _MIX[0]
+    np.right_shift(z, 27, out=scratch)
+    z ^= scratch
+    z *= _MIX[1]
+    np.right_shift(z, 31, out=scratch)
+    z ^= scratch
+
+
+def _draws(seed: int, attempt: int, rows: Iterable[int], width: int) -> np.ndarray:
+    """(len(rows), width) draws on (-1, 1) of ``attempt`` for sample ``rows``.
+
+    Draw (i, c) of attempt a is a pure function of (seed, i, a, c): the
+    counter ((a << 20 | i) << 6 | c), injective for i < 2^20, c < 2^6 and
+    a < 2^6, times the golden ratio plus the seed's key, through
+    :func:`_mix64`; its top 52 bits k give (2k + 1) 2^-52 - 1, exactly, so
+    the law is uniform, symmetric and never 0, and the draws are integer
+    arithmetic, the same bits on every CPU.  The key folds the seed's 64-bit
+    words, low word first, through :func:`_mix64`, so a seed of any size is
+    taken and two seeds below 2^64 never share a key.
+    """
+    seed = int(seed)
+    key = np.array([_GOLDEN], dtype=np.uint64)
+    for shift in range(0, max(seed.bit_length(), 1), 64):
+        key ^= seed >> shift & 0xFFFFFFFFFFFFFFFF
+        _mix64(key)
+    # the counter's low 6 bits are the column, so its product with the
+    # golden ratio is the row part plus the column part, wrapping
+    start = (np.asarray(rows, dtype=np.uint64) | attempt << 20) << 6
+    start *= _GOLDEN
+    start += key
+    z = np.empty((start.size, width), dtype=np.uint64)
+    np.add(start[:, None], np.arange(width, dtype=np.uint64) * _GOLDEN, out=z)
+    _mix64(z)
+    # (z >> 11) | 1 is 2k + 1, below 2^53, so the float conversion is exact
+    z >>= 11
+    z |= 1
+    draws = z.astype(float)
+    draws *= 2.0**-52
+    draws -= 1.0
+    return draws
+
+
 def zero_level_arrays(
     spec: TorusActionSpec,
     seed: int,
@@ -331,21 +386,22 @@ def zero_level_arrays(
     """Draw exact zero-level cosphere points as (count, 2n) arrays (x, u),
     deterministically from the seed.
 
-    Base coordinates are Gaussian on the planes of ``support_pattern`` and
-    exactly zero elsewhere; the covector is a Gaussian on the
-    ``covector_pattern`` planes projected onto ker M(x) restricted to those
-    planes, then normalized, so |J| vanishes to machine precision.  The
-    projection is the twice-orthogonalized row basis of
+    Base coordinates are uniform on (-1, 1) on the planes of
+    ``support_pattern`` and exactly zero elsewhere; the covector is uniform
+    on (-1, 1) on the ``covector_pattern`` planes, projected onto ker M(x)
+    restricted to those planes, then normalized, so |J| vanishes to machine
+    precision.  Genericity needs only a law with a density; J = 0 comes from
+    the projection, which is the twice-orthogonalized row basis of
     :func:`_zero_level_rows` on the independent weight rows of the planes in
-    both patterns.  All draws of one call come as one row-major block from
-    ``default_rng(seed)``, one row per sample, so sample i is the same for
+    both patterns.  Row i of the block is attempt 0 of sample i in the
+    counter-based stream of :func:`_draws`, so sample i is the same for
     every ``count`` above i.  A row whose projected covector is shorter than
     1e-8, whose base point is exactly zero on a plane of
     ``support_pattern``, or whose row basis has a numerically zero pivot, is
-    redrawn from ``default_rng([seed, i, attempt])`` for attempt = 1, 2,
-    ...; after ``MAX_RETRIES`` draws in all, :class:`RetriesExhaustedError`
-    is raised.  A negative seed or count, or a count over ``MAX_SAMPLES``,
-    is refused with :class:`PhaseError`.
+    redrawn from attempt 1, 2, ... of its own index; after ``MAX_RETRIES``
+    draws in all, :class:`RetriesExhaustedError` is raised.  A negative seed
+    or count, or a count over ``MAX_SAMPLES``, is refused with
+    :class:`PhaseError`; a seed of any size is taken.
     """
     planes_x = _as_plane_set(support_pattern, spec.n)
     planes_u = _as_plane_set(covector_pattern, spec.n)
@@ -354,14 +410,13 @@ def zero_level_arrays(
         raise EmptyKernelError("empty covector pattern leaves no unit covector")
     check_run_inputs(seed=seed, count=count)
     width = xcols.size + ucols.size
-    block = np.random.default_rng(int(seed)).standard_normal((int(count), width))
+    block = _draws(seed, 0, np.arange(int(count)), width)
     rows = _independent_rows(spec, set(planes_x) & set(planes_u))
     x, u, ok = _zero_level_rows(spec, xcols, ucols, rows, block)
     for index in np.flatnonzero(~ok):
         for attempt in range(1, MAX_RETRIES):
-            redraw = np.random.default_rng([int(seed), int(index), attempt])
             rx, ru, rok = _zero_level_rows(
-                spec, xcols, ucols, rows, redraw.standard_normal((1, width))
+                spec, xcols, ucols, rows, _draws(seed, attempt, [index], width)
             )
             if rok[0]:
                 x[index], u[index] = rx[0], ru[0]
@@ -376,22 +431,23 @@ def zero_level_arrays(
 def _plane_tests(columns: np.ndarray, j: int, band: float):
     """The band tests of plane j of reduced images given as (3n, N) columns.
 
-    Returns the (N,) columns p1, p3, p1 - p3 and the cone value
-    (p1 p1 - p2 p2) - p3 p3, and (N,) masks: on S, on S_x, the cone test
-    passed, and the plane's test passed.  The cone value's rounding error
-    grows like eps p1^2, so its band is ``band`` max(1, p1^2).
+    Returns the (N,) columns p1, p3, p1 - p3, the cone value
+    (p1 p1 - p2 p2) - p3 p3 and its scaled size |cone| / max(1, p1^2), and
+    (N,) masks: on S, on S_x, and the plane's test passed.  The cone value's
+    rounding error grows like eps p1^2, so it is the scaled size that is
+    held to ``band``.
     """
     p1, p2, p3 = columns[3 * j], columns[3 * j + 1], columns[3 * j + 2]
     diff = p1 - p3
     square = p1 * p1
     cone = (square - p2 * p2) - p3 * p3
+    scaled = np.abs(cone) / np.maximum(1.0, square)
     on = p1 > band
     on_x = on & (diff > band)
     # each test in complement form, so that a NaN fails it; on S, the plane
     # is on S_x or within the band of p1 = p3 exactly when diff >= -band
-    cone_ok = np.abs(cone) <= band * np.maximum(1.0, square)
-    passed = (np.abs(p1) <= band) | (on & cone_ok & (diff >= -band))
-    return p1, p3, diff, cone, on, on_x, cone_ok, passed
+    passed = (np.abs(p1) <= band) | (on & (scaled <= band) & (diff >= -band))
+    return p1, p3, diff, cone, scaled, on, on_x, passed
 
 
 def locate_rows(
@@ -402,14 +458,16 @@ def locate_rows(
     residual (NaN on a -1 row).
 
     Per plane j: |p1_j| <= ``band`` puts j off S and p1_j > ``band`` on S.
-    On S the cone value |p1_j^2 - p2_j^2 - p3_j^2| must be within
-    ``band`` max(1, p1_j^2), and |p1_j - p3_j| <= ``band`` puts j off S_x,
+    On S the cone value |p1_j^2 - p2_j^2 - p3_j^2| / max(1, p1_j^2) must be
+    within ``band``, and |p1_j - p3_j| <= ``band`` puts j off S_x,
     p1_j - p3_j > ``band`` on S_x.  The cosphere sum |sum(p1 + p3) - 2|
     must be within the band and S nonempty.  Any other value, a NaN among
     them, leaves the row unlocated; :func:`check_reduced_membership` names
-    the test that failed.  The residual is the largest of the unscaled
-    |p1_j| off S, cone value on S, |p1_j - p3_j| on S minus S_x, and sum,
-    which adds -2, p1_1, p3_1, p1_2, ... in that order.  A band that is not
+    the test that failed.  The residual is the largest of the values these
+    tests hold to the band: |p1_j| off S, the scaled cone value on S,
+    |p1_j - p3_j| on S minus S_x, and the sum, which adds -2, p1_1, p3_1,
+    p1_2, ... in that order; so a row is located exactly when its residual
+    is within the band and its supports name a piece.  A band that is not
     finite and positive, or rows not 3n wide, are refused with
     :class:`PhaseError`.  The tests run on a transposed copy of the images,
     one contiguous row per coordinate, and the row's piece is
@@ -431,15 +489,13 @@ def locate_rows(
     # every plane's residual is +0.0 or more, or NaN
     worst = np.zeros(len(images))
     for j in range(n):
-        p1, p3, diff, cone, on, on_x, _, passed = _plane_tests(columns, j, band)
+        p1, p3, diff, _, scaled, on, on_x, passed = _plane_tests(columns, j, band)
         total += p1
         total += p3
         ok &= passed
         support |= on << j
         support_x |= on_x << j
-        plane = np.where(
-            on, np.fmax(np.abs(cone), np.where(on_x, 0.0, np.abs(diff))), np.abs(p1)
-        )
+        plane = np.where(on, np.fmax(scaled, np.where(on_x, 0.0, np.abs(diff))), np.abs(p1))
         # np.maximum, like np.max, keeps a NaN
         np.maximum(worst, plane, out=worst)
     sum_err = np.abs(total)
@@ -470,13 +526,13 @@ def check_reduced_membership(
     failed = "no piece for these supports"
     total, any_on = -2.0, False
     for j in range(fixture.spec.n):
-        p1, p3, diff, cone, on, _, cone_ok, passed = _plane_tests(rows.T, j, band)
+        p1, p3, diff, cone, scaled, on, _, passed = _plane_tests(rows.T, j, band)
         total, any_on = total + p1[0] + p3[0], any_on or on[0]
         if not passed[0]:
             k = j + 1
             if not on[0]:
                 failed = f"p1_{k} = {p1[0]:.3e}"
-            elif not cone_ok[0]:
+            elif not scaled[0] <= band:
                 bound = band * max(1.0, p1[0] * p1[0])
                 failed = (f"p1_{k}^2 - p2_{k}^2 - p3_{k}^2 = {float(cone[0])!r}, "
                           f"beyond band * max(1, p1_{k}^2) = {float(bound)!r}")

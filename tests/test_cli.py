@@ -976,3 +976,34 @@ def test_flow_stdout_is_utf8_whatever_the_locale(tmp_path):
     assert (to_file.returncode, to_file.stderr) == (0, b"")
     assert to_stdout.stdout == target.read_bytes()
     assert to_stdout.stdout.count(",CC(e×S^1),".encode()) == 101
+
+
+def test_verify_takes_a_seed_past_64_bits(capsys):
+    code, out, _ = run(capsys, "verify", "--fixture", "s1-on-r2", "--count", "10",
+                       "--seed", "1000000000000000000000000000000")
+    assert code == 0
+    assert out.endswith("verify s1-on-r2: PASS\n")
+
+
+def test_verify_and_flow_never_import_numpy_random(tmp_path):
+    # the sampler's stream is integer arithmetic in phase, so neither
+    # battery nor a seeded flow export loads numpy's generators
+    script = (
+        "import sys\n"
+        "from cosphere import checks, cli\n"
+        "from cosphere.fixtures import get_fixture\n"
+        f"out = {str(tmp_path)!r}\n"
+        "for name in ('s1-on-r2', 't2-on-r4'):\n"
+        "    assert checks.verify_fixture(get_fixture(name), seed=7, count=200)['passed']\n"
+        "    assert checks.flow_checks(get_fixture(name), seed=7, starts=50)['passed']\n"
+        "    code = cli.main(['flow', '--fixture', name, '--seed', '7', '--out', f'{out}/{name}.csv'])\n"
+        "    assert code == 0, code\n"
+        "sys.exit('numpy.random' in sys.modules)\n"
+    )
+    src = str(Path(cosphere.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    result = subprocess.run([sys.executable, "-c", script], env=env,
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    assert (tmp_path / "t2-on-r4.csv").is_file()

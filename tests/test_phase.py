@@ -12,6 +12,7 @@ from cosphere import checks, phase
 from cosphere.fixtures import build_fixture, get_fixture
 from cosphere.phase import (
     EmptyKernelError,
+    MAX_RETRIES,
     MAX_SAMPLES,
     MAX_STEPS,
     MEMBERSHIP_BAND,
@@ -248,22 +249,89 @@ def test_sampled_covectors_solve_the_momentum_to_roundoff():
     assert float(np.max(np.abs(momenta(S1, invariant_tables(x, u))))) <= 1e-13
 
 
+def reference_draw(seed, attempt, row, column):
+    """Draw (row, column) of ``attempt`` in Python integers: SplitMix64's
+    finalizer on the counter times the golden ratio plus the seed's key."""
+    mask = (1 << 64) - 1
+
+    def mix(z):
+        z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & mask
+        z = (z ^ z >> 27) * 0x94D049BB133111EB & mask
+        return z ^ z >> 31
+
+    key = 0x9E3779B97F4A7C15
+    while True:  # the seed's 64-bit words, low first, at least one
+        key = mix(key ^ seed & mask)
+        seed >>= 64
+        if not seed:
+            break
+    z = mix((((attempt << 20 | row) << 6 | column) * 0x9E3779B97F4A7C15 + key) & mask)
+    return (2 * (z >> 12) + 1) * 2.0**-52 - 1.0
+
+
+@given(st.integers(0, 2**200), st.integers(0, MAX_RETRIES - 1),
+       st.lists(st.integers(0, MAX_SAMPLES - 1), max_size=5), st.integers(1, 4 * MAX_PLANES))
+@example(0, 0, [0], 1)
+@example(2**64 - 1, MAX_RETRIES - 1, [MAX_SAMPLES - 1], 4 * MAX_PLANES)
+def test_draws_match_the_integer_reference(seed, attempt, rows, width):
+    # the counter is injective only while its three fields fit their bits
+    assert MAX_RETRIES <= 2**6 and MAX_SAMPLES <= 2**20 and 4 * MAX_PLANES <= 2**6
+    draws = phase._draws(seed, attempt, rows, width)
+    assert draws.shape == (len(rows), width)
+    assert draws.tolist() == [[reference_draw(seed, attempt, i, c) for c in range(width)]
+                              for i in rows]
+    assert ((np.abs(draws) < 1.0) & (draws != 0.0)).all()
+
+
+# the first row of the stream at seeds 0 and 7, and the attempt-1 redraw of
+# row 3 at seed 7: a change to the stream changes these bits
+KNOWN_DRAWS = {
+    (0, 0, 0): ["-0x1.bef3eec806194p-2", "0x1.3836e97a68cbcp-2", "0x1.9c15182fa20a4p-2",
+                "-0x1.ce56eab045408p-3", "0x1.4055d46433204p-2", "0x1.26d6b8419a63ep-1",
+                "-0x1.6a41765976f7ep-1", "0x1.1d56eeb2122f2p-1"],
+    (7, 0, 0): ["-0x1.023f70c6de5eap-1", "-0x1.3616a8fc432c0p-6", "-0x1.537a202d3f3b0p-4",
+                "0x1.76173d439cc36p-1", "-0x1.7129ccef813c4p-2", "-0x1.4e286957d95a2p-1",
+                "-0x1.278bb36a3d590p-4", "0x1.03596b1d0ac38p-3"],
+    (7, 1, 3): ["0x1.3741aa43e5342p-1", "-0x1.bd02f868b1a3cp-2", "-0x1.c7b7b1f7d0d28p-3",
+                "0x1.54c354d54468ap-1", "0x1.e1c09b593f28cp-2", "-0x1.d6f34e43b38fep-1",
+                "0x1.2302760c8feeap-1", "0x1.d38e4afafe366p-1"],
+}
+
+
+@pytest.mark.parametrize("seed, attempt, row", sorted(KNOWN_DRAWS))
+def test_draws_are_pinned(seed, attempt, row):
+    draws = phase._draws(seed, attempt, [row], 8)[0]
+    assert [float.hex(v) for v in draws.tolist()] == KNOWN_DRAWS[seed, attempt, row]
+    if attempt == 0:
+        x, u = zero_level_arrays(T2, seed=seed, count=1)
+        assert x[0].tolist() == draws[:4].tolist()
+
+
+def test_seeds_of_any_size_draw_their_own_blocks():
+    # the key folds every 64-bit word of the seed, so 2^64 + 7 is not 7
+    assert phase._draws(7, 0, np.arange(4), 8).tolist() != (
+        phase._draws(2**64 + 7, 0, np.arange(4), 8).tolist())
+    x, _ = zero_level_arrays(T2, seed=2**64 + 7, count=4)
+    assert x.tolist() != zero_level_arrays(T2, seed=7, count=4)[0].tolist()
+    report = checks.verify_fixture(get_fixture("t2-on-r4"), seed=10**30, count=200)
+    assert report["passed"] and report["seed"] == 10**30
+
+
+def fixed_block(real_draws, block):
+    """A stand-in for ``phase._draws`` whose attempt 0 is ``block``."""
+    return lambda seed, attempt, rows, width: (
+        real_draws(seed, attempt, rows, width) if attempt else block
+    )
+
+
 def test_sampler_redraws_rows_without_a_covector(monkeypatch):
     # an all-zero block leaves every row without a covector, so each sample
-    # comes from its own default_rng([seed, index, 1]) redraw
-    real_rng = np.random.default_rng
-
-    class ZeroBlock:
-        def standard_normal(self, shape):
-            return np.zeros(shape)
-
-    monkeypatch.setattr(
-        np.random, "default_rng",
-        lambda seed: real_rng(seed) if isinstance(seed, list) else ZeroBlock(),
-    )
+    # comes from its own (seed, index, 1) redraw
+    real_draws = phase._draws
+    monkeypatch.setattr(phase, "_draws", fixed_block(real_draws, np.zeros((3, 8))))
     x, u = zero_level_arrays(T2, seed=4, count=3)
     for index in range(3):
-        assert x[index].tolist() == real_rng([4, index, 1]).standard_normal(8)[:4].tolist()
+        assert x[index].tolist() == real_draws(4, 1, [index], 8)[0, :4].tolist()
     assert np.max(np.abs(momenta(T2, invariant_tables(x, u)))) < 1e-12
     monkeypatch.setattr(phase, "MAX_RETRIES", 1)
     with pytest.raises(RetriesExhaustedError, match="after 1 draws for sample 0"):
@@ -273,21 +341,13 @@ def test_sampler_redraws_rows_without_a_covector(monkeypatch):
 def test_sampler_redraws_a_row_with_a_zero_base_plane(monkeypatch):
     # x_0 = 0 on a drawn plane zeroes a row of M(x), so the independent
     # rows may drop rank: that row is redrawn from its own
-    # default_rng([seed, index, 1]), the others keep their draws
-    real_rng = np.random.default_rng
-    block = real_rng(4).standard_normal((3, 8))
+    # (seed, index, 1) redraw, the others keep their draws
+    real_draws = phase._draws
+    block = real_draws(4, 0, np.arange(3), 8)
     block[1, :2] = 0.0
-
-    class FixedBlock:
-        def standard_normal(self, shape):
-            return block
-
-    monkeypatch.setattr(
-        np.random, "default_rng",
-        lambda seed: real_rng(seed) if isinstance(seed, list) else FixedBlock(),
-    )
+    monkeypatch.setattr(phase, "_draws", fixed_block(real_draws, block))
     x, u = zero_level_arrays(T2, seed=4, count=3)
-    assert x[1].tolist() == real_rng([4, 1, 1]).standard_normal(8)[:4].tolist()
+    assert x[1].tolist() == real_draws(4, 1, [1], 8)[0, :4].tolist()
     assert x[[0, 2]].tolist() == block[[0, 2], :4].tolist()
     assert np.max(np.abs(momenta(T2, invariant_tables(x, u)))) < 1e-12
 
@@ -309,28 +369,20 @@ def test_sampler_redraws_a_row_with_a_degenerate_base_plane(monkeypatch, name, v
     # base coordinates of 1e-200 on plane 0 are not zero, but a pivot of M_R
     # is then numerically zero: its square underflows to 0, or it falls
     # under the rank cut.  That row is redrawn from its own
-    # default_rng([seed, index, 1]) rather than losing a constraint, with no
+    # (seed, index, 1) redraw rather than losing a constraint, with no
     # warning, as is a row whose plane 0 is exactly zero, also when its
     # other pivots must not grow through eight rows
     weights = DEGENERATE_WEIGHTS[name]
     n = len(weights[0])
     spec = TorusActionSpec(k=len(weights), n=n, weights=weights)
-    real_rng = np.random.default_rng
-    block = real_rng(4).standard_normal((3, 4 * n))
+    real_draws = phase._draws
+    block = real_draws(4, 0, np.arange(3), 4 * n)
     block[1, :2] = value
-
-    class FixedBlock:
-        def standard_normal(self, shape):
-            return block
-
-    monkeypatch.setattr(
-        np.random, "default_rng",
-        lambda seed: real_rng(seed) if isinstance(seed, list) else FixedBlock(),
-    )
+    monkeypatch.setattr(phase, "_draws", fixed_block(real_draws, block))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         x, u = zero_level_arrays(spec, seed=4, count=3)
-    assert x[1].tolist() == real_rng([4, 1, 1]).standard_normal(4 * n)[: 2 * n].tolist()
+    assert x[1].tolist() == real_draws(4, 1, [1], 4 * n)[0, : 2 * n].tolist()
     assert x[[0, 2]].tolist() == block[[0, 2], : 2 * n].tolist()
     assert np.max(np.abs(momenta(spec, invariant_tables(x, u)))) <= 1e-13
 
@@ -565,10 +617,10 @@ LOCATOR_CASES = {
     "p1 - p3 beyond -band": ([0.125 - H, 0.0, beyond(0.125 + H), 1.09375, 0.875, 0.65625],
                              None, "p1_1 - p3_1 = -7.451e-09"),
     # the cone value 4 - p2^2 - 0 at and just over its band, the band
-    # times max(1, p1^2) = 4: (2 - band)^2 rounds to 4 - 4 band; the failed
-    # test states the value and the band in full, which differ in the
-    # eighth digit
-    "cone at band": ([2.0, 2.0 - BAND, 0.0], "CC(e)", 4 * BAND),
+    # times max(1, p1^2) = 4: (2 - band)^2 rounds to 4 - 4 band, whose
+    # residual, the value over 4, is the band; the failed test states the
+    # value and the band in full, which differ in the eighth digit
+    "cone at band": ([2.0, 2.0 - BAND, 0.0], "CC(e)", BAND),
     "cone beyond band": ([2.0, np.nextafter(2.0 - BAND, 0.0), 0.0], None,
                          "p1_1^2 - p2_1^2 - p3_1^2 = 2.980232327587373e-08, "
                          "beyond band * max(1, p1_1^2) = 2.9802322387695312e-08"),
@@ -718,15 +770,17 @@ def test_flowed_probe_samples_match_exactly_one_piece(fixture_name):
 def test_scaled_base_points_stay_in_their_pieces(fixture_name, seed, scale):
     # scaling the base point by s keeps J = 0, |u| = 1 and both supports,
     # while the cone value's rounding grows like eps p1^2 ~ eps s^4 |x|^4;
-    # its band scales with p1^2, so every row keeps its piece
+    # its band scales with p1^2, so every row keeps its piece, and its
+    # residual, the cone value over max(1, p1^2), stays within the band
     fx = get_fixture(fixture_name)
     for idx, (probe, support_x, support) in enumerate(fx.probes):
         x, u = zero_level_arrays(fx.spec, seed=seed + idx, count=200,
                                  support_pattern=support_x, covector_pattern=support)
         at_one, _ = locate_rows(fx, reduced_images(invariant_tables(x, u)))
-        scaled, _ = locate_rows(fx, reduced_images(invariant_tables(scale * x, u)))
+        scaled, residual = locate_rows(fx, reduced_images(invariant_tables(scale * x, u)))
         assert (at_one == probe).all()
         assert scaled.tolist() == at_one.tolist(), (idx, int(np.sum(scaled != at_one)))
+        assert (residual <= MEMBERSHIP_BAND).all(), (idx, float(np.max(residual)))
 
 
 @pytest.mark.parametrize("fixture_name", ["s1-on-r2", "t2-on-r4"])
@@ -794,20 +848,17 @@ def reference_invariant_tables(x, u):
 def reference_locate_rows(fixture, images, band):
     p1, p2, p3 = images[:, 0::3], images[:, 1::3], images[:, 2::3]
     diff = p1 - p3
-    cone = (p1 * p1 - p2 * p2) - p3 * p3
+    cone = np.abs((p1 * p1 - p2 * p2) - p3 * p3) / np.maximum(1.0, p1 * p1)
     total = np.full(len(images), -2.0)
     for j in range(p1.shape[1]):
         total = total + p1[:, j] + p3[:, j]
     on = p1 > band
     on_x = on & (diff > band)
     plane_ok = (np.abs(p1) <= band) | (
-        on & (np.abs(cone) <= band * np.maximum(1.0, p1 * p1))
-        & (on_x | (np.abs(diff) <= band))
+        on & (cone <= band) & (on_x | (np.abs(diff) <= band))
     )
     ok = plane_ok.all(axis=1) & (np.abs(total) <= band) & on.any(axis=1)
-    planes = np.where(
-        on, np.fmax(np.abs(cone), np.where(on_x, 0.0, np.abs(diff))), np.abs(p1)
-    )
+    planes = np.where(on, np.fmax(cone, np.where(on_x, 0.0, np.abs(diff))), np.abs(p1))
     residual = np.fmax(np.max(planes, axis=1), np.abs(total))
     n = p1.shape[1]
     bits = 1 << np.arange(n)

@@ -186,17 +186,15 @@ def test_trajectory_invariants_shape():
 
 
 def test_seam_flow_check_probes_before_the_first_crossing():
-    # flow_checks' seam start 93 of probe 1 at seed 180: plane 0's base
-    # point x_0 + t u_0 passes through 0 at t* = -p2 / (p1 + p3) = 0.49990,
-    # so the image at the old fixed t = 0.5 lies in the band of the other
-    # seam, while the image at t*/2 lies in CC(e)
+    # a seam start on Seam(e×S^1>e), once drawn by flow_checks (start 93 of
+    # probe 1 at seed 180 under a former sampler): plane 0's base point
+    # x_0 + t u_0 passes through 0 at t* = -p2 / (p1 + p3) = 0.49990, so the
+    # image at the old fixed t = 0.5 lies in the band of the other seam,
+    # while the image at t*/2 lies in CC(e)
     fx = get_fixture("t2-on-r4")
-    _, support_x, support = fx.probes[1]
-    x, u = zero_level_arrays(
-        fx.spec, seed=checks._probe_seed(180, 1) + 17, count=200,
-        support_pattern=support_x, covector_pattern=support,
-    )
-    x, u = x[93], u[93]
+    x = np.array([0.15824983929423142, -0.11408753025813187, 0.0, 0.0])
+    u = np.array([-0.3165604407265223, 0.22821886594630605,
+                  -0.05107869900586723, -0.9192913592007051])
     p1, p2, p3, _ = invariant_tables(x, u)[0]
     t_star = -p2 / (p1 + p3)
     assert t_star == pytest.approx(0.49990, abs=1e-5)
@@ -279,8 +277,18 @@ def test_batched_seam_check_raises_what_the_per_probe_loop_raises(fixture_name, 
 def test_seam_flow_failures_spell_the_time_as_a_float(monkeypatch):
     # not np.float64(0.5), whose repr depends on the numpy version
     monkeypatch.setattr(reeb, "flowed_base", lambda x, u, t: x)
-    failures = checks.flow_checks(get_fixture("t2-on-r4"), seed=0, starts=50)["seam_flow_failures"]
-    assert failures[0] == "Seam(e×S^1>e) flowed to Seam(e×S^1>e) at t = 0.5, expected CC(e)"
+    fx = get_fixture("t2-on-r4")
+    failures = checks.flow_checks(fx, seed=0, starts=50)["seam_flow_failures"]
+    # the first failure is start 0 of the first seam probe, probe 1, flowed
+    # to min(0.5, t*/2), t* its least positive crossing
+    _, support_x, support = fx.probes[1]
+    x, u = zero_level_arrays(fx.spec, seed=checks._probe_seed(0, 1) + 17, count=1,
+                             support_pattern=support_x, covector_pattern=support)
+    p1, p2, p3, _ = invariant_tables(x, u)[0].T
+    t_cross = -p2 / (p1 + p3)
+    t = min(0.5, float(np.min(t_cross[t_cross > 0], initial=np.inf)) / 2)
+    assert failures[0] == f"Seam(e×S^1>e) flowed to Seam(e×S^1>e) at t = {t!r}, expected CC(e)"
+    assert "np.float64(" not in "".join(failures)
     for failure in failures:
         t = failure.split(" at t = ")[1].split(",")[0]
         assert repr(float(t)) == t, failure

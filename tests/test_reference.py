@@ -117,8 +117,9 @@ def ref_cells(spec):
     Off S a plane states ``eq(p1_j)``; on S it states ``gt(p1_j)``, the
     cone equation and ``eq(p1_j - p3_j)`` off S_x or ``gt(p1_j - p3_j)`` on
     S_x; every list ends with the cosphere equation.  The cone equation
-    holds within the band times max(1, p1_j^2), its ``scale`` the poly
-    p1_j; every other constraint's scale is None.  The pair with S empty
+    holds when its value over max(1, p1_j^2) is within the band, its
+    ``scale`` the poly p1_j; every other constraint's scale is None.  The
+    pair with S empty
     names no piece (None): an image that meets its whole list has no plane
     on S.
     """
@@ -164,7 +165,8 @@ def ref_poly(poly, image: np.ndarray) -> float:
 def ref_candidates(fixture, image: np.ndarray, band: float = MEMBERSHIP_BAND):
     """The (name, worst equality residual) of every piece whose list the
     image meets, and the explanation of a miss: the first violated
-    constraint, with its value, of the list that holds longest."""
+    constraint, with its value, of the list that holds longest.  An
+    equation's residual is its value over its scale, max(1, p1_j^2) or 1."""
     matches = []
     longest, explanation = -1, None
     for name, constraints in ref_cells(fixture.spec):
@@ -173,7 +175,8 @@ def ref_candidates(fixture, image: np.ndarray, band: float = MEMBERSHIP_BAND):
             val = ref_poly(poly, image)
             p1 = 0.0 if scale is None else ref_poly(scale, image)
             bound = band * max(1.0, p1 * p1)
-            if not (abs(val) <= bound if kind == "eq" else val > band):
+            scaled = abs(val) / max(1.0, p1 * p1)
+            if not (scaled <= band if kind == "eq" else val > band):
                 if pos > longest:
                     longest, explanation = pos, f"{text} = {val:.3e}"
                     if scale is not None:
@@ -182,7 +185,7 @@ def ref_candidates(fixture, image: np.ndarray, band: float = MEMBERSHIP_BAND):
                                        f"beyond band * max(1, {p1_name}^2) = {bound!r}")
                 break
             if kind == "eq":
-                residual = max(residual, abs(val))
+                residual = max(residual, scaled)
         else:
             if name is None:
                 longest, explanation = len(constraints), f"no plane has p1_j > {band:.3e}"
