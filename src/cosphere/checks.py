@@ -28,9 +28,7 @@ from .phase import (
     k0_project,
     locate_rows,
     momenta,
-    orbit_labels,
     reduced_images,
-    support_masks,
     zero_level_arrays,
 )
 
@@ -61,9 +59,9 @@ def verify_fixture(
     One probe per piece (``fixture.probes``): the generic probe draws
     ``count`` samples, the singular probes a tenth each (at least 200).
     Every sample must sit on the zero level within 1e-10, satisfy the
-    cosphere and cone identities within 1e-9, classify into a starred
-    orbit type, and be located in its probe's piece.  A negative seed is
-    refused with :class:`phase.PhaseError`.
+    cosphere and cone identities within 1e-9, have a starred orbit type
+    type(S), S read as for its piece, and be located in its probe's piece.
+    A negative seed is refused with :class:`phase.PhaseError`.
     """
     phase.check_run_inputs(seed=seed)
     spec, result = fixture.spec, fixture.result
@@ -87,15 +85,14 @@ def verify_fixture(
         )
         tables = invariant_tables(x, u)
         images = reduced_images(tables)
-        labels, index = orbit_labels(spec, support_masks(tables))
-        is_starred = np.array([label in result.starred for label in labels], dtype=bool)[index]
-        piece, residual = locate_rows(fixture, images, band)
+        piece, residual, lower = locate_rows(fixture, images, band)
+        is_starred = np.array([label in result.starred for label in result.labels])[lower]
         located = is_starred & (piece >= 0)
 
         failures: list[str] = []
         for i in np.flatnonzero(~located)[:MAX_REPORTED_FAILURES]:
             if not is_starred[i]:
-                failures.append(f"classified into unstarred type ({labels[index[i]]})")
+                failures.append(f"classified into unstarred type ({result.labels[lower[i]]})")
                 continue
             try:
                 check_reduced_membership(fixture, images[i], band=band)
@@ -107,7 +104,8 @@ def verify_fixture(
         max_cosphere = _max(np.abs(cosphere_sums(tables) - 2.0))
         max_cone = _max(np.abs(cone_residuals(tables)) / scale)
         max_residual = _max(residual[located])
-        class_counts = dict(zip(labels, np.bincount(index, minlength=len(labels)).tolist()))
+        per_type = np.bincount(lower, minlength=len(result.labels)).tolist()
+        class_counts = {label: c for label, c in zip(result.labels, per_type) if c}
         counts = np.bincount(piece[located], minlength=len(names)).tolist()
         piece_counts = dict(sorted((names[i], c) for i, c in enumerate(counts) if c))
         k0_err = 0.0
@@ -179,7 +177,11 @@ def flow_checks(fixture: Fixture, seed: int = 0, starts: int = 1000) -> dict:
     """Reeb-flow verification: closed form vs exact flow vs RK4, plus the
     seam-to-cosphere dynamical check: each seam start, flowed to
     min(0.5, t*/2) with t* its first crossing time, lies in the
-    cosphere-like piece of its contact stratum."""
+    cosphere-like piece of its contact stratum.  A ``starts`` that is not
+    a positive integer is refused with :class:`phase.PhaseError`."""
+    phase.check_run_inputs(count=starts)
+    if starts < 1:
+        raise phase.PhaseError(f"the flow battery needs at least one start, got {starts}")
     spec = fixture.spec
     x, u = zero_level_arrays(spec, seed=seed, count=starts)
     tables = invariant_tables(x, u)
@@ -223,8 +225,8 @@ def flow_checks(fixture: Fixture, seed: int = 0, starts: int = 1000) -> dict:
     t = np.minimum(0.5, t_star / 2)
     start_images = reduced_images(start_tables)
     end_images = reduced_images(invariant_tables(reeb.flowed_base(sx, su, t), su))
-    start_piece, _ = locate_rows(fixture, start_images)
-    end_piece, _ = locate_rows(fixture, end_images)
+    start_piece, _, _ = locate_rows(fixture, start_images)
+    end_piece, _, _ = locate_rows(fixture, end_images)
     from_seam = (start_piece >= 0) & is_seam[start_piece]
     unlocated = np.flatnonzero((start_piece < 0) | (from_seam & (end_piece < 0)))
     if unlocated.size:

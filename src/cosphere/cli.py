@@ -255,7 +255,7 @@ def _csv_lines(
     the spelling waits for the reader of the parts.
     """
     spec = fixture.spec
-    piece, residuals = phase.locate_rows(fixture, phase.reduced_images(tables), band)
+    piece, residuals, _ = phase.locate_rows(fixture, phase.reduced_images(tables), band)
     columns = [x, u, phase.momenta(spec, tables),
                tables.reshape(len(x), 4 * spec.n), residuals[:, None]]
     header = (

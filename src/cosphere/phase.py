@@ -14,11 +14,11 @@ reduced-space coordinates drop the momentum components, keeping
 
 Everything is computed on arrays: ``x`` and ``u`` of shape (N, 2n), one
 point per row, give invariant tables of shape (N, n, 4)
-(:func:`invariant_tables`), momenta of shape (N, k) (:func:`momenta`),
-orbit-type labels (:func:`orbit_labels`) and reduced images of shape
-(N, 3n) (:func:`reduced_images`), located in the pieces of a fixture by
-:func:`locate_rows`, whose docstring states the band tests that read the
-supports (S_x, S) whose types name a piece.  :func:`check_reduced_membership`
+(:func:`invariant_tables`), momenta of shape (N, k) (:func:`momenta`) and
+reduced images of shape (N, 3n) (:func:`reduced_images`), located in the
+pieces of a fixture by :func:`locate_rows`, which also names each row's
+orbit type, type(S), and whose docstring states the band tests that read
+the supports (S_x, S) whose types name a piece.  :func:`check_reduced_membership`
 takes one image and names the test that leaves it unlocated.
 :class:`PhasePoint` is the validated type of a single point given from
 outside (:func:`hilbert_map`, the Reeb flows).
@@ -211,31 +211,6 @@ def hilbert_map(
     if norm > tol:
         raise NotOnZeroLevelError(f"|J| = {norm} exceeds {tol}: not on the zero level")
     return reduced_images(tables)
-
-
-def support_masks(tables: np.ndarray) -> np.ndarray:
-    """(..., n) mask of the planes where (x_j, u_j) is nonzero beyond ``SUPPORT_TOL``,
-    read off (..., n, 4) invariant tables: |(x_j, u_j)| = sqrt(p1_j)."""
-    return np.sqrt(tables[..., 0]) > SUPPORT_TOL
-
-
-def orbit_labels(spec: TorusActionSpec, masks: np.ndarray) -> tuple[list[str], np.ndarray]:
-    """Orbit types of (N, n) support rows as (labels, index): the sorted
-    distinct labels, and the position in them of each row's label.
-
-    A row is keyed by its support bitmask and reads its type from
-    :func:`torus.support_types`; the types that ``np.bincount`` counts at
-    least once are the labels.
-    """
-    labels, types, _ = support_types(spec)
-    key = np.zeros(masks.shape[:-1], dtype=np.intp)
-    for j in range(spec.n):
-        key |= masks[..., j] << j
-    rank = np.array(types, dtype=np.intp)[key.reshape(-1)]
-    present = np.flatnonzero(np.bincount(rank, minlength=len(labels)))
-    position = np.zeros(len(labels), dtype=np.intp)
-    position[present] = np.arange(present.size)
-    return [labels[t] for t in present.tolist()], position[rank]
 
 
 def _as_plane_set(pattern: Iterable[int] | None, n: int) -> tuple[int, ...]:
@@ -452,10 +427,12 @@ def _plane_tests(columns: np.ndarray, j: int, band: float):
 
 def locate_rows(
     fixture, images: np.ndarray, band: float = MEMBERSHIP_BAND
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Index in ``fixture.result.pieces`` of the piece of each (N, 3n)
-    reduced image row (-1 when a band test fails) and its worst equality
-    residual (NaN on a -1 row).
+    reduced image row (-1 when a band test fails), its worst equality
+    residual (NaN on a -1 row), and the rank in ``fixture.result.labels``
+    of type(S), the row's orbit type, read off the same S as its piece and
+    defined on every row, an unlocated or NaN one too.
 
     Per plane j: |p1_j| <= ``band`` puts j off S and p1_j > ``band`` on S.
     On S the cone value |p1_j^2 - p2_j^2 - p3_j^2| / max(1, p1_j^2) must be
@@ -503,8 +480,9 @@ def locate_rows(
     types = np.array(support_types(fixture.spec)[1], dtype=np.intp)
     # piece_at[type(S_x), type(S)], read off the flat table in one gather
     at = fixture.piece_at
-    piece = np.where(ok, at.ravel()[types[support_x] * len(at) + types[support]], -1)
-    return piece, np.where(piece >= 0, np.fmax(worst, sum_err), np.nan)
+    lower = types[support]
+    piece = np.where(ok, at.ravel()[types[support_x] * len(at) + lower], -1)
+    return piece, np.where(piece >= 0, np.fmax(worst, sum_err), np.nan), lower
 
 
 def check_reduced_membership(
@@ -520,7 +498,7 @@ def check_reduced_membership(
     fixture is refused with :class:`PhaseError`.
     """
     rows = np.asarray(image, dtype=float)[None, :]
-    piece, residual = locate_rows(fixture, rows, band)
+    piece, residual, _ = locate_rows(fixture, rows, band)
     if piece[0] >= 0:
         return fixture.result.pieces[piece[0]], float(residual[0])
     failed = "no piece for these supports"

@@ -77,8 +77,8 @@ def per_probe_flow_checks(fixture, seed: int = 0, starts: int = 1000) -> dict:
         t = np.minimum(0.5, t_star / 2)
         start_images = reduced_images(start_tables)
         end_images = reduced_images(invariant_tables(reeb.flowed_base(sx, su, t), su))
-        start_piece, _ = locate_rows(fixture, start_images)
-        end_piece, _ = locate_rows(fixture, end_images)
+        start_piece, _, _ = locate_rows(fixture, start_images)
+        end_piece, _, _ = locate_rows(fixture, end_images)
         from_seam = (start_piece >= 0) & is_seam[start_piece]
         unlocated = np.flatnonzero((start_piece < 0) | (from_seam & (end_piece < 0)))
         if unlocated.size:

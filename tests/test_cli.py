@@ -857,7 +857,7 @@ def test_dot_files_escape_quotes_and_backslashes(tmp_path, capsys):
 def csv_oracle(fixture, x, u, band, times=None) -> str:
     """The CSV text as ``csv.writer`` wrote it, one ``repr`` per float cell."""
     tables = phase.invariant_tables(x, u)
-    piece, residuals = phase.locate_rows(fixture, phase.reduced_images(tables), band)
+    piece, residuals, _ = phase.locate_rows(fixture, phase.reduced_images(tables), band)
     names = [fixture.result.pieces[p] if p >= 0 else "(unresolved)" for p in piece]
     numbers = np.concatenate(
         [x, u, phase.momenta(fixture.spec, tables),

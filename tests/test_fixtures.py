@@ -38,7 +38,7 @@ def probe_samples(fixture, seed, count):
 
 
 def located_names(fixture, x, u):
-    piece, _ = phase.locate_rows(
+    piece, _, _ = phase.locate_rows(
         fixture, phase.reduced_images(phase.invariant_tables(x, u))
     )
     names = np.array([*fixture.result.pieces, "(unlocated)"], dtype=object)
@@ -98,7 +98,7 @@ def test_the_vertex_band_follows_p1_minus_p3_not_p2():
     images = np.array([[1 + e / 2, s * np.sqrt(2 * e), 1 - e / 2] for s in (1.0, -1.0)])
     fx = get_fixture("s1-on-r2")
     assert oracle_labels("s1-on-r2", images).tolist() == ["Seam(S^1>e)"] * 2
-    piece, residual = phase.locate_rows(fx, images)
+    piece, residual, _ = phase.locate_rows(fx, images)
     assert [fx.result.pieces[p] for p in piece] == ["Seam(S^1>e)"] * 2
     assert (residual <= phase.MEMBERSHIP_BAND).all()
 
@@ -111,9 +111,10 @@ def test_probe_samples_land_in_the_piece_of_their_supports(spec):
         labels = support_labels(spec, x, u)
         assert labels == [cell.name] * len(x)
         assert located_names(fx, x, u).tolist() == labels
-        tables = phase.invariant_tables(x, u)
-        labels, index = phase.orbit_labels(spec, phase.support_masks(tables))
-        assert set(np.array(labels, dtype=object)[index]) == {cell.expect_class}
+        _, _, lower = phase.locate_rows(
+            fx, phase.reduced_images(phase.invariant_tables(x, u))
+        )
+        assert {fx.result.labels[t] for t in lower} == {cell.expect_class}
 
 
 @pytest.mark.parametrize("spec", [get_fixture(name).spec for name in FIXTURES] + list(OTHER_SPECS),

@@ -3,6 +3,7 @@
 import dataclasses
 import warnings
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -30,9 +31,7 @@ from cosphere.phase import (
     k0_project,
     locate_rows,
     momenta,
-    orbit_labels,
     reduced_images,
-    support_masks,
     zero_level_arrays,
 )
 from cosphere.reeb import flow_exact, flowed_base
@@ -42,6 +41,7 @@ from cosphere.torus import (
     TorusActionSpec,
     class_label,
     support_lattices,
+    support_types,
 )
 from test_reference import fixture_probe_cells
 from test_torus import CAP_SPEC, weight_specs
@@ -181,18 +181,22 @@ def test_support_and_classification():
     # a radial point on plane 0, a fiber point on plane 1, a generic point
     x = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0], [1.0, 0.0, 1.0, 0.0]])
     u = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.5, 0.5, 0.5, 0.5]])
-    masks = support_masks(invariant_tables(x, u))
-    assert masks.tolist() == [[True, False], [False, True], [True, True]]
-    labels, index = orbit_labels(T2, masks)
-    assert labels == ["S^1×e", "e", "e×S^1"]
-    assert np.array(labels, dtype=object)[index].tolist() == ["e×S^1", "S^1×e", "e"]
+    fx = get_fixture("t2-on-r4")
+    _, _, lower = locate_rows(fx, reduced_images(invariant_tables(x, u)))
+    # the supports {0}, {1} and {0, 1}, by bitmask
+    types = support_types(T2)[1]
+    assert lower.tolist() == [types[0b01], types[0b10], types[0b11]]
+    labels = [fx.result.labels[t] for t in lower]
+    assert sorted(set(labels)) == ["S^1×e", "e", "e×S^1"]
+    assert labels == ["e×S^1", "S^1×e", "e"]
 
 
 def test_support_tolerance():
     table = invariant_tables(
         np.array([1e-12, 0.0, 1.0, 0.0]), np.array([0.0, 0.0, 1.0, 0.0])
     )
-    assert support_masks(table).tolist() == [False, True]
+    _, _, lower = locate_rows(get_fixture("t2-on-r4"), reduced_images(table)[None, :])
+    assert lower.tolist() == [support_types(T2)[1][0b10]]
 
 
 # -------------------------------------------------------------- sampling
@@ -527,6 +531,20 @@ def test_seeds_and_counts_must_be_integers():
     assert x.tobytes() == ex.tobytes() and u.tobytes() == eu.tobytes()
 
 
+@pytest.mark.parametrize("fixture_name", ["s1-on-r2", "t2-on-r4"])
+def test_flow_checks_refuse_a_start_count_below_one(fixture_name):
+    # the RK4 check flows start 0, so the battery needs at least one start;
+    # a negative or bool count keeps the sampler's refusal
+    fx = get_fixture(fixture_name)
+    with pytest.raises(PhaseError, match="needs at least one start, got 0"):
+        checks.flow_checks(fx, starts=0)
+    with pytest.raises(PhaseError, match="sample count must be nonnegative, got -1"):
+        checks.flow_checks(fx, starts=-1)
+    for flag in (True, False):
+        with pytest.raises(PhaseError, match=f"sample count must be an integer, not {flag}"):
+            checks.flow_checks(fx, starts=flag)
+
+
 def test_run_sizes_are_capped():
     # the caps themselves pass; one more sample or step is refused, and so
     # is a size that would not fit in memory
@@ -640,7 +658,7 @@ def test_locator_at_each_boundary_of_the_band(case):
     image, piece_name, expected = LOCATOR_CASES[case]
     image = np.array(image)
     fx = get_fixture("s1-on-r2" if image.size == 3 else "t2-on-r4")
-    piece, residual = locate_rows(fx, image[None, :], BAND)
+    piece, residual, _ = locate_rows(fx, image[None, :], BAND)
     if piece_name is None:
         assert piece.tolist() == [-1] and np.isnan(residual[0])
         with pytest.raises(NoMatchingStratumError) as err:
@@ -650,6 +668,49 @@ def test_locator_at_each_boundary_of_the_band(case):
         assert fx.result.pieces[piece[0]] == piece_name
         assert residual[0] == expected
         assert check_reduced_membership(fx, image, BAND) == (piece_name, expected)
+
+
+# a t2-on-r4 point whose first plane carries p1_1 = |x_1|^2 = 9e-10, inside
+# the 1e-8 band, so S is the second plane alone and the point lies in
+# CC(S^1×e); with x_1 = 1.5e-4, p1_1 = 2.25e-8 lies beyond the band and S
+# holds both planes
+BAND_EDGE_U = np.array([0.0, 0.0, 1.0, 0.0])
+
+
+def band_edge_x(x1):
+    return np.array([x1, 0.0, 0.5, 0.0])
+
+
+def test_the_orbit_type_is_that_of_the_support_of_the_piece():
+    fx = get_fixture("t2-on-r4")
+    x = np.array([band_edge_x(3e-5), band_edge_x(1.5e-4)])
+    tables = invariant_tables(x, np.array([BAND_EDGE_U, BAND_EDGE_U]))
+    assert tables[0, 0, 0] < MEMBERSHIP_BAND < tables[1, 0, 0]
+    piece, _, lower = locate_rows(fx, reduced_images(tables))
+    result = fx.result
+    assert [result.pieces[i] for i in piece] == ["CC(S^1×e)", "CC(e)"]
+    assert [result.labels[t] for t in lower] == ["S^1×e", "e"]
+    assert lower.tolist() == [result.lowers[i] for i in piece]
+
+
+def test_verify_counts_a_band_edge_sample_in_the_type_of_its_piece(monkeypatch):
+    # every probe draws the band-edge point: CC(S^1×e) lies in the contact
+    # stratum of S^1×e, so its class is S^1×e, read off the same S, not the
+    # e that sqrt(p1_1) = 3e-5 alone would suggest
+    def band_edge_point(*args, **kwargs):
+        return band_edge_x(3e-5)[None, :], BAND_EDGE_U[None, :]
+
+    monkeypatch.setattr(checks, "zero_level_arrays", band_edge_point)
+    fx = get_fixture("t2-on-r4")
+    result = fx.result
+    report = checks.verify_fixture(fx, count=1)
+    assert len(report["probes"]) == len(result.pieces)
+    for probe in report["probes"]:
+        assert probe["class_counts"] == {"S^1×e": 1}
+        assert probe["piece_counts"] == {"CC(S^1×e)": 1}
+        lowers = {result.labels[result.lowers[result.pieces.index(name)]]: c
+                  for name, c in probe["piece_counts"].items()}
+        assert probe["class_counts"] == lowers
 
 
 def with_pieces(fixture, pieces):
@@ -678,7 +739,7 @@ def test_membership_names_no_cell_for_an_empty_support():
     fx = with_pieces(get_fixture("t2-on-r4"),
                      [("CC(e)", "e", "e"), ("nowhere", "T^2", "T^2")])
     image = np.array([0.0, 0.0, 1.0, 0.0, 0.0, 1.0])
-    piece, residual = locate_rows(fx, image[None, :])
+    piece, residual, _ = locate_rows(fx, image[None, :])
     assert piece.tolist() == [-1] and np.isnan(residual).all()
     with pytest.raises(NoMatchingStratumError, match="no plane has p1_j > "):
         check_reduced_membership(fx, image)
@@ -689,7 +750,7 @@ def test_membership_matches_the_seam_strictly_just_off_it():
     # the seam claims the image while the implied sig2 = 0 fails by 1e-5
     fx = get_fixture("t2-on-r4")
     image = np.array([0.625, 0.5, 0.375, 0.5 + 2.5e-9, 1e-5, 0.5 - 2.5e-9])
-    piece, residual = locate_rows(fx, image[None, :])
+    piece, residual, _ = locate_rows(fx, image[None, :])
     assert fx.result.pieces[piece[0]] == "Seam(e×S^1>e)"
     # the worst equality is p1_2 - p3_2 itself
     assert residual[0] == pytest.approx(5e-9)
@@ -710,7 +771,7 @@ def test_membership_band_hands_off_without_gaps_or_overlap():
         [1 + e / 2, sign * np.sqrt(2 * e), 1 - e / 2]
         for e, sign in ((5e-9, 1.0), (5e-9, -1.0), (2e-8, 1.0), (2e-8, -1.0))
     ])
-    piece, _ = locate_rows(fx, images)
+    piece, _, _ = locate_rows(fx, images)
     assert [fx.result.pieces[p] for p in piece] == [
         "Seam(S^1>e)", "Seam(S^1>e)", "CC(e)", "CC(e)"
     ]
@@ -759,7 +820,7 @@ def test_flowed_probe_samples_match_exactly_one_piece(fixture_name):
             )
             xs = np.concatenate([flowed_base(x, u, t) for t in times])
             us = np.tile(u, (times.size, 1))
-            piece, _ = locate_rows(fx, reduced_images(invariant_tables(xs, us)))
+            piece, _, _ = locate_rows(fx, reduced_images(invariant_tables(xs, us)))
             assert (piece >= 0).all(), (seed, cell.name, int(np.sum(piece < 0)))
 
 
@@ -776,8 +837,8 @@ def test_scaled_base_points_stay_in_their_pieces(fixture_name, seed, scale):
     for idx, (probe, support_x, support) in enumerate(fx.probes):
         x, u = zero_level_arrays(fx.spec, seed=seed + idx, count=200,
                                  support_pattern=support_x, covector_pattern=support)
-        at_one, _ = locate_rows(fx, reduced_images(invariant_tables(x, u)))
-        scaled, residual = locate_rows(fx, reduced_images(invariant_tables(scale * x, u)))
+        at_one, _, _ = locate_rows(fx, reduced_images(invariant_tables(x, u)))
+        scaled, residual, _ = locate_rows(fx, reduced_images(invariant_tables(scale * x, u)))
         assert (at_one == probe).all()
         assert scaled.tolist() == at_one.tolist(), (idx, int(np.sum(scaled != at_one)))
         assert (residual <= MEMBERSHIP_BAND).all(), (idx, float(np.max(residual)))
@@ -800,8 +861,8 @@ def test_sampled_probes_land_in_their_pieces(fixture_name):
             )
             assert residual <= MEMBERSHIP_BAND
             assert name == cell.name
-        labels, index = orbit_labels(fx.spec, support_masks(invariant_tables(x, u)))
-        assert set(np.array(labels, dtype=object)[index]) == {cell.expect_class}
+        _, _, lower = locate_rows(fx, reduced_images(invariant_tables(x, u)))
+        assert {fx.result.labels[t] for t in lower} == {cell.expect_class}
 
 
 @pytest.mark.parametrize("fixture_name, width", [("s1-on-r2", 6), ("s1-on-r2", 2),
@@ -1045,7 +1106,7 @@ def test_locate_rows_matches_the_reference_bit_for_bit(data):
     images = data.draw(image_rows(full))
     band = data.draw(st.sampled_from([BAND, MEMBERSHIP_BAND, 1e-3]))
     with np.errstate(all="ignore"):
-        piece, residual = locate_rows(fx, images, band)
+        piece, residual, _ = locate_rows(fx, images, band)
         ref_piece, ref_residual = reference_locate_rows(fx, images, band)
     assert same_bits(piece, ref_piece)
     assert same_bits(residual, ref_residual)
@@ -1071,11 +1132,19 @@ EVERY_SUPPORT = (np.arange(1 << MAX_PLANES)[:, None] >> np.arange(MAX_PLANES)) &
 @example((CAP_SPEC, np.zeros((0, MAX_PLANES), dtype=bool)))
 @example((CAP_SPEC, EVERY_SUPPORT[::-1]))
 def test_orbit_labels_match_the_reference(case):
+    # the locator reads S off images (1/|S|, 0, 1/|S|) on S and 0 off S; a
+    # spec of rank below n has no fixture, so it is given one with no pieces
     spec, masks = case
-    labels, index = orbit_labels(spec, masks)
+    images = np.zeros((len(masks), spec.n, 3))
+    images[..., 0] = images[..., 2] = masks / np.maximum(masks.sum(axis=1, keepdims=True), 1)
+    labels = support_types(spec)[0]
+    fx = SimpleNamespace(name="drawn", spec=spec,
+                         piece_at=np.full((len(labels), len(labels)), -1))
+    _, _, lower = locate_rows(fx, images.reshape(len(masks), 3 * spec.n))
     ref_labels, ref_index = reference_orbit_labels(spec, masks)
-    assert labels == ref_labels
-    assert same_bits(index, ref_index)
+    assert lower.dtype == np.intp and lower.shape == (len(masks),)
+    assert sorted({labels[t] for t in lower.tolist()}) == ref_labels
+    assert [labels[t] for t in lower.tolist()] == [ref_labels[i] for i in ref_index.tolist()]
 
 
 @given(st.integers(1, 4).flatmap(lambda planes: st.lists(

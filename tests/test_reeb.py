@@ -230,7 +230,7 @@ def test_seam_starts_cross_into_their_cosphere_piece(fixture_name):
                                  support_pattern=support_x, covector_pattern=support)
         xs = flowed_base(x, u, SEAM_GRID)
         images = reduced_images(invariant_tables(xs, np.repeat(u, len(xs), axis=0)))
-        piece, _ = locate_rows(fx, images)
+        piece, _, _ = locate_rows(fx, images)
         lower = result.lowers[probe]
         cc = result.pieces[fx.piece_at[lower, lower]]
         assert [result.pieces[i] if i >= 0 else None for i in piece] == (
