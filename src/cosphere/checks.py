@@ -20,7 +20,7 @@ from .fixtures import Fixture
 from .phase import (
     IDENTITY_TOL,
     MEMBERSHIP_BAND,
-    SUPPORT_TOL,
+    MOMENTUM_TOL,
     check_reduced_membership,
     cone_residuals,
     cosphere_sums,
@@ -123,7 +123,7 @@ def verify_fixture(
         fraction = piece_counts.get(names[probe], 0) / n_points if n_points else 0.0
         class_fraction = class_counts.get(expect_class, 0) / n_points if n_points else 0.0
         checks = {
-            "momentum_zero": max_j <= SUPPORT_TOL,
+            "momentum_zero": max_j <= MOMENTUM_TOL,
             "cosphere_sum": max_cosphere <= IDENTITY_TOL,
             "cone_identity": max_cone <= IDENTITY_TOL,
             "classification_starred": bool(is_starred.all()),

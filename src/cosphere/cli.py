@@ -32,7 +32,7 @@ import numpy as np
 from . import checks, phase, reeb, strata, torus
 from .fixtures import BUILTIN_FIXTURES, Fixture, get_fixture
 from .poset import IsotropyPoset, PosetError, poset_from_json, poset_to_dot
-from .torus import ActionSpecError, TorusActionSpec, spec_from_json
+from .torus import ActionSpecError, spec_from_json
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -62,19 +62,17 @@ def _read_json(path: str) -> dict:
     return data
 
 
-def _resolve_source(args: argparse.Namespace) -> tuple[IsotropyPoset, TorusActionSpec | None]:
-    """Load the isotropy data from --fixture or --action (spec or poset JSON)."""
+def _resolve_source(args: argparse.Namespace) -> IsotropyPoset:
+    """Load the isotropy poset from --fixture or --action (spec or poset JSON)."""
     if (args.fixture is None) == (args.action is None):
         raise CliInputError("provide exactly one of --fixture or --action")
     if args.fixture is not None:
-        spec = get_fixture(args.fixture).spec
-        return torus.build_isotropy_poset(spec), spec
+        return torus.build_isotropy_poset(get_fixture(args.fixture).spec)
     data = _read_json(args.action)
     if "weights" in data:
-        spec = spec_from_json(data)
-        return torus.build_isotropy_poset(spec), spec
+        return torus.build_isotropy_poset(spec_from_json(data))
     if "types" in data:
-        return poset_from_json(data), None  # an invalid poset is refused as it is built
+        return poset_from_json(data)  # an invalid poset is refused as it is built
     raise CliInputError(
         f"{args.action}: neither an action spec (weights) nor a poset (types)"
     )
@@ -187,7 +185,7 @@ def _reduce_report(result: strata.StratificationResult) -> Iterator[str]:
 
 def cmd_lattice(args: argparse.Namespace) -> int:
     """Emit isotropy.dot and cl_strata.dot into the --out directory."""
-    poset, _ = _resolve_source(args)
+    poset = _resolve_source(args)
     # the DOT draws the covers, so the frontier is never built here
     result = strata.cl_stratification(poset)
     out_dir = Path(args.out) if args.out else Path(".")
@@ -200,7 +198,7 @@ def cmd_lattice(args: argparse.Namespace) -> int:
 
 def cmd_reduce(args: argparse.Namespace) -> int:
     """Full stratification report as JSON (stdout or --out file)."""
-    poset, _ = _resolve_source(args)
+    poset = _resolve_source(args)
     result = strata.cl_stratification(poset)
     # the parts stream out, so the report text is never held whole; the
     # frontier rows are built here, on the writer's first read

@@ -47,7 +47,7 @@ import numpy as np
 from .poset import _integer
 from .torus import TorusActionSpec, check_full_rank, support_lattices, support_types
 
-SUPPORT_TOL = 1e-10
+MOMENTUM_TOL = 1e-10
 IDENTITY_TOL = 1e-9
 MEMBERSHIP_BAND = 1e-8
 UNIT_TOL = 1e-12
@@ -190,26 +190,24 @@ def momenta(spec: TorusActionSpec, tables: np.ndarray) -> np.ndarray:
     return tables[..., 3] @ np.array(spec.weights, dtype=float).T
 
 
-def hilbert_map(
-    spec: TorusActionSpec, point: PhasePoint, tol: float = SUPPORT_TOL
-) -> np.ndarray:
+def hilbert_map(spec: TorusActionSpec, point: PhasePoint) -> np.ndarray:
     """Reduced-space coordinates of a zero-level point.
 
-    Raises :class:`PhaseError` when ``tol`` is not finite and positive or
-    the point and the spec differ in their number of planes,
-    :class:`torus.RankDeficientError` when the weight matrix has rank below n,
-    and :class:`NotOnZeroLevelError` when |J| exceeds ``tol``; the
-    momentum components are dropped from the output.
+    Raises :class:`PhaseError` when the point and the spec differ in their
+    number of planes, :class:`torus.RankDeficientError` when the weight
+    matrix has rank below n, and :class:`NotOnZeroLevelError` when |J|
+    exceeds :data:`MOMENTUM_TOL`; the momentum components are dropped from
+    the output.
     """
-    if not 0 < tol < np.inf:
-        raise PhaseError(f"zero-level tolerance must be finite and positive, got {tol}")
     if point.n != spec.n:
         raise PhaseError(f"point has {point.n} planes, spec has {spec.n}")
     check_full_rank(spec)
     tables = invariant_tables(point.x, point.u)
     norm = float(np.max(np.abs(momenta(spec, tables))))
-    if norm > tol:
-        raise NotOnZeroLevelError(f"|J| = {norm} exceeds {tol}: not on the zero level")
+    if norm > MOMENTUM_TOL:
+        raise NotOnZeroLevelError(
+            f"|J| = {norm} exceeds {MOMENTUM_TOL}: not on the zero level"
+        )
     return reduced_images(tables)
 
 

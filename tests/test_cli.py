@@ -1007,3 +1007,18 @@ def test_verify_and_flow_never_import_numpy_random(tmp_path):
                             capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr
     assert (tmp_path / "t2-on-r4.csv").is_file()
+
+
+def test_every_python_block_of_the_readme_runs():
+    # each ```python block of README.md, run on its own with the package on
+    # the path, exits 0 under -W error
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, flags=re.M | re.S)
+    assert len(blocks) >= 2
+    src = str(Path(cosphere.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    for i, block in enumerate(blocks):
+        result = subprocess.run([sys.executable, "-W", "error", "-c", block], env=env,
+                                capture_output=True, text=True, timeout=300)
+        assert result.returncode == 0, f"README python block {i}:\n{result.stderr}"

@@ -43,7 +43,7 @@ from cosphere.torus import (
     support_lattices,
     support_types,
 )
-from test_reference import fixture_probe_cells
+from test_reference import fixture_probe_cells, ref_classify
 from test_torus import CAP_SPEC, weight_specs
 
 T2 = TorusActionSpec(k=2, n=2, weights=((1, 0), (0, 1)))
@@ -148,18 +148,6 @@ def test_hilbert_map_requires_zero_momentum():
     off = PhasePoint(np.array([1.0, 0.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0, 0.0]))
     with pytest.raises(NotOnZeroLevelError):
         hilbert_map(T2, off)
-
-
-@pytest.mark.parametrize("tol", [np.nan, -1.0, 0.0, np.inf])
-def test_hilbert_map_refuses_a_tolerance_that_is_not_finite_and_positive(tol):
-    # |J| = 1 at the second point: a NaN tolerance let it through, and a
-    # negative one refused the first, on the zero level, as off it
-    on = PhasePoint(np.array([1.0, 0.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0, 0.0]))
-    off = PhasePoint(np.array([1.0, 0.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0, 0.0]))
-    for point in (on, off):
-        with pytest.raises(PhaseError, match="tolerance must be finite and positive") as err:
-            hilbert_map(T2, point, tol=tol)
-        assert type(err.value) is PhaseError
 
 
 def test_hilbert_map_refuses_weights_of_rank_below_n():
@@ -691,6 +679,20 @@ def test_the_orbit_type_is_that_of_the_support_of_the_piece():
     assert [result.pieces[i] for i in piece] == ["CC(S^1×e)", "CC(e)"]
     assert [result.labels[t] for t in lower] == ["S^1×e", "e"]
     assert lower.tolist() == [result.lowers[i] for i in piece]
+
+
+def test_the_reference_reads_the_support_at_the_band():
+    # p1_1 = 9e-10 inside the band puts plane 1 off S, and p1_1 = 1.002e-8
+    # just beyond it puts plane 1 on S, for the per-point reference as for
+    # the locator
+    fx = get_fixture("t2-on-r4")
+    x = np.array([band_edge_x(3e-5), band_edge_x(1.001e-4)])
+    u = np.array([BAND_EDGE_U, BAND_EDGE_U])
+    tables = invariant_tables(x, u)
+    assert tables[0, 0, 0] < MEMBERSHIP_BAND < tables[1, 0, 0]
+    _, _, lower = locate_rows(fx, reduced_images(tables))
+    ref = [ref_classify(fx.spec, PhasePoint(xi, ui)) for xi, ui in zip(x, u)]
+    assert ref == [fx.result.labels[t] for t in lower] == ["S^1×e", "e"]
 
 
 def test_verify_counts_a_band_edge_sample_in_the_type_of_its_piece(monkeypatch):

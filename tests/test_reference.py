@@ -27,7 +27,7 @@ from cosphere.fixtures import get_fixture
 from cosphere.phase import (
     IDENTITY_TOL,
     MEMBERSHIP_BAND,
-    SUPPORT_TOL,
+    MOMENTUM_TOL,
     PhaseError,
     PhasePoint,
 )
@@ -62,10 +62,10 @@ def ref_momentum(spec, p: PhasePoint) -> np.ndarray:
     return np.array(spec.weights, dtype=float) @ ref_table(p)[:, 3]
 
 
-def ref_classify(spec, p: PhasePoint, tol: float = SUPPORT_TOL) -> str:
-    xs, us = p.x.reshape(-1, 2), p.u.reshape(-1, 2)
-    mass = np.sqrt(np.sum(xs * xs, axis=1) + np.sum(us * us, axis=1))
-    support = tuple(int(j) for j in np.nonzero(mass > tol)[0])
+def ref_classify(spec, p: PhasePoint) -> str:
+    """The orbit type of the support S of ``p``: the planes whose
+    p1_j = |x_j|^2 + |u_j|^2 lies beyond the membership band."""
+    support = tuple(int(j) for j in np.nonzero(ref_table(p)[:, 0] > MEMBERSHIP_BAND)[0])
     return support_label(spec, support)
 
 
@@ -265,7 +265,7 @@ def ref_verify(fixture, seed: int, count: int, band: float = MEMBERSHIP_BAND,
             class_counts.get(cell.expect_class, 0) / len(points) if points else 0.0
         )
         report_checks = {
-            "momentum_zero": max_j <= SUPPORT_TOL,
+            "momentum_zero": max_j <= MOMENTUM_TOL,
             "cosphere_sum": max_cosphere <= IDENTITY_TOL,
             "cone_identity": max_cone <= IDENTITY_TOL,
             "classification_starred": not any("unstarred" in f for f in failures),
