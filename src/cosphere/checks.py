@@ -7,8 +7,11 @@ is exact the base projection.  The flow battery compares the closed-form
 invariant flow against the exact flow and the Runge-Kutta route, and
 drives seam samples into their cosphere-like piece.
 
-Everything is deterministic given the seed; reports are JSON-ready dicts
-with sorted keys so repeated runs are byte-identical.
+The sampling battery streams each probe in blocks of ``SAMPLE_BLOCK``
+samples, drawn by absolute sample index, so its memory is bounded by the
+block, not by the sample count, and its reports do not depend on the
+block size.  Everything is deterministic given the seed; reports are
+JSON-ready dicts with sorted keys so repeated runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -34,6 +37,8 @@ from .phase import (
 
 PROBE_SEED_STRIDE = 1000003
 MAX_REPORTED_FAILURES = 10
+# samples per block of a verify probe: the block's (N,) columns take 16 KB
+SAMPLE_BLOCK = 2048
 # the flow battery checks the closed form at FLOW_T_GRID and runs RK4 to FLOW_T_END
 FLOW_T_GRID = (0.1, 0.5, 1.0, 2.0)
 FLOW_T_END = 2.0
@@ -61,13 +66,19 @@ def verify_fixture(
     Every sample must sit on the zero level within 1e-10, satisfy the
     cosphere and cone identities within 1e-9, have a starred orbit type
     type(S), S read as for its piece, and be located in its probe's piece.
-    A negative seed is refused with :class:`phase.PhaseError`.
+    A probe streams through its samples in blocks of ``SAMPLE_BLOCK``, each
+    drawn by absolute sample index and folded into the probe's maxima,
+    counts and first failures, so memory is bounded by the block and the
+    report does not depend on the block size.  A negative seed, or a count
+    that is not an integer in 0..``MAX_SAMPLES``, is refused with
+    :class:`phase.PhaseError` before any draw.
     """
-    phase.check_run_inputs(seed=seed)
+    phase.check_run_inputs(seed=seed, count=count)
     spec, result = fixture.spec, fixture.result
     principal_cc = result.pieces[fixture.piece_at[result.open_rank, result.open_rank]]
 
     names = np.array(result.pieces, dtype=object)
+    starred = np.array([label in result.starred for label in result.labels])
     # the base projection (p1 - 1, 0, 1 - p1) per plane assumes the plane
     # carries the whole covector mass, which holds on every piece only with
     # a single plane
@@ -76,49 +87,60 @@ def verify_fixture(
     all_passed = True
     for idx, (probe, support_x, support) in enumerate(fixture.probes):
         n_samples = count if len(support_x) == spec.n else max(200, count // 10)
-        x, u = zero_level_arrays(
-            spec,
-            seed=_probe_seed(seed, idx),
-            count=n_samples,
-            support_pattern=support_x,
-            covector_pattern=support,
-        )
-        tables = invariant_tables(x, u)
-        images = reduced_images(tables)
-        piece, residual, lower = locate_rows(fixture, images, band)
-        is_starred = np.array([label in result.starred for label in result.labels])[lower]
-        located = is_starred & (piece >= 0)
-
+        n_points = 0
+        # momentum, cosphere, cone, residual and k0 maxima; np.maximum, unlike
+        # the builtin max, keeps a NaN of any block
+        maxima = np.zeros(5)
+        per_type = np.zeros(len(result.labels), dtype=np.int64)
+        per_piece = np.zeros(len(names), dtype=np.int64)
+        all_starred = all_located = True
         failures: list[str] = []
-        for i in np.flatnonzero(~located)[:MAX_REPORTED_FAILURES]:
-            if not is_starred[i]:
-                failures.append(f"classified into unstarred type ({result.labels[lower[i]]})")
-                continue
-            try:
-                check_reduced_membership(fixture, images[i], band=band)
-            except phase.PhaseError as exc:
-                failures.append(str(exc))
+        for start in range(0, n_samples, SAMPLE_BLOCK):
+            x, u = phase._sample_range(
+                spec, _probe_seed(seed, idx), start, min(start + SAMPLE_BLOCK, n_samples),
+                support_x, support,
+            )
+            tables = invariant_tables(x, u)
+            images = reduced_images(tables)
+            piece, residual, lower = locate_rows(fixture, images, band)
+            is_starred = starred[lower]
+            located = is_starred & (piece >= 0)
 
-        scale = np.maximum(1.0, tables[..., 0] ** 2)
-        max_j = _max(np.abs(momenta(spec, tables)))
-        max_cosphere = _max(np.abs(cosphere_sums(tables) - 2.0))
-        max_cone = _max(np.abs(cone_residuals(tables)) / scale)
-        max_residual = _max(residual[located])
-        per_type = np.bincount(lower, minlength=len(result.labels)).tolist()
-        class_counts = {label: c for label, c in zip(result.labels, per_type) if c}
-        counts = np.bincount(piece[located], minlength=len(names)).tolist()
-        piece_counts = dict(sorted((names[i], c) for i, c in enumerate(counts) if c))
-        k0_err = 0.0
-        if geometric:
-            xs = x[located].reshape(-1, spec.n, 2)
-            t_planes = np.sum(xs * xs, axis=-1)
-            k0 = k0_project(images[located])
-            base = np.zeros(k0.shape)
-            base[:, 0::3] = t_planes
-            base[:, 2::3] = -t_planes
-            k0_err = _max(np.abs(k0 - base))
+            for i in np.flatnonzero(~located)[: MAX_REPORTED_FAILURES - len(failures)]:
+                if not is_starred[i]:
+                    failures.append(f"classified into unstarred type ({result.labels[lower[i]]})")
+                    continue
+                try:
+                    check_reduced_membership(fixture, images[i], band=band)
+                except phase.PhaseError as exc:
+                    failures.append(str(exc))
 
-        n_points = len(x)
+            scale = np.maximum(1.0, tables[..., 0] ** 2)
+            k0_err = 0.0
+            if geometric:
+                xs = x[located].reshape(-1, spec.n, 2)
+                t_planes = np.sum(xs * xs, axis=-1)
+                k0 = k0_project(images[located])
+                base = np.zeros(k0.shape)
+                base[:, 0::3] = t_planes
+                base[:, 2::3] = -t_planes
+                k0_err = _max(np.abs(k0 - base))
+            np.maximum(maxima, [
+                _max(np.abs(momenta(spec, tables))),
+                _max(np.abs(cosphere_sums(tables) - 2.0)),
+                _max(np.abs(cone_residuals(tables)) / scale),
+                _max(residual[located]),
+                k0_err,
+            ], out=maxima)
+            per_type += np.bincount(lower, minlength=len(per_type))
+            per_piece += np.bincount(piece[located], minlength=len(per_piece))
+            all_starred = all_starred and bool(is_starred.all())
+            all_located = all_located and bool(located.all())
+            n_points += len(x)
+
+        max_j, max_cosphere, max_cone, max_residual, k0_err = maxima.tolist()
+        class_counts = {label: c for label, c in zip(result.labels, per_type.tolist()) if c}
+        piece_counts = dict(sorted((names[i], c) for i, c in enumerate(per_piece.tolist()) if c))
         expect_class = result.labels[result.lowers[probe]]
         fraction = piece_counts.get(names[probe], 0) / n_points if n_points else 0.0
         class_fraction = class_counts.get(expect_class, 0) / n_points if n_points else 0.0
@@ -126,8 +148,8 @@ def verify_fixture(
             "momentum_zero": max_j <= MOMENTUM_TOL,
             "cosphere_sum": max_cosphere <= IDENTITY_TOL,
             "cone_identity": max_cone <= IDENTITY_TOL,
-            "classification_starred": bool(is_starred.all()),
-            "membership_total": bool(located.all()),
+            "classification_starred": all_starred,
+            "membership_total": all_located,
             "membership_residual": max_residual < band,
             "expected_pieces": fraction == 1.0,
             "expected_class": class_fraction == 1.0,

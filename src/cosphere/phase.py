@@ -174,8 +174,17 @@ def cone_residuals(tables: np.ndarray) -> np.ndarray:
 
 
 def cosphere_sums(tables: np.ndarray) -> np.ndarray:
-    """Sum of p1 + p3 over the planes of (..., n, 4) tables."""
-    return np.sum(tables[..., 0] + tables[..., 2], axis=-1)
+    """Sum of p1 + p3 over the planes of (..., n, 4) tables.
+
+    The planes are added in plane order from +0.0, a few elementwise adds
+    in place of a per-row reduction; up to n = 7 planes that is numpy's
+    own order of summation, so the sums equal ``np.sum(..., axis=-1)``
+    bit for bit.
+    """
+    total = np.zeros(tables.shape[:-2])
+    for j in range(tables.shape[-2]):
+        total += tables[..., j, 0] + tables[..., j, 2]
+    return total
 
 
 def momenta(spec: TorusActionSpec, tables: np.ndarray) -> np.ndarray:
@@ -349,6 +358,49 @@ def _draws(seed: int, attempt: int, rows: Iterable[int], width: int) -> np.ndarr
     return draws
 
 
+def _sample_range(
+    spec: TorusActionSpec,
+    seed: int,
+    start: int,
+    stop: int,
+    support_pattern: Iterable[int] | None = None,
+    covector_pattern: Iterable[int] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Samples ``start``..``stop - 1`` of the stream of
+    :func:`zero_level_arrays`, as (stop - start, 2n) arrays (x, u).
+
+    Row r is attempt 0 of sample start + r, redrawn from attempts 1, 2, ...
+    of that absolute index, which :class:`RetriesExhaustedError` names; so
+    the rows are those of ``zero_level_arrays(count=stop)[start:stop]``,
+    bit for bit, whatever the range.  The patterns are checked first, then
+    the seed and ``stop`` as a sample count.
+    """
+    planes_x = _as_plane_set(support_pattern, spec.n)
+    planes_u = _as_plane_set(covector_pattern, spec.n)
+    xcols, ucols = _plane_columns(planes_x), _plane_columns(planes_u)
+    if not ucols.size:
+        raise EmptyKernelError("empty covector pattern leaves no unit covector")
+    check_run_inputs(seed=seed, count=stop)
+    width = xcols.size + ucols.size
+    block = _draws(seed, 0, np.arange(start, int(stop)), width)
+    rows = _independent_rows(spec, set(planes_x) & set(planes_u))
+    x, u, ok = _zero_level_rows(spec, xcols, ucols, rows, block)
+    for offset in np.flatnonzero(~ok).tolist():
+        index = start + offset
+        for attempt in range(1, MAX_RETRIES):
+            rx, ru, rok = _zero_level_rows(
+                spec, xcols, ucols, rows, _draws(seed, attempt, [index], width)
+            )
+            if rok[0]:
+                x[offset], u[offset] = rx[0], ru[0]
+                break
+        else:
+            raise RetriesExhaustedError(
+                f"no admissible covector after {MAX_RETRIES} draws for sample {index}"
+            )
+    return x, u
+
+
 def zero_level_arrays(
     spec: TorusActionSpec,
     seed: int,
@@ -368,7 +420,8 @@ def zero_level_arrays(
     :func:`_zero_level_rows` on the independent weight rows of the planes in
     both patterns.  Row i of the block is attempt 0 of sample i in the
     counter-based stream of :func:`_draws`, so sample i is the same for
-    every ``count`` above i.  A row whose projected covector is shorter than
+    every ``count`` above i, and :func:`_sample_range` draws any range of
+    the stream alone.  A row whose projected covector is shorter than
     1e-8, whose base point is exactly zero on a plane of
     ``support_pattern``, or whose row basis has a numerically zero pivot, is
     redrawn from attempt 1, 2, ... of its own index; after ``MAX_RETRIES``
@@ -376,29 +429,7 @@ def zero_level_arrays(
     or count, or a count over ``MAX_SAMPLES``, is refused with
     :class:`PhaseError`; a seed of any size is taken.
     """
-    planes_x = _as_plane_set(support_pattern, spec.n)
-    planes_u = _as_plane_set(covector_pattern, spec.n)
-    xcols, ucols = _plane_columns(planes_x), _plane_columns(planes_u)
-    if not ucols.size:
-        raise EmptyKernelError("empty covector pattern leaves no unit covector")
-    check_run_inputs(seed=seed, count=count)
-    width = xcols.size + ucols.size
-    block = _draws(seed, 0, np.arange(int(count)), width)
-    rows = _independent_rows(spec, set(planes_x) & set(planes_u))
-    x, u, ok = _zero_level_rows(spec, xcols, ucols, rows, block)
-    for index in np.flatnonzero(~ok):
-        for attempt in range(1, MAX_RETRIES):
-            rx, ru, rok = _zero_level_rows(
-                spec, xcols, ucols, rows, _draws(seed, attempt, [index], width)
-            )
-            if rok[0]:
-                x[index], u[index] = rx[0], ru[0]
-                break
-        else:
-            raise RetriesExhaustedError(
-                f"no admissible covector after {MAX_RETRIES} draws for sample {index}"
-            )
-    return x, u
+    return _sample_range(spec, seed, 0, count, support_pattern, covector_pattern)
 
 
 def _plane_tests(columns: np.ndarray, j: int, band: float):

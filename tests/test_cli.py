@@ -360,21 +360,23 @@ def test_verify_writes_report_and_samples(tmp_path, capsys):
 ])
 def test_verify_samples_are_the_first_verified_samples(fixture, seed, count, tmp_path,
                                                         capsys, monkeypatch):
-    # record what the battery draws: its first call is the generic probe
+    # record what the battery draws: its first blocks are the generic probe's
     drawn = []
+    sample_range = phase._sample_range
 
     def recording(*args, **kwargs):
-        drawn.append(phase.zero_level_arrays(*args, **kwargs))
+        drawn.append(sample_range(*args, **kwargs))
         return drawn[-1]
 
-    monkeypatch.setattr(cosphere.checks, "zero_level_arrays", recording)
+    monkeypatch.setattr(phase, "_sample_range", recording)
     code, _, _ = run(capsys, "verify", "--fixture", fixture, "--seed", str(seed),
                      "--count", str(count), "--out", str(tmp_path))
     assert code == 0
     header, *rows = csv.reader(io.StringIO((tmp_path / "samples.csv").read_text()))
     dim = 4 * cosphere.get_fixture(fixture).spec.n  # the x and u columns
     assert header[:dim] == [f"{c}_{i + 1}" for c in "xu" for i in range(dim // 2)]
-    x, u = drawn[0]
+    blocks = drawn[: -(-count // cosphere.checks.SAMPLE_BLOCK)]
+    x, u = (np.concatenate(arrays) for arrays in zip(*blocks))
     assert len(rows) == min(count, 1000) and len(x) == count
     # bit for bit, signed zeros included
     assert np.array([[float(c) for c in row[:dim]] for row in rows]).view(np.int64).tolist() \

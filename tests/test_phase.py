@@ -1,6 +1,7 @@
 """Phase-level layer: invariants, momentum, sampling, membership, base chart."""
 
 import dataclasses
+import json
 import warnings
 from fractions import Fraction
 from types import SimpleNamespace
@@ -118,6 +119,27 @@ def test_cone_identity_and_cosphere_sum(p):
     scale = 1.0 + float(np.max(table[:, 0])) ** 2
     assert np.max(np.abs(cone_residuals(table))) < 1e-12 * scale
     assert abs(cosphere_sums(table) - 2.0) < 1e-12
+
+
+@st.composite
+def plane_tables(draw, n_max):
+    """(rows, n, 4) tables of floats, signed zeros included, small enough
+    that no sum of up to 2 n_max of them overflows."""
+    n = draw(st.integers(min_value=1, max_value=n_max))
+    rows = draw(st.integers(min_value=1, max_value=4))
+    values = draw(st.lists(st.floats(-1e300, 1e300),
+                           min_size=4 * n * rows, max_size=4 * n * rows))
+    return np.array(values).reshape(rows, n, 4)
+
+
+# numpy's per-row reduction adds in order only below 8 elements; from
+# n = 8 on it sums pairwise, and the plane-order sum is kept
+@given(plane_tables(n_max=7))
+@example(np.array([[[1e16, 0.0, 1.0, 0.0], [-1e16, 0.0, 1.0, 0.0]]]))
+@example(np.full((1, 3, 4), -0.0))
+def test_cosphere_sums_add_the_planes_as_numpy_sums_them(tables):
+    expected = np.sum(tables[..., 0] + tables[..., 2], axis=-1)
+    assert cosphere_sums(tables).view(np.int64).tolist() == expected.view(np.int64).tolist()
 
 
 @given(unit_points(n_max=2))
@@ -342,6 +364,71 @@ def test_sampler_redraws_a_row_with_a_zero_base_plane(monkeypatch):
     assert x[1].tolist() == real_draws(4, 1, [1], 8)[0, :4].tolist()
     assert x[[0, 2]].tolist() == block[[0, 2], :4].tolist()
     assert np.max(np.abs(momenta(T2, invariant_tables(x, u)))) < 1e-12
+
+
+def test_a_redraw_is_named_by_its_absolute_sample_index(monkeypatch):
+    # every attempt of sample 9 is zero on its base planes, so its retries
+    # run out in the second block of 7; the error names sample 9, as one
+    # unblocked draw does
+    real_draws = phase._draws
+
+    def zero_sample_9(seed, attempt, rows, width):
+        draws = real_draws(seed, attempt, rows, width)
+        draws[np.asarray(rows) == 9] = 0.0
+        return draws
+
+    monkeypatch.setattr(phase, "_draws", zero_sample_9)
+    monkeypatch.setattr(checks, "SAMPLE_BLOCK", 7)
+    message = f"no admissible covector after {MAX_RETRIES} draws for sample 9$"
+    with pytest.raises(RetriesExhaustedError, match=message):
+        checks.verify_fixture(get_fixture("t2-on-r4"), seed=3, count=20)
+    with pytest.raises(RetriesExhaustedError, match=message):
+        zero_level_arrays(T2, seed=3, count=20)
+
+
+def test_verify_keeps_a_nan_of_a_later_block(monkeypatch):
+    # sample 9 of every probe is NaN and the first block of 7 is finite: the
+    # maxima keep the NaN, as one unblocked pass does, and their checks fail
+    sample_range = phase._sample_range
+
+    def nan_at_9(spec, seed, start, stop, *patterns):
+        x, u = sample_range(spec, seed, start, stop, *patterns)
+        if start <= 9 < stop:
+            x[9 - start, 0] = np.nan
+        return x, u
+
+    monkeypatch.setattr(phase, "_sample_range", nan_at_9)
+    fx = get_fixture("t2-on-r4")
+    reports = []
+    for block in (7, 20):
+        monkeypatch.setattr(checks, "SAMPLE_BLOCK", block)
+        reports.append(checks.verify_fixture(fx, seed=3, count=20))
+    blocked, whole = (json.dumps(r, sort_keys=True) for r in reports)
+    assert blocked == whole
+    generic = reports[0]["probes"][0]
+    for key in ("max_momentum", "max_cosphere_error", "max_cone_rel_error"):
+        assert np.isnan(generic[key])
+    assert not any(generic["checks"][key]
+                   for key in ("momentum_zero", "cosphere_sum", "cone_identity"))
+    assert not generic["passed"] and not reports[0]["passed"]
+
+
+@pytest.mark.parametrize("count", [-1, True, 2.0, MAX_SAMPLES + 1])
+def test_verify_refuses_a_count_before_any_draw(monkeypatch, count):
+    # no block sees the whole count, so the battery checks it up front
+    with pytest.raises(PhaseError) as expected:
+        check_run_inputs(count=count)
+
+    def no_draw(*args):
+        raise AssertionError("drew a sample")
+
+    monkeypatch.setattr(phase, "_draws", no_draw)
+    with pytest.raises(PhaseError) as refused:
+        checks.verify_fixture(get_fixture("t2-on-r4"), count=count)
+    assert str(refused.value) == str(expected.value)
+    with pytest.raises(PhaseError) as drawn:
+        zero_level_arrays(T2, seed=0, count=count)
+    assert str(drawn.value) == str(expected.value)
 
 
 DEGENERATE_WEIGHTS = {
@@ -702,7 +789,7 @@ def test_verify_counts_a_band_edge_sample_in_the_type_of_its_piece(monkeypatch):
     def band_edge_point(*args, **kwargs):
         return band_edge_x(3e-5)[None, :], BAND_EDGE_U[None, :]
 
-    monkeypatch.setattr(checks, "zero_level_arrays", band_edge_point)
+    monkeypatch.setattr(phase, "_sample_range", band_edge_point)
     fx = get_fixture("t2-on-r4")
     result = fx.result
     report = checks.verify_fixture(fx, count=1)

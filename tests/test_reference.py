@@ -16,6 +16,7 @@ same way: the array integrator must give bitwise-equal times and states.
 
 import csv
 import io
+import json
 from itertools import combinations
 from typing import NamedTuple
 
@@ -492,12 +493,46 @@ def test_unstarred_classes_fail_as_the_per_point_reference(monkeypatch, fixture_
     fx = get_fixture(fixture_name)
     report = checks.verify_fixture(fx, seed=3, count=300)
     assert report == ref_verify(fx, 3, 300, unstarred=frozenset({dropped}))
+    # blocks of 1 and 7 keep the same first ten failures
+    assert blocked_reports(monkeypatch, fx, (1, 7), seed=3, count=300) == \
+        [json.dumps(report, sort_keys=True)] * 2
     hit = [p for p in report["probes"] if p["class_counts"].get(dropped)]
     assert hit and not report["passed"]
     for probe in hit:
         assert not probe["checks"]["classification_starred"]
         assert probe["failures"] == [f"classified into unstarred type ({dropped})"] * 10
         assert probe["piece_counts"] == {}
+
+
+def blocked_reports(monkeypatch, fixture, blocks, **kwargs) -> list[str]:
+    """``verify_fixture(fixture, **kwargs)`` as JSON text at each block size."""
+    reports = []
+    for block in blocks:
+        monkeypatch.setattr(checks, "SAMPLE_BLOCK", block)
+        reports.append(json.dumps(checks.verify_fixture(fixture, **kwargs), sort_keys=True))
+    return reports
+
+
+@pytest.mark.parametrize("fixture_name", FIXTURES)
+@pytest.mark.parametrize("band", [MEMBERSHIP_BAND, 1e-17])
+def test_verify_reports_do_not_depend_on_the_block_size(monkeypatch, fixture_name, band):
+    # 300 generic samples are 300 blocks of 1 and 43 of 7; at a band of
+    # 1e-17 failures turn up in many blocks, and the first ten are kept
+    fx = get_fixture(fixture_name)
+    reports = blocked_reports(monkeypatch, fx, (1, 7, checks.SAMPLE_BLOCK),
+                              seed=2, count=300, band=band)
+    assert reports == [json.dumps(ref_verify(fx, 2, 300, band=band), sort_keys=True)] * 3
+    if band < MEMBERSHIP_BAND:
+        assert len(json.loads(reports[0])["probes"][0]["failures"]) == checks.MAX_REPORTED_FAILURES
+
+
+@pytest.mark.parametrize("fixture_name", FIXTURES)
+def test_verify_reports_over_several_default_blocks_match_the_reference(monkeypatch,
+                                                                         fixture_name):
+    fx = get_fixture(fixture_name)
+    count = 2 * checks.SAMPLE_BLOCK + 5
+    reports = blocked_reports(monkeypatch, fx, (7, checks.SAMPLE_BLOCK), seed=6, count=count)
+    assert reports == [json.dumps(ref_verify(fx, 6, count), sort_keys=True)] * 2
 
 
 @pytest.mark.parametrize("fixture_name", FIXTURES)
